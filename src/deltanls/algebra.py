@@ -27,9 +27,9 @@ from scipy.integrate import quad
 
 from .params import Params
 
-#: Default quadrature target: absolute 1e-10 or relative 1e-10, whichever
-#: is looser (QUADPACK semantics).
-QUAD_EPSABS = 1e-10
+#: Quadrature target: relative 1e-10 alone.  An absolute floor would be
+#: looser than the relative target for small integrals (t near 1, p < 4).
+QUAD_EPSABS = 0.0
 QUAD_EPSREL = 1e-10
 
 
@@ -60,12 +60,6 @@ def _resolve_d(t: float, d: float | None) -> float:
     if not d > 0.0:
         raise ValueError(f"branch offset must satisfy t - 1 > 0, got {d}")
     return d
-
-
-def t_squared_minus_one(t: float, d: float | None = None) -> float:
-    # factored form keeps precision for t near 1
-    d = _resolve_d(t, d)
-    return d * (d + 2.0)
 
 
 def f_of_t(params: Params, t: float, d: float | None = None) -> float:

@@ -147,7 +147,7 @@ def cmd_classify(args, config: RunConfig) -> int:
 # solve
 
 
-def _solution_row(point: BranchPoint, precision: int) -> list:
+def _solution_row(point: BranchPoint) -> list:
     eb = energy.branch_energy(point)
     mass = _point_mass(point)
     q = point.params.q
@@ -176,7 +176,7 @@ def cmd_solve(args, config: RunConfig) -> int:
         if not points:
             rule = expected_solution_regime(params)
             note = f"no states at this mass: {rule.describe()}"
-    rows = [_solution_row(pt, config.precision) for pt in points]
+    rows = [_solution_row(pt) for pt in points]
     fmt = args.format or config.format
     if fmt == "json":
         payload = {
@@ -231,17 +231,8 @@ def cmd_curves(args, config: RunConfig) -> int:
         a, b, n = _parse_range(args.range) if args.range else (1.0 + 1e-6, 1e6, 512)
         if not (a > 1.0 and b > a):
             raise ValueError("mass-curve range must satisfy 1 < a < b")
-        ys = np.linspace(math.log(a - 1.0), math.log(b - 1.0), n)
-        rows = []
-        for y in ys:
-            dd = math.exp(y)
-            ev = massmap.mass_of_t(params, 1.0 + dd, dd)
-            hval = algebra.h_of_t(params, 1.0 + dd, dd).value
-            rows.append([1.0 + dd, ev.value, ev.abs_error_estimate,
-                         int(np.sign(hval))])
+        curve = massmap.mass_curve(params, n, math.log(a - 1.0), math.log(b - 1.0))
         asym = massmap.asymptotics(params)
-        extrema = [(t, massmap.mass_of_t(params, t).value)
-                   for t in massmap._h_sign_roots(params)]
         sidecar = {
             "p": params.p, "q": params.q, "region": region.value,
             "curve": "mass",
@@ -249,11 +240,11 @@ def cmd_curves(args, config: RunConfig) -> int:
                        "small_t_rate": asym.t1_rate,
                        "large_t_kind": asym.tinf_kind,
                        "large_t_rate": asym.tinf_rate},
-            "extrema": extrema,
+            "extrema": curve.extrema,
             "thresholds": _thresholds_payload(params),
         }
-        _emit(out_base, _csv(config, ["t", "mu", "mu_err", "h_sign"], rows,
-                             config.precision))
+        _emit(out_base, _csv(config, ["t", "mu", "mu_err", "h_sign"],
+                             curve.samples, config.precision))
         _emit(out_base + ".json", _json_doc(config, sidecar))
         return 0
 
@@ -387,6 +378,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except RuntimeError as exc:
+        # a failed gate, or a state outside double range
+        sys.stderr.write(f"error: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

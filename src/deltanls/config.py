@@ -14,25 +14,11 @@ from dataclasses import asdict, dataclass, fields
 
 @dataclass(frozen=True)
 class RunConfig:
-    # tolerances
-    quadrature_abs: float = 1e-10
-    root_rel: float = 1e-12
-    residual_rel: float = 1e-8
-    oracle_rel: float = 1e-6
-    # grid sizes
-    t_scan_points: int = 2048
-    mu_grid_points: int = 64
-    oracle_n: int = 200000
-    oracle_L: float = 400.0
-    # output
     format: str = "csv"
     precision: int = 17
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        for name in ("quadrature_abs", "root_rel", "residual_rel", "oracle_rel"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"tolerance {name} must be positive")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
 
@@ -46,7 +32,7 @@ class RunConfig:
 def load_config_file(path: str) -> dict:
     """Parse a flat `key = value` configuration file (comments with #)."""
     out: dict = {}
-    valid = {f.name: f.type for f in fields(RunConfig)}
+    valid = {f.name for f in fields(RunConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -58,13 +44,7 @@ def load_config_file(path: str) -> dict:
             if key not in valid:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             val = val.strip("\"'")
-            if key == "format":
-                out[key] = val
-            elif key in ("t_scan_points", "mu_grid_points", "oracle_n",
-                         "precision", "jobs"):
-                out[key] = int(val)
-            else:
-                out[key] = float(val)
+            out[key] = val if key == "format" else int(val)
     return out
 
 

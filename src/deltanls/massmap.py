@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from . import algebra, stationary
 from .params import Params, Region, classify, expected_solution_regime, ExistenceRule
@@ -32,21 +33,6 @@ MU0_MATCH_RTOL = 1e-12
 
 #: Relative tolerance of the profile-mass quadrature gate.
 MASS_GATE_RTOL = 1e-6
-
-_SCAN_Y_LO = -30.0
-_SCAN_Y_HI = 30.0
-_SCAN_POINTS = 2048
-
-
-def monotone_mass_regime(params: Params) -> bool:
-    """True where mu(t) is provably strictly increasing on (1, inf).
-
-    Covers q in (2, 4] with q < p/2 + 1, and q >= 4 with q > p/2 + 1.
-    The complementary strips (regions C and F) are non-monotone in general.
-    """
-    p, q = params.p, params.q
-    half = p / 2.0 + 1.0
-    return (2.0 < q <= 4.0 and q < half) or (q >= 4.0 and q > half)
 
 
 def mass_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
@@ -136,68 +122,51 @@ class MassCurve:
     """Sampled mu(t) with its limits and interior critical points."""
 
     params: Params
-    samples: tuple[tuple[float, float, float], ...]  # (t, mu, mu_err)
-    limits: tuple[float, float]                      # (t -> 1+, t -> inf)
-    extrema: tuple[tuple[float, float], ...]         # interior (t, mu) critical points
+    samples: tuple[tuple[float, float, float, int], ...]  # (t, mu, mu_err, sign of mu')
+    limits: tuple[float, float]                           # (t -> 1+, t -> inf)
+    extrema: tuple[tuple[float, float], ...]              # interior (t, mu) critical points
+
+
+def _mu_at(params: Params, y: float) -> float:
+    d = math.exp(y)
+    return mass_of_t(params, 1.0 + d, d).value
 
 
 @lru_cache(maxsize=64)
-def _sampled_mass(params: Params, n: int, y_lo: float, y_hi: float):
-    ys = np.linspace(y_lo, y_hi, n)
-    ts = 1.0 + np.exp(ys)
-    evals = [mass_of_t(params, 1.0 + dd, dd) for dd in np.exp(ys)]
-    mus = np.array([e.value for e in evals])
-    errs = np.array([e.abs_error_estimate for e in evals])
-    return ys, ts, mus, errs
+def _branch_minimum(params: Params) -> tuple[float, float]:
+    """(y, mu) at the single sign change of h in regions C and F, y = ln(t - 1).
 
-
-def _h_sign_roots(params: Params, n: int = 512,
-                  y_lo: float = _SCAN_Y_LO, y_hi: float = _SCAN_Y_HI) -> list[float]:
-    """Branch coordinates where h (hence mu') changes sign, bisected to 1e-12.
-
-    Grid cells where |h| sits below its reported error bound (quadrature
-    plus cancellation) carry no sign information and are skipped; a genuine
-    simple root is flanked by resolvable values.
+    h < 0 as t -> 1+ (the mass falls from +inf) and h > 0 past the minimum,
+    so the root is bracketed by walking from t = 2 towards the other sign.
     """
+    def h_at(y: float) -> float:
+        d = math.exp(y)
+        return algebra.h_of_t(params, 1.0 + d, d).value
 
-    def h_at(y: float) -> algebra.ScalarEval:
-        dd = math.exp(y)
-        return algebra.h_of_t(params, 1.0 + dd, dd)
-
-    ys = np.linspace(y_lo, y_hi, n)
-    evs = [h_at(y) for y in ys]
-    hs = np.array([e.value for e in evs])
-    resolvable = np.array([abs(e.value) > e.abs_error_estimate for e in evs])
-    roots = []
-    for i in range(n - 1):
-        if not (resolvable[i] and resolvable[i + 1]):
-            continue
-        if hs[i] * hs[i + 1] < 0.0:
-            lo, hi = ys[i], ys[i + 1]
-            f_lo = hs[i]
-            for _ in range(200):
-                if hi - lo <= 1e-12:
-                    break
-                ev = h_at(0.5 * (lo + hi))
-                if abs(ev.value) <= ev.abs_error_estimate:
-                    break  # at the noise floor of the cancellation
-                if f_lo * ev.value < 0.0:
-                    hi = 0.5 * (lo + hi)
-                else:
-                    lo, f_lo = 0.5 * (lo + hi), ev.value
-            roots.append(1.0 + math.exp(0.5 * (lo + hi)))
-    return roots
+    h0 = h_at(0.0)
+    y = stationary.root_from(h_at, 0.0, h0, -1.0 if h0 > 0.0 else 1.0)
+    return y, _mu_at(params, y)
 
 
-def mass_curve(params: Params, n: int = _SCAN_POINTS,
-               y_lo: float = _SCAN_Y_LO, y_hi: float = _SCAN_Y_HI) -> MassCurve:
-    """Sample mu on the log grid t = 1 + e^y and annotate limits and extrema."""
-    _, ts, mus, errs = _sampled_mass(params, n, y_lo, y_hi)
+def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
+               y_hi: float = 30.0) -> MassCurve:
+    """Sample mu on the log grid t = 1 + e^y and annotate limits and extrema.
+
+    The sign of mu' is -1 left of the branch minimum of regions C and F and
+    +1 everywhere else (mu is increasing outside C and F).
+    """
     asym = asymptotics(params)
-    roots = _h_sign_roots(params)
-    extrema = tuple((t, mass_of_t(params, t).value) for t in roots)
-    samples = tuple((float(t), float(m), float(e)) for t, m, e in zip(ts, mus, errs))
-    return MassCurve(params, samples, (asym.t1_limit, asym.tinf_limit), extrema)
+    y_min = -math.inf
+    extrema: tuple[tuple[float, float], ...] = ()
+    if classify(params) in (Region.C, Region.F):
+        y_min, mu_min = _branch_minimum(params)
+        extrema = ((1.0 + math.exp(y_min), mu_min),)
+    samples = []
+    for y in np.linspace(y_lo, y_hi, n):
+        d = math.exp(y)
+        ev = mass_of_t(params, 1.0 + d, d)
+        samples.append((1.0 + d, ev.value, ev.abs_error_estimate, -1 if y < y_min else 1))
+    return MassCurve(params, tuple(samples), (asym.t1_limit, asym.tinf_limit), extrema)
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +201,11 @@ def profile_mass_quadrature(point: BranchPoint) -> float:
             * (cutoff + point.a) ** (-(6.0 - p) / (p - 2.0))
         return 2.0 * (core + tail)
     kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
-    eps = kappa * point.a
+    eps = kappa * point.a   # = ln(1 + 2/d) / 2 > 0 for every finite d
     z_max = max(40.0, 7.0 * (p - 2.0))  # u^2 ~ exp(-4 z/(p-2)) in the far tail
-    cuts = [0.0]
-    z = eps
-    while z < 1.0:
-        cuts.append(z)
-        z *= 10.0
-    cuts.extend([1.0, 5.0, 20.0, z_max])
+    # one panel per decade from eps up to 1 (at most 309 for a double d)
+    decades = math.ceil(-math.log10(eps)) if eps < 1.0 else 0
+    cuts = [0.0] + [eps * 10.0 ** k for k in range(decades)] + [1.0, 5.0, 20.0, z_max]
     cuts = sorted(set(c for c in cuts if c <= z_max))
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
@@ -249,122 +215,40 @@ def profile_mass_quadrature(point: BranchPoint) -> float:
     return 2.0 * total / kappa
 
 
-def _bisect_mass(params: Params, mu: float, y_lo: float, y_hi: float,
-                 f_lo: float) -> float:
-    """Bisect mu(1 + e^y) - mu on a bracket; returns the offset d = t - 1."""
-    for _ in range(200):
-        if y_hi - y_lo <= 1e-12:
-            break
-        mid = 0.5 * (y_lo + y_hi)
-        dd = math.exp(mid)
-        f_mid = mass_of_t(params, 1.0 + dd, dd).value - mu
-        if f_mid == 0.0:
-            return dd
-        if f_lo * f_mid < 0.0:
-            y_hi = mid
-        else:
-            y_lo, f_lo = mid, f_mid
-    return math.exp(0.5 * (y_lo + y_hi))
-
-
-def _scan_crossings(params: Params, mu: float, ys, mus, errs) -> list[float]:
-    """Sign changes of mu(t) - mu over the sampled grid, as offsets d.
-
-    Cells whose endpoint values differ by less than the combined error
-    bound carry no slope information (the flat plateau tail sits below the
-    quadrature noise there) and are skipped.
-    """
-    vals = mus - mu
-    ds: list[float] = []
-    eps_mass = 32.0 * 2.220446049250313e-16 * abs(mu)
-    for i in range(len(ys) - 1):
-        noise = errs[i] + errs[i + 1] + eps_mass
-        if abs(vals[i + 1] - vals[i]) <= noise:
-            continue
-        if vals[i] == 0.0:
-            ds.append(math.exp(ys[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            ds.append(_bisect_mass(params, mu, ys[i], ys[i + 1], vals[i]))
-    if vals[-1] == 0.0 and abs(vals[-1] - vals[-2]) > errs[-1] + errs[-2] + eps_mass:
-        ds.append(math.exp(ys[-1]))
-    return ds
-
-
-def _mu_at(params: Params, y: float) -> float:
-    dd = math.exp(y)
-    return mass_of_t(params, 1.0 + dd, dd).value
-
-
-@lru_cache(maxsize=64)
-def _dip_location(params: Params) -> tuple[float, float] | None:
-    """(log-offset, mass) of the single interior minimum of mu, if there is one."""
-    roots = _h_sign_roots(params)
-    if len(roots) != 1:
-        return None
-    y0 = math.log(roots[0] - 1.0)
-    t_min, mu_min = _golden_min_mass(params, y0 - 0.5, y0 + 0.5)
-    return math.log(t_min - 1.0), mu_min
-
-
-def _dip_crossings(params: Params, mu: float, y_min: float, mu_min: float) -> list[float]:
-    """Both crossings of a V-shaped mass map with the level mu > mu_min."""
-    ds: list[float] = []
-    y, step = y_min - 1.0, 1.0
-    while _mu_at(params, y) <= mu and y > -300.0:
-        step *= 2.0
-        y = max(-300.0, y - step)
-    if _mu_at(params, y) > mu:
-        ds.append(_bisect_mass(params, mu, y, y_min, _mu_at(params, y) - mu))
-    y, step = y_min + 1.0, 1.0
-    while y < 340.0 and _mu_at(params, y) <= mu:
-        step *= 2.0
-        y = min(340.0, y + step)
-    if _mu_at(params, y) > mu:
-        ds.append(_bisect_mass(params, mu, y_min, y, mu_min - mu))
-    return ds
+def _crossing(params: Params, mu: float, y0: float, mu_at_y0: float,
+              direction: float) -> float:
+    """y on a monotone piece of the mass map with mu(y) = mu, walking from y0."""
+    return stationary.root_from(lambda y: _mu_at(params, y) - mu, y0,
+                                mu_at_y0 - mu, direction)
 
 
 def _branch_offsets_at_mass(params: Params, mu: float) -> tuple[list[float], bool]:
-    """(offsets d = t - 1 with mu(t) = mu, include zero-frequency point?)"""
-    region = classify(params)
-    mu0 = algebra.constants(params).mu0  # None for p >= 6
-    with_zero = (params.p < 6.0 and abs(mu - mu0) <= MU0_MATCH_RTOL * mu0)
+    """(log-offsets y = ln(t - 1) with mu(t) = mu, include zero-frequency point?)
 
-    if region in (Region.C, Region.F):
-        dip = _dip_location(params)
-        if dip is not None:
-            y_min, mu_min = dip
-            if with_zero:
-                # at the plateau level only the falling branch crosses
-                return ([_bisect_mass(params, mu, y_min - 40.0, y_min,
-                                      _mu_at(params, y_min - 40.0) - mu)], True)
-            if mu < mu_min * (1.0 - 1e-12):
-                return ([], False)
-            if abs(mu - mu_min) <= 1e-12 * mu_min:
-                return ([math.exp(y_min)], False)
-            return (_dip_crossings(params, mu, y_min, mu_min), False)
+    Outside regions C and F the mass increases from its t -> 1+ limit to its
+    t -> inf limit (one piece); in C and F it falls from +inf to the branch
+    minimum and rises from there to mu0 (F) or +inf (C) (two pieces).
+    """
+    asym = asymptotics(params)
+    mu_inf = asym.tinf_limit   # mu0 for p < 6, else +inf
+    with_zero = params.p < 6.0 and abs(mu - mu_inf) <= MU0_MATCH_RTOL * mu_inf
+    rising_reaches = not with_zero and mu < mu_inf
 
-    ys, _, mus, errs = _sampled_mass(params, _SCAN_POINTS, _SCAN_Y_LO, _SCAN_Y_HI)
-    ds = _scan_crossings(params, mu, ys, mus, errs)
-    # masses between the t -> 1+ limit and the first grid value sit left of
-    # the grid (relevant near the limit 2 of the q = 4 lines)
-    t1_limit = asymptotics(params).t1_limit
-    if not with_zero and t1_limit < mu < mus[0]:
-        ds.append(_bisect_mass(params, mu, -300.0, ys[0],
-                               _mu_at(params, -300.0) - mu))
-    if params.p < 6.0 and not with_zero:
-        # masses between the grid end value and mu0 cross the plateau tail
-        # beyond the default grid; rescan the far window once
-        if mu < mu0 and (mus[-1] - mu) * (mu0 - mu) < 0.0:
-            ys2, _, mus2, errs2 = _sampled_mass(params, 512, _SCAN_Y_HI, 340.0)
-            ds.extend(_scan_crossings(params, mu, ys2, mus2, errs2))
-    # collapse duplicates from grazing crossings
-    ds.sort()
-    deduped: list[float] = []
-    for dd in ds:
-        if not deduped or dd - deduped[-1] > 1e-9 * deduped[-1]:
-            deduped.append(dd)
-    return deduped, with_zero
+    if classify(params) not in (Region.C, Region.F):
+        if not (asym.t1_limit < mu and rising_reaches):
+            return [], with_zero
+        mu_2 = _mu_at(params, 0.0)
+        return [_crossing(params, mu, 0.0, mu_2, -1.0 if mu_2 > mu else 1.0)], with_zero
+
+    y_min, mu_min = _branch_minimum(params)
+    if abs(mu - mu_min) <= 1e-12 * mu_min:
+        return [y_min], False
+    if mu < mu_min:
+        return [], False
+    ys = [_crossing(params, mu, y_min, mu_min, -1.0)]
+    if rising_reaches:
+        ys.append(_crossing(params, mu, y_min, mu_min, 1.0))
+    return ys, with_zero
 
 
 def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
@@ -386,10 +270,8 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
             _, t = stationary.diagonal_exists(params)
             points.append(stationary.branch_point_from_t(params, lam, t))
     else:
-        ds, with_zero = _branch_offsets_at_mass(params, mu)
-        for dd in ds:
-            lam = algebra.g_inverse(params, algebra.f_of_t(params, 1.0 + dd, dd))
-            points.append(stationary.branch_point_from_t(params, lam, d=dd))
+        ys, with_zero = _branch_offsets_at_mass(params, mu)
+        points.extend(stationary.state_at_logd(params, y) for y in ys)
         if with_zero:
             points.append(stationary.zero_frequency_point(params))
 
@@ -413,8 +295,8 @@ class ThresholdReport:
     """Mass threshold of the existence rule, with endpoint-inclusion flags.
 
     For the dipping regimes (C, F) the branch minimum is certified two ways
-    (root of h, and direct golden-section minimization); both values and
-    their gap are reported.
+    (root of h, and direct bounded minimization); both values and their gap
+    are reported.
     """
 
     region: Region
@@ -428,34 +310,6 @@ class ThresholdReport:
     h_root_mass: float | None
     direct_min_mass: float | None
     certification_gap: float | None
-
-
-def _golden_min_mass(params: Params, y_lo: float, y_hi: float) -> tuple[float, float]:
-    """Golden-section minimum of mu(1 + e^y) on [y_lo, y_hi] -> (t, mu)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = y_lo, y_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-
-    def mu_at(y: float) -> float:
-        dd = math.exp(y)
-        return mass_of_t(params, 1.0 + dd, dd).value
-
-    fc = mu_at(c)
-    fd = mu_at(d)
-    for _ in range(120):
-        if b - a < 1e-8:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = mu_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = mu_at(d)
-    y = 0.5 * (a + b)
-    return 1.0 + math.exp(y), mu_at(y)
 
 
 def mass_threshold(params: Params) -> ThresholdReport:
@@ -479,31 +333,12 @@ def mass_threshold(params: Params) -> ThresholdReport:
         return ThresholdReport(region, rule, mu0, 2.0, False, 2.0, False,
                                None, None, None, None)
 
-    # regions C and F: interior minimum of the branch mass
-    roots = _h_sign_roots(params)
-    h_root_mass = None
-    minimizer_t = None
-    if roots:
-        masses = [(mass_of_t(params, t).value, t) for t in roots]
-        h_root_mass, minimizer_t = min(masses)
-    candidates = []
-    if h_root_mass is not None:
-        candidates.append((h_root_mass, minimizer_t))
-    if region is Region.F:
-        candidates.append((mu0, math.inf))
-    if not candidates:
-        # monotone dip not detected: fall back to the grid minimum
-        ys, ts, mus, _ = _sampled_mass(params, _SCAN_POINTS, _SCAN_Y_LO, _SCAN_Y_HI)
-        candidates.append((float(np.min(mus)), float(ts[int(np.argmin(mus))])))
-    mu_thr, t_min = min(candidates)
-
-    direct_min = None
-    gap = None
-    if minimizer_t is not None and math.isfinite(minimizer_t):
-        y0 = math.log(minimizer_t - 1.0)
-        _, direct_min = _golden_min_mass(params, y0 - 0.5, y0 + 0.5)
-        gap = abs(direct_min - h_root_mass)
-        if direct_min < mu_thr:
-            mu_thr = direct_min
-    return ThresholdReport(region, rule, mu0, mu_thr, True, None, None, t_min,
-                           h_root_mass, direct_min, gap)
+    # regions C and F: interior minimum of the branch mass, certified by a
+    # direct minimization next to the root of h
+    y_min, h_root_mass = _branch_minimum(params)
+    res = minimize_scalar(lambda y: _mu_at(params, y), bounds=(y_min - 0.5, y_min + 0.5),
+                          method="bounded", options={"xatol": 1e-8})
+    direct_min = float(res.fun)
+    return ThresholdReport(region, rule, mu0, min(h_root_mass, direct_min), True,
+                           None, None, 1.0 + math.exp(y_min), h_root_mass,
+                           direct_min, abs(direct_min - h_root_mass))

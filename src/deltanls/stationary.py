@@ -14,17 +14,14 @@ t = math.inf; it is a genuine branch endpoint, not a large float.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import algebra
 from .params import Params
-
-#: Relative collapse width below which a bracketed root pair is reported as
-#: a single tangency root at t*.
-TANGENCY_COLLAPSE_REL = 1e-9
-
 
 _LN2 = math.log(2.0)
 
@@ -85,9 +82,11 @@ def branch_point_from_t(params: Params, lam: float, t: float | None = None,
     t = 1.0 + d
     p = params.p
     sq = math.sqrt(lam)
-    # atanh(1/t) = ln((t+1)/(t-1)) / 2, written in d for accuracy near t = 1
-    a = (math.log(d + 2.0) - math.log(d)) / ((p - 2.0) * sq)
-    u0 = (0.5 * p * lam * d * (d + 2.0)) ** (1.0 / (p - 2.0))
+    # atanh(1/t) = ln(1 + 2/d) / 2, exact for large d and for d near 0
+    a = math.log1p(2.0 / d) / ((p - 2.0) * sq)
+    # logs keep u0 representable when d (d + 2) underflows
+    u0 = math.exp((math.log(0.5 * p * lam) + math.log(d) + math.log(d + 2.0))
+                  / (p - 2.0))
     return BranchPoint(t=t, lam=lam, a=a, u0=u0, params=params, d=d)
 
 
@@ -134,125 +133,85 @@ def diagonal_exists(params: Params) -> tuple[bool, float | None]:
 
 
 # ---------------------------------------------------------------------------
-# root finding for f(t) = g(lambda) in log coordinates y = ln(t - 1)
+# roots of f(t) = g(lambda) in log coordinates y = ln(t - 1)
 
-_SCAN_Y_LO = -30.0
-_SCAN_Y_HI = 14.0
-_SCAN_POINTS = 1024
-_Y_FLOOR = -33.0   # below this, 1 + e^y is not representable apart from 1.0
-_Y_CEIL = 600.0
+#: Range of y = ln(t - 1) in which a state is representable: t - 1 a normal
+#: double and t^2 - 1 finite.  States outside it are refused with RuntimeError.
+LOGD_RANGE = (math.log(sys.float_info.min), 0.5 * math.log(sys.float_info.max))
 
 
-def _f_from_logd(params: Params, y: float) -> float:
-    # f(1 + e^y) computed from d = e^y, accurate for very negative y
+def _log_f(params: Params, y: float) -> float:
+    """ln f(1 + e^y) = ln(1 + d) - k ln(d (d + 2)), overflow-free for any y."""
+    k = (params.q - 2.0) / (params.p - 2.0)
+    if y > 0.0:
+        e = math.exp(-y)
+        return (1.0 - 2.0 * k) * y + math.log1p(e) - k * math.log1p(2.0 * e)
     d = math.exp(y)
-    expo = (params.q - 2.0) / (params.p - 2.0)
-    return (1.0 + d) * (d * (d + 2.0)) ** (-expo)
+    return math.log1p(d) - k * (y + math.log(d + 2.0))
 
 
-def _bisect_logd(params: Params, g_level: float, y_lo: float, y_hi: float) -> float:
-    """Bisect f(1+e^y) - g_level on a sign-change bracket, then Newton polish.
+def _log_g(params: Params, lam: float) -> float:
+    """ln g(lambda) off the diagonal."""
+    p, q = params.p, params.q
+    return (-_LN2 + (q - 2.0) / (p - 2.0) * math.log(0.5 * p)
+            + (2.0 * q - p - 2.0) / (2.0 * (p - 2.0)) * math.log(lam))
 
-    Returns the branch offset d = t - 1 (exact even when t rounds to 1).
+
+def root_from(fn, y0: float, f0: float, direction: float) -> float:
+    """Root of fn on a monotone piece that starts at y0 (where fn is f0) and
+    extends in the given direction (+1 or -1).
+
+    Steps of doubling length bracket the sign change, and Brent's method
+    finds it to 1e-14 in y.  Raises RuntimeError when the sign change lies
+    outside LOGD_RANGE: the state it gives is not representable.
     """
-    F = lambda y: _f_from_logd(params, y) - g_level
-    f_lo = F(y_lo)
-    f_hi = F(y_hi)
-    if f_lo == 0.0:
-        return math.exp(y_lo)
-    if f_hi == 0.0:
-        return math.exp(y_hi)
-    if f_lo * f_hi > 0.0:
-        raise ValueError("root bracket does not straddle a sign change")
-    for _ in range(200):
-        if y_hi - y_lo <= 1e-13:
-            break
-        y_mid = 0.5 * (y_lo + y_hi)
-        f_mid = F(y_mid)
-        if f_mid == 0.0:
-            return math.exp(y_mid)
-        if f_lo * f_mid < 0.0:
-            y_hi, f_hi = y_mid, f_mid
-        else:
-            y_lo, f_lo = y_mid, f_mid
-    # safeguarded Newton on d = t - 1 using the analytic derivative
-    d_lo, d_hi = math.exp(y_lo), math.exp(y_hi)
-    d = 0.5 * (d_lo + d_hi)
-    for _ in range(4):
-        resid = algebra.f_of_t(params, 1.0 + d, d) - g_level
-        slope = algebra.f_prime(params, 1.0 + d, d)
-        if slope == 0.0:
-            break
-        d_new = d - resid / slope
-        if not (d_lo <= d_new <= d_hi):
-            d_new = 0.5 * (d_lo + d_hi)
-        if abs(d_new - d) <= 1e-15 * d:
-            d = d_new
-            break
-        d = d_new
-    return d
+    lo_lim, hi_lim = LOGD_RANGE
+    prev, step = y0, 1.0
+    while True:
+        y = min(hi_lim, max(lo_lim, prev + direction * step))
+        if (fn(y) > 0.0) != (f0 > 0.0):
+            return brentq(fn, min(prev, y), max(prev, y), xtol=1e-14)
+        if y in (lo_lim, hi_lim):
+            raise RuntimeError(
+                "state outside double range: t - 1 would lie "
+                f"{'below' if direction < 0 else 'above'} {math.exp(y):.2g}")
+        prev, step = y, 2.0 * step
 
 
-def _scan_roots(params: Params, g_level: float) -> list[float]:
-    """Sign-change scan of f - g on the doubly logarithmic grid t = 1 + e^y.
+def _matching_roots(params: Params, lam: float) -> list[float]:
+    """All y = ln(t - 1) with f(t) = g(lambda), ascending.
 
-    Returns branch offsets d = t - 1.  The grid is extended outward as
-    needed: f diverges at t -> 1+ always, and at t -> inf exactly when
-    q < p/2 + 1, so every root is eventually bracketed.
+    f is decreasing on (1, t*) and increasing past t* when q < p/2 + 1
+    (two roots below the fold, one at it, none past it); for q > p/2 + 1
+    it decreases from inf to 0 (one root at every frequency).
     """
-    y_lo, y_hi = _SCAN_Y_LO, _SCAN_Y_HI
-    while _f_from_logd(params, y_lo) <= g_level and y_lo > _Y_FLOOR:
-        y_lo = max(_Y_FLOOR, y_lo - 10.0)
-    two_sided = params.q < params.p / 2.0 + 1.0
-    if two_sided:
-        while _f_from_logd(params, y_hi) <= g_level and y_hi < _Y_CEIL:
-            y_hi = min(_Y_CEIL, y_hi * 2.0)
-    ys = np.linspace(y_lo, y_hi, _SCAN_POINTS)
-    vals = np.array([_f_from_logd(params, y) - g_level for y in ys])
-    roots: list[float] = []
-    sign = np.sign(vals)
-    for i in range(len(ys) - 1):
-        if sign[i] == 0.0:
-            roots.append(math.exp(ys[i]))
-        elif sign[i] * sign[i + 1] < 0.0:
-            roots.append(_bisect_logd(params, g_level, ys[i], ys[i + 1]))
-    if sign[-1] == 0.0:
-        roots.append(math.exp(ys[-1]))
-    return roots
+    log_g = _log_g(params, lam)
+    F = lambda y: _log_f(params, y) - log_g
+    if params.q > params.p / 2.0 + 1.0:
+        f0 = F(0.0)
+        return [root_from(F, 0.0, f0, 1.0 if f0 > 0.0 else -1.0)]
+    y_star = math.log(algebra.t_star(params) - 1.0)
+    gap = F(y_star)
+    if abs(gap) <= 1e-12:
+        return [y_star]  # at the fold within double precision
+    if gap > 0.0:
+        return []
+    return [root_from(F, y_star, gap, -1.0), root_from(F, y_star, gap, 1.0)]
 
 
-def _roots_of_matching(params: Params, lam: float) -> list[float]:
-    """All offsets d = t - 1 with f(t) = g(lambda), fold-aware near tangency."""
-    g_level = algebra.g_of_lambda(params, lam)
-    roots = _scan_roots(params, g_level)
+def state_at_logd(params: Params, y: float) -> BranchPoint:
+    """The state at branch coordinate t = 1 + e^y, its frequency from f(t) = g(lambda).
 
-    if params.q < params.p / 2.0 + 1.0:
-        ts = algebra.t_star(params)
-        d_star = ts - 1.0
-        f_min = algebra.f_of_t(params, ts)
-        if abs(g_level - f_min) <= 1e-12 * f_min:
-            return [d_star]  # at the fold within double precision
-        if g_level < f_min:
-            return []
-        if len(roots) < 2:
-            # grid missed one or both branches near the fold; split at t*
-            y_star = math.log(d_star)
-            roots = []
-            y = y_star - 1.0
-            while _f_from_logd(params, y) <= g_level and y > _Y_FLOOR:
-                y = max(_Y_FLOOR, y - 10.0)
-            if _f_from_logd(params, y) > g_level:
-                roots.append(_bisect_logd(params, g_level, y, y_star))
-            y = y_star + 1.0
-            while _f_from_logd(params, y) <= g_level and y < _Y_CEIL:
-                y = min(_Y_CEIL, y * 2.0 if y > 0 else 1.0)
-            if _f_from_logd(params, y) > g_level:
-                roots.append(_bisect_logd(params, g_level, y_star, y))
-        if len(roots) == 2 and abs(roots[1] - roots[0]) <= TANGENCY_COLLAPSE_REL * ts:
-            return [d_star]
-        if not roots:
-            return [d_star]  # tangency to grid resolution
-    return sorted(roots)
+    Off the diagonal only.  Raises RuntimeError when lambda is not a
+    positive finite double.
+    """
+    p, q = params.p, params.q
+    # ln g(lambda) = ln g(1) + (2q-p-2)/(2(p-2)) ln lambda
+    log_lam = (_log_f(params, y) - _log_g(params, 1.0)) \
+        * 2.0 * (p - 2.0) / (2.0 * q - p - 2.0)
+    if not math.log(sys.float_info.min) < log_lam < math.log(sys.float_info.max):
+        raise RuntimeError(f"state outside double range: ln(lambda) = {log_lam:.6g}")
+    return branch_point_from_t(params, math.exp(log_lam), d=math.exp(y))
 
 
 def solve_for_lambda(params: Params, lam: float) -> SolutionSet:
@@ -275,8 +234,8 @@ def solve_for_lambda(params: Params, lam: float) -> SolutionSet:
         if not exists:
             return SolutionSet((), lam)
         return SolutionSet((branch_point_from_t(params, lam, t),), lam)
-    roots = _roots_of_matching(params, lam)
-    points = tuple(branch_point_from_t(params, lam, d=d) for d in roots)
+    points = tuple(branch_point_from_t(params, lam, d=math.exp(y))
+                   for y in _matching_roots(params, lam))
     return SolutionSet(points, lam)
 
 

@@ -356,14 +356,14 @@ def check_mass_monotonicity() -> CheckResult:
     changes = int(np.sum(np.abs(np.diff(signs)) > 0))
     if changes != 1:
         fails.append(f"(4, 3.5): {changes} sign changes, expected 1")
-    roots = massmap._h_sign_roots(P)
-    if len(roots) != 1 or abs(roots[0] - 2.0) > 1e-10:
-        fails.append(f"(4, 3.5): root {roots} != 2")
+    t_min = massmap.mass_threshold(P).minimizer_t
+    if abs(t_min - 2.0) > 1e-10:
+        fails.append(f"(4, 3.5): root {t_min} != 2")
     claim = ("the mass map is strictly increasing in the covered strips "
              "(h > 0), and for p=4, q=3.5 its derivative changes sign exactly "
              "once, at t=2")
     return _result("mass-monotonicity", claim, fails,
-                   f"root at {roots[0]:.15g}" if roots else "no root", t0)
+                   f"root at {t_min:.15g}", t0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from deltanls import algebra, verification
+from deltanls import algebra, massmap, verification
 from deltanls.cli import main
 
 
@@ -189,3 +189,15 @@ def test_verify_detects_tampered_constant(capsys, monkeypatch):
     result = verification.check_exact_branch_regression()
     assert not result.passed
     assert "mu(2)" in result.detail
+
+
+def test_gate_failure_is_one_line_with_exit_3(capsys, monkeypatch):
+    # a profile mass off by 1e-3 fails the always-on gate
+    real = massmap.profile_mass_quadrature
+    monkeypatch.setattr(massmap, "profile_mass_quadrature",
+                        lambda point: real(point) * (1.0 + 1e-3))
+    code, out, err = run(capsys, "solve", "--p", "4", "--q", "2.5", "--mass", "0.3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: profile-mass gate failed")
+    assert len(err.splitlines()) == 1
