@@ -94,7 +94,7 @@ def _thresholds_payload(params: Params) -> dict:
         out["mu_tilde"] = energy.zero_level_mass(params)
         if out["mu_tilde"] is not None:
             out["provenance"]["mu_tilde"] = (
-                "limit-constant" if region in (Region.G, Region.H) else "minimized")
+                "limit-constant" if region in (Region.G, Region.H) else "root")
         if params.q < min(4.0, params.p / 2.0 + 1.0):
             out["mu_bar"] = massmap.mass_of_t(params, algebra.t_star(params)).value
             out["provenance"]["mu_bar"] = "closed-form (multiplier peak)"
@@ -281,7 +281,7 @@ def cmd_curves(args, config: RunConfig) -> int:
 
 
 def cmd_verify(args, config: RunConfig) -> int:
-    results = verification.run_checks(args.suite, jobs=args.jobs or config.jobs)
+    results = verification.run_checks(args.suite)
     n_fail = sum(not r.passed for r in results)
     # timings stay on the console; the report must be byte-reproducible
     report = {
@@ -324,8 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output file (default: stdout, or $DELTANLS_OUT for curves)")
     common.add_argument("--config", default=None,
                         help="key = value configuration file")
-    common.add_argument("--jobs", type=int, default=None,
-                        help="worker threads for sweep workloads")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -365,8 +363,6 @@ def main(argv=None) -> int:
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(load_config_file(args.config))
-    if getattr(args, "jobs", None):
-        overrides["jobs"] = args.jobs
     if getattr(args, "format", None) in ("csv", "json"):
         overrides["format"] = args.format
     try:

@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass, fields
 class RunConfig:
     format: str = "csv"
     precision: int = 17
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.format not in ("csv", "json"):

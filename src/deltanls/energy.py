@@ -39,14 +39,16 @@ class EnergyBreakdown:
 def branch_energy(point: BranchPoint) -> EnergyBreakdown:
     """Closed-form energy pieces of a branch state.
 
-    For lambda > 0, with B(t) = t (t^2-1)^(2/(p-2)) and the shared prefactor
-    P = 2^((p-4)/(p-2)) p^(2/(p-2)) lambda^((p+2)/(2(p-2))) / (p+2):
+    For lambda > 0, with c = 2 sqrt(lambda) u0^2 / (p+2) and
+    J(t) = I(t) / (t^2-1)^(2/(p-2)):
 
-        kinetic = P (B + I(t)),   bulk = P (B - 4 I(t)/(p-2)),
-        point   = (1/q) (p lambda / 2)^(q/(p-2)) (t^2-1)^(q/(p-2)).
+        kinetic = c (t + J),   bulk = c (t - 4 J/(p-2)),   point = u0^q / q,
 
-    The lambda = 0 state integrates termwise to algebraic expressions in
-    the offset a (its kinetic and bulk pieces coincide).
+    so that, by the matching condition u0^(q-2) = 2 sqrt(lambda) t,
+    E = c (t (2q-p-2)/q - (6-p)/(p-2) J).  J is formed in logs and u0 is
+    stored finite, so no intermediate leaves double range where the pieces
+    do not.  The lambda = 0 state integrates termwise to algebraic
+    expressions in the offset a (its kinetic and bulk pieces coincide).
     """
     p, q = point.params.p, point.params.q
     if point.zero_frequency:
@@ -56,15 +58,14 @@ def branch_energy(point: BranchPoint) -> EnergyBreakdown:
         bulk = 2.0 * cp ** p * a_pow * (p - 2.0) / (p * (p + 2.0))
         pt = cp ** q * point.a ** (-2.0 * q / (p - 2.0)) / q
         return EnergyBreakdown(kinetic, bulk, pt, kinetic + bulk - pt)
-    t, lam = point.t, point.lam
-    tsq = point.d * (point.d + 2.0)
-    pref = 2.0 ** ((p - 4.0) / (p - 2.0)) * p ** (2.0 / (p - 2.0)) \
-        * lam ** ((p + 2.0) / (2.0 * (p - 2.0))) / (p + 2.0)
-    block = t * tsq ** (2.0 / (p - 2.0))
-    integral = algebra.I_of_t(point.params, t, point.d).value
-    kinetic = pref * (block + integral)
-    bulk = pref * (block - 4.0 * integral / (p - 2.0))
-    pt = (0.5 * p * lam) ** (q / (p - 2.0)) * tsq ** (q / (p - 2.0)) / q
+    t, d, u0 = point.t, point.d, point.u0
+    c = 2.0 * math.sqrt(point.lam) * u0 * u0 / (p + 2.0)
+    integral = algebra.I_of_t(point.params, t, d).value
+    j = math.exp(math.log(integral)
+                 - 2.0 / (p - 2.0) * (math.log(d) + math.log(d + 2.0)))
+    kinetic = c * (t + j)
+    bulk = c * (t - 4.0 * j / (p - 2.0))
+    pt = u0 ** q / q
     return EnergyBreakdown(kinetic, bulk, pt, kinetic + bulk - pt)
 
 
@@ -185,9 +186,10 @@ def energy_curve(params: Params, mu_grid) -> EnergyCurve:
 def zero_level_mass(params: Params) -> float | None:
     """Largest mass with E(mu) = 0, where the level starts strictly negative.
 
-    Exactly 2 for q = 4; located numerically in regions C and F as the zero
-    of the minimal branch energy; None where the level is negative for all
-    masses (A, B) or identically unbounded/zero elsewhere.
+    Exactly 2 for q = 4; in regions C and F the root of the branch energy
+    on one monotone piece of the mass map (the minimum's mass if the energy
+    there is already <= 0); None where the level is negative for all masses
+    (A, B) or identically unbounded/zero elsewhere.
     """
     region = classify(params)
     if region in (Region.G, Region.H):
@@ -195,29 +197,21 @@ def zero_level_mass(params: Params) -> float | None:
     if region not in (Region.C, Region.F):
         return None
 
-    thr = massmap.mass_threshold(params)
-
-    def min_branch_energy(mu: float) -> float:
-        sols = massmap.normalized_solutions(params, mu)
-        return min(s.energy for s in sols)
-
-    lo = thr.mu_threshold * (1.0 + 1e-9)
-    if min_branch_energy(lo) <= 0.0:
-        return thr.mu_threshold
-    hi = max(2.0 * lo, 4.0)
-    while min_branch_energy(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("no sign change found for the zero-level mass")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-10 * lo:
-            break
-        if min_branch_energy(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # Along each monotone piece of mu(y), E falls as mu grows (dE/dmu =
+    # -lambda/2), and E = c (t (2q-p-2)/q - (6-p)/(p-2) J(t)) with c > 0.
+    # The bracket tends to (p+2)(q-4)/(4q) as t -> 1+ and has the sign of
+    # 2q-p-2 as t -> inf, so a positive energy at the branch minimum
+    # changes sign exactly once: towards t -> 1 in F (q < 4), towards
+    # t -> inf in C (2q < p + 2).
+    y, mu = massmap._branch_minimum(params)
+    energy_at = lambda y: branch_energy(stationary.state_at_logd(params, y)).total
+    e_min = energy_at(y)
+    if e_min > 0.0:
+        y = stationary.root_from(energy_at, y, e_min,
+                                 -1.0 if region is Region.F else 1.0)
+        mu = massmap._mu_at(params, y)
+    massmap.mass_gate(stationary.state_at_logd(params, y), mu)
+    return mu
 
 
 def multiplier_consistency(params: Params, mu: float, step: float) -> float:
@@ -321,6 +315,12 @@ class ConvexityReport:
     annotation: str
 
 
+def second_divided_differences(mus: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """2 (right slope - left slope) / (mu[i+1] - mu[i-1]) at each interior mass."""
+    slopes = np.diff(levels) / np.diff(mus)
+    return 2.0 * np.diff(slopes) / (mus[2:] - mus[:-2])
+
+
 def convexity_scan(params: Params, mu_grid=None) -> ConvexityReport:
     """Locate the single concave-to-convex crossing of the level curve.
 
@@ -343,11 +343,7 @@ def convexity_scan(params: Params, mu_grid=None) -> ConvexityReport:
     if np.any(~np.isfinite(levels)):
         raise ValueError("level curve is not finite on the requested grid")
 
-    dd = np.empty(len(mus) - 2)
-    for i in range(1, len(mus) - 1):
-        left = (levels[i] - levels[i - 1]) / (mus[i] - mus[i - 1])
-        right = (levels[i + 1] - levels[i]) / (mus[i + 1] - mus[i])
-        dd[i - 1] = 2.0 * (right - left) / (mus[i + 1] - mus[i - 1])
+    dd = second_divided_differences(mus, levels)
 
     noise = 64.0 * np.finfo(float).eps * np.max(np.abs(levels)) \
         / np.min(np.diff(mus)) ** 2

@@ -215,6 +215,18 @@ def profile_mass_quadrature(point: BranchPoint) -> float:
     return 2.0 * total / kappa
 
 
+def mass_gate(point: BranchPoint, mu: float) -> None:
+    """Raise RuntimeError unless the profile of point has mass mu to 1e-6.
+
+    Every mass the library reports for a state passes through this gate.
+    """
+    got = profile_mass_quadrature(point)
+    if abs(got - mu) > MASS_GATE_RTOL * mu:
+        raise RuntimeError(
+            f"profile-mass gate failed: requested {mu}, quadrature gives {got} "
+            f"(t={point.t}, lambda={point.lam})")
+
+
 def _crossing(params: Params, mu: float, y0: float, mu_at_y0: float,
               direction: float) -> float:
     """y on a monotone piece of the mass map with mu(y) = mu, walking from y0."""
@@ -277,11 +289,7 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
 
     out = []
     for point in points:
-        got = profile_mass_quadrature(point)
-        if abs(got - mu) > MASS_GATE_RTOL * mu:
-            raise RuntimeError(
-                f"profile-mass gate failed: requested {mu}, quadrature gives {got} "
-                f"(t={point.t}, lambda={point.lam})")
+        mass_gate(point, mu)
         out.append(NormalizedSolution(point, mu, branch_energy(point).total))
     return out
 

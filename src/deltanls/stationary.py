@@ -247,9 +247,9 @@ def _sinh_neg_pow(z: np.ndarray, expo: float) -> np.ndarray:
     """sinh(z)^(-expo) for z > 0, stable for large z via the log form."""
     z = np.asarray(z, dtype=float)
     big = z > 20.0
-    safe = np.where(big, 1.0, z)
-    direct = np.sinh(safe) ** (-expo)
-    logsinh = z - _LN2 + np.log1p(-np.exp(-2.0 * np.clip(z, 1e-300, None)))
+    direct = np.sinh(np.where(big, 1.0, z)) ** (-expo)
+    zb = np.where(big, z, 21.0)
+    logsinh = zb - _LN2 + np.log1p(-np.exp(-2.0 * zb))
     return np.where(big, np.exp(-expo * logsinh), direct)
 
 

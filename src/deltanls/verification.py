@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -476,10 +475,6 @@ FULL_CHECKS = QUICK_CHECKS + [
 ]
 
 
-def run_checks(level: str = "quick", jobs: int = 1) -> list[CheckResult]:
+def run_checks(level: str = "quick") -> list[CheckResult]:
     checks = QUICK_CHECKS if level == "quick" else FULL_CHECKS
-    if jobs <= 1:
-        return [fn() for fn in checks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn) for fn in checks]
-        return [f.result() for f in futures]
+    return [fn() for fn in checks]

@@ -234,6 +234,19 @@ def test_convexity_scan_region_B():
     assert abs(rep.mu_bar - rep.lambda_peak_mass) <= 2.0 * rep.crossing_gap
 
 
+def test_second_divided_differences_match_the_loop_bitwise():
+    rng = np.random.default_rng(5)
+    for mus in (np.geomspace(1e-2, 1e3, 400), np.sort(rng.uniform(0.1, 3.0, 97))):
+        levels = -rng.uniform(0.0, 1.0, len(mus)).cumsum()
+        want = np.empty(len(mus) - 2)
+        for i in range(1, len(mus) - 1):
+            left = (levels[i] - levels[i - 1]) / (mus[i] - mus[i - 1])
+            right = (levels[i + 1] - levels[i]) / (mus[i + 1] - mus[i])
+            want[i - 1] = 2.0 * (right - left) / (mus[i + 1] - mus[i - 1])
+        got = energy.second_divided_differences(mus, levels)
+        assert np.array_equal(got, want)
+
+
 def test_convexity_scan_rejects_wrong_regime():
     with pytest.raises(ValueError):
         energy.convexity_scan(P435)

@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from deltanls import massmap, stationary
+from deltanls import energy, massmap, stationary
 from deltanls.params import Params
 
 # (p, q, query, value, offsets t - 1 of the states): states near the ends of
@@ -43,3 +44,33 @@ def test_states_near_the_ends_of_double_range(p, q, query, value, offsets):
         assert 1.0 / math.tanh(kappa_a) == pytest.approx(pt.t, rel=1e-12)
         assert stationary.vertex_residual(pt) <= 1e-8 * pt.u0 ** (q - 1.0)
         assert stationary.matching_residual(pt) <= 1e-8 * pt.u0 ** (q - 2.0)
+
+
+# (p, q) in regions F and C; (2.3648, 3.0216) has its branch minimum at
+# t - 1 = e^62.5, and (6.0608, 4.0021) lies next to the corner (6, 4)
+@pytest.mark.parametrize("p,q", [(4.0, 3.5), (8.0, 4.5), (2.3648, 3.0216),
+                                 (6.0608, 4.0021)])
+def test_lowest_energy_changes_sign_at_the_zero_level_mass(p, q):
+    params = Params(p, q)
+    mt = energy.zero_level_mass(params)
+    below = min(s.energy for s in massmap.normalized_solutions(params, mt * (1.0 - 1e-6)))
+    above = min(s.energy for s in massmap.normalized_solutions(params, mt * (1.0 + 1e-6)))
+    assert below > 0.0 > above
+
+
+def test_branch_energy_near_t_one_with_large_lambda():
+    # (p lambda / 2)^(q/(p-2)) overflows here although u0^q / q is finite
+    sols = massmap.normalized_solutions(Params(2.524, 3.918), 40.0)
+    assert len(sols) == 1
+    assert math.isfinite(sols[0].energy)
+
+
+def test_profile_far_out_on_the_branch():
+    # t - 1 = 9e16: exp(-2 z) underflows for every z of the profile
+    pt = stationary.solve_for_lambda(Params(3.0, 5.0), 1e-34).points[0]
+    assert pt.d > 1e16
+    u = stationary.profile(pt, np.array([0.0, 1.0, 1e20]))
+    assert u[0] == pytest.approx(pt.u0, rel=1e-12)
+    assert np.all(np.isfinite(u)) and u[2] < u[1] < u[0]
+    mu = massmap.mass_of_t(pt.params, pt.t, pt.d).value
+    assert massmap.profile_mass_quadrature(pt) == pytest.approx(mu, rel=1e-6)
