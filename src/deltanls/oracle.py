@@ -3,8 +3,8 @@
 Nothing here trusts the closed forms.  The shooter integrates the radial
 ODE u'' = lambda u + |u|^(p-2) u from the vertex data (u0, -u0^(q-1)/2)
 outward; grid functionals evaluate mass and energy of sampled profiles by
-trapezoidal quadrature; the constrained minimizer runs projected gradient
-descent on the discretized functional at fixed mass.
+trapezoidal quadrature; the constrained minimizer runs a backward-Euler
+normalized gradient flow on the discretized functional at fixed mass.
 
 Shooting detail: the decaying orbit is a saddle connection, so forward
 integration in double precision is eventually taken over by the growing
@@ -13,7 +13,7 @@ a capture radius where |u| + |u'|/sqrt(lambda) has dropped to 1e-6 * u0 --
 reached well before noise can -- and continues the tail with the exact
 decay law of the first integral.  Trajectories that instead cross zero,
 turn around, or exceed 1e3 * u0 are classified as non-decaying; that
-dichotomy is what the vertex-height bisection consumes.
+dichotomy is what the vertex-height solve consumes.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_banded
+from scipy.optimize import brentq
 
 from .params import Params
 from .stationary import BranchPoint, profile as analytic_profile
@@ -143,12 +145,14 @@ def functional_eval(params: Params, profile: GridProfile):
     return mass, EnergyBreakdown(kinetic, bulk, point, kinetic + bulk - point)
 
 
-def _tail_value(params: Params, lam: float, u_d: float, dx: float) -> float:
-    """Decay law continuation a distance dx past the capture point."""
+def _tail_value(params: Params, lam: float, u_d: float,
+                dx: float | np.ndarray) -> np.ndarray:
+    """Decay law continuation a distance dx (scalar or array) past the capture point."""
+    dx = np.asarray(dx, dtype=float)
     if u_d <= 0.0:
-        return 0.0
+        return np.zeros_like(dx)
     if lam > 0.0:
-        return u_d * math.exp(-math.sqrt(lam) * dx)
+        return u_d * np.exp(-math.sqrt(lam) * dx)
     p = params.p
     half = 0.5 * (p - 2.0)
     base = u_d ** (-half) + half * math.sqrt(2.0 / p) * dx
@@ -220,8 +224,7 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     vals[numeric] = sol.sol(x[numeric])[0]
     if captured:
         u_d = float(sol.sol(x_end)[0])
-        vals[~numeric] = [_tail_value(params, lam, u_d, xi - x_end)
-                          for xi in x[~numeric]]
+        vals[~numeric] = _tail_value(params, lam, u_d, x[~numeric] - x_end)
         capture_x = x_end
         outcome = "decayed"
     else:
@@ -246,7 +249,7 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     stayed_positive = outcome in ("decayed", "no_event") and np.all(vals >= 0.0)
     if outcome == "decayed":
         dx = L - capture_x
-        uL = _tail_value(params, lam, float(sol.sol(x_end)[0]), dx)
+        uL = float(_tail_value(params, lam, float(sol.sol(x_end)[0]), dx))
         duL = math.sqrt(lam) * uL if lam > 0.0 \
             else math.sqrt(2.0 / p) * uL ** (p / 2.0)
         gate = uL + duL <= DECAY_GATE * u0
@@ -275,31 +278,21 @@ def bisect_vertex_height(params: Params, lam: float, lo: float, hi: float,
 
     Trajectories rebound (or blow up) on one side of the connection and
     cross zero on the other; that dichotomy is monotone in u0 near a simple
-    connection, so plain bisection applies.
+    connection, so one bracketed Brent solve on the signed outcome (+1 for a
+    zero crossing, -1 otherwise) applies.
     """
 
-    def over(u0: float) -> bool:
+    def outcome_sign(u0: float) -> float:
         out = shoot(params, lam, u0, L=L, n=200).outcome
-        if out == "decayed":
-            return False  # landed on the connection within tolerance
-        return out == "crossed_zero"
+        return 1.0 if out == "crossed_zero" else -1.0
 
-    o_lo, o_hi = over(lo), over(hi)
-    if o_lo == o_hi:
+    if outcome_sign(lo) == outcome_sign(hi):
         raise ValueError("bracket does not straddle the decay/blow-up dichotomy")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * mid:
-            return mid
-        if over(mid) == o_hi:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return brentq(outcome_sign, lo, hi, rtol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
-# discrete functional and projected gradient flow
+# discrete functional and normalized gradient flow
 
 
 def discrete_energy(params: Params, u: np.ndarray, h: float) -> float:
@@ -353,33 +346,53 @@ def make_initial_profile(mu: float, L: float, n: int,
 def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
                          max_iters: int = 200000, stall_rel: float = 1e-10,
                          probe_floor: float | None = None):
-    """Projected gradient descent at fixed discrete mass.
+    """Backward-Euler normalized gradient flow at fixed discrete mass.
 
-    Steps follow the L^2 gradient (coordinate gradient divided by the
-    quadrature weights, which concentrates the point term at the origin
-    node); every step is renormalized back to the mass sphere and accepted
-    only if the energy does not increase, with halving on increase and mild
-    growth on success.  Returns (final profile, energy trace).
+    Each step solves the semi-implicit system (Bao & Du, SIAM J. Sci. Comput.
+    25, 2004)
+
+        (2W + tau (K + 2W |u^n|^(p-2))) u* = 2W u^n + tau e0 |u0^n|^(q-2) u0^n
+
+    with W the trapezoid weights and K the kinetic stiffness of
+    :func:`discrete_energy`: one symmetric tridiagonal solve, with the bulk
+    coefficient lagged at u^n and the point term explicit in the origin row.
+    The matrix is then symmetric positive definite for every tau.  With the
+    point term moved into it, its ground-state direction has eigenvalue about
+    2W(1 - tau lambda), so past tau = 1/lambda the solve flips the sign of
+    the profile (the flow lands on -u at the same energy).
+
+    u* is renormalized back to the mass sphere and accepted only if the energy
+    does not increase, with halving on increase and mild growth on success.
+    Returns (final profile, energy trace).
 
     In probe mode (probe_floor set) the flow stops as soon as the energy
     drops below the floor; in bounded regimes such a drop raises
     :class:`FlowDivergence` instead.
     """
+    p, q = params.p, params.q
     h = profile0.h
     u = profile0.values.copy()
     u *= math.sqrt(mu / discrete_mass(u, h))
     w = np.full(len(u), h)
     w[0] = w[-1] = 0.5 * h
+    stiff = np.full(len(u), 4.0 / h)
+    stiff[0] = stiff[-1] = 2.0 / h
+    bands = np.zeros((3, len(u)))
 
     energy = discrete_energy(params, u, h)
     trace = [energy]
     tau = 1e-3 * h * h
     stall_count = 0
     for _ in range(max_iters):
-        g = discrete_gradient(params, u, h) / (2.0 * w)
+        diag = stiff + 2.0 * w * np.abs(u) ** (p - 2.0)
+        point = np.abs(u[0]) ** (q - 2.0) * u[0]
         accepted = False
         for _ in range(60):
-            trial = u - tau * g
+            bands[0, 1:] = bands[2, :-1] = -2.0 * tau / h
+            bands[1] = 2.0 * w + tau * diag
+            rhs = 2.0 * w * u
+            rhs[0] += tau * point
+            trial = solve_banded((1, 1), bands, rhs, check_finite=False)
             trial *= math.sqrt(mu / discrete_mass(trial, h))
             e_trial = discrete_energy(params, trial, h)
             if e_trial <= energy:

@@ -437,7 +437,7 @@ def check_flow_vs_branch() -> CheckResult:
              "to 1e-4 with a non-increasing energy trace")
     return _result("flow-vs-branch", claim, fails,
                    f"flow={trace[-1]:.8g} branch={gs.value:.8g} "
-                   f"diff={diff:.2g} iters={len(trace)}", t0)
+                   f"diff={diff:.2g} (bound 1e-4) steps={len(trace) - 1}", t0)
 
 
 def check_probe_flow() -> CheckResult:

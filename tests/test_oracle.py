@@ -47,6 +47,32 @@ def test_shoot_initial_slope_convention():
     assert slope == pytest.approx(-0.5 * 0.4 ** 2.0, abs=5e-3)
 
 
+@pytest.mark.parametrize("params, lam", [(P425, 3.0 / 128.0), (Params(3.0, 4.0), 0.0)])
+def test_tail_continuation_matches_scalar_decay_law(params, lam):
+    # the tail past the capture point is evaluated as one array expression;
+    # the scalar decay laws below are the reference
+    if lam > 0.0:
+        u0 = stationary.solve_for_lambda(params, lam).points[1].u0
+    else:  # zero frequency: u0^(2(q-1))/4 = (2/p) u0^p
+        u0 = (8.0 / params.p) ** (1.0 / (2.0 * params.q - 2.0 - params.p))
+    res = oracle.shoot(params, lam, u0)
+    assert res.outcome == "decayed"
+    x = res.profile.x
+    dx = x[x > res.capture_x] - res.capture_x
+    u_d = float(res.profile.values[x <= res.capture_x][-1])
+    p = params.p
+    half = 0.5 * (p - 2.0)
+
+    def scalar(d):
+        if lam > 0.0:
+            return u_d * math.exp(-math.sqrt(lam) * d)
+        return (u_d ** (-half) + half * math.sqrt(2.0 / p) * d) ** (-1.0 / half)
+
+    want = np.array([scalar(d) for d in dx])
+    got = oracle._tail_value(params, lam, u_d, dx)
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
 def test_vertex_height_bisection_recovers_solution():
     # independent oracle: the decaying height solves
     # u0^(2(q-1))/4 = lam u0^2 + (2/p) u0^p
@@ -144,6 +170,19 @@ def test_flow_reaches_branch_level():
     pt = massmap.normalized_solutions(P425, mu)[0].point
     exact = stationary.profile(pt, prof.x)
     assert float(np.max(np.abs(prof.values - exact))) <= 5e-3 * pt.u0
+
+
+@pytest.mark.parametrize("params, mu", [(P425, 0.3), (P83, 1.0)])
+def test_flow_lands_on_branch_level_in_few_steps(params, mu):
+    gs = energy.groundstate_energy(params, mu)
+    L = max(50.0, 20.0 / math.sqrt(gs.lam))
+    prof0 = oracle.make_initial_profile(mu, L, 1500, width=3.0)
+    _, trace = oracle.constrained_minimize(params, mu, prof0, max_iters=120000)
+    assert abs(trace[-1] - gs.value) <= 1e-4
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    # backward-Euler steps are not limited by tau ~ h^2: about 1,000 and
+    # 2,100 accepted steps here, where explicit steps took 25,000 and 36,000
+    assert len(trace) - 1 <= 3000
 
 
 def test_flow_probe_mode_descends():
