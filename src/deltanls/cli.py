@@ -17,7 +17,8 @@ import numpy as np
 
 from . import algebra, energy, massmap, stationary, verification
 from .config import RunConfig, default_output_dir, load_config_file
-from .params import InvalidExponents, Params, Region, classify, expected_solution_regime
+from .params import (InvalidExponents, Params, Region, ThresholdKind, classify,
+                     expected_solution_regime)
 from .stationary import BranchPoint
 
 
@@ -63,12 +64,12 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-def _point_mass(point: BranchPoint) -> float:
-    if point.params.diagonal:
-        return massmap.mass_of_lambda_diagonal(point.params, point.lam).value
-    if point.zero_frequency:
-        return algebra.constants(point.params).mu0
-    return massmap.mass_of_t(point.params, point.t, point.d).value
+#: Provenance label of each kind of mass threshold.
+_THRESHOLD_PROVENANCE = {
+    ThresholdKind.ZERO_FREQUENCY_MASS: "closed-form",
+    ThresholdKind.MASS_TWO: "limit-constant",
+    ThresholdKind.BRANCH_MINIMUM: "minimized",
+}
 
 
 def _thresholds_payload(params: Params) -> dict:
@@ -86,11 +87,7 @@ def _thresholds_payload(params: Params) -> dict:
         thr = massmap.mass_threshold(params)
         if thr.mu_threshold is not None:
             out["mu_threshold"] = thr.mu_threshold
-            out["provenance"]["mu_threshold"] = {
-                Region.A: "closed-form", Region.E: "closed-form",
-                Region.G: "closed-form", Region.H: "limit-constant",
-                Region.C: "minimized", Region.F: "minimized",
-            }[region]
+            out["provenance"]["mu_threshold"] = _THRESHOLD_PROVENANCE[thr.rule.threshold]
         out["mu_tilde"] = energy.zero_level_mass(params)
         if out["mu_tilde"] is not None:
             out["provenance"]["mu_tilde"] = (
@@ -149,7 +146,7 @@ def cmd_classify(args, config: RunConfig) -> int:
 
 def _solution_row(point: BranchPoint) -> list:
     eb = energy.branch_energy(point)
-    mass = _point_mass(point)
+    mass = massmap.state_mass(point)
     q = point.params.q
     vres = stationary.vertex_residual(point) / point.u0 ** (q - 1.0)
     scale = point.u0 ** (q - 1.0 if point.zero_frequency else q - 2.0)

@@ -20,10 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from . import algebra, stationary
-from .params import Params, Region, classify, expected_solution_regime, ExistenceRule
+from .params import (ExistenceRule, MassInterval, Params, Region, ThresholdKind, classify,
+                     expected_solution_regime)
 from .algebra import ScalarEval
 from .stationary import BranchPoint
 
@@ -72,6 +72,16 @@ def mass_of_lambda_diagonal(params: Params, lam: float) -> ScalarEval:
     p = params.p
     scale = lam ** ((6.0 - p) / (2.0 * (p - 2.0)))
     return ScalarEval(coeff.value * scale, coeff.abs_error_estimate * scale)
+
+
+def state_mass(point: BranchPoint) -> float:
+    """Closed-form mass of a stationary state: diagonal, zero-frequency or branch."""
+    params = point.params
+    if params.diagonal:
+        return mass_of_lambda_diagonal(params, point.lam).value
+    if point.zero_frequency:
+        return algebra.constants(params).mu0
+    return mass_of_t(params, point.t, point.d).value
 
 
 @dataclass(frozen=True)
@@ -302,9 +312,10 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
 class ThresholdReport:
     """Mass threshold of the existence rule, with endpoint-inclusion flags.
 
-    For the dipping regimes (C, F) the branch minimum is certified two ways
-    (root of h, and direct bounded minimization); both values and their gap
-    are reported.
+    The threshold is the one `rule.threshold` names: mu0, the constant 2, or
+    the branch minimum of regions C and F, taken as the mass at the single
+    root of h (one Brent solve).  `deltanls verify` checks that minimum
+    against a direct bounded minimization of the mass map.
     """
 
     region: Region
@@ -312,41 +323,26 @@ class ThresholdReport:
     mu0: float | None
     mu_threshold: float | None
     threshold_attained: bool | None
-    lower_cutoff: float | None          # 2.0 for regions G and H, else None
+    lower_cutoff: float | None          # 2.0 where the rule needs mu > 2, else None
     lower_cutoff_included: bool | None
     minimizer_t: float | None
-    h_root_mass: float | None
-    direct_min_mass: float | None
-    certification_gap: float | None
 
 
 def mass_threshold(params: Params) -> ThresholdReport:
-    """Region-dependent mass threshold of the existence rule (off-diagonal)."""
+    """Mass threshold named by the existence rule of params (off-diagonal)."""
     if params.diagonal:
         raise ValueError("mass thresholds are defined off the diagonal only")
-    region = classify(params)
     rule = expected_solution_regime(params)
     mu0 = algebra.constants(params).mu0
-
-    if region in (Region.A, Region.E):
-        return ThresholdReport(region, rule, mu0, mu0, True, None, None,
-                               math.inf, None, None, None)
-    if region in (Region.B, Region.D):
-        return ThresholdReport(region, rule, mu0, None, None, None, None,
-                               None, None, None, None)
-    if region is Region.G:
-        return ThresholdReport(region, rule, mu0, mu0, True, 2.0, False,
-                               math.inf, None, None, None)
-    if region is Region.H:
-        return ThresholdReport(region, rule, mu0, 2.0, False, 2.0, False,
-                               None, None, None, None)
-
-    # regions C and F: interior minimum of the branch mass, certified by a
-    # direct minimization next to the root of h
-    y_min, h_root_mass = _branch_minimum(params)
-    res = minimize_scalar(lambda y: _mu_at(params, y), bounds=(y_min - 0.5, y_min + 0.5),
-                          method="bounded", options={"xatol": 1e-8})
-    direct_min = float(res.fun)
-    return ThresholdReport(region, rule, mu0, min(h_root_mass, direct_min), True,
-                           None, None, 1.0 + math.exp(y_min), h_root_mass,
-                           direct_min, abs(direct_min - h_root_mass))
+    mu_threshold = attained = minimizer_t = None
+    if rule.threshold is ThresholdKind.ZERO_FREQUENCY_MASS:
+        mu_threshold, attained, minimizer_t = mu0, True, math.inf
+    elif rule.threshold is ThresholdKind.MASS_TWO:
+        mu_threshold, attained = 2.0, False
+    elif rule.threshold is ThresholdKind.BRANCH_MINIMUM:
+        y_min, mu_threshold = _branch_minimum(params)
+        attained, minimizer_t = True, 1.0 + math.exp(y_min)
+    above_two = rule.interval in (MassInterval.TWO_TO_THRESHOLD, MassInterval.ABOVE_TWO)
+    return ThresholdReport(classify(params), rule, mu0, mu_threshold, attained,
+                           2.0 if above_two else None, False if above_two else None,
+                           minimizer_t)

@@ -2,9 +2,10 @@
 
 Nothing here trusts the closed forms.  The shooter integrates the radial
 ODE u'' = lambda u + |u|^(p-2) u from the vertex data (u0, -u0^(q-1)/2)
-outward; grid functionals evaluate mass and energy of sampled profiles by
-trapezoidal quadrature; the constrained minimizer runs a backward-Euler
-normalized gradient flow on the discretized functional at fixed mass.
+outward; one discrete functional (the piecewise-linear interpolant, its
+kinetic term exact and its mass and bulk terms by the trapezoidal rule)
+evaluates sampled profiles; the constrained minimizer runs a backward-Euler
+normalized gradient flow on that functional at fixed mass.
 
 Shooting detail: the decaying orbit is a saddle connection, so forward
 integration in double precision is eventually taken over by the growing
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 from .params import Params
@@ -73,7 +74,6 @@ class ShootingResult:
     u0: float
     lam: float
     decay_ok: bool
-    mass: float
     profile: GridProfile
     outcome: str               # decayed | crossed_zero | rebounded | blew_up | no_event
     first_integral_drift: float
@@ -87,39 +87,6 @@ def default_domain(lam: float) -> float:
     return 1e3
 
 
-def save_profile_csv(profile: GridProfile, path: str) -> None:
-    """Write the profile as (x, u) rows at 17 significant digits.
-
-    The header documents the grid convention: values are the even half-line
-    samples at n+1 uniform nodes on [0, L].
-    """
-    lines = [
-        "# even half-line profile: u sampled at n+1 uniform nodes on [0, L]",
-        f"# L={profile.L:.17g} n={profile.n}",
-        "x,u",
-    ]
-    lines.extend(f"{x:.17g},{u:.17g}" for x, u in zip(profile.x, profile.values))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_profile_csv(path: str) -> GridProfile:
-    """Read a profile written by :func:`save_profile_csv`."""
-    xs: list[float] = []
-    us: list[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#") or line == "x,u":
-                continue
-            sx, su = line.split(",")
-            xs.append(float(sx))
-            us.append(float(su))
-    if len(xs) < 2:
-        raise ValueError(f"{path}: expected at least two profile rows")
-    return GridProfile(xs[-1], len(xs) - 1, np.asarray(us))
-
-
 def sample_profile(point: BranchPoint, L: float, n: int) -> GridProfile:
     """Materialize a branch state on a uniform grid (closed-form sampling)."""
     x = np.linspace(0.0, L, n + 1)
@@ -127,22 +94,16 @@ def sample_profile(point: BranchPoint, L: float, n: int) -> GridProfile:
 
 
 def functional_eval(params: Params, profile: GridProfile):
-    """(mass, EnergyBreakdown) of a sampled even profile by trapezoidal rules.
+    """(mass, EnergyBreakdown) of a sampled even profile.
 
-    mass = 2 * trapz(u^2); kinetic = trapz(u'^2) with centered differences
-    (the factor 2 for evenness cancels the 1/2 of the functional); bulk and
-    point terms follow the functional directly.
+    The discrete functional of :func:`discrete_energy` and
+    :func:`discrete_mass`, split into its kinetic, bulk and point terms.
     """
     from .energy import EnergyBreakdown  # local: avoid import cycle
 
-    u = profile.values
-    x = profile.x
-    mass = 2.0 * float(np.trapezoid(u * u, x))
-    du = np.gradient(u, profile.h)
-    kinetic = float(np.trapezoid(du * du, x))
-    bulk = (2.0 / params.p) * float(np.trapezoid(np.abs(u) ** params.p, x))
-    point = abs(u[0]) ** params.q / params.q
-    return mass, EnergyBreakdown(kinetic, bulk, point, kinetic + bulk - point)
+    u, h = profile.values, profile.h
+    kinetic, bulk, point = _energy_terms(params, u, h)
+    return discrete_mass(u, h), EnergyBreakdown(kinetic, bulk, point, kinetic + bulk - point)
 
 
 def _tail_value(params: Params, lam: float, u_d: float,
@@ -260,9 +221,8 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
         gate = False
 
     profile = GridProfile(L, n, vals if stayed_positive else np.maximum(vals, 0.0))
-    mass = 2.0 * float(np.trapezoid(profile.values ** 2, profile.x))
     return ShootingResult(u0=u0, lam=lam, decay_ok=bool(gate and stayed_positive),
-                          mass=mass, profile=profile, outcome=outcome,
+                          profile=profile, outcome=outcome,
                           first_integral_drift=drift, capture_x=capture_x)
 
 
@@ -295,35 +255,35 @@ def bisect_vertex_height(params: Params, lam: float, lo: float, hi: float,
 # discrete functional and normalized gradient flow
 
 
+def _trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
+    """Weights of the trapezoidal rule on n_nodes uniform nodes of spacing h."""
+    w = np.full(n_nodes, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
+def _energy_terms(params: Params, u: np.ndarray, h: float) -> tuple[float, float, float]:
+    """(kinetic, bulk, point) of the piecewise-linear even extension of nodal values u.
+
+    The kinetic term is exact for the piecewise-linear interpolant (the factor
+    2 for evenness cancels the 1/2 of the functional); the bulk term is the
+    trapezoidal rule.
+    """
+    p, q = params.p, params.q
+    kinetic = float(np.sum(np.diff(u) ** 2)) / h
+    bulk = (2.0 / p) * float(np.sum(_trapezoid_weights(len(u), h) * np.abs(u) ** p))
+    return kinetic, bulk, abs(u[0]) ** q / q
+
+
 def discrete_energy(params: Params, u: np.ndarray, h: float) -> float:
     """Energy of the piecewise-linear even extension of nodal values u."""
-    p, q = params.p, params.q
-    w = np.full(len(u), h)
-    w[0] = w[-1] = 0.5 * h
-    kin = float(np.sum(np.diff(u) ** 2)) / h
-    bulk = (2.0 / p) * float(np.sum(w * np.abs(u) ** p))
-    point = abs(u[0]) ** q / q
-    return kin + bulk - point
-
-
-def discrete_gradient(params: Params, u: np.ndarray, h: float) -> np.ndarray:
-    """Coordinate gradient dE/du_i of :func:`discrete_energy`."""
-    p, q = params.p, params.q
-    w = np.full(len(u), h)
-    w[0] = w[-1] = 0.5 * h
-    g = np.zeros_like(u)
-    g[1:-1] = 2.0 * (2.0 * u[1:-1] - u[:-2] - u[2:]) / h
-    g[0] = 2.0 * (u[0] - u[1]) / h
-    g[-1] = 2.0 * (u[-1] - u[-2]) / h
-    g += 2.0 * w * np.abs(u) ** (p - 2.0) * u
-    g[0] -= np.abs(u[0]) ** (q - 2.0) * u[0]
-    return g
+    kinetic, bulk, point = _energy_terms(params, u, h)
+    return kinetic + bulk - point
 
 
 def discrete_mass(u: np.ndarray, h: float) -> float:
-    w = np.full(len(u), h)
-    w[0] = w[-1] = 0.5 * h
-    return 2.0 * float(np.sum(w * u * u))
+    """Mass of the even extension of nodal values u by the trapezoidal rule."""
+    return 2.0 * float(np.sum(_trapezoid_weights(len(u), h) * u * u))
 
 
 class FlowDivergence(RuntimeError):
@@ -373,11 +333,9 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
     h = profile0.h
     u = profile0.values.copy()
     u *= math.sqrt(mu / discrete_mass(u, h))
-    w = np.full(len(u), h)
-    w[0] = w[-1] = 0.5 * h
+    w = _trapezoid_weights(len(u), h)
     stiff = np.full(len(u), 4.0 / h)
     stiff[0] = stiff[-1] = 2.0 / h
-    bands = np.zeros((3, len(u)))
 
     energy = discrete_energy(params, u, h)
     trace = [energy]
@@ -388,11 +346,12 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
         point = np.abs(u[0]) ** (q - 2.0) * u[0]
         accepted = False
         for _ in range(60):
-            bands[0, 1:] = bands[2, :-1] = -2.0 * tau / h
-            bands[1] = 2.0 * w + tau * diag
+            off = np.full(len(u) - 1, -2.0 * tau / h)
             rhs = 2.0 * w * u
             rhs[0] += tau * point
-            trial = solve_banded((1, 1), bands, rhs, check_finite=False)
+            *_, trial, info = dgtsv(off, 2.0 * w + tau * diag, off, rhs)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"tridiagonal solve failed (dgtsv info={info})")
             trial *= math.sqrt(mu / discrete_mass(trial, h))
             e_trial = discrete_energy(params, trial, h)
             if e_trial <= energy:

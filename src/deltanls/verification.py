@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import algebra, energy, massmap, oracle, stationary
 from .params import Params, classify
@@ -90,6 +91,14 @@ def check_multiplicity_window() -> CheckResult:
         fails.append(f"branch minimum {thr.mu_threshold} != 16*sqrt(6)/9")
     if abs(thr.minimizer_t - 2.0) > 1e-6:
         fails.append(f"minimizer t {thr.minimizer_t} != 2")
+    # second route to the branch minimum: bounded minimization of mu in y = ln(t - 1)
+    y_min = math.log(thr.minimizer_t - 1.0)
+    direct = minimize_scalar(lambda y: massmap.mass_of_t(P, 1.0 + math.exp(y)).value,
+                             bounds=(y_min - 0.5, y_min + 0.5), method="bounded",
+                             options={"xatol": 1e-8})
+    gap = abs(float(direct.fun) - thr.mu_threshold)
+    if gap > 1e-8:
+        fails.append(f"root of h and bounded minimization differ by {gap:.3g}")
     n5 = len(massmap.normalized_solutions(P, 5.0))
     if n5 != 2:
         fails.append(f"mass 5 carries {n5} states, expected 2")
@@ -98,7 +107,7 @@ def check_multiplicity_window() -> CheckResult:
         fails.append(f"mass 4.3 carries {n43} states, expected 0")
     detail = (f"mu_min={thr.mu_threshold:.12g} at t={thr.minimizer_t:.12g}, "
               f"counts: mu=5 -> {n5}, mu=4.3 -> {n43}, "
-              f"two-route gap={thr.certification_gap:.3g}")
+              f"two-route gap={gap:.3g} (bound 1e-8)")
     claim = ("p=4, q=3.5: the mass map dips to 16*sqrt(6)/9 at t=2; masses "
              "above the dip and below the plateau carry two states, below it none")
     return _result("multiplicity-window", claim, fails, detail, t0)
@@ -207,10 +216,7 @@ def check_oracle_equivalence() -> CheckResult:
         L = max(60.0, 30.0 / math.sqrt(pt.lam))
         grid = oracle.sample_profile(pt, L, 800000)
         mass_q, eb_q = oracle.functional_eval(pt.params, grid)
-        if pt.params.diagonal:
-            mass_c = massmap.mass_of_lambda_diagonal(pt.params, pt.lam).value
-        else:
-            mass_c = massmap.mass_of_t(pt.params, pt.t, pt.d).value
+        mass_c = massmap.state_mass(pt)
         rel_mass = abs(mass_q - mass_c) / mass_c
         mass_worst = max(mass_worst, rel_mass)
         if rel_mass > 1e-6:

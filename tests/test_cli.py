@@ -34,6 +34,15 @@ def test_classify_invalid_exponents(capsys):
     assert "p > 2" in err
 
 
+@pytest.mark.parametrize("p, q, label", [("4", "2.5", "closed-form"),
+                                           ("8", "4", "limit-constant"),
+                                           ("4", "3.5", "minimized")])
+def test_classify_threshold_provenance(capsys, p, q, label):
+    code, out, _ = run(capsys, "classify", "--p", p, "--q", q, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["thresholds"]["provenance"]["mu_threshold"] == label
+
+
 def test_classify_json_is_deterministic(capsys):
     code1, out1, _ = run(capsys, "classify", "--p", "8", "--q", "3", "--format", "json")
     code2, out2, _ = run(capsys, "classify", "--p", "8", "--q", "3", "--format", "json")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from deltanls import algebra, massmap, stationary
 from deltanls.params import Params, Region
@@ -187,7 +188,10 @@ def test_mass_threshold_by_region():
     tf = massmap.mass_threshold(P435)
     assert tf.mu_threshold == pytest.approx(16.0 * math.sqrt(6.0) / 9.0, abs=1e-8)
     assert tf.minimizer_t == pytest.approx(2.0, abs=1e-6)
-    assert tf.certification_gap is not None and tf.certification_gap < 1e-8
+    # a bounded minimization of the mass map finds the same minimum
+    direct = minimize_scalar(lambda y: massmap.mass_of_t(P435, 1.0 + math.exp(y)).value,
+                             bounds=(-0.5, 0.5), method="bounded", options={"xatol": 1e-8})
+    assert abs(direct.fun - tf.mu_threshold) < 1e-8
 
     th = massmap.mass_threshold(P84)
     assert th.mu_threshold == 2.0

@@ -136,22 +136,6 @@ def test_refinement_convergence():
     assert errs[0] / errs[1] >= 3.0
 
 
-def test_discrete_gradient_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    n, L = 400, 30.0
-    h = L / n
-    u = np.exp(-np.linspace(0.0, L, n + 1) ** 2 / 4.0) + 0.05 * rng.random(n + 1)
-    g = oracle.discrete_gradient(P425, u, h)
-    eps = 1e-6
-    for idx in rng.integers(0, n + 1, 20):
-        up, um = u.copy(), u.copy()
-        up[idx] += eps
-        um[idx] -= eps
-        fd = (oracle.discrete_energy(P425, up, h)
-              - oracle.discrete_energy(P425, um, h)) / (2.0 * eps)
-        assert g[idx] == pytest.approx(fd, rel=1e-5, abs=1e-10)
-
-
 def test_renormalization_preserves_mass():
     prof0 = oracle.make_initial_profile(0.7, 40.0, 500, width=3.0)
     prof, trace = oracle.constrained_minimize(P425, 0.7, prof0, max_iters=200)
@@ -224,15 +208,3 @@ def test_default_domain():
     assert oracle.default_domain(0.0) == 1e3
     assert oracle.default_domain(1.0) == 50.0
     assert oracle.default_domain(1e-4) == pytest.approx(2000.0)
-
-
-def test_profile_csv_round_trip(tmp_path):
-    pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
-    prof = oracle.sample_profile(pt, 120.0, 300)
-    path = tmp_path / "profile.csv"
-    oracle.save_profile_csv(prof, str(path))
-    back = oracle.load_profile_csv(str(path))
-    assert back.L == prof.L and back.n == prof.n
-    assert np.array_equal(back.values, prof.values)  # 17 digits round-trip
-    header = path.read_text().splitlines()[0]
-    assert header.startswith("#") and "uniform nodes" in header

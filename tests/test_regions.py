@@ -4,6 +4,7 @@ level-curve signs in the regions not exercised by the headline examples."""
 import math
 
 import pytest
+from scipy.optimize import minimize_scalar
 
 from deltanls import algebra, energy, massmap, stationary
 from deltanls.energy import Attainment
@@ -34,7 +35,12 @@ def test_region_C_fold_and_window():
     assert stationary.solve_for_lambda(PC, 0.5 * lb).count == 2
     assert stationary.solve_for_lambda(PC, 2.0 * lb).count == 0
     thr = massmap.mass_threshold(PC)
-    assert thr.certification_gap < 1e-8
+    # a bounded minimization of the mass map finds the same minimum
+    y_min = math.log(thr.minimizer_t - 1.0)
+    direct = minimize_scalar(lambda y: massmap.mass_of_t(PC, 1.0 + math.exp(y)).value,
+                             bounds=(y_min - 0.5, y_min + 0.5), method="bounded",
+                             options={"xatol": 1e-8})
+    assert abs(direct.fun - thr.mu_threshold) < 1e-8
     # both branch ends blow up: every mass above the dip carries two states
     for factor in (1.2, 3.0, 20.0):
         assert len(massmap.normalized_solutions(PC, factor * thr.mu_threshold)) == 2
