@@ -6,24 +6,33 @@ branch coordinate t > 1 or the frequency lambda > 0:
 * ``f_of_t`` / ``g_of_lambda`` -- the two sides of the vertex matching
   condition f(t) = g(lambda) that every positive stationary state solves;
 * ``I_of_t`` -- the singular integral controlling mass and energy,
-  I(t) = integral_1^t (s^2-1)^((4-p)/(p-2)) ds, evaluated after the
-  substitution s = cosh(theta) which removes the endpoint blow-up;
+  I(t) = integral_1^t (s^2-1)^((4-p)/(p-2)) ds, in closed form as an
+  incomplete beta function (``log_I`` keeps its logarithm, which stays in
+  range where I does not); ``I_of_t_quadrature`` is the adaptive route,
+  kept as the oracle the tests and ``deltanls verify`` check it against;
 * ``h_of_t`` -- the factor of the mass-map derivative whose sign equals
   sign(mu'(t));
+* ``log_mass`` / ``mass_deficit`` -- ln mu(t) and, for p < 6, the relative
+  deficit (mu0 - mu)/mu0, formed from separated terms in logs;
 * ``constants`` -- the prefactor C_pq of the mass map, the zero-frequency
   profile constant c_p, and the zero-frequency mass mu0 (finite iff p < 6).
 
-Quadrature-backed values are returned as :class:`ScalarEval` carrying the
-error bound reported by the adaptive scheme; closed forms report 0.
+Values are returned as :class:`ScalarEval` with an absolute error bound:
+QUADPACK's estimate for the quadrature oracle, the relative budget
+``I_RTOL`` for the closed forms, 0 where the value is exact.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
 from scipy.integrate import quad
+from scipy.special import digamma, gammaln, gammasgn, hyp2f1, zeta
 
 from .params import Params
 
@@ -35,7 +44,7 @@ QUAD_EPSREL = 1e-10
 
 @dataclass(frozen=True)
 class ScalarEval:
-    """A scalar plus an upper bound on its absolute quadrature error."""
+    """A scalar plus an upper bound on its absolute error."""
 
     value: float
     abs_error_estimate: float = 0.0
@@ -44,7 +53,7 @@ class ScalarEval:
         return self.value
 
 
-def _resolve_d(t: float, d: float | None) -> float:
+def resolve_d(t: float, d: float | None) -> float:
     """Exact branch offset d = t - 1; an explicit d overrides the subtraction.
 
     Branch coordinates extremely close to 1 are not representable through t
@@ -64,14 +73,14 @@ def _resolve_d(t: float, d: float | None) -> float:
 
 def f_of_t(params: Params, t: float, d: float | None = None) -> float:
     """f(t) = t / (t^2 - 1)^((q-2)/(p-2)), the profile side of the matching."""
-    d = _resolve_d(t, d)
+    d = resolve_d(t, d)
     expo = (params.q - 2.0) / (params.p - 2.0)
     return (1.0 + d) * (d * (d + 2.0)) ** (-expo)
 
 
 def f_prime(params: Params, t: float, d: float | None = None) -> float:
     """df/dt; vanishes only at t* = sqrt((p-2)/(p+2-2q)) when q < p/2 + 1."""
-    d = _resolve_d(t, d)
+    d = resolve_d(t, d)
     p, q = params.p, params.q
     t = 1.0 + d
     num = (p + 2.0 - 2.0 * q) / (p - 2.0) * t * t - 1.0
@@ -132,14 +141,225 @@ def _sinh_pow_over_theta_pow(theta: float, m: float) -> float:
     return (math.sinh(theta) / theta) ** m
 
 
+# ---------------------------------------------------------------------------
+# I(t) in closed form
+#
+# With x = 1 - 1/t^2, a = 2/(p-2) and b = 1/2 - a (so a + b = 1/2 for every
+# p), I(t) = 1/2 B(x; a, b).  Two series cover t in (1, inf):
+#
+# * t <= 2 (x <= 3/4): the Euler form
+#       I = x^a (1-x)^b / (2a) 2F1(1, 1/2; a+1; x),
+#   whose series has positive terms; scipy's hyp2f1 evaluates it to a few
+#   ulp.  The prefactor is taken in logs, so I ~ e^-3000 is a finite log.
+# * t > 2 (z = 1/t^2 < 1/4): the connection formula
+#       I = 1/2 B(a, b) + t^m/m (1-z)^a 2F1(1, 1/2; b+1; z),   m = 2a - 1,
+#   with B(a, b) continued through Gamma functions.  Both terms have poles
+#   at b = -k (k = 0, 1, 2, ...; p = 6, 10/3, 14/5, ...) that cancel.  With
+#   k the integer nearest -b and eps = b + k in [-1/2, 1/2], the terms of
+#   the 2F1 series from z^k on are summed in closed form, which gives
+#       I = T + K_fin + (A/m) Q,
+#       T = t^m/m (1-z)^a P(z),     P(z) = sum_{n<k} (1/2)_n/(b+1)_n z^n,
+#       Q = (t^(-2 eps) - 1)/eps + t^(-2 eps) psi(z),
+#       psi(z) = sum_{n>=1} (eps+1/2-k)_n / (n! (n+eps)) z^n,
+#       A/m = -(1/2)_k / (2 prod_{i=1..k} (eps - i)),
+#       K_fin = 1/2 B(a, b) + A/(m eps),
+#   every piece finite at eps = 0 ((t^u - 1)/u is computed as expm1).  For
+#   k >= 1 the leading power t^m sits in T alone; h and the mass deficit
+#   below cancel it analytically instead of numerically.
+
+_LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
+
+#: Relative error budget of the closed forms of I, h and mu: the tests hold
+#: them to 1e-14 against 40-digit mpmath (times 1 + |ln(t - 1)| for h, the
+#: conditioning of powers of t with rounded exponents).
+I_RTOL = 1e-13
+
+#: Terms kept of the series in z = 1/t^2 <= 1/4 (geometric in z beyond
+#: their first k, whose weight in I, h and the deficit is z^k at most).
+_N_TERMS = 48
+
+#: Terms of the Taylor series of the finite part K_fin in eps.
+_N_EPS_TERMS = 64
+
+
+class _Tail(NamedTuple):
+    """Constants of the t > 2 expansion of I(t) for one p."""
+
+    a: float
+    b: float
+    m: float
+    k: int
+    eps: float
+    a_over_m: float               # A/m
+    k_fin: float                  # K_fin
+    p_coef: tuple[float, ...]     # (1/2)_n / (b+1)_n, n < k
+    s_coef: tuple[float, ...]     # (eps+1/2-k)_n / (n! (n+eps)), n >= 1
+
+
+@lru_cache(maxsize=256)
+def _tail(p: float) -> _Tail:
+    # b and m straight from p keep their relative accuracy near p = 6
+    a = 2.0 / (p - 2.0)
+    b = (p - 6.0) / (2.0 * (p - 2.0))
+    k = max(0, round(-b))
+    eps = b + k
+    # (1/2)_k / prod (i - eps), and A/m = -(-1)^k / 2 times it
+    log_ratio = (gammaln(k + 0.5) - gammaln(0.5)
+                 - gammaln(k + 1.0 - eps) + gammaln(1.0 - eps))
+    a_over_m = -0.5 * (-1.0) ** k * math.exp(log_ratio)
+    if k == 0 and abs(eps) >= 0.25:
+        # far from the pole at p = 6: the direct value loses under 2 bits
+        k_fin = 0.5 * math.exp(gammaln(a) + gammaln(b) - gammaln(0.5)) \
+            * gammasgn(b) + a_over_m / eps
+    else:
+        # K_fin = -(A/m) (G - 1)/eps with G = Gamma(k+1/2-eps) Gamma(1+eps)
+        # / Gamma(k+1/2); ln G / eps as its Taylor series in eps, which
+        # converges for |eps| < 1 (k >= 1) or |eps| < 1/2 (k = 0)
+        j = np.arange(2, _N_EPS_TERMS + 1, dtype=float)
+        series = (zeta(j, k + 0.5) + (-1.0) ** j * zeta(j, 1.0)) / j
+        log_g_over_eps = -digamma(k + 0.5) - np.euler_gamma \
+            + float(np.sum(series * eps ** (j - 1.0)))
+        log_g = eps * log_g_over_eps
+        exprel = math.expm1(log_g) / log_g if log_g != 0.0 else 1.0
+        k_fin = -a_over_m * exprel * log_g_over_eps
+    p_coef = [1.0]
+    for n in range(1, min(k, _N_TERMS)):
+        p_coef.append(p_coef[-1] * (n - 0.5) / (b + n))
+    s_coef, rising = [], 1.0
+    for n in range(1, _N_TERMS + 1):
+        rising *= (eps + 0.5 - k + n - 1.0) / n
+        s_coef.append(rising / (n + eps))
+    return _Tail(a, b, -2.0 * b, k, eps, a_over_m, k_fin,
+                 tuple(p_coef[:k]), tuple(s_coef))
+
+
+def half_beta(params: Params) -> float:
+    """1/2 B(a, b) = I(inf), finite for p > 6 only."""
+    if not params.p > 6.0:
+        raise ValueError("I(inf) diverges for p <= 6")
+    tl = _tail(params.p)
+    return tl.k_fin - tl.a_over_m / tl.eps
+
+
+def _horner(coef, z):
+    acc = 0.0 * z
+    for c in reversed(coef):
+        acc = acc * z + c
+    return acc
+
+
+def _exprel(t, lt, c: float, xp):
+    """(t^c - 1)/(c ln t); c is a multiple of eps and vanishes only with it.
+
+    expm1 where |c ln t| < 1, the power itself beyond (exp of a large
+    rounded exponent would lose its digits).
+    """
+    if c == 0.0:
+        return 1.0
+    u = c * lt
+    if xp is math:
+        return (math.expm1(u) if abs(u) < 1.0 else t ** c - 1.0) / u
+    return np.where(np.abs(u) < 1.0, np.expm1(u), t ** c - 1.0) / u
+
+
+def _branches(fn_near, fn_far, d):
+    """fn_near on offsets d <= 1 (t <= 2), fn_far beyond; d a float or an array."""
+    if np.ndim(d) == 0:
+        d = float(d)
+        return float(fn_near(d, math) if d <= 1.0 else fn_far(d, math))
+    d = np.asarray(d, dtype=float)
+    out = np.empty_like(d)
+    near = d <= 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        out[near] = fn_near(d[near], np)
+        out[~near] = fn_far(d[~near], np)
+    return out
+
+
+def _euler_2f1(a: float, d):
+    """2F1(1, 1/2; a+1; x) at x = d (d+2) / (1+d)^2 <= 3/4."""
+    return hyp2f1(1.0, 0.5, a + 1.0, d * (d + 2.0) / ((1.0 + d) * (1.0 + d)))
+
+
+def _log_I_near(tl: _Tail, d, xp):
+    lt = xp.log1p(d)
+    log_x = xp.log(d) + xp.log(d + 2.0) - 2.0 * lt
+    return (-_LN2 + tl.a * log_x - 2.0 * tl.b * lt - math.log(tl.a)
+            + xp.log(_euler_2f1(tl.a, d)))
+
+
+def _far(tl: _Tail, d, xp):
+    """(t, ln t, z, psi(z)/z) at t = 1 + d > 2.
+
+    Powers of t are taken as t ** c, not exp(c ln t): at t = e^300 the
+    rounding of ln t alone would cost 1e-14 relative.
+    """
+    t = 1.0 + d
+    z = (1.0 / t) ** 2
+    return t, xp.log1p(d), z, _horner(tl.s_coef, z)
+
+
+def _log_I_far(tl: _Tail, d, xp):
+    t, lt, z, s1 = _far(tl, d, xp)
+    q = (-2.0 * lt * _exprel(t, lt, -2.0 * tl.eps, xp)
+         + t ** (-2.0 * tl.eps) * z * s1)
+    rest = tl.k_fin + tl.a_over_m * q
+    if tl.k == 0:
+        return xp.log(rest)
+    log_t = (tl.m * lt + tl.a * xp.log1p(-z) - math.log(tl.m)
+             + xp.log(_horner(tl.p_coef, z)))
+    return log_t + xp.log1p(rest * xp.exp(-log_t))
+
+
+def log_I(params: Params, d):
+    """ln I(1 + d) for d = t - 1 > 0, a float or an array (see I_of_t)."""
+    tl = _tail(params.p)
+    return _branches(lambda d, xp: _log_I_near(tl, d, xp),
+                     lambda d, xp: _log_I_far(tl, d, xp), d)
+
+
+def energy_j(params: Params, d: float) -> tuple[float, float]:
+    """(J, t - 4J/(p-2)) at t = 1 + d, with J = I(t) / (t^2-1)^(2/(p-2)).
+
+    These are the pieces of the closed-form branch energy.  For t <= 2,
+    J = 2F1(1, 1/2; a+1; x) / (2 a t) exactly, and the bulk factor
+    t - 2aJ = x (t^2 - 2F1(1, 3/2; a+2; x) / (2(a+1))) / t is free of the
+    cancellation between t and 2aJ that costs digits near t = 1.
+    """
+    tl = _tail(params.p)
+    t = 1.0 + d
+    if d <= 1.0:
+        x = d * (d + 2.0) / (t * t)
+        j = float(_euler_2f1(tl.a, d)) / (2.0 * tl.a * t)
+        return j, x * (t * t - float(hyp2f1(1.0, 1.5, tl.a + 2.0, x)) / (2.0 * (tl.a + 1.0))) / t
+    j = math.exp(_log_I_far(tl, d, math) - tl.a * (math.log(d) + math.log(d + 2.0)))
+    return j, t - 2.0 * tl.a * j
+
+
 def I_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
     """I(t) = integral_1^t (s^2 - 1)^((4-p)/(p-2)) ds, with t = inf allowed for p > 6.
+
+    Closed form (see the notes above ``_tail``); p = 4 gives t - 1 exactly.
+    The error estimate is the relative budget ``I_RTOL``.  Values below
+    the double range come back as 0; ``log_I`` keeps them.
+    """
+    if d is None and math.isinf(t):
+        return ScalarEval(half_beta(params), I_RTOL * half_beta(params))
+    d = resolve_d(t, d)
+    if params.p == 4.0:
+        return ScalarEval(d, 0.0)
+    value = math.exp(log_I(params, d))
+    return ScalarEval(value, I_RTOL * value)
+
+
+def I_of_t_quadrature(params: Params, t: float, d: float | None = None) -> ScalarEval:
+    """I(t) by adaptive quadrature: the independent route the tests check I_of_t against.
 
     Under s = cosh(theta) the integrand becomes sinh(theta)^m with
     m = (6-p)/(p-2) > -1, so the s = 1 endpoint singularity (present for
     p > 4) is integrable; the remaining theta ~ 0 behaviour theta^m is
     absorbed exactly by the further substitution v = theta^(m+1)/(m+1).
-    For p = 4 the integral is t - 1 exactly.
     """
     p = params.p
     if d is None and math.isinf(t):
@@ -147,10 +367,7 @@ def I_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
             raise ValueError("I(inf) diverges for p <= 6")
         theta_hi = math.inf
     else:
-        d = _resolve_d(t, d)
-        if p == 4.0:
-            return ScalarEval(d, 0.0)
-        theta_hi = _arccosh_from_d(d)
+        theta_hi = _arccosh_from_d(resolve_d(t, d))
 
     m = (6.0 - p) / (p - 2.0)
     total = 0.0
@@ -173,7 +390,7 @@ def I_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
     if theta_hi > 1.0:
         # log form keeps sinh(theta)^m representable when sinh overflows
         def tail(th: float) -> float:
-            log_sinh = th - math.log(2.0) + math.log1p(-math.exp(-2.0 * th))
+            log_sinh = th - _LN2 + math.log1p(-math.exp(-2.0 * th))
             return math.exp(m * log_sinh)
 
         val, e = quad(tail, 1.0, theta_hi,
@@ -184,34 +401,187 @@ def I_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
     return ScalarEval(total, err)
 
 
+def _r(params: Params) -> float:
+    return (params.p - 2.0) / (params.p + 2.0 - 2.0 * params.q)
+
+
+def _h_near(tl: _Tail, r: float, d, xp):
+    # (t^2-1)^(-a) I = t^-1 2F1 / (2a) exactly, so nothing leaves double range
+    t = 1.0 + d
+    return t + tl.m * (r - t * t) * _euler_2f1(tl.a, d) / (2.0 * tl.a * t)
+
+
+def _h_far(tl: _Tail, r: float, d, xp):
+    t, lt, z, s1 = _far(tl, d, xp)
+    w = xp.exp(-tl.a * xp.log1p(-z))                   # (1-z)^(-a)
+    mk = tl.m * tl.k_fin
+    t_pow = t ** (2.0 - 2.0 * tl.a)
+    if tl.k == 0:
+        # t + (r - t^2) t^-1 (1-z)^(-a) has its O(t) parts cancelled in E
+        e_z = xp.expm1(-tl.a * xp.log1p(-z)) / z
+        return ((r * w - e_z - (1.0 - r * z) * tl.eps * s1 * w) / t
+                - (1.0 - r * z) * (mk - 1.0) * t_pow * w)
+    amp = tl.m * tl.a_over_m                           # A
+    pole = w * (mk * t_pow
+                - 2.0 * amp * lt * t_pow * _exprel(t, lt, -2.0 * tl.eps, xp)
+                + amp * z * s1 * t ** (1.0 - 2.0 * tl.k))
+    pk = _horner(tl.p_coef, z)
+    dpk = _horner(tl.p_coef[1:], z)                    # (P - 1)/z
+    return (r * pk - dpk) / t - (1.0 - r * z) * pole
+
+
+def h_value(params: Params, d):
+    """h(1 + d) for d a float or an array (see h_of_t)."""
+    if params.diagonal:
+        raise ValueError("mass-map derivative factor is defined off the diagonal only")
+    tl, r = _tail(params.p), _r(params)
+    return _branches(lambda d, xp: _h_near(tl, r, d, xp),
+                     lambda d, xp: _h_far(tl, r, d, xp), d)
+
+
 def h_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
     """Sign-carrier of the mass-map derivative: sign(h(t)) = sign(mu'(t)).
 
     h(t) = (6-p)/(p-2) * ((p-2)/(p+2-2q) - t^2) / (t^2-1)^(2/(p-2)) * I(t) + t.
+    At large t the first addend tends to -t; the closed form cancels the
+    two analytically, so h keeps its relative accuracy where it is O(1/t).
     For p = 6 this collapses to h(t) = t.
     """
-    d = _resolve_d(t, d)
+    d = resolve_d(t, d)
+    if params.p == 6.0 and not params.diagonal:
+        return ScalarEval(1.0 + d, 0.0)
+    # the addends are O(t) up to t = 2 and O(1/t) beyond, after the cancellation
     t = 1.0 + d
+    scale = (1.0 + abs(_r(params))) * min(t, 4.0 / t)
+    value = h_value(params, d)
+    return ScalarEval(value, I_RTOL * (1.0 + abs(math.log(d))) * (abs(value) + scale))
+
+
+# ---------------------------------------------------------------------------
+# the mass map in logs
+#
+# mu(t) = C_pq f(t)^e I(t) with e = (6-p)/(2q-p-2); for p < 6 it tends to
+# mu0 = C_pq / m.  Near t = 1 the powers of t^2 - 1 in f^e and in the
+# Euler form of I are combined into one, (t^2-1)^((q-4)/(2q-p-2)).  At
+# t > 2 the relative deficit D = (mu0 - mu)/mu0 of p < 6 is formed from
+# the expansion of I: its leading term is exactly mu0 and is cancelled
+# analytically, so D keeps its relative accuracy down to 1e-300.
+
+
+class _MassExponents(NamedTuple):
+    e: float        # (6-p)/(2q-p-2)
+    ke: float       # e (q-2)/(p-2)
+    t1_rate: float  # (q-4)/(2q-p-2)
+
+
+@lru_cache(maxsize=256)
+def _mass_exponents(params: Params) -> _MassExponents:
     if params.diagonal:
-        raise ValueError("mass-map derivative factor is defined off the diagonal only")
+        raise ValueError("mass-versus-t map is defined off the diagonal only")
     p, q = params.p, params.q
-    if p == 6.0:
-        return ScalarEval(t, 0.0)
-    integral = I_of_t(params, t, d)
-    coeff = (6.0 - p) / (p - 2.0) \
-        * ((p - 2.0) / (p + 2.0 - 2.0 * q) - t * t) \
-        * (d * (d + 2.0)) ** (-2.0 / (p - 2.0))
-    # the two addends can cancel almost completely at large t; the error
-    # bound must include the resulting loss of float precision
-    cancel = 8.0 * 2.220446049250313e-16 * (abs(coeff * integral.value) + t)
-    err = abs(coeff) * integral.abs_error_estimate + cancel
-    return ScalarEval(coeff * integral.value + t, err)
+    denom = 2.0 * q - p - 2.0
+    e = (6.0 - p) / denom
+    return _MassExponents(e, e * (q - 2.0) / (p - 2.0), (q - 4.0) / denom)
+
+
+def _log_shape_near(tl: _Tail, ex: _MassExponents, d, xp):
+    """ln(mu / C_pq) at t = 1 + d <= 2."""
+    return (-_LN2 - math.log(tl.a) + ex.t1_rate * (xp.log(d) + xp.log(d + 2.0))
+            + (ex.e - 1.0) * xp.log1p(d) + xp.log(_euler_2f1(tl.a, d)))
+
+
+def _deficit_far(tl: _Tail, ex: _MassExponents, d, xp):
+    """(mu0 - mu)/mu0 at t = 1 + d > 2, p < 6."""
+    t, lt, z, s1 = _far(tl, d, xp)
+    l1z = xp.log1p(-z)
+    mk = tl.m * tl.k_fin
+    if tl.k == 0:
+        v = tl.eps * z * s1 + t ** (2.0 * tl.eps) * (mk - 1.0)
+        return -xp.expm1(-ex.ke * l1z + xp.log1p(v))
+    amp = tl.m * tl.a_over_m
+    v = z * _horner(tl.p_coef[1:], z) + xp.exp(-tl.a * l1z) * (
+        z ** tl.k * amp * (z * s1 - 2.0 * lt * _exprel(t, lt, 2.0 * tl.eps, xp))
+        + mk * t ** (-tl.m))
+    return -xp.expm1(ex.t1_rate * l1z + xp.log1p(v))
+
+
+def _log_mass_far(tl: _Tail, ex: _MassExponents, d, xp):
+    """ln(mu / C_pq) at t = 1 + d > 2 from the logs of the factors of mu."""
+    return (-tl.m * xp.log1p(d) - ex.ke * xp.log1p(-(1.0 + d) ** -2.0)
+            + _log_I_far(tl, d, xp))
+
+
+def log_mass_ratio(params: Params, d):
+    """ln(mu(1 + d) / mu0) for p < 6, d a float or an array.
+
+    Beyond t = 2, where mu >= mu0/2 it is ln(1 - D) of the deficit D, so it
+    keeps the digits of D down to 1e-300; elsewhere the logs of the
+    factors of mu are added.
+    """
+    tl, ex = _tail(params.p), _mass_exponents(params)
+    if not params.p < 6.0:
+        raise ValueError("the zero-frequency mass mu0 is finite for p < 6 only")
+    log_m = math.log(tl.m)
+
+    def far(d, xp):
+        deficit = _deficit_far(tl, ex, d, xp)
+        if xp is math:
+            if deficit <= 0.5:
+                return math.log1p(-deficit)
+            return log_m + _log_mass_far(tl, ex, d, xp)
+        out = np.log1p(-np.minimum(deficit, 0.5))
+        low = deficit > 0.5
+        out[low] = log_m + _log_mass_far(tl, ex, d[low], xp)
+        return out
+
+    return _branches(lambda d, xp: log_m + _log_shape_near(tl, ex, d, xp), far, d)
+
+
+def log_mass(params: Params, d):
+    """ln mu(1 + d) for d = t - 1 > 0, a float or an array, off the diagonal."""
+    tl, ex = _tail(params.p), _mass_exponents(params)
+    log_c = math.log(constants(params).c_pq)
+    if params.p < 6.0:
+        return log_c - math.log(tl.m) + log_mass_ratio(params, d)
+    return log_c + _branches(lambda d, xp: _log_shape_near(tl, ex, d, xp),
+                                lambda d, xp: _log_mass_far(tl, ex, d, xp), d)
+
+
+def mass_deficit(params: Params, d):
+    """(mu0 - mu(1 + d)) / mu0 for p < 6, d a float or an array.
+
+    Positive where the mass map lies below mu0, at full relative accuracy
+    however small (down to the double range); -inf where mu/mu0 is beyond it.
+    """
+    if not params.p < 6.0:
+        raise ValueError("the zero-frequency mass mu0 is finite for p < 6 only")
+    tl, ex = _tail(params.p), _mass_exponents(params)
+    log_m = math.log(tl.m)
+
+    def near(d, xp):
+        log_ratio = log_m + _log_shape_near(tl, ex, d, xp)
+        if xp is math and log_ratio > _LOG_MAX:
+            return -math.inf
+        return -xp.expm1(log_ratio)
+
+    return _branches(near, lambda d, xp: _deficit_far(tl, ex, d, xp), d)
+
+
+def exp_or_inf(x: float) -> float:
+    """e^x, or inf where it is beyond the double range."""
+    return math.exp(x) if x < _LOG_MAX else math.inf
+
+
+def log_c_p(params: Params) -> float:
+    """ln c_p, c_p the amplitude of the zero-frequency profile c_p (x + a)^(-2/(p-2))."""
+    p = params.p
+    return 2.0 / (p - 2.0) * (0.5 * math.log(2.0 * p) - math.log(p - 2.0))
 
 
 def c_p(params: Params) -> float:
-    """Amplitude constant of the algebraically decaying zero-frequency profile."""
-    p = params.p
-    return (math.sqrt(2.0 * p) / (p - 2.0)) ** (2.0 / (p - 2.0))
+    """Amplitude constant of the algebraically decaying zero-frequency profile
+    (inf where it is beyond the double range, as near p = 2)."""
+    return exp_or_inf(log_c_p(params))
 
 
 class Constants(NamedTuple):
@@ -225,12 +595,18 @@ def constants(params: Params) -> Constants:
 
     mu0 is the mass of the lambda = 0 state, finite only for p in (2, 6);
     it satisfies mu0 = C_pq (p-2)/(6-p).  Both C_pq and mu0 involve the
-    exponent 1/(2q-p-2) and are undefined on the diagonal.
+    exponent 1/(2q-p-2) and are undefined on the diagonal.  Where one of
+    the two powers of C_pq would leave the double range on its own, C_pq is
+    formed in logs.
     """
     if params.diagonal:
         raise ValueError("C_pq and mu0 are undefined on the diagonal q = p/2 + 1")
     p, q = params.p, params.q
     denom = 2.0 * q - p - 2.0
-    c_pq = 2.0 ** (3.0 * (q - p + 2.0) / denom) * p ** ((q - 4.0) / denom) / (p - 2.0)
+    log_2, log_p = 3.0 * (q - p + 2.0) / denom * _LN2, (q - 4.0) / denom * math.log(p)
+    if max(abs(log_2), abs(log_p)) < 700.0:
+        c_pq = 2.0 ** (3.0 * (q - p + 2.0) / denom) * p ** ((q - 4.0) / denom) / (p - 2.0)
+    else:
+        c_pq = exp_or_inf(log_2 + log_p - math.log(p - 2.0))
     mu0 = c_pq * (p - 2.0) / (6.0 - p) if p < 6.0 else None
     return Constants(c_pq, c_p(params), mu0)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import algebra, energy, massmap, stationary, verification
 from .config import RunConfig, default_output_dir, load_config_file
-from .params import (InvalidExponents, Params, Region, ThresholdKind, classify,
+from .params import (InvalidExponents, Params, Region, classify,
                      expected_solution_regime)
 from .stationary import BranchPoint
 
@@ -64,14 +64,6 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     return float(parts[0]), float(parts[1]), int(parts[2])
 
 
-#: Provenance label of each kind of mass threshold.
-_THRESHOLD_PROVENANCE = {
-    ThresholdKind.ZERO_FREQUENCY_MASS: "closed-form",
-    ThresholdKind.MASS_TWO: "limit-constant",
-    ThresholdKind.BRANCH_MINIMUM: "minimized",
-}
-
-
 def _thresholds_payload(params: Params) -> dict:
     """All thresholds that exist for these exponents, with provenance labels."""
     region = classify(params)
@@ -87,7 +79,7 @@ def _thresholds_payload(params: Params) -> dict:
         thr = massmap.mass_threshold(params)
         if thr.mu_threshold is not None:
             out["mu_threshold"] = thr.mu_threshold
-            out["provenance"]["mu_threshold"] = _THRESHOLD_PROVENANCE[thr.rule.threshold]
+            out["provenance"]["mu_threshold"] = thr.provenance
         out["mu_tilde"] = energy.zero_level_mass(params)
         if out["mu_tilde"] is not None:
             out["provenance"]["mu_tilde"] = (

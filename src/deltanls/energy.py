@@ -45,26 +45,25 @@ def branch_energy(point: BranchPoint) -> EnergyBreakdown:
         kinetic = c (t + J),   bulk = c (t - 4 J/(p-2)),   point = u0^q / q,
 
     so that, by the matching condition u0^(q-2) = 2 sqrt(lambda) t,
-    E = c (t (2q-p-2)/q - (6-p)/(p-2) J).  J is formed in logs and u0 is
-    stored finite, so no intermediate leaves double range where the pieces
-    do not.  The lambda = 0 state integrates termwise to algebraic
-    expressions in the offset a (its kinetic and bulk pieces coincide).
+    E = c (t (2q-p-2)/q - (6-p)/(p-2) J).  J and the bulk factor
+    t - 4 J/(p-2) come from ``algebra.energy_j`` (in logs, and without the
+    cancellation of the bulk factor near t = 1), and u0 is stored finite, so
+    no intermediate leaves double range where the pieces do not.  The
+    lambda = 0 state integrates termwise to algebraic expressions in its
+    peak u0 and offset a (its kinetic and bulk pieces coincide).
     """
     p, q = point.params.p, point.params.q
     if point.zero_frequency:
-        cp = algebra.c_p(point.params)
-        a_pow = point.a ** (-(p + 2.0) / (p - 2.0))
-        kinetic = 4.0 * cp * cp * a_pow / ((p - 2.0) * (p + 2.0))
-        bulk = 2.0 * cp ** p * a_pow * (p - 2.0) / (p * (p + 2.0))
-        pt = cp ** q * point.a ** (-2.0 * q / (p - 2.0)) / q
+        u0, a = point.u0, point.a
+        kinetic = 4.0 * u0 * u0 / (a * (p - 2.0) * (p + 2.0))
+        bulk = 2.0 * u0 ** p * a * (p - 2.0) / (p * (p + 2.0))
+        pt = u0 ** q / q
         return EnergyBreakdown(kinetic, bulk, pt, kinetic + bulk - pt)
-    t, d, u0 = point.t, point.d, point.u0
+    t, u0 = point.t, point.u0
     c = 2.0 * math.sqrt(point.lam) * u0 * u0 / (p + 2.0)
-    integral = algebra.I_of_t(point.params, t, d).value
-    j = math.exp(math.log(integral)
-                 - 2.0 / (p - 2.0) * (math.log(d) + math.log(d + 2.0)))
+    j, bulk_factor = algebra.energy_j(point.params, point.d)
     kinetic = c * (t + j)
-    bulk = c * (t - 4.0 * j / (p - 2.0))
+    bulk = c * bulk_factor
     pt = u0 ** q / q
     return EnergyBreakdown(kinetic, bulk, pt, kinetic + bulk - pt)
 
@@ -202,14 +201,24 @@ def zero_level_mass(params: Params) -> float | None:
     # The bracket tends to (p+2)(q-4)/(4q) as t -> 1+ and has the sign of
     # 2q-p-2 as t -> inf, so a positive energy at the branch minimum
     # changes sign exactly once: towards t -> 1 in F (q < 4), towards
-    # t -> inf in C (2q < p + 2).
-    y, mu = massmap._branch_minimum(params)
+    # t -> inf in C (2q < p + 2).  In F without a dip the falling piece runs
+    # up to the zero-frequency state, and E rises with y all along it.
+    y, mu, _ = massmap._branch_minimum(params)
     energy_at = lambda y: branch_energy(stationary.state_at_logd(params, y)).total
-    e_min = energy_at(y)
-    if e_min > 0.0:
-        y = stationary.root_from(energy_at, y, e_min,
-                                 -1.0 if region is Region.F else 1.0)
+    if math.isinf(y):
+        zero = stationary.zero_frequency_point(params)
+        if branch_energy(zero).total <= 0.0:
+            massmap.mass_gate(zero, mu)
+            return mu
+        e0 = energy_at(0.0)
+        y = stationary.root_from(energy_at, 0.0, e0, -1.0 if e0 > 0.0 else 1.0)
         mu = massmap._mu_at(params, y)
+    else:
+        e_min = energy_at(y)
+        if e_min > 0.0:
+            y = stationary.root_from(energy_at, y, e_min,
+                                     -1.0 if region is Region.F else 1.0)
+            mu = massmap._mu_at(params, y)
     massmap.mass_gate(stationary.state_at_logd(params, y), mu)
     return mu
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,19 +39,18 @@ MASS_GATE_RTOL = 1e-6
 def mass_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
     """mu(t) for t in (1, inf]; t = inf is allowed only for p < 6 (returns mu0).
 
-    Pass d = t - 1 for coordinates too close to 1 for t to represent.
+    Pass d = t - 1 for coordinates too close to 1 for t to represent.  The
+    value comes from ln mu (``algebra.log_mass``), so no intermediate power
+    leaves the double range; a mass beyond it is inf.
     """
     if params.diagonal:
         raise ValueError("mass-versus-t map is defined off the diagonal only")
-    p, q = params.p, params.q
     if d is None and math.isinf(t):
-        if p >= 6.0:
+        if params.p >= 6.0:
             raise ValueError("branch mass diverges as t -> inf for p >= 6")
         return ScalarEval(algebra.constants(params).mu0, 0.0)
-    c_pq = algebra.constants(params).c_pq
-    factor = c_pq * algebra.f_of_t(params, t, d) ** ((6.0 - p) / (2.0 * q - p - 2.0))
-    integral = algebra.I_of_t(params, t, d)
-    return ScalarEval(factor * integral.value, abs(factor) * integral.abs_error_estimate)
+    value = algebra.exp_or_inf(algebra.log_mass(params, algebra.resolve_d(t, d)))
+    return ScalarEval(value, algebra.I_RTOL * value)
 
 
 def diagonal_mass_coefficient(params: Params) -> ScalarEval:
@@ -142,20 +142,45 @@ def _mu_at(params: Params, y: float) -> float:
     return mass_of_t(params, 1.0 + d, d).value
 
 
+class BranchMinimum(NamedTuple):
+    """Minimum of the branch mass in regions C and F.
+
+    ``y`` = ln(t - 1) of the single root of h, or inf in F where h stays
+    negative over the double range (the mass falls towards mu0 all along).
+    ``depth`` = (mu0 - mu)/mu0 at the minimum in F (0 where there is no
+    dip), None in C.
+    """
+
+    y: float
+    mass: float
+    depth: float | None
+
+
 @lru_cache(maxsize=64)
-def _branch_minimum(params: Params) -> tuple[float, float]:
-    """(y, mu) at the single sign change of h in regions C and F, y = ln(t - 1).
+def _branch_minimum(params: Params) -> BranchMinimum:
+    """The minimum of mu over branch states in regions C and F.
 
     h < 0 as t -> 1+ (the mass falls from +inf) and h > 0 past the minimum,
     so the root is bracketed by walking from t = 2 towards the other sign.
+    In F the mass dips below mu0 before it rises back to it, and the depth
+    of the dip comes from the closed-form deficit, however small.  Where h
+    is still negative at the end of the double range there is no dip to
+    report: mu0 is the infimum, attained by the zero-frequency state.
     """
     def h_at(y: float) -> float:
-        d = math.exp(y)
-        return algebra.h_of_t(params, 1.0 + d, d).value
+        return algebra.h_value(params, math.exp(y))
 
     h0 = h_at(0.0)
-    y = stationary.root_from(h_at, 0.0, h0, -1.0 if h0 > 0.0 else 1.0)
-    return y, _mu_at(params, y)
+    try:
+        y = stationary.root_from(h_at, 0.0, h0, -1.0 if h0 > 0.0 else 1.0)
+    except RuntimeError:
+        if not (h0 < 0.0 and params.p < 6.0):
+            raise
+        return BranchMinimum(math.inf, algebra.constants(params).mu0, 0.0)
+    if params.p >= 6.0:
+        return BranchMinimum(y, _mu_at(params, y), None)
+    depth = max(0.0, algebra.mass_deficit(params, math.exp(y)))
+    return BranchMinimum(y, algebra.constants(params).mu0 * (1.0 - depth), depth)
 
 
 def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
@@ -169,13 +194,15 @@ def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
     y_min = -math.inf
     extrema: tuple[tuple[float, float], ...] = ()
     if classify(params) in (Region.C, Region.F):
-        y_min, mu_min = _branch_minimum(params)
-        extrema = ((1.0 + math.exp(y_min), mu_min),)
-    samples = []
-    for y in np.linspace(y_lo, y_hi, n):
-        d = math.exp(y)
-        ev = mass_of_t(params, 1.0 + d, d)
-        samples.append((1.0 + d, ev.value, ev.abs_error_estimate, -1 if y < y_min else 1))
+        y_min, mu_min, _ = _branch_minimum(params)
+        if math.isfinite(y_min):
+            extrema = ((1.0 + math.exp(y_min), mu_min),)
+    ys = np.linspace(y_lo, y_hi, n)
+    d = np.exp(ys)
+    with np.errstate(over="ignore"):
+        mu = np.exp(algebra.log_mass(params, d))
+    samples = zip((1.0 + d).tolist(), mu.tolist(), (algebra.I_RTOL * mu).tolist(),
+                  np.where(ys < y_min, -1, 1).tolist())
     return MassCurve(params, tuple(samples), (asym.t1_limit, asym.tinf_limit), extrema)
 
 
@@ -205,10 +232,16 @@ def profile_mass_quadrature(point: BranchPoint) -> float:
     p = point.params.p
     if point.zero_frequency:
         cutoff = max(1e3, 100.0 * point.a)
-        core, _ = quad(u2, 0.0, cutoff, epsabs=1e-12, epsrel=1e-10, limit=400)
-        cp = algebra.c_p(point.params)
-        tail = cp * cp * (p - 2.0) / (6.0 - p) \
-            * (cutoff + point.a) ** (-(6.0 - p) / (p - 2.0))
+        # u^2 = u0^2 (1 + x/a)^(-4/(p-2)) falls by e within about a (p-2)/4:
+        # panels one decade apart from there on keep that peak resolved near p = 2
+        scale = 0.25 * (p - 2.0) * point.a
+        cuts = [0.0] + [scale * 10.0 ** k
+                        for k in range(max(0, math.ceil(math.log10(cutoff / scale))))]
+        cuts = [c for c in cuts if c < cutoff] + [cutoff]
+        core = sum(quad(u2, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=400)[0]
+                   for lo, hi in zip(cuts[:-1], cuts[1:]))
+        tail = point.u0 ** 2 * (p - 2.0) / (6.0 - p) * point.a \
+            * (point.a / (cutoff + point.a)) ** ((6.0 - p) / (p - 2.0))
         return 2.0 * (core + tail)
     kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
     eps = kappa * point.a   # = ln(1 + 2/d) / 2 > 0 for every finite d
@@ -231,17 +264,32 @@ def mass_gate(point: BranchPoint, mu: float) -> None:
     Every mass the library reports for a state passes through this gate.
     """
     got = profile_mass_quadrature(point)
-    if abs(got - mu) > MASS_GATE_RTOL * mu:
+    if not abs(got - mu) <= MASS_GATE_RTOL * mu:   # a NaN fails too
         raise RuntimeError(
             f"profile-mass gate failed: requested {mu}, quadrature gives {got} "
             f"(t={point.t}, lambda={point.lam})")
 
 
-def _crossing(params: Params, mu: float, y0: float, mu_at_y0: float,
-              direction: float) -> float:
-    """y on a monotone piece of the mass map with mu(y) = mu, walking from y0."""
-    return stationary.root_from(lambda y: _mu_at(params, y) - mu, y0,
-                                mu_at_y0 - mu, direction)
+def _mass_gap(params: Params, mu: float):
+    """y -> a function with the sign of mu(1 + e^y) - mu, on a log scale.
+
+    For p < 6 it is ln(mu(y)/mu0) - ln(mu/mu0), which near mu0 is the
+    deficit itself at full relative accuracy, so a state close to the plateau
+    is located by its deficit rather than by the last digits of mu.
+    """
+    if params.p < 6.0:
+        target = math.log(mu / algebra.constants(params).mu0)
+        return lambda y: algebra.log_mass_ratio(params, math.exp(y)) - target
+    target = math.log(mu)
+    return lambda y: algebra.log_mass(params, math.exp(y)) - target
+
+
+def _crossing(params: Params, mu: float, y0: float, slope: float) -> float:
+    """y with mu(y) = mu on the piece of the mass map that starts at y0 and
+    rises (slope = +1) or falls (slope = -1) with y."""
+    gap = _mass_gap(params, mu)
+    g0 = gap(y0)
+    return stationary.root_from(gap, y0, g0, -slope if g0 > 0.0 else slope)
 
 
 def _branch_offsets_at_mass(params: Params, mu: float) -> tuple[list[float], bool]:
@@ -249,7 +297,8 @@ def _branch_offsets_at_mass(params: Params, mu: float) -> tuple[list[float], boo
 
     Outside regions C and F the mass increases from its t -> 1+ limit to its
     t -> inf limit (one piece); in C and F it falls from +inf to the branch
-    minimum and rises from there to mu0 (F) or +inf (C) (two pieces).
+    minimum and rises from there to mu0 (F) or +inf (C) (two pieces).  In F
+    without a dip the falling piece is the whole branch and ends at mu0.
     """
     asym = asymptotics(params)
     mu_inf = asym.tinf_limit   # mu0 for p < 6, else +inf
@@ -259,17 +308,19 @@ def _branch_offsets_at_mass(params: Params, mu: float) -> tuple[list[float], boo
     if classify(params) not in (Region.C, Region.F):
         if not (asym.t1_limit < mu and rising_reaches):
             return [], with_zero
-        mu_2 = _mu_at(params, 0.0)
-        return [_crossing(params, mu, 0.0, mu_2, -1.0 if mu_2 > mu else 1.0)], with_zero
+        return [_crossing(params, mu, 0.0, 1.0)], with_zero
 
-    y_min, mu_min = _branch_minimum(params)
+    y_min, mu_min, _ = _branch_minimum(params)
+    if math.isinf(y_min):
+        # h < 0 all along: mu falls from +inf towards mu0, which it never reaches
+        return ([_crossing(params, mu, 0.0, -1.0)] if mu > mu_inf else []), with_zero
     if abs(mu - mu_min) <= 1e-12 * mu_min:
         return [y_min], False
     if mu < mu_min:
         return [], False
-    ys = [_crossing(params, mu, y_min, mu_min, -1.0)]
+    ys = [_crossing(params, mu, y_min, -1.0)]
     if rising_reaches:
-        ys.append(_crossing(params, mu, y_min, mu_min, 1.0))
+        ys.append(_crossing(params, mu, y_min, 1.0))
     return ys, with_zero
 
 
@@ -316,6 +367,11 @@ class ThresholdReport:
     the branch minimum of regions C and F, taken as the mass at the single
     root of h (one Brent solve).  `deltanls verify` checks that minimum
     against a direct bounded minimization of the mass map.
+
+    In F the threshold never exceeds mu0: `depth` is the relative depth
+    (mu0 - mu_threshold)/mu0 of the dip, which may lie far below one ulp of
+    mu0, and `log_offset` is ln(t - 1) of the minimizer (inf for t = inf).
+    `provenance` says how the number was obtained.
     """
 
     region: Region
@@ -326,6 +382,9 @@ class ThresholdReport:
     lower_cutoff: float | None          # 2.0 where the rule needs mu > 2, else None
     lower_cutoff_included: bool | None
     minimizer_t: float | None
+    log_offset: float | None
+    depth: float | None
+    provenance: str | None
 
 
 def mass_threshold(params: Params) -> ThresholdReport:
@@ -334,15 +393,23 @@ def mass_threshold(params: Params) -> ThresholdReport:
         raise ValueError("mass thresholds are defined off the diagonal only")
     rule = expected_solution_regime(params)
     mu0 = algebra.constants(params).mu0
-    mu_threshold = attained = minimizer_t = None
+    mu_threshold = attained = minimizer_t = log_offset = depth = provenance = None
     if rule.threshold is ThresholdKind.ZERO_FREQUENCY_MASS:
-        mu_threshold, attained, minimizer_t = mu0, True, math.inf
+        mu_threshold, attained, minimizer_t, log_offset = mu0, True, math.inf, math.inf
+        provenance = "closed-form"
     elif rule.threshold is ThresholdKind.MASS_TWO:
-        mu_threshold, attained = 2.0, False
+        mu_threshold, attained, provenance = 2.0, False, "limit-constant"
     elif rule.threshold is ThresholdKind.BRANCH_MINIMUM:
-        y_min, mu_threshold = _branch_minimum(params)
-        attained, minimizer_t = True, 1.0 + math.exp(y_min)
+        log_offset, mu_threshold, depth = _branch_minimum(params)
+        attained, minimizer_t = True, 1.0 + math.exp(log_offset)
+        provenance = "minimized"
+        if depth is not None and mu_threshold == mu0:
+            # the zero-frequency state attains mu0 itself
+            dip = depth > 0.0 or (math.isinf(log_offset) and algebra.mass_deficit(
+                params, math.exp(stationary.LOGD_RANGE[1])) > 0.0)
+            provenance = ("limit; dip below double resolution" if dip
+                          else "limit; no dip below mu0")
     above_two = rule.interval in (MassInterval.TWO_TO_THRESHOLD, MassInterval.ABOVE_TWO)
     return ThresholdReport(classify(params), rule, mu0, mu_threshold, attained,
                            2.0 if above_two else None, False if above_two else None,
-                           minimizer_t)
+                           minimizer_t, log_offset, depth, provenance)

@@ -97,9 +97,13 @@ def zero_frequency_point(params: Params) -> BranchPoint:
         raise ValueError("zero-frequency states require p < 6")
     if params.diagonal:
         raise ValueError("zero-frequency states do not exist on the diagonal")
-    cp = algebra.c_p(params)
-    a = ((p - 2.0) * cp ** (q - 2.0) / 4.0) ** ((p - 2.0) / (2.0 * q - p - 2.0))
-    u0 = cp * a ** (-2.0 / (p - 2.0))
+    # a^((2q-p-2)/(p-2)) = (p-2) c_p^(q-2) / 4 and u0 = c_p a^(-2/(p-2)), in
+    # logs: near p = 2 c_p leaves double range while a and u0 do not
+    log_cp = algebra.log_c_p(params)
+    log_a = (math.log(0.25 * (p - 2.0)) + (q - 2.0) * log_cp) \
+        * (p - 2.0) / (2.0 * q - p - 2.0)
+    a = math.exp(log_a)
+    u0 = math.exp(log_cp - 2.0 / (p - 2.0) * log_a)
     return BranchPoint(t=math.inf, lam=0.0, a=a, u0=u0, params=params, d=math.inf)
 
 
@@ -243,14 +247,15 @@ def solve_for_lambda(params: Params, lam: float) -> SolutionSet:
 # profiles and pointwise residuals
 
 
-def _sinh_neg_pow(z: np.ndarray, expo: float) -> np.ndarray:
-    """sinh(z)^(-expo) for z > 0, stable for large z via the log form."""
+def _sinh_neg_pow(z: np.ndarray, expo: float, scale: float) -> np.ndarray:
+    """(scale / sinh(z))^expo for z > 0, stable for large z via the log form."""
     z = np.asarray(z, dtype=float)
     big = z > 20.0
-    direct = np.sinh(np.where(big, 1.0, z)) ** (-expo)
+    # the unused direct entries take sinh(z) = scale, so their power is 1
+    direct = (scale / np.sinh(np.where(big, math.asinh(scale), z))) ** expo
     zb = np.where(big, z, 21.0)
     logsinh = zb - _LN2 + np.log1p(-np.exp(-2.0 * zb))
-    return np.where(big, np.exp(-expo * logsinh), direct)
+    return np.where(big, np.exp(expo * (math.log(scale) - logsinh)), direct)
 
 
 def profile(point: BranchPoint, x):
@@ -258,17 +263,18 @@ def profile(point: BranchPoint, x):
 
     lambda > 0: u = (p lam / 2)^(1/(p-2)) sinh(kappa (|x|+a))^(-2/(p-2))
     with kappa = (p-2) sqrt(lam) / 2.
-    lambda = 0: u = c_p (|x| + a)^(-2/(p-2)).
+    lambda = 0: u = c_p (|x| + a)^(-2/(p-2)) = u0 (1 + |x|/a)^(-2/(p-2)).
     """
     p = point.params.p
     ax = np.abs(np.asarray(x, dtype=float)) + point.a
     expo = 2.0 / (p - 2.0)
     if point.zero_frequency:
-        out = algebra.c_p(point.params) * ax ** (-expo)
+        out = point.u0 * (ax / point.a) ** (-expo)
     else:
+        # one power of a ratio: near p = 2 the amplitude and the sinh power
+        # leave double range on their own while u stays finite
         kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
-        amp = (0.5 * p * point.lam) ** (1.0 / (p - 2.0))
-        out = amp * _sinh_neg_pow(kappa * ax, expo)
+        out = _sinh_neg_pow(kappa * ax, expo, math.sqrt(0.5 * p * point.lam))
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out

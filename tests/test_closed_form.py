@@ -1,0 +1,119 @@
+"""The closed-form I(t), h(t) and mass map against 40-digit mpmath.
+
+The reference takes I(t) = B(x; a, b)/2, x = 1 - 1/t^2, from mpmath's
+incomplete beta function, and h and mu from their definitions.  h and the
+mass deficit cancel about ln(t^2)/ln(10) digits at large t, and mpmath's
+incomplete beta function loses as many again next to the poles of its
+connection formula, so the working precision is 40 digits plus 1.8 y with
+y = ln(t - 1).
+"""
+
+import math
+
+import mpmath as mp
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from deltanls import algebra, massmap
+from deltanls.params import Params
+
+
+def reference(p: float, q: float, y: float):
+    """(ln I, h, ln mu) at t = 1 + d, d = exp(y) rounded to a double."""
+    with mp.workdps(40 + int(1.8 * max(y, 0.0))):
+        p, q = mp.mpf(p), mp.mpf(q)
+        d = mp.mpf(math.exp(y))
+        t = 1 + d
+        a = 2 / (p - 2)
+        if p == 6:   # mpmath's incomplete beta function is slow at b = 0
+            integral = mp.log1p(d + mp.sqrt(d * (d + 2)))   # arccosh(t)
+        else:
+            integral = mp.betainc(a, (p - 6) / (2 * (p - 2)), 0, d * (d + 2) / t ** 2) / 2
+        m = (6 - p) / (p - 2)
+        h = t + m * ((p - 2) / (p + 2 - 2 * q) - t * t) * (d * (d + 2)) ** (-a) * integral
+        denom = 2 * q - p - 2
+        log_c = (3 * (q - p + 2) * mp.log(2) + (q - 4) * mp.log(p)) / denom - mp.log(p - 2)
+        log_f = mp.log(t) - (q - 2) / (p - 2) * mp.log(d * (d + 2))
+        log_mu = log_c + (6 - p) / denom * log_f + mp.log(integral)
+        return float(mp.log(integral)), float(h), float(log_mu)
+
+
+def check_against_reference(p: float, q: float, y: float) -> None:
+    params = Params(p, q)
+    d = math.exp(y)
+    log_i, h, log_mu = reference(p, q, y)
+    assert algebra.log_I(params, d) == pytest.approx(log_i, rel=1e-14, abs=1e-14)
+    assert algebra.log_mass(params, d) == pytest.approx(log_mu, rel=1e-14, abs=1e-14)
+    # h keeps its relative accuracy where it is O(1/t); next to its root the
+    # scale of its addends bounds the error instead
+    t = 1.0 + d
+    scale = (1.0 + abs((p - 2.0) / (p + 2.0 - 2.0 * q))) * min(t, 4.0 / t)
+    assert abs(algebra.h_value(params, d) - h) <= 1e-14 * (1.0 + abs(y)) * (abs(h) + scale)
+
+
+exponents = st.tuples(st.floats(2.02, 16.0), st.floats(2.05, 12.0)).filter(
+    lambda pq: abs(pq[1] - (pq[0] / 2.0 + 1.0)) > 1e-3)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(exponents, st.floats(-700.0, 350.0))
+def test_closed_form_matches_mpmath(pq, y):
+    check_against_reference(pq[0], pq[1], y)
+
+
+# p = 6: I = arccosh(t), b = 0; p = 10/3 and 14/5: b = -1 and -2, where the
+# two terms of the connection formula have poles that cancel
+@pytest.mark.parametrize("p", [6.0, 10.0 / 3.0, 14.0 / 5.0])
+@pytest.mark.parametrize("y", [-300.0, -1.0, 0.5, 3.0, 40.0, 340.0])
+def test_closed_form_at_the_poles(p, y):
+    check_against_reference(p, 2.9 if p < 6.0 else 3.1, y)
+
+
+def test_p4_is_exact():
+    params = Params(4.0, 3.5)
+    for d in (1e-300, 0.3, 1.0, 7.0, 1e200):
+        assert algebra.I_of_t(params, 1.0 + d, d).value == d
+        assert algebra.log_I(params, d) == pytest.approx(math.log(d), rel=1e-15, abs=1e-15)
+
+
+def test_p6_is_arccosh():
+    params = Params(6.0, 3.0)
+    for d in (1e-12, 0.4, 2.0, 1e5, 1e150):
+        want = math.log1p(d + math.sqrt(d * (d + 2.0)))
+        assert algebra.I_of_t(params, 1.0 + d, d).value == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [6.5, 8.0, 11.0, 16.0])
+def test_infinite_endpoint_is_half_beta(p):
+    a, b = 2.0 / (p - 2.0), (p - 6.0) / (2.0 * (p - 2.0))
+    assert algebra.I_of_t(Params(p, 3.0), math.inf).value == pytest.approx(
+        float(mp.beta(a, b)) / 2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.5, 5.999, 6.0, 8.0, 12.0])
+@pytest.mark.parametrize("t", [1.0 + 1e-6, 1.3, 2.0, 2.5, 40.0, 3e4])
+def test_closed_form_matches_quadrature_oracle(p, t):
+    params = Params(p, 3.0)
+    quad = algebra.I_of_t_quadrature(params, t)
+    assert algebra.I_of_t(params, t).value == pytest.approx(
+        quad.value, rel=1e-10, abs=quad.abs_error_estimate)
+
+
+def test_array_evaluation_matches_scalar_calls():
+    params = Params(2.7, 3.4)
+    d = [1e-200, 1e-5, 0.5, 1.0, 1.0000001, 3.0, 1e10, 1e150]
+    for fn in (algebra.log_I, algebra.h_value, algebra.log_mass, algebra.mass_deficit):
+        arr = fn(params, np.array(d))
+        assert list(arr) == [fn(params, x) for x in d]
+
+
+def test_mass_curve_is_one_array_evaluation_of_the_mass_map():
+    params = Params(4.0, 3.5)
+    curve = massmap.mass_curve(params, n=64, y_lo=-20.0, y_hi=20.0)
+    for y, (t, mu, err, sign) in zip(np.linspace(-20.0, 20.0, 64), curve.samples):
+        d = math.exp(y)
+        assert t == 1.0 + d
+        assert mu == pytest.approx(massmap.mass_of_t(params, t, d).value, rel=1e-12)
+        assert err == pytest.approx(algebra.I_RTOL * mu)
+        assert sign == (-1 if y < 0.0 else 1)   # the minimum of (4, 3.5) is at t = 2

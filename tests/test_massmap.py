@@ -217,3 +217,19 @@ def test_mass_curve_limits_annotation():
     assert curve.limits[1] == pytest.approx(math.sqrt(2.0))
     curveB = massmap.mass_curve(P83, n=128)
     assert math.isinf(curveB.limits[1])
+
+
+def test_region_F_sweep_threshold_never_above_mu0():
+    # At large t the deficit (mu0 - mu)/mu0 is c1/t^2 + O(t^-m), m = (6-p)/(p-2).
+    # For p < 10/3 the first term leads, with
+    # c1 = (q-4)/(2q-p-2) + (p-2)/(10-3p); where c1 < 0 the mass map falls
+    # to mu0 from above and has no dip.  Elsewhere in F it dips below mu0.
+    rng = np.random.default_rng(2026)
+    for _ in range(400):
+        p = 2.0 + 4.0 * rng.random()
+        q = p / 2.0 + 1.0 + (3.0 - p / 2.0) * rng.random()
+        thr = massmap.mass_threshold(Params(p, q))
+        c1 = (q - 4.0) / (2.0 * q - p - 2.0) + (p - 2.0) / (10.0 - 3.0 * p)
+        assert math.isinf(thr.log_offset) == (p < 10.0 / 3.0 and c1 < 0.0), (p, q)
+        assert thr.mu_threshold == thr.mu0 * (1.0 - thr.depth) <= thr.mu0
+        assert thr.depth >= 0.0

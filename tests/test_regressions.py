@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deltanls import energy, massmap, stationary
+from deltanls import algebra, energy, massmap, stationary
 from deltanls.params import Params
 
 # (p, q, query, value, offsets t - 1 of the states): states near the ends of
@@ -46,8 +46,9 @@ def test_states_near_the_ends_of_double_range(p, q, query, value, offsets):
         assert stationary.matching_residual(pt) <= 1e-8 * pt.u0 ** (q - 2.0)
 
 
-# (p, q) in regions F and C; (2.3648, 3.0216) has its branch minimum at
-# t - 1 = e^62.5, and (6.0608, 4.0021) lies next to the corner (6, 4)
+# (p, q) in regions F and C; the mass map of (2.3648, 3.0216) has no dip
+# (it falls to mu0 all along), and (6.0608, 4.0021) lies next to the
+# corner (6, 4)
 @pytest.mark.parametrize("p,q", [(4.0, 3.5), (8.0, 4.5), (2.3648, 3.0216),
                                  (6.0608, 4.0021)])
 def test_lowest_energy_changes_sign_at_the_zero_level_mass(p, q):
@@ -74,3 +75,69 @@ def test_profile_far_out_on_the_branch():
     assert np.all(np.isfinite(u)) and u[2] < u[1] < u[0]
     mu = massmap.mass_of_t(pt.params, pt.t, pt.d).value
     assert massmap.profile_mass_quadrature(pt) == pytest.approx(mu, rel=1e-6)
+
+
+# States of region F and E near p = 2 that the quadrature-based mass map could
+# not reach: mu = C_pq f^e I overflowed in f^e although mu was finite, and
+# I(t) raised IntegrationWarning (an error under this suite's warning
+# filters).  Offsets t - 1 from a 120-digit mpmath root of ln mu(t) = ln mass
+# (I(t) by mpmath's incomplete beta function).
+MASS_MAP_RANGE_CASES = [
+    (2.524, 3.918, 60.0, 3.4568687383783797e-60),
+    (2.524, 3.918, 100.0, 3.7858010094626196e-69),
+    (2.0509, 4.4034, 0.3, 3.7723444346597683e-10),
+    (2.0851, 3.931, 40.0, 1.1683367067413835e-71),
+]
+
+
+@pytest.mark.parametrize("p,q,mass,offset", MASS_MAP_RANGE_CASES)
+def test_mass_map_near_p_two_stays_in_range(p, q, mass, offset):
+    sols = massmap.normalized_solutions(Params(p, q), mass)  # gated to 1e-6
+    assert [s.point.d for s in sols] == pytest.approx([offset], rel=1e-12, abs=0.0)
+    assert math.isfinite(sols[0].energy)
+
+
+@pytest.mark.parametrize("p,q", [(2.933, 2.97), (2.495, 2.446), (2.4111, 2.6176),
+                                 (2.2533, 2.1539), (2.3110, 2.1885), (2.4260, 2.6092)])
+def test_threshold_without_a_dip_is_mu0(p, q):
+    # these pairs of region F have no dip: the mass map falls to mu0 from
+    # above all along (a rounding-level "minimum" used to be reported, above
+    # mu0 or as an overflow of the h walk)
+    thr = massmap.mass_threshold(Params(p, q))
+    assert thr.mu_threshold == thr.mu0
+    assert thr.depth == 0.0 and math.isinf(thr.log_offset)
+    assert thr.provenance == "limit; no dip below mu0"
+
+
+@pytest.mark.parametrize("y,deficit", [(15.0, -1.4959756770664117e-13),
+                                       (31.0, -1.8945295222597709e-27),
+                                       (60.0, -1.2258051082592423e-52),
+                                       (120.0, -9.3990421771025663e-105),
+                                       (300.0, -4.2371136525157688e-261)])
+def test_deficit_far_below_double_resolution(y, deficit):
+    # (mu0 - mu)/mu0 at (2.4260, 2.6092), from 900-digit mpmath: negative at
+    # every offset, so mu stays above mu0, by far less than one ulp of mu0
+    got = algebra.mass_deficit(Params(2.4260, 2.6092), math.exp(y))
+    assert got == pytest.approx(deficit, rel=1e-10, abs=0.0)
+
+
+def test_dip_below_double_resolution_is_reported():
+    # q = 3 + 1e-6 lies just inside the band of F where the mass map dips
+    # below mu0; the depth 1e-18 (400-digit mpmath at the minimizer:
+    # 9.9999700042683221e-19) is below one ulp of mu0
+    thr = massmap.mass_threshold(Params(3.0, 3.000001))
+    assert thr.mu_threshold == thr.mu0
+    assert thr.depth == pytest.approx(9.9999700042683221e-19, rel=1e-9)
+    assert thr.log_offset == pytest.approx(13.8155, abs=1e-3)
+    assert thr.provenance == "limit; dip below double resolution"
+
+
+def test_zero_frequency_state_near_p_two():
+    # c_p ~ e^1650 is beyond double range here while the state is not; its
+    # offset and peak from the vertex condition in 50-digit mpmath
+    params = Params(2.007209414427276, 3.5888045792720167)
+    sols = massmap.normalized_solutions(params, algebra.constants(params).mu0)
+    assert [s.point.zero_frequency for s in sols] == [True]
+    assert sols[0].point.a == pytest.approx(277.47802253024197, rel=1e-12)
+    assert sols[0].point.u0 == pytest.approx(1.5467048265232274, rel=1e-12)
+    assert math.isfinite(sols[0].energy)
