@@ -41,6 +41,9 @@ from .params import Params
 QUAD_EPSABS = 0.0
 QUAD_EPSREL = 1e-10
 
+_LN2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class ScalarEval:
@@ -71,20 +74,29 @@ def resolve_d(t: float, d: float | None) -> float:
     return d
 
 
+def log_f(params: Params, y: float) -> float:
+    """ln f(1 + e^y) = ln(1 + d) - k ln(d (d + 2)), k = (q-2)/(p-2), for any real y."""
+    k = (params.q - 2.0) / (params.p - 2.0)
+    if y > 0.0:
+        e = math.exp(-y)
+        return (1.0 - 2.0 * k) * y + math.log1p(e) - k * math.log1p(2.0 * e)
+    d = math.exp(y)
+    return math.log1p(d) - k * (y + math.log(d + 2.0))
+
+
 def f_of_t(params: Params, t: float, d: float | None = None) -> float:
-    """f(t) = t / (t^2 - 1)^((q-2)/(p-2)), the profile side of the matching."""
-    d = resolve_d(t, d)
-    expo = (params.q - 2.0) / (params.p - 2.0)
-    return (1.0 + d) * (d * (d + 2.0)) ** (-expo)
+    """f(t) = t / (t^2 - 1)^((q-2)/(p-2)), the profile side of the matching
+    (e^log_f: inf or 0 where it is beyond the double range)."""
+    return exp_or_inf(log_f(params, math.log(resolve_d(t, d))))
 
 
 def f_prime(params: Params, t: float, d: float | None = None) -> float:
-    """df/dt; vanishes only at t* = sqrt((p-2)/(p+2-2q)) when q < p/2 + 1."""
+    """df/dt = f(t) ((1 - 2k) t^2 - 1) / (t (t^2 - 1)), k = (q-2)/(p-2); it
+    vanishes only at t* = sqrt((p-2)/(p+2-2q)) when q < p/2 + 1."""
     d = resolve_d(t, d)
-    p, q = params.p, params.q
     t = 1.0 + d
-    num = (p + 2.0 - 2.0 * q) / (p - 2.0) * t * t - 1.0
-    return num * (d * (d + 2.0)) ** (-(p + q - 4.0) / (p - 2.0))
+    num = (params.p + 2.0 - 2.0 * params.q) / (params.p - 2.0) * t * t - 1.0
+    return f_of_t(params, t, d) * num / (t * d * (d + 2.0))
 
 
 def t_star(params: Params) -> float:
@@ -95,50 +107,42 @@ def t_star(params: Params) -> float:
     return math.sqrt((p - 2.0) / (p + 2.0 - 2.0 * q))
 
 
-def diagonal_g_value(params: Params) -> float:
-    """On the diagonal q = p/2 + 1 the matching level is the constant sqrt(p)/(2 sqrt(2))."""
-    if not params.diagonal:
-        raise ValueError("constant matching level exists only on the diagonal q = p/2 + 1")
-    return math.sqrt(params.p) / (2.0 * math.sqrt(2.0))
+def log_g(params: Params, lam: float) -> float:
+    """ln g(lambda) = -ln 2 + (q-2)/(p-2) ln(p/2) + (2q-p-2)/(2(p-2)) ln lambda, off the diagonal."""
+    p, q = params.p, params.q
+    return (-_LN2 + (q - 2.0) / (p - 2.0) * math.log(0.5 * p)
+            + (2.0 * q - p - 2.0) / (2.0 * (p - 2.0)) * math.log(lam))
+
+
+def log_lambda(params: Params, log_level: float) -> float:
+    """ln lambda of the frequency whose matching level g(lambda) is e^log_level
+    (off the diagonal, where ln g is affine in ln lambda)."""
+    p, q = params.p, params.q
+    return (log_level - log_g(params, 1.0)) * 2.0 * (p - 2.0) / (2.0 * q - p - 2.0)
 
 
 def g_of_lambda(params: Params, lam: float) -> float:
     """g(lambda), the frequency side of the matching condition.
 
     Off the diagonal, g(lambda) = (1/2) (p/2)^((q-2)/(p-2))
-    lambda^((2q-p-2)/(2(p-2))); on the diagonal it degenerates to the
-    lambda-independent constant sqrt(p)/(2 sqrt(2)).
+    lambda^((2q-p-2)/(2(p-2))) = e^log_g; on the diagonal it degenerates to
+    the lambda-independent constant sqrt(p)/(2 sqrt(2)).
     """
     lam = float(lam)
     if not lam > 0.0:
         raise ValueError(f"need lambda > 0, got {lam}")
     if params.diagonal:
-        return diagonal_g_value(params)
-    p, q = params.p, params.q
-    return 0.5 * (p / 2.0) ** ((q - 2.0) / (p - 2.0)) \
-        * lam ** ((2.0 * q - p - 2.0) / (2.0 * (p - 2.0)))
+        return math.sqrt(params.p) / (2.0 * math.sqrt(2.0))
+    return exp_or_inf(log_g(params, lam))
 
 
 def g_inverse(params: Params, y: float) -> float:
-    """Unique lambda > 0 with g(lambda) = y (off-diagonal only)."""
+    """Unique lambda > 0 with g(lambda) = y (off-diagonal only; e^log_lambda)."""
     if params.diagonal:
         raise ValueError("g is constant on the diagonal and cannot be inverted")
     if not y > 0.0:
         raise ValueError(f"need a positive matching level, got {y}")
-    p, q = params.p, params.q
-    base = 2.0 * y * (2.0 / p) ** ((q - 2.0) / (p - 2.0))
-    return base ** (2.0 * (p - 2.0) / (2.0 * q - p - 2.0))
-
-
-def _arccosh_from_d(d: float) -> float:
-    # log1p form is accurate down to t - 1 ~ 1e-300
-    return math.log1p(d + math.sqrt(d * (d + 2.0)))
-
-
-def _sinh_pow_over_theta_pow(theta: float, m: float) -> float:
-    if theta == 0.0:
-        return 1.0
-    return (math.sinh(theta) / theta) ** m
+    return exp_or_inf(log_lambda(params, math.log(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +170,6 @@ def _sinh_pow_over_theta_pow(theta: float, m: float) -> float:
 #   every piece finite at eps = 0 ((t^u - 1)/u is computed as expm1).  For
 #   k >= 1 the leading power t^m sits in T alone; h and the mass deficit
 #   below cancel it analytically instead of numerically.
-
-_LN2 = math.log(2.0)
-_LOG_MAX = math.log(sys.float_info.max)
 
 #: Relative error budget of the closed forms of I, h and mu: the tests hold
 #: them to 1e-14 against 40-digit mpmath (times 1 + |ln(t - 1)| for h, the
@@ -367,7 +368,8 @@ def I_of_t_quadrature(params: Params, t: float, d: float | None = None) -> Scala
             raise ValueError("I(inf) diverges for p <= 6")
         theta_hi = math.inf
     else:
-        theta_hi = _arccosh_from_d(resolve_d(t, d))
+        d = resolve_d(t, d)
+        theta_hi = math.log1p(d + math.sqrt(d * (d + 2.0)))   # arccosh t, exact near t = 1
 
     m = (6.0 - p) / (p - 2.0)
     total = 0.0
@@ -380,7 +382,7 @@ def I_of_t_quadrature(params: Params, t: float, d: float | None = None) -> Scala
 
     def smooth_part(v: float) -> float:
         theta = ((m + 1.0) * v) ** inv
-        return _sinh_pow_over_theta_pow(theta, m)
+        return 1.0 if theta == 0.0 else (math.sinh(theta) / theta) ** m
 
     val, e = quad(smooth_part, 0.0, v1, epsabs=QUAD_EPSABS, epsrel=QUAD_EPSREL,
                   limit=200)
@@ -466,31 +468,50 @@ def h_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
 # t > 2 the relative deficit D = (mu0 - mu)/mu0 of p < 6 is formed from
 # the expansion of I: its leading term is exactly mu0 and is cancelled
 # analytically, so D keeps its relative accuracy down to 1e-300.
+#
+# Each power of (p, q) with an exponent over 2q - p - 2 is formed once, in
+# logs: near the diagonal a direct power leaves the double range first.
 
 
-class _MassExponents(NamedTuple):
-    e: float        # (6-p)/(2q-p-2)
+class MassExponents(NamedTuple):
+    """Exponents of the mass map, from which its powers of (p, q) are formed."""
+
+    e: float        # (6-p)/(2q-p-2), the power of f in mu
     ke: float       # e (q-2)/(p-2)
-    t1_rate: float  # (q-4)/(2q-p-2)
+    t1_rate: float  # (q-4)/(2q-p-2): mu ~ t1_prefactor (t - 1)^t1_rate as t -> 1
+    log2_c: float   # log2(C_pq (p-2)) = (3(q-p+2) + (q-4) log2 p)/(2q-p-2)
+    log2_t1: float  # log2 t1_prefactor = (6-p + (q-4) log2 p)/(2q-p-2)
 
 
 @lru_cache(maxsize=256)
-def _mass_exponents(params: Params) -> _MassExponents:
+def mass_exponents(params: Params) -> MassExponents:
     if params.diagonal:
-        raise ValueError("mass-versus-t map is defined off the diagonal only")
+        raise ValueError("C_pq and the mass map are undefined on the diagonal q = p/2 + 1")
     p, q = params.p, params.q
     denom = 2.0 * q - p - 2.0
     e = (6.0 - p) / denom
-    return _MassExponents(e, e * (q - 2.0) / (p - 2.0), (q - 4.0) / denom)
+    log2_p = (q - 4.0) * math.log2(p)
+    return MassExponents(e, e * (q - 2.0) / (p - 2.0), (q - 4.0) / denom,
+                         (3.0 * (q - p + 2.0) + log2_p) / denom, (6.0 - p + log2_p) / denom)
 
 
-def _log_shape_near(tl: _Tail, ex: _MassExponents, d, xp):
+def log2_c_pq(params: Params) -> float:
+    """log2 C_pq, the one formula of the mass-map prefactor (off the diagonal)."""
+    return mass_exponents(params).log2_c - math.log2(params.p - 2.0)
+
+
+def log_mu0(params: Params) -> float:
+    """ln mu0 = ln(C_pq (p-2)) - ln(6-p), for p < 6 off the diagonal."""
+    return _LN2 * mass_exponents(params).log2_c - math.log(6.0 - params.p)
+
+
+def _log_shape_near(tl: _Tail, ex: MassExponents, d, xp):
     """ln(mu / C_pq) at t = 1 + d <= 2."""
     return (-_LN2 - math.log(tl.a) + ex.t1_rate * (xp.log(d) + xp.log(d + 2.0))
             + (ex.e - 1.0) * xp.log1p(d) + xp.log(_euler_2f1(tl.a, d)))
 
 
-def _deficit_far(tl: _Tail, ex: _MassExponents, d, xp):
+def _deficit_far(tl: _Tail, ex: MassExponents, d, xp):
     """(mu0 - mu)/mu0 at t = 1 + d > 2, p < 6."""
     t, lt, z, s1 = _far(tl, d, xp)
     l1z = xp.log1p(-z)
@@ -505,7 +526,7 @@ def _deficit_far(tl: _Tail, ex: _MassExponents, d, xp):
     return -xp.expm1(ex.t1_rate * l1z + xp.log1p(v))
 
 
-def _log_mass_far(tl: _Tail, ex: _MassExponents, d, xp):
+def _log_mass_far(tl: _Tail, ex: MassExponents, d, xp):
     """ln(mu / C_pq) at t = 1 + d > 2 from the logs of the factors of mu."""
     return (-tl.m * xp.log1p(d) - ex.ke * xp.log1p(-(1.0 + d) ** -2.0)
             + _log_I_far(tl, d, xp))
@@ -518,7 +539,7 @@ def log_mass_ratio(params: Params, d):
     keeps the digits of D down to 1e-300; elsewhere the logs of the
     factors of mu are added.
     """
-    tl, ex = _tail(params.p), _mass_exponents(params)
+    tl, ex = _tail(params.p), mass_exponents(params)
     if not params.p < 6.0:
         raise ValueError("the zero-frequency mass mu0 is finite for p < 6 only")
     log_m = math.log(tl.m)
@@ -539,12 +560,12 @@ def log_mass_ratio(params: Params, d):
 
 def log_mass(params: Params, d):
     """ln mu(1 + d) for d = t - 1 > 0, a float or an array, off the diagonal."""
-    tl, ex = _tail(params.p), _mass_exponents(params)
-    log_c = math.log(constants(params).c_pq)
     if params.p < 6.0:
-        return log_c - math.log(tl.m) + log_mass_ratio(params, d)
-    return log_c + _branches(lambda d, xp: _log_shape_near(tl, ex, d, xp),
-                                lambda d, xp: _log_mass_far(tl, ex, d, xp), d)
+        return log_mu0(params) + log_mass_ratio(params, d)
+    tl, ex = _tail(params.p), mass_exponents(params)
+    return _LN2 * log2_c_pq(params) + _branches(
+        lambda d, xp: _log_shape_near(tl, ex, d, xp),
+        lambda d, xp: _log_mass_far(tl, ex, d, xp), d)
 
 
 def mass_deficit(params: Params, d):
@@ -555,7 +576,7 @@ def mass_deficit(params: Params, d):
     """
     if not params.p < 6.0:
         raise ValueError("the zero-frequency mass mu0 is finite for p < 6 only")
-    tl, ex = _tail(params.p), _mass_exponents(params)
+    tl, ex = _tail(params.p), mass_exponents(params)
     log_m = math.log(tl.m)
 
     def near(d, xp):
@@ -568,8 +589,14 @@ def mass_deficit(params: Params, d):
 
 
 def exp_or_inf(x: float) -> float:
-    """e^x, or inf where it is beyond the double range."""
+    """e^x, or inf where it is beyond the double range (0 below it)."""
     return math.exp(x) if x < _LOG_MAX else math.inf
+
+
+def exp2_or_inf(x: float) -> float:
+    """2^x, or inf where it is beyond the double range (0 below it); one
+    rounding, so C_pq = mu0 = sqrt(2) at (4, 2.5) stays exact."""
+    return 2.0 ** x if x < 1024.0 else math.inf
 
 
 def log_c_p(params: Params) -> float:
@@ -593,20 +620,12 @@ class Constants(NamedTuple):
 def constants(params: Params) -> Constants:
     """(C_pq, c_p, mu0): mass-map prefactor, zero-frequency amplitude, zero-frequency mass.
 
-    mu0 is the mass of the lambda = 0 state, finite only for p in (2, 6);
-    it satisfies mu0 = C_pq (p-2)/(6-p).  Both C_pq and mu0 involve the
-    exponent 1/(2q-p-2) and are undefined on the diagonal.  Where one of
-    the two powers of C_pq would leave the double range on its own, C_pq is
-    formed in logs.
+    C_pq = 2^(3(q-p+2)/(2q-p-2)) p^((q-4)/(2q-p-2)) / (p-2), and mu0 =
+    C_pq (p-2)/(6-p) is the mass of the lambda = 0 state, finite only for p
+    in (2, 6).  Both are undefined on the diagonal and are formed from the
+    one log2 C_pq: inf or 0 where they are beyond the double range.
     """
-    if params.diagonal:
-        raise ValueError("C_pq and mu0 are undefined on the diagonal q = p/2 + 1")
-    p, q = params.p, params.q
-    denom = 2.0 * q - p - 2.0
-    log_2, log_p = 3.0 * (q - p + 2.0) / denom * _LN2, (q - 4.0) / denom * math.log(p)
-    if max(abs(log_2), abs(log_p)) < 700.0:
-        c_pq = 2.0 ** (3.0 * (q - p + 2.0) / denom) * p ** ((q - 4.0) / denom) / (p - 2.0)
-    else:
-        c_pq = exp_or_inf(log_2 + log_p - math.log(p - 2.0))
-    mu0 = c_pq * (p - 2.0) / (6.0 - p) if p < 6.0 else None
-    return Constants(c_pq, c_p(params), mu0)
+    log2_c = log2_c_pq(params)
+    p = params.p
+    mu0 = exp2_or_inf(log2_c + math.log2((p - 2.0) / (6.0 - p))) if p < 6.0 else None
+    return Constants(exp2_or_inf(log2_c), c_p(params), mu0)

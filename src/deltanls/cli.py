@@ -17,8 +17,7 @@ import numpy as np
 
 from . import algebra, energy, massmap, stationary, verification
 from .config import RunConfig, default_output_dir, load_config_file
-from .params import (InvalidExponents, Params, Region, classify,
-                     expected_solution_regime)
+from .params import Params, Region, classify, expected_solution_regime
 from .stationary import BranchPoint
 
 
@@ -357,10 +356,7 @@ def main(argv=None) -> int:
     try:
         config = RunConfig(**overrides)
         return args.fn(args, config)
-    except InvalidExponents as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # InvalidExponents is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RuntimeError as exc:

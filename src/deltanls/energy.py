@@ -51,21 +51,29 @@ def branch_energy(point: BranchPoint) -> EnergyBreakdown:
     no intermediate leaves double range where the pieces do not.  The
     lambda = 0 state integrates termwise to algebraic expressions in its
     peak u0 and offset a (its kinetic and bulk pieces coincide).
+
+    Raises RuntimeError (out of range) where a piece or the sum is beyond
+    the double range.
     """
     p, q = point.params.p, point.params.q
-    if point.zero_frequency:
-        u0, a = point.u0, point.a
-        kinetic = 4.0 * u0 * u0 / (a * (p - 2.0) * (p + 2.0))
-        bulk = 2.0 * u0 ** p * a * (p - 2.0) / (p * (p + 2.0))
+    u0 = point.u0
+    try:
         pt = u0 ** q / q
-        return EnergyBreakdown(kinetic, bulk, pt, kinetic + bulk - pt)
-    t, u0 = point.t, point.u0
-    c = 2.0 * math.sqrt(point.lam) * u0 * u0 / (p + 2.0)
-    j, bulk_factor = algebra.energy_j(point.params, point.d)
-    kinetic = c * (t + j)
-    bulk = c * bulk_factor
-    pt = u0 ** q / q
-    return EnergyBreakdown(kinetic, bulk, pt, kinetic + bulk - pt)
+        if point.zero_frequency:
+            kinetic = 4.0 * u0 * u0 / (point.a * (p - 2.0) * (p + 2.0))
+            bulk = 2.0 * u0 ** p * point.a * (p - 2.0) / (p * (p + 2.0))
+        else:
+            c = 2.0 * math.sqrt(point.lam) * u0 * u0 / (p + 2.0)
+            j, bulk_factor = algebra.energy_j(point.params, point.d)
+            kinetic, bulk = c * (point.t + j), c * bulk_factor
+    except OverflowError:
+        kinetic = bulk = pt = math.inf
+    total = kinetic + bulk - pt
+    if not math.isfinite(total):   # so is every piece
+        raise RuntimeError(
+            "state outside double range: its energy is beyond the largest double "
+            f"(t = {point.t:.6g}, lambda = {point.lam:.6g}, u0 = {u0:.6g})")
+    return EnergyBreakdown(kinetic, bulk, pt, total)
 
 
 def multiplier_identity_residual(point: BranchPoint, mass: float) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import algebra, stationary
-from .params import (ExistenceRule, MassInterval, Params, Region, ThresholdKind, classify,
+from .params import (ExistenceRule, Params, Region, ThresholdKind, classify,
                      expected_solution_regime)
 from .algebra import ScalarEval
 from .stationary import BranchPoint
@@ -41,10 +41,8 @@ def mass_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
 
     Pass d = t - 1 for coordinates too close to 1 for t to represent.  The
     value comes from ln mu (``algebra.log_mass``), so no intermediate power
-    leaves the double range; a mass beyond it is inf.
+    leaves the double range; a mass beyond it is inf.  Off the diagonal only.
     """
-    if params.diagonal:
-        raise ValueError("mass-versus-t map is defined off the diagonal only")
     if d is None and math.isinf(t):
         if params.p >= 6.0:
             raise ValueError("branch mass diverges as t -> inf for p >= 6")
@@ -79,9 +77,7 @@ def state_mass(point: BranchPoint) -> float:
     params = point.params
     if params.diagonal:
         return mass_of_lambda_diagonal(params, point.lam).value
-    if point.zero_frequency:
-        return algebra.constants(params).mu0
-    return mass_of_t(params, point.t, point.d).value
+    return mass_of_t(params, point.t, None if point.zero_frequency else point.d).value
 
 
 @dataclass(frozen=True)
@@ -102,25 +98,15 @@ class MassAsymptotics:
 
 
 def asymptotics(params: Params) -> MassAsymptotics:
-    if params.diagonal:
-        raise ValueError("asymptotics of mu(t) are defined off the diagonal only")
-    p, q = params.p, params.q
-    denom = 2.0 * q - p - 2.0
-    t1_rate = (q - 4.0) / denom
-    t1_pref = p ** ((q - 4.0) / denom) * 2.0 ** ((6.0 - p) / denom)
-    if t1_rate > 0.0:
-        t1_limit = 0.0
-    elif t1_rate == 0.0:
-        t1_limit = t1_pref
-    else:
-        t1_limit = math.inf
-    if p < 6.0:
-        return MassAsymptotics(t1_limit, algebra.constants(params).mu0,
-                               t1_rate, 0.0, t1_pref, "plateau")
-    if p == 6.0:
-        return MassAsymptotics(t1_limit, math.inf, t1_rate, None, t1_pref, "log")
-    return MassAsymptotics(t1_limit, math.inf, t1_rate,
-                           (p - 6.0) / (p - 2.0), t1_pref, "power")
+    """Limits and rates of mu(t) at both ends (off the diagonal)."""
+    ex, p = algebra.mass_exponents(params), params.p
+    t1_pref = algebra.exp2_or_inf(ex.log2_t1)
+    t1_limit = 0.0 if ex.t1_rate > 0.0 else t1_pref if ex.t1_rate == 0.0 else math.inf
+    tinf_limit, tinf_rate, kind = (
+        (algebra.constants(params).mu0, 0.0, "plateau") if p < 6.0
+        else (math.inf, None, "log") if p == 6.0
+        else (math.inf, (p - 6.0) / (p - 2.0), "power"))
+    return MassAsymptotics(t1_limit, tinf_limit, ex.t1_rate, tinf_rate, t1_pref, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +264,7 @@ def _mass_gap(params: Params, mu: float):
     is located by its deficit rather than by the last digits of mu.
     """
     if params.p < 6.0:
-        target = math.log(mu / algebra.constants(params).mu0)
+        target = math.log(mu) - algebra.log_mu0(params)
         return lambda y: algebra.log_mass_ratio(params, math.exp(y)) - target
     target = math.log(mu)
     return lambda y: algebra.log_mass(params, math.exp(y)) - target
@@ -292,6 +278,11 @@ def _crossing(params: Params, mu: float, y0: float, slope: float) -> float:
     return stationary.root_from(gap, y0, g0, -slope if g0 > 0.0 else slope)
 
 
+def _matches(mu: float, ref: float, rtol: float) -> bool:
+    """mu within rtol of ref; a ref beyond the double range (inf) matches none."""
+    return math.isfinite(ref) and abs(mu - ref) <= rtol * ref
+
+
 def _branch_offsets_at_mass(params: Params, mu: float) -> tuple[list[float], bool]:
     """(log-offsets y = ln(t - 1) with mu(t) = mu, include zero-frequency point?)
 
@@ -302,7 +293,7 @@ def _branch_offsets_at_mass(params: Params, mu: float) -> tuple[list[float], boo
     """
     asym = asymptotics(params)
     mu_inf = asym.tinf_limit   # mu0 for p < 6, else +inf
-    with_zero = params.p < 6.0 and abs(mu - mu_inf) <= MU0_MATCH_RTOL * mu_inf
+    with_zero = params.p < 6.0 and _matches(mu, mu_inf, MU0_MATCH_RTOL)
     rising_reaches = not with_zero and mu < mu_inf
 
     if classify(params) not in (Region.C, Region.F):
@@ -314,7 +305,7 @@ def _branch_offsets_at_mass(params: Params, mu: float) -> tuple[list[float], boo
     if math.isinf(y_min):
         # h < 0 all along: mu falls from +inf towards mu0, which it never reaches
         return ([_crossing(params, mu, 0.0, -1.0)] if mu > mu_inf else []), with_zero
-    if abs(mu - mu_min) <= 1e-12 * mu_min:
+    if _matches(mu, mu_min, 1e-12):
         return [y_min], False
     if mu < mu_min:
         return [], False
@@ -361,12 +352,13 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Mass threshold of the existence rule, with endpoint-inclusion flags.
+    """Mass threshold of the existence rule.
 
     The threshold is the one `rule.threshold` names: mu0, the constant 2, or
     the branch minimum of regions C and F, taken as the mass at the single
     root of h (one Brent solve).  `deltanls verify` checks that minimum
-    against a direct bounded minimization of the mass map.
+    against a direct bounded minimization of the mass map.  Whether it is
+    attained, and whether masses must also exceed 2, is `rule.interval`.
 
     In F the threshold never exceeds mu0: `depth` is the relative depth
     (mu0 - mu_threshold)/mu0 of the dip, which may lie far below one ulp of
@@ -378,9 +370,6 @@ class ThresholdReport:
     rule: ExistenceRule
     mu0: float | None
     mu_threshold: float | None
-    threshold_attained: bool | None
-    lower_cutoff: float | None          # 2.0 where the rule needs mu > 2, else None
-    lower_cutoff_included: bool | None
     minimizer_t: float | None
     log_offset: float | None
     depth: float | None
@@ -389,19 +378,17 @@ class ThresholdReport:
 
 def mass_threshold(params: Params) -> ThresholdReport:
     """Mass threshold named by the existence rule of params (off-diagonal)."""
-    if params.diagonal:
-        raise ValueError("mass thresholds are defined off the diagonal only")
     rule = expected_solution_regime(params)
     mu0 = algebra.constants(params).mu0
-    mu_threshold = attained = minimizer_t = log_offset = depth = provenance = None
+    mu_threshold = minimizer_t = log_offset = depth = provenance = None
     if rule.threshold is ThresholdKind.ZERO_FREQUENCY_MASS:
-        mu_threshold, attained, minimizer_t, log_offset = mu0, True, math.inf, math.inf
+        mu_threshold, minimizer_t, log_offset = mu0, math.inf, math.inf
         provenance = "closed-form"
     elif rule.threshold is ThresholdKind.MASS_TWO:
-        mu_threshold, attained, provenance = 2.0, False, "limit-constant"
+        mu_threshold, provenance = 2.0, "limit-constant"
     elif rule.threshold is ThresholdKind.BRANCH_MINIMUM:
         log_offset, mu_threshold, depth = _branch_minimum(params)
-        attained, minimizer_t = True, 1.0 + math.exp(log_offset)
+        minimizer_t = 1.0 + math.exp(log_offset)
         provenance = "minimized"
         if depth is not None and mu_threshold == mu0:
             # the zero-frequency state attains mu0 itself
@@ -409,7 +396,5 @@ def mass_threshold(params: Params) -> ThresholdReport:
                 params, math.exp(stationary.LOGD_RANGE[1])) > 0.0)
             provenance = ("limit; dip below double resolution" if dip
                           else "limit; no dip below mu0")
-    above_two = rule.interval in (MassInterval.TWO_TO_THRESHOLD, MassInterval.ABOVE_TWO)
-    return ThresholdReport(classify(params), rule, mu0, mu_threshold, attained,
-                           2.0 if above_two else None, False if above_two else None,
-                           minimizer_t, log_offset, depth, provenance)
+    return ThresholdReport(classify(params), rule, mu0, mu_threshold, minimizer_t,
+                           log_offset, depth, provenance)

@@ -25,6 +25,16 @@ from .params import Params
 
 _LN2 = math.log(2.0)
 
+#: ln of the smallest normal and of the largest double.
+_LOG_DOUBLE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+
+
+def _exp_in_range(x: float, name: str) -> float:
+    """e^x for a state quantity, refused (RuntimeError) unless a positive normal double."""
+    if not _LOG_DOUBLE[0] < x < _LOG_DOUBLE[1]:
+        raise RuntimeError(f"state outside double range: ln({name}) = {x:.6g}")
+    return math.exp(x)
+
 
 @dataclass(frozen=True)
 class BranchPoint:
@@ -85,8 +95,8 @@ def branch_point_from_t(params: Params, lam: float, t: float | None = None,
     # atanh(1/t) = ln(1 + 2/d) / 2, exact for large d and for d near 0
     a = math.log1p(2.0 / d) / ((p - 2.0) * sq)
     # logs keep u0 representable when d (d + 2) underflows
-    u0 = math.exp((math.log(0.5 * p * lam) + math.log(d) + math.log(d + 2.0))
-                  / (p - 2.0))
+    u0 = _exp_in_range((math.log(0.5 * p * lam) + math.log(d) + math.log(d + 2.0))
+                       / (p - 2.0), "u0")
     return BranchPoint(t=t, lam=lam, a=a, u0=u0, params=params, d=d)
 
 
@@ -102,23 +112,29 @@ def zero_frequency_point(params: Params) -> BranchPoint:
     log_cp = algebra.log_c_p(params)
     log_a = (math.log(0.25 * (p - 2.0)) + (q - 2.0) * log_cp) \
         * (p - 2.0) / (2.0 * q - p - 2.0)
-    a = math.exp(log_a)
-    u0 = math.exp(log_cp - 2.0 / (p - 2.0) * log_a)
+    a = _exp_in_range(log_a, "a")
+    u0 = _exp_in_range(log_cp - 2.0 / (p - 2.0) * log_a, "u0")
     return BranchPoint(t=math.inf, lam=0.0, a=a, u0=u0, params=params, d=math.inf)
 
 
 def lambda_bar(params: Params) -> float | None:
     """Fold frequency for q < p/2 + 1: the largest lambda carrying solutions.
 
-    Equal to g^(-1)(f(t*)) with t* the unique zero of f'.  Returns None for
+    Equal to g^(-1)(f(t*)) with t* the unique zero of f', formed in logs
+    (inf or 0 where it is beyond the double range).  Returns None for
     q > p/2 + 1 where one solution exists at every lambda > 0.
     """
     if params.diagonal:
         raise ValueError("use diagonal_exists on the diagonal q = p/2 + 1")
     if params.q > params.p / 2.0 + 1.0:
         return None
-    ts = algebra.t_star(params)
-    return algebra.g_inverse(params, algebra.f_of_t(params, ts))
+    return algebra.exp_or_inf(
+        algebra.log_lambda(params, algebra.log_f(params, _log_offset_star(params))))
+
+
+def _log_offset_star(params: Params) -> float:
+    """ln(t* - 1) of the minimum of f (q < p/2 + 1)."""
+    return math.log(algebra.t_star(params) - 1.0)
 
 
 def diagonal_exists(params: Params) -> tuple[bool, float | None]:
@@ -141,24 +157,7 @@ def diagonal_exists(params: Params) -> tuple[bool, float | None]:
 
 #: Range of y = ln(t - 1) in which a state is representable: t - 1 a normal
 #: double and t^2 - 1 finite.  States outside it are refused with RuntimeError.
-LOGD_RANGE = (math.log(sys.float_info.min), 0.5 * math.log(sys.float_info.max))
-
-
-def _log_f(params: Params, y: float) -> float:
-    """ln f(1 + e^y) = ln(1 + d) - k ln(d (d + 2)), overflow-free for any y."""
-    k = (params.q - 2.0) / (params.p - 2.0)
-    if y > 0.0:
-        e = math.exp(-y)
-        return (1.0 - 2.0 * k) * y + math.log1p(e) - k * math.log1p(2.0 * e)
-    d = math.exp(y)
-    return math.log1p(d) - k * (y + math.log(d + 2.0))
-
-
-def _log_g(params: Params, lam: float) -> float:
-    """ln g(lambda) off the diagonal."""
-    p, q = params.p, params.q
-    return (-_LN2 + (q - 2.0) / (p - 2.0) * math.log(0.5 * p)
-            + (2.0 * q - p - 2.0) / (2.0 * (p - 2.0)) * math.log(lam))
+LOGD_RANGE = (_LOG_DOUBLE[0], 0.5 * _LOG_DOUBLE[1])
 
 
 def root_from(fn, y0: float, f0: float, direction: float) -> float:
@@ -189,12 +188,12 @@ def _matching_roots(params: Params, lam: float) -> list[float]:
     (two roots below the fold, one at it, none past it); for q > p/2 + 1
     it decreases from inf to 0 (one root at every frequency).
     """
-    log_g = _log_g(params, lam)
-    F = lambda y: _log_f(params, y) - log_g
+    log_g = algebra.log_g(params, lam)
+    F = lambda y: algebra.log_f(params, y) - log_g
     if params.q > params.p / 2.0 + 1.0:
         f0 = F(0.0)
         return [root_from(F, 0.0, f0, 1.0 if f0 > 0.0 else -1.0)]
-    y_star = math.log(algebra.t_star(params) - 1.0)
+    y_star = _log_offset_star(params)
     gap = F(y_star)
     if abs(gap) <= 1e-12:
         return [y_star]  # at the fold within double precision
@@ -209,13 +208,8 @@ def state_at_logd(params: Params, y: float) -> BranchPoint:
     Off the diagonal only.  Raises RuntimeError when lambda is not a
     positive finite double.
     """
-    p, q = params.p, params.q
-    # ln g(lambda) = ln g(1) + (2q-p-2)/(2(p-2)) ln lambda
-    log_lam = (_log_f(params, y) - _log_g(params, 1.0)) \
-        * 2.0 * (p - 2.0) / (2.0 * q - p - 2.0)
-    if not math.log(sys.float_info.min) < log_lam < math.log(sys.float_info.max):
-        raise RuntimeError(f"state outside double range: ln(lambda) = {log_lam:.6g}")
-    return branch_point_from_t(params, math.exp(log_lam), d=math.exp(y))
+    lam = _exp_in_range(algebra.log_lambda(params, algebra.log_f(params, y)), "lambda")
+    return branch_point_from_t(params, lam, d=math.exp(y))
 
 
 def solve_for_lambda(params: Params, lam: float) -> SolutionSet:

@@ -195,19 +195,13 @@ def _oracle_points() -> list[tuple[str, stationary.BranchPoint]]:
     add("A", Params(4.0, 2.5), 3.0 / 128.0)   # two states
     add("A", Params(4.0, 2.5), 0.01)          # two states
     add("B", Params(8.0, 3.0), 0.04)          # two states
-    add("C", Params(8.0, 4.5), 0.5 * _fold(Params(8.0, 4.5)))  # two states
+    add("C", Params(8.0, 4.5), 0.5 * stationary.lambda_bar(Params(8.0, 4.5)))  # two states
     add("F", Params(4.0, 3.5), 0.5)           # one state
     add("F", Params(4.0, 3.5), 2.0)           # one state
     add("H", Params(8.0, 4.0), 0.02)          # two states
     add("I", Params(16.0, 9.0), 0.5)          # one state
     add("I", Params(16.0, 9.0), 2.0)          # one state
     return picks
-
-
-def _fold(params: Params) -> float:
-    lb = stationary.lambda_bar(params)
-    assert lb is not None
-    return lb
 
 
 def check_oracle_equivalence() -> CheckResult:

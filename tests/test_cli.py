@@ -186,15 +186,12 @@ def test_verify_report_is_deterministic(tmp_path, capsys):
 
 
 def test_verify_detects_tampered_constant(capsys, monkeypatch):
-    # deliberate fault injection: perturb the mass-map prefactor and make
-    # sure the battery names the regression that catches it
-    real = algebra.constants
-
-    def tampered(params):
-        c = real(params)
-        return algebra.Constants(c.c_pq * (1.0 + 1e-6), c.c_p, c.mu0)
-
-    monkeypatch.setattr(algebra, "constants", tampered)
+    # deliberate fault injection: perturb the mass-map prefactor (its one
+    # log form, which mu(t) and mu0 both read) and make sure the battery
+    # names the regression that catches it
+    real = algebra.log2_c_pq
+    monkeypatch.setattr(algebra, "log2_c_pq",
+                        lambda params: real(params) + math.log2(1.0 + 1e-6))
     result = verification.check_exact_branch_regression()
     assert not result.passed
     assert "mu(2)" in result.detail

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from deltanls import algebra, massmap, stationary
-from deltanls.params import Params, Region
+from deltanls.params import MassInterval, Params, Region, expected_solution_regime
 
 P425 = Params(4.0, 2.5)
 P435 = Params(4.0, 3.5)
@@ -183,7 +183,8 @@ def test_normalized_solution_round_trip():
 def test_mass_threshold_by_region():
     ta = massmap.mass_threshold(P425)
     assert ta.mu_threshold == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert ta.threshold_attained is True
+    # mu0 itself is admissible: 0 < mu <= mu0
+    assert expected_solution_regime(P425).interval is MassInterval.UPTO_THRESHOLD
 
     tf = massmap.mass_threshold(P435)
     assert tf.mu_threshold == pytest.approx(16.0 * math.sqrt(6.0) / 9.0, abs=1e-8)
@@ -195,15 +196,15 @@ def test_mass_threshold_by_region():
 
     th = massmap.mass_threshold(P84)
     assert th.mu_threshold == 2.0
-    assert th.threshold_attained is False
-    assert th.lower_cutoff == 2.0
+    # 2 itself is not admissible: mu > 2
+    assert expected_solution_regime(P84).interval is MassInterval.ABOVE_TWO
 
     tb = massmap.mass_threshold(P83)
     assert tb.mu_threshold is None
 
     tg = massmap.mass_threshold(Params(5.0, 4.0))
     assert tg.region is Region.G
-    assert tg.lower_cutoff == 2.0 and tg.lower_cutoff_included is False
+    assert expected_solution_regime(Params(5.0, 4.0)).interval is MassInterval.TWO_TO_THRESHOLD
     assert tg.mu_threshold == pytest.approx(tg.mu0)
     assert tg.mu0 > 2.0
 

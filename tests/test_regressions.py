@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deltanls import algebra, energy, massmap, stationary
-from deltanls.params import Params
+from deltanls.params import MassInterval, Params
 
 # (p, q, query, value, offsets t - 1 of the states): states near the ends of
 # double range.  The offsets come from a separate log-space reference
@@ -141,3 +141,101 @@ def test_zero_frequency_state_near_p_two():
     assert sols[0].point.a == pytest.approx(277.47802253024197, rel=1e-12)
     assert sols[0].point.u0 == pytest.approx(1.5467048265232274, rel=1e-12)
     assert math.isfinite(sols[0].energy)
+
+
+# Next to the diagonal q = p/2 + 1 the exponents over 2q - p - 2 are large:
+# C_pq, mu0, the t -> 1 prefactor, lambda_bar and the thresholds can lie
+# beyond the double range while the call itself has a finite answer.
+
+
+def test_mass_beyond_double_range_matches_no_state():
+    # region F: the threshold (here mu0 = 2^(6.2e7)) is beyond the double
+    # range and reads inf; no finite mass reaches it, so there is no state
+    # (a mass used to be matched against mu0 = inf and refused)
+    params = Params(2.085361033440751, 2.0426805472233367)
+    assert math.isinf(massmap.mass_threshold(params).mu_threshold)
+    assert massmap.normalized_solutions(params, 0.3) == []
+    # the branch minimum, at ln mu = 2974, is beyond it too
+    params = Params(4.546140650772335, 3.2731394255368302)
+    assert math.isinf(massmap.mass_threshold(params).mu_threshold)
+    assert massmap.normalized_solutions(params, 0.3) == []
+
+
+def test_zero_frequency_state_beyond_double_range_is_refused():
+    # its offset a = e^-940626 is below the double range
+    params = Params(2.085361033440751, 2.0426805472233367)
+    with pytest.raises(RuntimeError, match="state outside double range: ln\\(a\\)"):
+        stationary.zero_frequency_point(params)
+    with pytest.raises(RuntimeError, match="state outside double range"):
+        energy.zero_level_mass(params)
+
+
+def test_energy_beyond_double_range_is_refused():
+    # region F next to the diagonal: the threshold is 8.99e89, and the state
+    # at 1.5 times it has u0 = 2.2e119, so u0^q overflows
+    params = Params(4.4987, 3.2504)
+    mu = 1.5 * massmap.mass_threshold(params).mu_threshold
+    with pytest.raises(RuntimeError, match="state outside double range: its energy"):
+        massmap.normalized_solutions(params, mu)
+    with pytest.raises(RuntimeError, match="state outside double range: its energy"):
+        energy.zero_level_mass(params)
+
+
+def _near_diagonal_pairs(n: int, seed: int) -> list[Params]:
+    """p ~ U(2.05, 16), q = p/2 + 1 +- 10^U(-8, -2)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(n):
+        p = float(rng.uniform(2.05, 16.0))
+        gap = 10.0 ** float(rng.uniform(-8.0, -2.0))
+        pairs.append(Params(p, p / 2.0 + 1.0 + (gap if rng.random() < 0.5 else -gap)))
+    return pairs
+
+
+def _answer_or_refusal(fn, *args):
+    """fn(*args), or None where it refuses a state outside double range;
+    any other exception fails the test."""
+    try:
+        return fn(*args)
+    except RuntimeError as exc:
+        assert str(exc).startswith("state outside double range"), exc
+        return None
+
+
+def _expected_count(thr: massmap.ThresholdReport, mu: float) -> int | None:
+    """State count at mass mu from the existence rule and its threshold
+    (None within 1e-6 of a threshold, where rounding decides)."""
+    interval = thr.rule.interval
+    if interval is MassInterval.ALL:
+        return 1
+    ends = [m for m in (thr.mu_threshold, thr.mu0) if m is not None]
+    if any(abs(mu - m) <= 1e-6 * m for m in ends if math.isfinite(m)):
+        return None
+    if interval is MassInterval.UPTO_THRESHOLD:
+        return int(mu < thr.mu_threshold)
+    assert interval is MassInterval.FROM_THRESHOLD
+    if mu < thr.mu_threshold:
+        return 0
+    # C: both pieces rise to inf; F: the rising piece stops at mu0
+    return 2 if thr.mu0 is None or mu < thr.mu0 else 1
+
+
+def test_near_diagonal_sweep_ends_in_answers_or_refusals():
+    for params in _near_diagonal_pairs(100, 2026):
+        below = params.q < params.p / 2.0 + 1.0
+        lb = _answer_or_refusal(stationary.lambda_bar, params)
+        assert (lb is None) != below
+        thr = _answer_or_refusal(massmap.mass_threshold, params)
+        tilde = _answer_or_refusal(energy.zero_level_mass, params)
+        if thr is not None and tilde is not None:
+            assert tilde >= thr.mu_threshold * (1.0 - 1e-12)
+        for mu in (0.3, 2.5, 40.0):
+            sols = _answer_or_refusal(massmap.normalized_solutions, params, mu)
+            want = _expected_count(thr, mu) if thr is not None else None
+            if sols is not None and want is not None:
+                assert len(sols) == want, (params, mu)
+        for lam in (1e-3, 1.0):
+            states = _answer_or_refusal(stationary.solve_for_lambda, params, lam)
+            if states is None or (lb is not None and abs(lam - lb) <= 1e-6 * lam):
+                continue
+            assert states.count == (1 if not below else 2 if lam < lb else 0), (params, lam)
