@@ -42,7 +42,9 @@ QUAD_EPSABS = 0.0
 QUAD_EPSREL = 1e-10
 
 _LN2 = math.log(2.0)
-_LOG_MAX = math.log(sys.float_info.max)
+#: ln of the smallest normal and of the largest double.
+LOG_DOUBLE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
+_LOG_MAX = LOG_DOUBLE[1]
 
 
 @dataclass(frozen=True)
@@ -479,7 +481,7 @@ class MassExponents(NamedTuple):
     e: float        # (6-p)/(2q-p-2), the power of f in mu
     ke: float       # e (q-2)/(p-2)
     t1_rate: float  # (q-4)/(2q-p-2): mu ~ t1_prefactor (t - 1)^t1_rate as t -> 1
-    log2_c: float   # log2(C_pq (p-2)) = (3(q-p+2) + (q-4) log2 p)/(2q-p-2)
+    log2_c: float   # log2 C_pq = (3(q-p+2) + (q-4) log2 p)/(2q-p-2) - log2(p-2)
     log2_t1: float  # log2 t1_prefactor = (6-p + (q-4) log2 p)/(2q-p-2)
 
 
@@ -492,17 +494,21 @@ def mass_exponents(params: Params) -> MassExponents:
     e = (6.0 - p) / denom
     log2_p = (q - 4.0) * math.log2(p)
     return MassExponents(e, e * (q - 2.0) / (p - 2.0), (q - 4.0) / denom,
-                         (3.0 * (q - p + 2.0) + log2_p) / denom, (6.0 - p + log2_p) / denom)
+                         (3.0 * (q - p + 2.0) + log2_p) / denom - math.log2(p - 2.0),
+                         (6.0 - p + log2_p) / denom)
 
 
 def log2_c_pq(params: Params) -> float:
     """log2 C_pq, the one formula of the mass-map prefactor (off the diagonal)."""
-    return mass_exponents(params).log2_c - math.log2(params.p - 2.0)
+    return mass_exponents(params).log2_c
 
 
-def log_mu0(params: Params) -> float:
-    """ln mu0 = ln(C_pq (p-2)) - ln(6-p), for p < 6 off the diagonal."""
-    return _LN2 * mass_exponents(params).log2_c - math.log(6.0 - params.p)
+def log2_mu0(params: Params) -> float:
+    """log2 mu0 = log2 C_pq + log2((p-2)/(6-p)), for p < 6 off the diagonal."""
+    p = params.p
+    if not p < 6.0:
+        raise ValueError("the zero-frequency mass mu0 is finite for p < 6 only")
+    return log2_c_pq(params) + math.log2((p - 2.0) / (6.0 - p))
 
 
 def _log_shape_near(tl: _Tail, ex: MassExponents, d, xp):
@@ -561,7 +567,7 @@ def log_mass_ratio(params: Params, d):
 def log_mass(params: Params, d):
     """ln mu(1 + d) for d = t - 1 > 0, a float or an array, off the diagonal."""
     if params.p < 6.0:
-        return log_mu0(params) + log_mass_ratio(params, d)
+        return _LN2 * log2_mu0(params) + log_mass_ratio(params, d)
     tl, ex = _tail(params.p), mass_exponents(params)
     return _LN2 * log2_c_pq(params) + _branches(
         lambda d, xp: _log_shape_near(tl, ex, d, xp),
@@ -625,7 +631,5 @@ def constants(params: Params) -> Constants:
     in (2, 6).  Both are undefined on the diagonal and are formed from the
     one log2 C_pq: inf or 0 where they are beyond the double range.
     """
-    log2_c = log2_c_pq(params)
-    p = params.p
-    mu0 = exp2_or_inf(log2_c + math.log2((p - 2.0) / (6.0 - p))) if p < 6.0 else None
-    return Constants(exp2_or_inf(log2_c), c_p(params), mu0)
+    mu0 = exp2_or_inf(log2_mu0(params)) if params.p < 6.0 else None
+    return Constants(exp2_or_inf(log2_c_pq(params)), c_p(params), mu0)

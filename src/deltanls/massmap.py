@@ -264,7 +264,7 @@ def _mass_gap(params: Params, mu: float):
     is located by its deficit rather than by the last digits of mu.
     """
     if params.p < 6.0:
-        target = math.log(mu) - algebra.log_mu0(params)
+        target = math.log(mu) - math.log(2.0) * algebra.log2_mu0(params)
         return lambda y: algebra.log_mass_ratio(params, math.exp(y)) - target
     target = math.log(mu)
     return lambda y: algebra.log_mass(params, math.exp(y)) - target

@@ -14,7 +14,6 @@ t = math.inf; it is a genuine branch endpoint, not a large float.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,13 +24,10 @@ from .params import Params
 
 _LN2 = math.log(2.0)
 
-#: ln of the smallest normal and of the largest double.
-_LOG_DOUBLE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
-
 
 def _exp_in_range(x: float, name: str) -> float:
     """e^x for a state quantity, refused (RuntimeError) unless a positive normal double."""
-    if not _LOG_DOUBLE[0] < x < _LOG_DOUBLE[1]:
+    if not algebra.LOG_DOUBLE[0] < x < algebra.LOG_DOUBLE[1]:
         raise RuntimeError(f"state outside double range: ln({name}) = {x:.6g}")
     return math.exp(x)
 
@@ -157,7 +153,7 @@ def diagonal_exists(params: Params) -> tuple[bool, float | None]:
 
 #: Range of y = ln(t - 1) in which a state is representable: t - 1 a normal
 #: double and t^2 - 1 finite.  States outside it are refused with RuntimeError.
-LOGD_RANGE = (_LOG_DOUBLE[0], 0.5 * _LOG_DOUBLE[1])
+LOGD_RANGE = (algebra.LOG_DOUBLE[0], 0.5 * algebra.LOG_DOUBLE[1])
 
 
 def root_from(fn, y0: float, f0: float, direction: float) -> float:

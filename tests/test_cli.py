@@ -194,7 +194,9 @@ def test_verify_detects_tampered_constant(capsys, monkeypatch):
                         lambda params: real(params) + math.log2(1.0 + 1e-6))
     result = verification.check_exact_branch_regression()
     assert not result.passed
-    assert "mu(2)" in result.detail
+    failures = result.detail.split(" | FAILURES: ", 1)[1]
+    assert "mu(2) =" in failures
+    assert "mu0 =" in failures
 
 
 def test_gate_failure_is_one_line_with_exit_3(capsys, monkeypatch):
