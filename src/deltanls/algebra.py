@@ -245,14 +245,14 @@ def half_beta(params: Params) -> float:
     return tl.k_fin - tl.a_over_m / tl.eps
 
 
-def _horner(coef, z):
-    acc = 0.0 * z
+def _horner(coef, z: float) -> float:
+    acc = 0.0
     for c in reversed(coef):
         acc = acc * z + c
     return acc
 
 
-def _exprel(t, lt, c: float, xp):
+def _exprel(t: float, lt: float, c: float) -> float:
     """(t^c - 1)/(c ln t); c is a multiple of eps and vanishes only with it.
 
     expm1 where |c ln t| < 1, the power itself beyond (exp of a large
@@ -261,38 +261,22 @@ def _exprel(t, lt, c: float, xp):
     if c == 0.0:
         return 1.0
     u = c * lt
-    if xp is math:
-        return (math.expm1(u) if abs(u) < 1.0 else t ** c - 1.0) / u
-    return np.where(np.abs(u) < 1.0, np.expm1(u), t ** c - 1.0) / u
+    return (math.expm1(u) if abs(u) < 1.0 else t ** c - 1.0) / u
 
 
-def _branches(fn_near, fn_far, d):
-    """fn_near on offsets d <= 1 (t <= 2), fn_far beyond; d a float or an array."""
-    if np.ndim(d) == 0:
-        d = float(d)
-        return float(fn_near(d, math) if d <= 1.0 else fn_far(d, math))
-    d = np.asarray(d, dtype=float)
-    out = np.empty_like(d)
-    near = d <= 1.0
-    with np.errstate(over="ignore", under="ignore"):
-        out[near] = fn_near(d[near], np)
-        out[~near] = fn_far(d[~near], np)
-    return out
-
-
-def _euler_2f1(a: float, d):
+def _euler_2f1(a: float, d: float) -> float:
     """2F1(1, 1/2; a+1; x) at x = d (d+2) / (1+d)^2 <= 3/4."""
-    return hyp2f1(1.0, 0.5, a + 1.0, d * (d + 2.0) / ((1.0 + d) * (1.0 + d)))
+    return float(hyp2f1(1.0, 0.5, a + 1.0, d * (d + 2.0) / ((1.0 + d) * (1.0 + d))))
 
 
-def _log_I_near(tl: _Tail, d, xp):
-    lt = xp.log1p(d)
-    log_x = xp.log(d) + xp.log(d + 2.0) - 2.0 * lt
+def _log_I_near(tl: _Tail, d: float) -> float:
+    lt = math.log1p(d)
+    log_x = math.log(d) + math.log(d + 2.0) - 2.0 * lt
     return (-_LN2 + tl.a * log_x - 2.0 * tl.b * lt - math.log(tl.a)
-            + xp.log(_euler_2f1(tl.a, d)))
+            + math.log(_euler_2f1(tl.a, d)))
 
 
-def _far(tl: _Tail, d, xp):
+def _far(tl: _Tail, d: float) -> tuple[float, float, float, float]:
     """(t, ln t, z, psi(z)/z) at t = 1 + d > 2.
 
     Powers of t are taken as t ** c, not exp(c ln t): at t = e^300 the
@@ -300,26 +284,25 @@ def _far(tl: _Tail, d, xp):
     """
     t = 1.0 + d
     z = (1.0 / t) ** 2
-    return t, xp.log1p(d), z, _horner(tl.s_coef, z)
+    return t, math.log1p(d), z, _horner(tl.s_coef, z)
 
 
-def _log_I_far(tl: _Tail, d, xp):
-    t, lt, z, s1 = _far(tl, d, xp)
-    q = (-2.0 * lt * _exprel(t, lt, -2.0 * tl.eps, xp)
+def _log_I_far(tl: _Tail, d: float) -> float:
+    t, lt, z, s1 = _far(tl, d)
+    q = (-2.0 * lt * _exprel(t, lt, -2.0 * tl.eps)
          + t ** (-2.0 * tl.eps) * z * s1)
     rest = tl.k_fin + tl.a_over_m * q
     if tl.k == 0:
-        return xp.log(rest)
-    log_t = (tl.m * lt + tl.a * xp.log1p(-z) - math.log(tl.m)
-             + xp.log(_horner(tl.p_coef, z)))
-    return log_t + xp.log1p(rest * xp.exp(-log_t))
+        return math.log(rest)
+    log_t = (tl.m * lt + tl.a * math.log1p(-z) - math.log(tl.m)
+             + math.log(_horner(tl.p_coef, z)))
+    return log_t + math.log1p(rest * math.exp(-log_t))
 
 
-def log_I(params: Params, d):
-    """ln I(1 + d) for d = t - 1 > 0, a float or an array (see I_of_t)."""
+def log_I(params: Params, d: float) -> float:
+    """ln I(1 + d) for d = t - 1 > 0 (see I_of_t)."""
     tl = _tail(params.p)
-    return _branches(lambda d, xp: _log_I_near(tl, d, xp),
-                     lambda d, xp: _log_I_far(tl, d, xp), d)
+    return _log_I_near(tl, d) if d <= 1.0 else _log_I_far(tl, d)
 
 
 def energy_j(params: Params, d: float) -> tuple[float, float]:
@@ -334,9 +317,9 @@ def energy_j(params: Params, d: float) -> tuple[float, float]:
     t = 1.0 + d
     if d <= 1.0:
         x = d * (d + 2.0) / (t * t)
-        j = float(_euler_2f1(tl.a, d)) / (2.0 * tl.a * t)
+        j = _euler_2f1(tl.a, d) / (2.0 * tl.a * t)
         return j, x * (t * t - float(hyp2f1(1.0, 1.5, tl.a + 2.0, x)) / (2.0 * (tl.a + 1.0))) / t
-    j = math.exp(_log_I_far(tl, d, math) - tl.a * (math.log(d) + math.log(d + 2.0)))
+    j = math.exp(_log_I_far(tl, d) - tl.a * (math.log(d) + math.log(d + 2.0)))
     return j, t - 2.0 * tl.a * j
 
 
@@ -409,38 +392,37 @@ def _r(params: Params) -> float:
     return (params.p - 2.0) / (params.p + 2.0 - 2.0 * params.q)
 
 
-def _h_near(tl: _Tail, r: float, d, xp):
+def _h_near(tl: _Tail, r: float, d: float) -> float:
     # (t^2-1)^(-a) I = t^-1 2F1 / (2a) exactly, so nothing leaves double range
     t = 1.0 + d
     return t + tl.m * (r - t * t) * _euler_2f1(tl.a, d) / (2.0 * tl.a * t)
 
 
-def _h_far(tl: _Tail, r: float, d, xp):
-    t, lt, z, s1 = _far(tl, d, xp)
-    w = xp.exp(-tl.a * xp.log1p(-z))                   # (1-z)^(-a)
+def _h_far(tl: _Tail, r: float, d: float) -> float:
+    t, lt, z, s1 = _far(tl, d)
+    w = math.exp(-tl.a * math.log1p(-z))               # (1-z)^(-a)
     mk = tl.m * tl.k_fin
     t_pow = t ** (2.0 - 2.0 * tl.a)
     if tl.k == 0:
         # t + (r - t^2) t^-1 (1-z)^(-a) has its O(t) parts cancelled in E
-        e_z = xp.expm1(-tl.a * xp.log1p(-z)) / z
+        e_z = math.expm1(-tl.a * math.log1p(-z)) / z
         return ((r * w - e_z - (1.0 - r * z) * tl.eps * s1 * w) / t
                 - (1.0 - r * z) * (mk - 1.0) * t_pow * w)
     amp = tl.m * tl.a_over_m                           # A
     pole = w * (mk * t_pow
-                - 2.0 * amp * lt * t_pow * _exprel(t, lt, -2.0 * tl.eps, xp)
+                - 2.0 * amp * lt * t_pow * _exprel(t, lt, -2.0 * tl.eps)
                 + amp * z * s1 * t ** (1.0 - 2.0 * tl.k))
     pk = _horner(tl.p_coef, z)
     dpk = _horner(tl.p_coef[1:], z)                    # (P - 1)/z
     return (r * pk - dpk) / t - (1.0 - r * z) * pole
 
 
-def h_value(params: Params, d):
-    """h(1 + d) for d a float or an array (see h_of_t)."""
+def h_value(params: Params, d: float) -> float:
+    """h(1 + d) for d = t - 1 > 0 (see h_of_t)."""
     if params.diagonal:
         raise ValueError("mass-map derivative factor is defined off the diagonal only")
     tl, r = _tail(params.p), _r(params)
-    return _branches(lambda d, xp: _h_near(tl, r, d, xp),
-                     lambda d, xp: _h_far(tl, r, d, xp), d)
+    return _h_near(tl, r, d) if d <= 1.0 else _h_far(tl, r, d)
 
 
 def h_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
@@ -469,7 +451,8 @@ def h_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
 # Euler form of I are combined into one, (t^2-1)^((q-4)/(2q-p-2)).  At
 # t > 2 the relative deficit D = (mu0 - mu)/mu0 of p < 6 is formed from
 # the expansion of I: its leading term is exactly mu0 and is cancelled
-# analytically, so D keeps its relative accuracy down to 1e-300.
+# analytically, so D keeps its relative accuracy down to 1e-300 in
+# ln(mu/mu0) = log1p(-D), from which mass_deficit reads D back.
 #
 # Each power of (p, q) with an exponent over 2q - p - 2 is formed once, in
 # logs: near the diagonal a direct power leaves the double range first.
@@ -511,35 +494,35 @@ def log2_mu0(params: Params) -> float:
     return log2_c_pq(params) + math.log2((p - 2.0) / (6.0 - p))
 
 
-def _log_shape_near(tl: _Tail, ex: MassExponents, d, xp):
+def _log_shape_near(tl: _Tail, ex: MassExponents, d: float) -> float:
     """ln(mu / C_pq) at t = 1 + d <= 2."""
-    return (-_LN2 - math.log(tl.a) + ex.t1_rate * (xp.log(d) + xp.log(d + 2.0))
-            + (ex.e - 1.0) * xp.log1p(d) + xp.log(_euler_2f1(tl.a, d)))
+    return (-_LN2 - math.log(tl.a) + ex.t1_rate * (math.log(d) + math.log(d + 2.0))
+            + (ex.e - 1.0) * math.log1p(d) + math.log(_euler_2f1(tl.a, d)))
 
 
-def _deficit_far(tl: _Tail, ex: MassExponents, d, xp):
+def _deficit_far(tl: _Tail, ex: MassExponents, d: float) -> float:
     """(mu0 - mu)/mu0 at t = 1 + d > 2, p < 6."""
-    t, lt, z, s1 = _far(tl, d, xp)
-    l1z = xp.log1p(-z)
+    t, lt, z, s1 = _far(tl, d)
+    l1z = math.log1p(-z)
     mk = tl.m * tl.k_fin
     if tl.k == 0:
         v = tl.eps * z * s1 + t ** (2.0 * tl.eps) * (mk - 1.0)
-        return -xp.expm1(-ex.ke * l1z + xp.log1p(v))
+        return -math.expm1(-ex.ke * l1z + math.log1p(v))
     amp = tl.m * tl.a_over_m
-    v = z * _horner(tl.p_coef[1:], z) + xp.exp(-tl.a * l1z) * (
-        z ** tl.k * amp * (z * s1 - 2.0 * lt * _exprel(t, lt, 2.0 * tl.eps, xp))
+    v = z * _horner(tl.p_coef[1:], z) + math.exp(-tl.a * l1z) * (
+        z ** tl.k * amp * (z * s1 - 2.0 * lt * _exprel(t, lt, 2.0 * tl.eps))
         + mk * t ** (-tl.m))
-    return -xp.expm1(ex.t1_rate * l1z + xp.log1p(v))
+    return -math.expm1(ex.t1_rate * l1z + math.log1p(v))
 
 
-def _log_mass_far(tl: _Tail, ex: MassExponents, d, xp):
+def _log_mass_far(tl: _Tail, ex: MassExponents, d: float) -> float:
     """ln(mu / C_pq) at t = 1 + d > 2 from the logs of the factors of mu."""
-    return (-tl.m * xp.log1p(d) - ex.ke * xp.log1p(-(1.0 + d) ** -2.0)
-            + _log_I_far(tl, d, xp))
+    return (-tl.m * math.log1p(d) - ex.ke * math.log1p(-(1.0 + d) ** -2.0)
+            + _log_I_far(tl, d))
 
 
-def log_mass_ratio(params: Params, d):
-    """ln(mu(1 + d) / mu0) for p < 6, d a float or an array.
+def log_mass_ratio(params: Params, d: float) -> float:
+    """ln(mu(1 + d) / mu0) for p < 6 and d = t - 1 > 0.
 
     Beyond t = 2, where mu >= mu0/2 it is ln(1 - D) of the deficit D, so it
     keeps the digits of D down to 1e-300; elsewhere the logs of the
@@ -549,49 +532,31 @@ def log_mass_ratio(params: Params, d):
     if not params.p < 6.0:
         raise ValueError("the zero-frequency mass mu0 is finite for p < 6 only")
     log_m = math.log(tl.m)
-
-    def far(d, xp):
-        deficit = _deficit_far(tl, ex, d, xp)
-        if xp is math:
-            if deficit <= 0.5:
-                return math.log1p(-deficit)
-            return log_m + _log_mass_far(tl, ex, d, xp)
-        out = np.log1p(-np.minimum(deficit, 0.5))
-        low = deficit > 0.5
-        out[low] = log_m + _log_mass_far(tl, ex, d[low], xp)
-        return out
-
-    return _branches(lambda d, xp: log_m + _log_shape_near(tl, ex, d, xp), far, d)
+    if d <= 1.0:
+        return log_m + _log_shape_near(tl, ex, d)
+    deficit = _deficit_far(tl, ex, d)
+    if deficit <= 0.5:
+        return math.log1p(-deficit)
+    return log_m + _log_mass_far(tl, ex, d)
 
 
-def log_mass(params: Params, d):
-    """ln mu(1 + d) for d = t - 1 > 0, a float or an array, off the diagonal."""
+def log_mass(params: Params, d: float) -> float:
+    """ln mu(1 + d) for d = t - 1 > 0, off the diagonal."""
     if params.p < 6.0:
         return _LN2 * log2_mu0(params) + log_mass_ratio(params, d)
     tl, ex = _tail(params.p), mass_exponents(params)
-    return _LN2 * log2_c_pq(params) + _branches(
-        lambda d, xp: _log_shape_near(tl, ex, d, xp),
-        lambda d, xp: _log_mass_far(tl, ex, d, xp), d)
+    return _LN2 * log2_c_pq(params) + (
+        _log_shape_near(tl, ex, d) if d <= 1.0 else _log_mass_far(tl, ex, d))
 
 
-def mass_deficit(params: Params, d):
-    """(mu0 - mu(1 + d)) / mu0 for p < 6, d a float or an array.
+def mass_deficit(params: Params, d: float) -> float:
+    """(mu0 - mu(1 + d)) / mu0 = -expm1(ln(mu/mu0)) for p < 6 and d = t - 1 > 0.
 
     Positive where the mass map lies below mu0, at full relative accuracy
     however small (down to the double range); -inf where mu/mu0 is beyond it.
     """
-    if not params.p < 6.0:
-        raise ValueError("the zero-frequency mass mu0 is finite for p < 6 only")
-    tl, ex = _tail(params.p), mass_exponents(params)
-    log_m = math.log(tl.m)
-
-    def near(d, xp):
-        log_ratio = log_m + _log_shape_near(tl, ex, d, xp)
-        if xp is math and log_ratio > _LOG_MAX:
-            return -math.inf
-        return -xp.expm1(log_ratio)
-
-    return _branches(near, lambda d, xp: _deficit_far(tl, ex, d, xp), d)
+    log_ratio = log_mass_ratio(params, d)
+    return -math.inf if log_ratio > _LOG_MAX else -math.expm1(log_ratio)
 
 
 def exp_or_inf(x: float) -> float:

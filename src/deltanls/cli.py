@@ -79,7 +79,10 @@ def _thresholds_payload(params: Params) -> dict:
         if thr.mu_threshold is not None:
             out["mu_threshold"] = thr.mu_threshold
             out["provenance"]["mu_threshold"] = thr.provenance
-        out["mu_tilde"] = energy.zero_level_mass(params)
+        try:
+            out["mu_tilde"] = energy.zero_level_mass(params)
+        except stationary.StateOutOfRange as exc:
+            out["provenance"]["mu_tilde"] = f"refused: {exc}"
         if out["mu_tilde"] is not None:
             out["provenance"]["mu_tilde"] = (
                 "limit-constant" if region in (Region.G, Region.H) else "root")
@@ -109,7 +112,7 @@ def cmd_classify(args, config: RunConfig) -> int:
     if params.diagonal:
         exists, t = stationary.diagonal_exists(params)
         payload["diagonal_state"] = {"exists": exists, "t": t}
-    if args.format == "json" or config.format == "json":
+    if config.format == "json":
         _emit(args.out, _json_doc(config, payload))
         return 0
     lines = [
@@ -119,10 +122,8 @@ def cmd_classify(args, config: RunConfig) -> int:
         f"unique at fixed mass: {'yes' if rule.unique else 'open' if rule.unique is None else 'no'}",
     ]
     th = payload["thresholds"]
-    for key in ("lambda_bar", "mu0", "mu_threshold", "mu_tilde", "mu_bar"):
-        if th[key] is not None:
-            prov = th["provenance"].get(key, "")
-            lines.append(f"{key} = {_fmt(th[key])}  [{prov}]")
+    for key, prov in th["provenance"].items():   # a refused value is None
+        lines.append(f"{key} = {_fmt(th[key]) or 'none'}  [{prov}]")
     if params.diagonal:
         ds = payload["diagonal_state"]
         lines.append("branch coordinate: t = " + (_fmt(ds["t"]) if ds["exists"]
@@ -165,8 +166,7 @@ def cmd_solve(args, config: RunConfig) -> int:
             rule = expected_solution_regime(params)
             note = f"no states at this mass: {rule.describe()}"
     rows = [_solution_row(pt) for pt in points]
-    fmt = args.format or config.format
-    if fmt == "json":
+    if config.format == "json":
         payload = {
             "p": params.p, "q": params.q,
             "query": {"lambda": args.lam, "mass": args.mass},
@@ -288,7 +288,7 @@ def cmd_verify(args, config: RunConfig) -> int:
             sys.stdout.write(f"       {r.detail}\n")
     if args.out:
         _emit(args.out, _json_doc(config, report))
-    elif (args.format or config.format) == "json":
+    elif config.format == "json":
         sys.stdout.write(_json_doc(config, report))
     sys.stdout.write(f"{'OK' if n_fail == 0 else 'FAILED'}: "
                      f"{len(results) - n_fail}/{len(results)} checks passed\n")
@@ -306,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      "levels of the 1D NLS with a defocusing bulk term and a "
                      "focusing point term at the origin."))
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json", "text"), default=None,
+    common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="output format (default from config)")
     common.add_argument("--out", default=None,
                         help="output file (default: stdout, or $DELTANLS_OUT for curves)")
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     overrides = {}
     if getattr(args, "config", None):
         overrides.update(load_config_file(args.config))
-    if getattr(args, "format", None) in ("csv", "json"):
+    if getattr(args, "format", None):
         overrides["format"] = args.format
     try:
         config = RunConfig(**overrides)

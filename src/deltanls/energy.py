@@ -52,7 +52,7 @@ def branch_energy(point: BranchPoint) -> EnergyBreakdown:
     lambda = 0 state integrates termwise to algebraic expressions in its
     peak u0 and offset a (its kinetic and bulk pieces coincide).
 
-    Raises RuntimeError (out of range) where a piece or the sum is beyond
+    Raises StateOutOfRange where a piece or the sum is beyond
     the double range.
     """
     p, q = point.params.p, point.params.q
@@ -70,7 +70,7 @@ def branch_energy(point: BranchPoint) -> EnergyBreakdown:
         kinetic = bulk = pt = math.inf
     total = kinetic + bulk - pt
     if not math.isfinite(total):   # so is every piece
-        raise RuntimeError(
+        raise stationary.StateOutOfRange(
             "state outside double range: its energy is beyond the largest double "
             f"(t = {point.t:.6g}, lambda = {point.lam:.6g}, u0 = {u0:.6g})")
     return EnergyBreakdown(kinetic, bulk, pt, total)

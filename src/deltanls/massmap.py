@@ -51,25 +51,26 @@ def mass_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
     return ScalarEval(value, algebra.I_RTOL * value)
 
 
-def diagonal_mass_coefficient(params: Params) -> ScalarEval:
-    """M_pq such that mu(lambda) = M_pq lambda^((6-p)/(2(p-2))) on the diagonal, p > 8."""
+def _log_diagonal_coefficient(params: Params) -> tuple[float, float]:
+    """(ln M_pq, t) on the diagonal, p > 8: mu(lambda) = M_pq lambda^((6-p)/(2(p-2)))
+    for the state at the one branch coordinate t, with
+    ln M_pq = ln 4 - ln(p-2) + 2/(p-2) ln(p/2) + ln I(t)."""
     exists, t = stationary.diagonal_exists(params)
     if not exists:
         raise ValueError("diagonal mass map requires p > 8")
     p = params.p
-    pref = 2.0 ** ((2.0 * p - 6.0) / (p - 2.0)) * p ** (2.0 / (p - 2.0)) / (p - 2.0)
-    integral = algebra.I_of_t(params, t)
-    return ScalarEval(pref * integral.value, pref * integral.abs_error_estimate)
+    return (math.log(4.0) - math.log(p - 2.0) + 2.0 / (p - 2.0) * math.log(0.5 * p)
+            + algebra.log_I(params, t - 1.0)), t
 
 
 def mass_of_lambda_diagonal(params: Params, lam: float) -> ScalarEval:
     """Mass of the unique diagonal state at frequency lam > 0 (p > 8 only)."""
     if not lam > 0.0:
         raise ValueError(f"need lambda > 0, got {lam}")
-    coeff = diagonal_mass_coefficient(params)
+    log_coeff, _ = _log_diagonal_coefficient(params)
     p = params.p
-    scale = lam ** ((6.0 - p) / (2.0 * (p - 2.0)))
-    return ScalarEval(coeff.value * scale, coeff.abs_error_estimate * scale)
+    value = algebra.exp_or_inf(log_coeff + (6.0 - p) / (2.0 * (p - 2.0)) * math.log(lam))
+    return ScalarEval(value, algebra.I_RTOL * value)
 
 
 def state_mass(point: BranchPoint) -> float:
@@ -159,7 +160,7 @@ def _branch_minimum(params: Params) -> BranchMinimum:
     h0 = h_at(0.0)
     try:
         y = stationary.root_from(h_at, 0.0, h0, -1.0 if h0 > 0.0 else 1.0)
-    except RuntimeError:
+    except stationary.StateOutOfRange:
         if not (h0 < 0.0 and params.p < 6.0):
             raise
         return BranchMinimum(math.inf, algebra.constants(params).mu0, 0.0)
@@ -183,12 +184,11 @@ def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
         y_min, mu_min, _ = _branch_minimum(params)
         if math.isfinite(y_min):
             extrema = ((1.0 + math.exp(y_min), mu_min),)
-    ys = np.linspace(y_lo, y_hi, n)
-    d = np.exp(ys)
-    with np.errstate(over="ignore"):
-        mu = np.exp(algebra.log_mass(params, d))
-    samples = zip((1.0 + d).tolist(), mu.tolist(), (algebra.I_RTOL * mu).tolist(),
-                  np.where(ys < y_min, -1, 1).tolist())
+    samples = []
+    for y in np.linspace(y_lo, y_hi, n).tolist():
+        d = math.exp(y)
+        mu = mass_of_t(params, 1.0 + d, d)
+        samples.append((1.0 + d, mu.value, mu.abs_error_estimate, -1 if y < y_min else 1))
     return MassCurve(params, tuple(samples), (asym.t1_limit, asym.tinf_limit), extrema)
 
 
@@ -329,9 +329,10 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
     if params.diagonal:
         if params.p > 8.0:
             p = params.p
-            coeff = diagonal_mass_coefficient(params).value
-            lam = (mu / coeff) ** (2.0 * (p - 2.0) / (6.0 - p))
-            _, t = stationary.diagonal_exists(params)
+            log_coeff, t = _log_diagonal_coefficient(params)
+            # ln lambda = 2(p-2)/(6-p) (ln mu - ln M_pq), refused outside double range
+            lam = stationary.exp_in_range(
+                2.0 * (p - 2.0) / (6.0 - p) * (math.log(mu) - log_coeff), "lambda")
             points.append(stationary.branch_point_from_t(params, lam, t))
     else:
         ys, with_zero = _branch_offsets_at_mass(params, mu)

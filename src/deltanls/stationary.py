@@ -25,10 +25,14 @@ from .params import Params
 _LN2 = math.log(2.0)
 
 
-def _exp_in_range(x: float, name: str) -> float:
-    """e^x for a state quantity, refused (RuntimeError) unless a positive normal double."""
+class StateOutOfRange(RuntimeError):
+    """Refusal of a state whose coordinates, mass or energy leave the double range."""
+
+
+def exp_in_range(x: float, name: str) -> float:
+    """e^x for a state quantity, refused (StateOutOfRange) unless a positive normal double."""
     if not algebra.LOG_DOUBLE[0] < x < algebra.LOG_DOUBLE[1]:
-        raise RuntimeError(f"state outside double range: ln({name}) = {x:.6g}")
+        raise StateOutOfRange(f"state outside double range: ln({name}) = {x:.6g}")
     return math.exp(x)
 
 
@@ -91,8 +95,8 @@ def branch_point_from_t(params: Params, lam: float, t: float | None = None,
     # atanh(1/t) = ln(1 + 2/d) / 2, exact for large d and for d near 0
     a = math.log1p(2.0 / d) / ((p - 2.0) * sq)
     # logs keep u0 representable when d (d + 2) underflows
-    u0 = _exp_in_range((math.log(0.5 * p * lam) + math.log(d) + math.log(d + 2.0))
-                       / (p - 2.0), "u0")
+    u0 = exp_in_range((math.log(0.5 * p * lam) + math.log(d) + math.log(d + 2.0))
+                      / (p - 2.0), "u0")
     return BranchPoint(t=t, lam=lam, a=a, u0=u0, params=params, d=d)
 
 
@@ -108,8 +112,8 @@ def zero_frequency_point(params: Params) -> BranchPoint:
     log_cp = algebra.log_c_p(params)
     log_a = (math.log(0.25 * (p - 2.0)) + (q - 2.0) * log_cp) \
         * (p - 2.0) / (2.0 * q - p - 2.0)
-    a = _exp_in_range(log_a, "a")
-    u0 = _exp_in_range(log_cp - 2.0 / (p - 2.0) * log_a, "u0")
+    a = exp_in_range(log_a, "a")
+    u0 = exp_in_range(log_cp - 2.0 / (p - 2.0) * log_a, "u0")
     return BranchPoint(t=math.inf, lam=0.0, a=a, u0=u0, params=params, d=math.inf)
 
 
@@ -152,7 +156,7 @@ def diagonal_exists(params: Params) -> tuple[bool, float | None]:
 # roots of f(t) = g(lambda) in log coordinates y = ln(t - 1)
 
 #: Range of y = ln(t - 1) in which a state is representable: t - 1 a normal
-#: double and t^2 - 1 finite.  States outside it are refused with RuntimeError.
+#: double and t^2 - 1 finite.  States outside it are refused with StateOutOfRange.
 LOGD_RANGE = (algebra.LOG_DOUBLE[0], 0.5 * algebra.LOG_DOUBLE[1])
 
 
@@ -161,7 +165,7 @@ def root_from(fn, y0: float, f0: float, direction: float) -> float:
     extends in the given direction (+1 or -1).
 
     Steps of doubling length bracket the sign change, and Brent's method
-    finds it to 1e-14 in y.  Raises RuntimeError when the sign change lies
+    finds it to 1e-14 in y.  Raises StateOutOfRange when the sign change lies
     outside LOGD_RANGE: the state it gives is not representable.
     """
     lo_lim, hi_lim = LOGD_RANGE
@@ -171,7 +175,7 @@ def root_from(fn, y0: float, f0: float, direction: float) -> float:
         if (fn(y) > 0.0) != (f0 > 0.0):
             return brentq(fn, min(prev, y), max(prev, y), xtol=1e-14)
         if y in (lo_lim, hi_lim):
-            raise RuntimeError(
+            raise StateOutOfRange(
                 "state outside double range: t - 1 would lie "
                 f"{'below' if direction < 0 else 'above'} {math.exp(y):.2g}")
         prev, step = y, 2.0 * step
@@ -201,10 +205,10 @@ def _matching_roots(params: Params, lam: float) -> list[float]:
 def state_at_logd(params: Params, y: float) -> BranchPoint:
     """The state at branch coordinate t = 1 + e^y, its frequency from f(t) = g(lambda).
 
-    Off the diagonal only.  Raises RuntimeError when lambda is not a
+    Off the diagonal only.  Raises StateOutOfRange when lambda is not a
     positive finite double.
     """
-    lam = _exp_in_range(algebra.log_lambda(params, algebra.log_f(params, y)), "lambda")
+    lam = exp_in_range(algebra.log_lambda(params, algebra.log_f(params, y)), "lambda")
     return branch_point_from_t(params, lam, d=math.exp(y))
 
 

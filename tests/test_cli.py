@@ -28,6 +28,21 @@ def test_classify_diagonal_no_solutions(capsys):
     assert "no mass admits a solution" in out
 
 
+def test_format_text_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--p", "4", "--q", "2.5", "--format", "text"])
+    assert exc.value.code == 2
+
+
+def test_classify_reports_a_refused_threshold_and_the_rest(capsys):
+    # region F next to the diagonal: the zero-level state has ln(lambda) = 10397.6
+    code, out, _ = run(capsys, "classify", "--p", "4.546140650772335",
+                       "--q", "3.2731394255368302")
+    assert code == 0
+    assert "mu_threshold = inf" in out
+    assert "mu_tilde = none  [refused: state outside double range: ln(lambda)" in out
+
+
 def test_classify_invalid_exponents(capsys):
     code, _, err = run(capsys, "classify", "--p", "2", "--q", "3")
     assert code == 2

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from deltanls import algebra, energy, massmap, stationary
+from deltanls import algebra, cli, energy, massmap, stationary
 from deltanls.params import MassInterval, Params
 
 # (p, q, query, value, offsets t - 1 of the states): states near the ends of
@@ -181,6 +182,20 @@ def test_energy_beyond_double_range_is_refused():
         energy.zero_level_mass(params)
 
 
+def test_diagonal_mass_beyond_double_range_is_refused(capsys):
+    # the diagonal state has ln lambda = -5.2 (ln mu - ln M_pq): lambda = e^2399
+    # at mass 1e-200 (once an OverflowError) and e^-2390 at mass 1e200 (once
+    # an underflow to 0, reported as bad input)
+    params = Params(8.5, 5.25)
+    (sol,) = massmap.normalized_solutions(params, 1.0)
+    assert sol.point.lam == pytest.approx(79.3556483195265, rel=1e-14)
+    for mu in ("1e-200", "1e200"):
+        with pytest.raises(stationary.StateOutOfRange, match="ln\\(lambda\\)"):
+            massmap.normalized_solutions(params, float(mu))
+        assert cli.main(["solve", "--p", "8.5", "--q", "5.25", "--mass", mu]) == 3
+        assert "state outside double range" in capsys.readouterr().err
+
+
 def _near_diagonal_pairs(n: int, seed: int) -> list[Params]:
     """p ~ U(2.05, 16), q = p/2 + 1 +- 10^U(-8, -2)."""
     rng = np.random.default_rng(seed)
@@ -197,7 +212,7 @@ def _answer_or_refusal(fn, *args):
     any other exception fails the test."""
     try:
         return fn(*args)
-    except RuntimeError as exc:
+    except stationary.StateOutOfRange as exc:
         assert str(exc).startswith("state outside double range"), exc
         return None
 
@@ -220,7 +235,7 @@ def _expected_count(thr: massmap.ThresholdReport, mu: float) -> int | None:
     return 2 if thr.mu0 is None or mu < thr.mu0 else 1
 
 
-def test_near_diagonal_sweep_ends_in_answers_or_refusals():
+def test_near_diagonal_sweep_ends_in_answers_or_refusals(capsys):
     for params in _near_diagonal_pairs(100, 2026):
         below = params.q < params.p / 2.0 + 1.0
         lb = _answer_or_refusal(stationary.lambda_bar, params)
@@ -229,6 +244,11 @@ def test_near_diagonal_sweep_ends_in_answers_or_refusals():
         tilde = _answer_or_refusal(energy.zero_level_mass, params)
         if thr is not None and tilde is not None:
             assert tilde >= thr.mu_threshold * (1.0 - 1e-12)
+        # classify reports a refused mu_tilde as null and answers the rest
+        code = cli.main(["classify", "--p", repr(params.p), "--q", repr(params.q),
+                         "--format", "json"])
+        assert code == 0, (params, capsys.readouterr().err)
+        assert json.loads(capsys.readouterr().out)["thresholds"]["mu_tilde"] == tilde
         for mu in (0.3, 2.5, 40.0):
             sols = _answer_or_refusal(massmap.normalized_solutions, params, mu)
             want = _expected_count(thr, mu) if thr is not None else None
