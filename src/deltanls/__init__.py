@@ -24,6 +24,7 @@ from .stationary import (
     zero_frequency_point,
 )
 from .massmap import (
+    GateFailure,
     MassCurve,
     NormalizedSolution,
     ThresholdReport,

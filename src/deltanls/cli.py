@@ -360,7 +360,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except RuntimeError as exc:
-        # a failed gate, or a state outside double range
+        # a GateFailure, or a state outside double range (StateOutOfRange)
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

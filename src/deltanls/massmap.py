@@ -36,6 +36,10 @@ MU0_MATCH_RTOL = 1e-12
 MASS_GATE_RTOL = 1e-6
 
 
+class GateFailure(RuntimeError):
+    """A state whose profile quadrature disagrees with its reported mass."""
+
+
 def mass_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
     """mu(t) for t in (1, inf]; t = inf is allowed only for p < 6 (returns mu0).
 
@@ -245,13 +249,13 @@ def profile_mass_quadrature(point: BranchPoint) -> float:
 
 
 def mass_gate(point: BranchPoint, mu: float) -> None:
-    """Raise RuntimeError unless the profile of point has mass mu to 1e-6.
+    """Raise GateFailure unless the profile of point has mass mu to 1e-6.
 
     Every mass the library reports for a state passes through this gate.
     """
     got = profile_mass_quadrature(point)
     if not abs(got - mu) <= MASS_GATE_RTOL * mu:   # a NaN fails too
-        raise RuntimeError(
+        raise GateFailure(
             f"profile-mass gate failed: requested {mu}, quadrature gives {got} "
             f"(t={point.t}, lambda={point.lam})")
 

@@ -7,6 +7,9 @@ kinetic term exact and its mass and bulk terms by the trapezoidal rule)
 evaluates sampled profiles; the constrained minimizer runs a backward-Euler
 normalized gradient flow on that functional at fixed mass.
 
+Grid sampling and the functional run over blocks of at most BLOCK nodes, so
+their temporaries stay block-sized however fine the grid.
+
 Shooting detail: the decaying orbit is a saddle connection, so forward
 integration in double precision is eventually taken over by the growing
 mode (error ~ eps * exp(sqrt(lambda) x)).  The shooter therefore stops at
@@ -42,6 +45,9 @@ DECAY_GATE = 1e-7
 BLOWUP_FACTOR = 1e3
 #: Energy below which a flow in a bounded regime is declared divergent.
 FLOW_DIVERGENCE_FLOOR = -1.0e6
+#: Nodes per block of the grid kernels (sample_profile and the discrete
+#: functional): 256 KB per float temporary on any grid.
+BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -87,10 +93,26 @@ def default_domain(lam: float) -> float:
     return 1e3
 
 
+def _blocks(n_nodes: int):
+    """(start, stop) of consecutive blocks of at most BLOCK nodes."""
+    for k in range(0, n_nodes, BLOCK):
+        yield k, min(k + BLOCK, n_nodes)
+
+
 def sample_profile(point: BranchPoint, L: float, n: int) -> GridProfile:
-    """Materialize a branch state on a uniform grid (closed-form sampling)."""
-    x = np.linspace(0.0, L, n + 1)
-    return GridProfile(L, n, np.asarray(analytic_profile(point, x), dtype=float))
+    """Materialize a branch state on a uniform grid (closed-form sampling).
+
+    The nodes k * (L / n), with the last one set to L, are those of
+    np.linspace(0, L, n + 1) bit for bit; they are built one block at a time.
+    """
+    values = np.empty(n + 1)
+    step = L / n
+    for k, k_end in _blocks(n + 1):
+        x = np.arange(k, k_end) * step
+        if k_end == n + 1:
+            x[-1] = L
+        values[k:k_end] = analytic_profile(point, x)
+    return GridProfile(L, n, values)
 
 
 def functional_eval(params: Params, profile: GridProfile):
@@ -255,24 +277,21 @@ def bisect_vertex_height(params: Params, lam: float, lo: float, hi: float,
 # discrete functional and normalized gradient flow
 
 
-def _trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
-    """Weights of the trapezoidal rule on n_nodes uniform nodes of spacing h."""
-    w = np.full(n_nodes, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
 def _energy_terms(params: Params, u: np.ndarray, h: float) -> tuple[float, float, float]:
     """(kinetic, bulk, point) of the piecewise-linear even extension of nodal values u.
 
     The kinetic term is exact for the piecewise-linear interpolant (the factor
     2 for evenness cancels the 1/2 of the functional); the bulk term is the
-    trapezoidal rule.
+    trapezoidal rule, h (sum of v - (v_0 + v_n) / 2) for v = |u|^p.
     """
     p, q = params.p, params.q
-    kinetic = float(np.sum(np.diff(u) ** 2)) / h
-    bulk = (2.0 / p) * float(np.sum(_trapezoid_weights(len(u), h) * np.abs(u) ** p))
-    return kinetic, bulk, abs(u[0]) ** q / q
+    diff2 = vsum = 0.0
+    for k, k_end in _blocks(len(u)):
+        # the blocks of differences overlap by one node
+        diff2 += float(np.sum(np.diff(u[k:k_end + 1]) ** 2))
+        vsum += float(np.sum(np.abs(u[k:k_end]) ** p))
+    vsum -= 0.5 * float(abs(u[0]) ** p + abs(u[-1]) ** p)
+    return diff2 / h, (2.0 / p) * h * vsum, abs(u[0]) ** q / q
 
 
 def discrete_energy(params: Params, u: np.ndarray, h: float) -> float:
@@ -283,7 +302,8 @@ def discrete_energy(params: Params, u: np.ndarray, h: float) -> float:
 
 def discrete_mass(u: np.ndarray, h: float) -> float:
     """Mass of the even extension of nodal values u by the trapezoidal rule."""
-    return 2.0 * float(np.sum(_trapezoid_weights(len(u), h) * u * u))
+    vsum = sum(float(np.dot(u[k:k_end], u[k:k_end])) for k, k_end in _blocks(len(u)))
+    return 2.0 * h * (vsum - 0.5 * float(u[0] ** 2 + u[-1] ** 2))
 
 
 class FlowDivergence(RuntimeError):
@@ -333,7 +353,8 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
     h = profile0.h
     u = profile0.values.copy()
     u *= math.sqrt(mu / discrete_mass(u, h))
-    w = _trapezoid_weights(len(u), h)
+    w = np.full(len(u), h)
+    w[0] = w[-1] = 0.5 * h
     stiff = np.full(len(u), 4.0 / h)
     stiff[0] = stiff[-1] = 2.0 / h
 

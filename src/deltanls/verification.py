@@ -246,8 +246,9 @@ def check_oracle_equivalence() -> CheckResult:
         resid_worst = max(resid_worst, vres, fres)
         if vres > 1e-8 or fres > 1e-8:
             fails.append(f"{tag}: residuals vertex={vres:.3g} first-integral={fres:.3g}")
-    detail = (f"{len(points)} states; worst: sup={sup_worst:.3g} "
-              f"mass={mass_worst:.3g} energy={en_worst:.3g} residual={resid_worst:.3g}")
+    detail = (f"{len(points)} states; worst: sup={sup_worst:.3g} (bound 1e-6) "
+              f"mass={mass_worst:.3g} (bound 1e-6) energy={en_worst:.3g} (bound 1e-6) "
+              f"residual={resid_worst:.3g} (bound 1e-8)")
     claim = ("shooting from the vertex data reproduces every closed-form "
              "profile to 1e-6, grid quadrature matches closed-form mass and "
              "energy to 1e-6, vertex and conservation residuals below 1e-8")

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from deltanls import algebra, massmap, verification
+from deltanls import GateFailure, algebra, massmap, verification
 from deltanls.cli import main
+from deltanls.params import Params
 
 
 def run(capsys, *argv):
@@ -224,3 +225,6 @@ def test_gate_failure_is_one_line_with_exit_3(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: profile-mass gate failed")
     assert len(err.splitlines()) == 1
+    # the library raises the same failure as a typed error
+    with pytest.raises(GateFailure, match="^profile-mass gate failed"):
+        massmap.normalized_solutions(Params(4.0, 2.5), 0.3)

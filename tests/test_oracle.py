@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,56 @@ def test_functional_eval_matches_closed_forms():
     assert eb.kinetic == pytest.approx(want.kinetic, rel=1e-6)
     assert eb.bulk == pytest.approx(want.bulk, rel=1e-6)
     assert eb.point == pytest.approx(want.point, rel=1e-12)
+
+
+def _fine_grid_state():
+    """A branch state of region A and its domain in the oracle-equivalence check."""
+    pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
+    return pt, max(60.0, 30.0 / math.sqrt(pt.lam))
+
+
+@pytest.mark.parametrize("n", [800000, 800001, oracle.BLOCK - 2, oracle.BLOCK - 1,
+                               oracle.BLOCK, oracle.BLOCK + 1])
+def test_sample_profile_is_the_linspace_sampling_bit_for_bit(n):
+    # node counts one block - 1 up to one block + 2 put the last block at 1 to
+    # 2 nodes or fill the first exactly; at n = 800,001, n * (L / n) != L
+    pt, L = _fine_grid_state()
+    want = stationary.profile(pt, np.linspace(0.0, L, n + 1))
+    np.testing.assert_array_equal(oracle.sample_profile(pt, L, n).values, want)
+
+
+def test_blocked_functional_matches_whole_grid_formulas():
+    # the whole-grid trapezoid-weight formulas are the reference
+    pt, L = _fine_grid_state()
+    grid = oracle.sample_profile(pt, L, 800000)
+    u, h, p = grid.values, grid.h, P425.p
+    w = np.full(len(u), h)
+    w[0] = w[-1] = 0.5 * h
+    mass_ref = 2.0 * float(np.sum(w * u * u))
+    kinetic_ref = float(np.sum(np.diff(u) ** 2)) / h
+    bulk_ref = (2.0 / p) * float(np.sum(w * np.abs(u) ** p))
+    mass, eb = oracle.functional_eval(P425, grid)
+    assert oracle.discrete_mass(u, h) == mass
+    assert mass == pytest.approx(mass_ref, rel=1e-13)
+    assert eb.kinetic == pytest.approx(kinetic_ref, rel=1e-13)
+    assert eb.bulk == pytest.approx(bulk_ref, rel=1e-13)
+
+
+def test_grid_kernels_build_no_whole_grid_temporaries():
+    # the 800,001-node sampling holds its 6.4 MB output and block-sized
+    # temporaries; whole-grid temporaries peaked at 52 MB and 25.6 MB
+    pt, L = _fine_grid_state()
+    tracemalloc.start()
+    try:
+        grid = oracle.sample_profile(pt, L, 800000)
+        _, sample_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        oracle.functional_eval(P425, grid)
+        _, functional_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sample_peak < 12e6
+    assert functional_peak < 12e6
 
 
 def test_functional_eval_tent_family():
