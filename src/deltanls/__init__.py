@@ -54,6 +54,7 @@ from .oracle import (
     constrained_minimize,
     functional_eval,
     sample_profile,
+    sampled_functional,
     shoot,
 )
 

@@ -7,8 +7,11 @@ kinetic term exact and its mass and bulk terms by the trapezoidal rule)
 evaluates sampled profiles; the constrained minimizer runs a backward-Euler
 normalized gradient flow on that functional at fixed mass.
 
-Grid sampling and the functional run over blocks of at most BLOCK nodes, so
-their temporaries stay block-sized however fine the grid.
+Grid sampling and the functional run over blocks of BLOCK nodes, so their
+temporaries stay block-sized however fine the grid.  One kernel of block sums
+(:func:`_grid_functional`) forms the functional from array slices (the flow,
+:func:`functional_eval`) or from closed-form samples streamed block by block
+(:func:`sampled_functional`, which never holds the whole grid).
 
 Shooting detail: the decaying orbit is a saddle connection, so forward
 integration in double precision is eventually taken over by the growing
@@ -45,7 +48,7 @@ DECAY_GATE = 1e-7
 BLOWUP_FACTOR = 1e3
 #: Energy below which a flow in a bounded regime is declared divergent.
 FLOW_DIVERGENCE_FLOOR = -1.0e6
-#: Nodes per block of the grid kernels (sample_profile and the discrete
+#: Own nodes per block of the grid kernels (sampling and the discrete
 #: functional): 256 KB per float temporary on any grid.
 BLOCK = 1 << 15
 
@@ -94,24 +97,39 @@ def default_domain(lam: float) -> float:
 
 
 def _blocks(n_nodes: int):
-    """(start, stop) of consecutive blocks of at most BLOCK nodes."""
+    """(start, stop) of the blocks of a grid of n_nodes nodes.
+
+    Each block holds BLOCK own nodes (fewer in the last) followed by the
+    first node of the next block, so consecutive blocks overlap by one node.
+    """
     for k in range(0, n_nodes, BLOCK):
-        yield k, min(k + BLOCK, n_nodes)
+        yield k, min(k + BLOCK + 1, n_nodes)
+
+
+def _slices(u: np.ndarray):
+    """The blocks of the nodal array u, as views."""
+    return (u[k:stop] for k, stop in _blocks(len(u)))
+
+
+def _profile_blocks(point: BranchPoint, L: float, n: int):
+    """The blocks of a branch state sampled on n + 1 uniform nodes of [0, L].
+
+    The nodes k * (L / n), with the last one set to L, are those of
+    np.linspace(0, L, n + 1) bit for bit.
+    """
+    step = L / n
+    for k, stop in _blocks(n + 1):
+        x = np.arange(k, stop) * step
+        if stop == n + 1:
+            x[-1] = L
+        yield analytic_profile(point, x)
 
 
 def sample_profile(point: BranchPoint, L: float, n: int) -> GridProfile:
-    """Materialize a branch state on a uniform grid (closed-form sampling).
-
-    The nodes k * (L / n), with the last one set to L, are those of
-    np.linspace(0, L, n + 1) bit for bit; they are built one block at a time.
-    """
+    """Materialize a branch state on a uniform grid (closed-form sampling)."""
     values = np.empty(n + 1)
-    step = L / n
-    for k, k_end in _blocks(n + 1):
-        x = np.arange(k, k_end) * step
-        if k_end == n + 1:
-            x[-1] = L
-        values[k:k_end] = analytic_profile(point, x)
+    for k, block in zip(range(0, n + 1, BLOCK), _profile_blocks(point, L, n)):
+        values[k:k + BLOCK] = block[:BLOCK]
     return GridProfile(L, n, values)
 
 
@@ -121,11 +139,23 @@ def functional_eval(params: Params, profile: GridProfile):
     The discrete functional of :func:`discrete_energy` and
     :func:`discrete_mass`, split into its kinetic, bulk and point terms.
     """
+    return _breakdown(*_grid_functional(_slices(profile.values), profile.h, params))
+
+
+def sampled_functional(point: BranchPoint, L: float, n: int):
+    """functional_eval(point.params, sample_profile(point, L, n)), bit for bit.
+
+    The closed-form samples are formed and summed one block at a time, so
+    no array of the whole grid is built.
+    """
+    return _breakdown(*_grid_functional(_profile_blocks(point, L, n), L / n,
+                                        point.params))
+
+
+def _breakdown(mass: float, kinetic: float, bulk: float, point: float):
     from .energy import EnergyBreakdown  # local: avoid import cycle
 
-    u, h = profile.values, profile.h
-    kinetic, bulk, point = _energy_terms(params, u, h)
-    return discrete_mass(u, h), EnergyBreakdown(kinetic, bulk, point, kinetic + bulk - point)
+    return mass, EnergyBreakdown(kinetic, bulk, point, kinetic + bulk - point)
 
 
 def _tail_value(params: Params, lam: float, u_d: float,
@@ -277,33 +307,45 @@ def bisect_vertex_height(params: Params, lam: float, lo: float, hi: float,
 # discrete functional and normalized gradient flow
 
 
-def _energy_terms(params: Params, u: np.ndarray, h: float) -> tuple[float, float, float]:
-    """(kinetic, bulk, point) of the piecewise-linear even extension of nodal values u.
+def _grid_functional(blocks, h: float, params: Params | None = None):
+    """(mass, kinetic, bulk, point) of the piecewise-linear even extension of
+    the nodal values given as the overlapping blocks of :func:`_blocks`.
 
     The kinetic term is exact for the piecewise-linear interpolant (the factor
-    2 for evenness cancels the 1/2 of the functional); the bulk term is the
-    trapezoidal rule, h (sum of v - (v_0 + v_n) / 2) for v = |u|^p.
+    2 for evenness cancels the 1/2 of the functional), sum(diff(u)^2) / h over
+    whole blocks; the mass and bulk terms are the trapezoidal rule,
+    h (sum of v - (v_0 + v_n) / 2) for v = u^2 and |u|^p, over each block's
+    own nodes.  Without params only the mass is formed and the energy terms
+    are None.
     """
+    usq = diff2 = vsum = 0.0
+    u0 = None
+    for block in blocks:
+        if u0 is None:
+            u0 = block[0]
+        own = block[:BLOCK]
+        usq += float(np.dot(own, own))
+        if params is not None:
+            diff2 += float(np.sum(np.diff(block) ** 2))
+            vsum += float(np.sum(np.abs(own) ** params.p))
+    un = block[-1]
+    mass = 2.0 * h * (usq - 0.5 * float(u0 ** 2 + un ** 2))
+    if params is None:
+        return mass, None, None, None
     p, q = params.p, params.q
-    diff2 = vsum = 0.0
-    for k, k_end in _blocks(len(u)):
-        # the blocks of differences overlap by one node
-        diff2 += float(np.sum(np.diff(u[k:k_end + 1]) ** 2))
-        vsum += float(np.sum(np.abs(u[k:k_end]) ** p))
-    vsum -= 0.5 * float(abs(u[0]) ** p + abs(u[-1]) ** p)
-    return diff2 / h, (2.0 / p) * h * vsum, abs(u[0]) ** q / q
+    vsum -= 0.5 * float(abs(u0) ** p + abs(un) ** p)
+    return mass, diff2 / h, (2.0 / p) * h * vsum, abs(u0) ** q / q
 
 
 def discrete_energy(params: Params, u: np.ndarray, h: float) -> float:
     """Energy of the piecewise-linear even extension of nodal values u."""
-    kinetic, bulk, point = _energy_terms(params, u, h)
+    _, kinetic, bulk, point = _grid_functional(_slices(u), h, params)
     return kinetic + bulk - point
 
 
 def discrete_mass(u: np.ndarray, h: float) -> float:
     """Mass of the even extension of nodal values u by the trapezoidal rule."""
-    vsum = sum(float(np.dot(u[k:k_end], u[k:k_end])) for k, k_end in _blocks(len(u)))
-    return 2.0 * h * (vsum - 0.5 * float(u[0] ** 2 + u[-1] ** 2))
+    return _grid_functional(_slices(u), h)[0]
 
 
 class FlowDivergence(RuntimeError):

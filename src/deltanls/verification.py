@@ -223,8 +223,7 @@ def check_oracle_equivalence() -> CheckResult:
             fails.append(f"{tag}: first-integral drift {res.first_integral_drift:.3g}")
 
         L = max(60.0, 30.0 / math.sqrt(pt.lam))
-        grid = oracle.sample_profile(pt, L, 800000)
-        mass_q, eb_q = oracle.functional_eval(pt.params, grid)
+        mass_q, eb_q = oracle.sampled_functional(pt, L, 800000)
         mass_c = massmap.state_mass(pt)
         rel_mass = abs(mass_q - mass_c) / mass_c
         mass_worst = max(mass_worst, rel_mass)

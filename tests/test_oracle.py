@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from deltanls import energy, massmap, oracle, stationary
+from deltanls import energy, massmap, oracle, stationary, verification
 from deltanls.params import Params
 
 P425 = Params(4.0, 2.5)
@@ -155,6 +155,62 @@ def test_grid_kernels_build_no_whole_grid_temporaries():
         tracemalloc.stop()
     assert sample_peak < 12e6
     assert functional_peak < 12e6
+
+
+def _diagonal_state():
+    """A diagonal p > 8 state (region I) and its domain in the oracle-equivalence check."""
+    pt = stationary.solve_for_lambda(PD16, 0.5).points[0]
+    return pt, max(60.0, 30.0 / math.sqrt(pt.lam))
+
+
+@pytest.mark.parametrize("state", [_fine_grid_state, _diagonal_state])
+@pytest.mark.parametrize("n", [800000, oracle.BLOCK - 2, oracle.BLOCK - 1, oracle.BLOCK,
+                               oracle.BLOCK + 1, 2 * oracle.BLOCK])
+def test_streamed_functional_is_the_materialized_one_bit_for_bit(state, n):
+    # n + 1 nodes from one block - 1 to one block + 2 leave a last block of
+    # 1 or 2 nodes or fill the first exactly; 2 BLOCK + 1 ends in one node
+    pt, L = state()
+    want = oracle.functional_eval(pt.params, oracle.sample_profile(pt, L, n))
+    assert oracle.sampled_functional(pt, L, n) == want
+
+
+def test_streamed_grid_check_holds_no_whole_grid_array():
+    # one 800,001-node profile alone is 6.4 MB; sample_profile peaks at 8.3 MB
+    pt, L = _fine_grid_state()
+    tracemalloc.start()
+    try:
+        oracle.sampled_functional(pt, L, 800000)
+        _, state_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        verification.check_oracle_equivalence()
+        _, check_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state_peak < 4e6
+    assert check_peak < 6e6
+
+
+def test_one_block_functional_is_the_whole_array_formula():
+    # the flow's 1,501-node grids are one block: each sum is one numpy reduction
+    pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
+    n = 1500
+    L = 50.0
+    u, h = oracle.sample_profile(pt, L, n).values, L / n
+    p, q = P425.p, P425.q
+    kinetic = float(np.sum(np.diff(u) ** 2)) / h
+    vsum = float(np.sum(np.abs(u) ** p)) - 0.5 * float(abs(u[0]) ** p + abs(u[-1]) ** p)
+    bulk = (2.0 / p) * h * vsum
+    point = abs(u[0]) ** q / q
+    assert oracle.discrete_energy(P425, u, h) == kinetic + bulk - point
+    assert oracle.discrete_mass(u, h) \
+        == 2.0 * h * (float(np.dot(u, u)) - 0.5 * float(u[0] ** 2 + u[-1] ** 2))
+
+
+def test_flow_checks_report_their_pinned_figures():
+    flow = verification.check_flow_vs_branch()
+    assert flow.passed and "diff=1.2e-06" in flow.detail and "steps=992" in flow.detail
+    probe = verification.check_probe_flow()
+    assert probe.passed and probe.detail == "final=-1.62e+06"
 
 
 def test_functional_eval_tent_family():
