@@ -11,7 +11,7 @@ from .params import (
     classify,
     expected_solution_regime,
 )
-from .algebra import ScalarEval, constants, f_of_t, f_prime, g_of_lambda, h_of_t, I_of_t
+from .algebra import constants, h_of_t, I_of_t
 from .stationary import (
     BranchPoint,
     SolutionSet,
@@ -39,13 +39,10 @@ from .energy import (
     Attainment,
     EnergyBreakdown,
     EnergyCurve,
-    ProbeResult,
     branch_energy,
     convexity_scan,
     energy_curve,
     groundstate_energy,
-    multiplier_consistency,
-    unboundedness_probe,
     zero_level_mass,
 )
 from .oracle import (

@@ -3,8 +3,9 @@
 Everything here is a plain function of the exponents and of either the
 branch coordinate t > 1 or the frequency lambda > 0:
 
-* ``f_of_t`` / ``g_of_lambda`` -- the two sides of the vertex matching
-  condition f(t) = g(lambda) that every positive stationary state solves;
+* ``log_f`` / ``log_g`` -- the logs of the two sides of the vertex
+  matching condition f(t) = g(lambda) that every positive stationary state
+  solves, and ``log_lambda``, its inversion in lambda;
 * ``I_of_t`` -- the singular integral controlling mass and energy,
   I(t) = integral_1^t (s^2-1)^((4-p)/(p-2)) ds, in closed form as an
   incomplete beta function (``log_I`` keeps its logarithm, which stays in
@@ -17,16 +18,14 @@ branch coordinate t > 1 or the frequency lambda > 0:
 * ``constants`` -- the prefactor C_pq of the mass map, the zero-frequency
   profile constant c_p, and the zero-frequency mass mu0 (finite iff p < 6).
 
-Values are returned as :class:`ScalarEval` with an absolute error bound:
-QUADPACK's estimate for the quadrature oracle, the relative budget
-``I_RTOL`` for the closed forms, 0 where the value is exact.
+The closed forms return floats; the tests hold them to 1e-14 against
+40-digit mpmath.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -45,17 +44,6 @@ _LN2 = math.log(2.0)
 #: ln of the smallest normal and of the largest double.
 LOG_DOUBLE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 _LOG_MAX = LOG_DOUBLE[1]
-
-
-@dataclass(frozen=True)
-class ScalarEval:
-    """A scalar plus an upper bound on its absolute error."""
-
-    value: float
-    abs_error_estimate: float = 0.0
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def resolve_d(t: float, d: float | None) -> float:
@@ -86,21 +74,6 @@ def log_f(params: Params, y: float) -> float:
     return math.log1p(d) - k * (y + math.log(d + 2.0))
 
 
-def f_of_t(params: Params, t: float, d: float | None = None) -> float:
-    """f(t) = t / (t^2 - 1)^((q-2)/(p-2)), the profile side of the matching
-    (e^log_f: inf or 0 where it is beyond the double range)."""
-    return exp_or_inf(log_f(params, math.log(resolve_d(t, d))))
-
-
-def f_prime(params: Params, t: float, d: float | None = None) -> float:
-    """df/dt = f(t) ((1 - 2k) t^2 - 1) / (t (t^2 - 1)), k = (q-2)/(p-2); it
-    vanishes only at t* = sqrt((p-2)/(p+2-2q)) when q < p/2 + 1."""
-    d = resolve_d(t, d)
-    t = 1.0 + d
-    num = (params.p + 2.0 - 2.0 * params.q) / (params.p - 2.0) * t * t - 1.0
-    return f_of_t(params, t, d) * num / (t * d * (d + 2.0))
-
-
 def t_star(params: Params) -> float:
     """Abscissa of the f-minimum, defined for q < p/2 + 1."""
     p, q = params.p, params.q
@@ -121,30 +94,6 @@ def log_lambda(params: Params, log_level: float) -> float:
     (off the diagonal, where ln g is affine in ln lambda)."""
     p, q = params.p, params.q
     return (log_level - log_g(params, 1.0)) * 2.0 * (p - 2.0) / (2.0 * q - p - 2.0)
-
-
-def g_of_lambda(params: Params, lam: float) -> float:
-    """g(lambda), the frequency side of the matching condition.
-
-    Off the diagonal, g(lambda) = (1/2) (p/2)^((q-2)/(p-2))
-    lambda^((2q-p-2)/(2(p-2))) = e^log_g; on the diagonal it degenerates to
-    the lambda-independent constant sqrt(p)/(2 sqrt(2)).
-    """
-    lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError(f"need lambda > 0, got {lam}")
-    if params.diagonal:
-        return math.sqrt(params.p) / (2.0 * math.sqrt(2.0))
-    return exp_or_inf(log_g(params, lam))
-
-
-def g_inverse(params: Params, y: float) -> float:
-    """Unique lambda > 0 with g(lambda) = y (off-diagonal only; e^log_lambda)."""
-    if params.diagonal:
-        raise ValueError("g is constant on the diagonal and cannot be inverted")
-    if not y > 0.0:
-        raise ValueError(f"need a positive matching level, got {y}")
-    return exp_or_inf(log_lambda(params, math.log(y)))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +121,6 @@ def g_inverse(params: Params, y: float) -> float:
 #   every piece finite at eps = 0 ((t^u - 1)/u is computed as expm1).  For
 #   k >= 1 the leading power t^m sits in T alone; h and the mass deficit
 #   below cancel it analytically instead of numerically.
-
-#: Relative error budget of the closed forms of I, h and mu: the tests hold
-#: them to 1e-14 against 40-digit mpmath (times 1 + |ln(t - 1)| for h, the
-#: conditioning of powers of t with rounded exponents).
-I_RTOL = 1e-13
 
 #: Terms kept of the series in z = 1/t^2 <= 1/4 (geometric in z beyond
 #: their first k, whose weight in I, h and the deficit is z^k at most).
@@ -323,24 +267,24 @@ def energy_j(params: Params, d: float) -> tuple[float, float]:
     return j, t - 2.0 * tl.a * j
 
 
-def I_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
+def I_of_t(params: Params, t: float, d: float | None = None) -> float:
     """I(t) = integral_1^t (s^2 - 1)^((4-p)/(p-2)) ds, with t = inf allowed for p > 6.
 
     Closed form (see the notes above ``_tail``); p = 4 gives t - 1 exactly.
-    The error estimate is the relative budget ``I_RTOL``.  Values below
-    the double range come back as 0; ``log_I`` keeps them.
+    Values below the double range come back as 0; ``log_I`` keeps them.
     """
     if d is None and math.isinf(t):
-        return ScalarEval(half_beta(params), I_RTOL * half_beta(params))
+        return half_beta(params)
     d = resolve_d(t, d)
     if params.p == 4.0:
-        return ScalarEval(d, 0.0)
-    value = math.exp(log_I(params, d))
-    return ScalarEval(value, I_RTOL * value)
+        return d
+    return math.exp(log_I(params, d))
 
 
-def I_of_t_quadrature(params: Params, t: float, d: float | None = None) -> ScalarEval:
-    """I(t) by adaptive quadrature: the independent route the tests check I_of_t against.
+def I_of_t_quadrature(params: Params, t: float,
+                      d: float | None = None) -> tuple[float, float]:
+    """(I(t), QUADPACK's absolute error estimate) by adaptive quadrature: the
+    independent route the tests check I_of_t against.
 
     Under s = cosh(theta) the integrand becomes sinh(theta)^m with
     m = (6-p)/(p-2) > -1, so the s = 1 endpoint singularity (present for
@@ -385,7 +329,7 @@ def I_of_t_quadrature(params: Params, t: float, d: float | None = None) -> Scala
         total += val
         err += e
 
-    return ScalarEval(total, err)
+    return total, err
 
 
 def _r(params: Params) -> float:
@@ -400,47 +344,41 @@ def _h_near(tl: _Tail, r: float, d: float) -> float:
 
 def _h_far(tl: _Tail, r: float, d: float) -> float:
     t, lt, z, s1 = _far(tl, d)
-    w = math.exp(-tl.a * math.log1p(-z))               # (1-z)^(-a)
     mk = tl.m * tl.k_fin
-    t_pow = t ** (2.0 - 2.0 * tl.a)
     if tl.k == 0:
         # t + (r - t^2) t^-1 (1-z)^(-a) has its O(t) parts cancelled in E
+        w = math.exp(-tl.a * math.log1p(-z))           # (1-z)^(-a)
         e_z = math.expm1(-tl.a * math.log1p(-z)) / z
         return ((r * w - e_z - (1.0 - r * z) * tl.eps * s1 * w) / t
-                - (1.0 - r * z) * (mk - 1.0) * t_pow * w)
+                - (1.0 - r * z) * (mk - 1.0) * t ** (2.0 - 2.0 * tl.a) * w)
+    # (1-z)^(-a) t^(2-2a) = t^2 (t^2-1)^(-a) as one power of a base in range
+    # (k >= 1, so 1/a < 1): near p = 2, where a is large, either factor
+    # alone leaves the double range
+    ta = t ** (1.0 / tl.a)
+    w = (ta / d * (ta / (d + 2.0))) ** tl.a
     amp = tl.m * tl.a_over_m                           # A
-    pole = w * (mk * t_pow
-                - 2.0 * amp * lt * t_pow * _exprel(t, lt, -2.0 * tl.eps)
-                + amp * z * s1 * t ** (1.0 - 2.0 * tl.k))
+    pole = w * (mk - 2.0 * amp * lt * _exprel(t, lt, -2.0 * tl.eps)
+                + amp * z * s1 * t ** (-2.0 * tl.eps))
     pk = _horner(tl.p_coef, z)
     dpk = _horner(tl.p_coef[1:], z)                    # (P - 1)/z
     return (r * pk - dpk) / t - (1.0 - r * z) * pole
 
 
-def h_value(params: Params, d: float) -> float:
-    """h(1 + d) for d = t - 1 > 0 (see h_of_t)."""
-    if params.diagonal:
-        raise ValueError("mass-map derivative factor is defined off the diagonal only")
-    tl, r = _tail(params.p), _r(params)
-    return _h_near(tl, r, d) if d <= 1.0 else _h_far(tl, r, d)
-
-
-def h_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
+def h_of_t(params: Params, t: float, d: float | None = None) -> float:
     """Sign-carrier of the mass-map derivative: sign(h(t)) = sign(mu'(t)).
 
     h(t) = (6-p)/(p-2) * ((p-2)/(p+2-2q) - t^2) / (t^2-1)^(2/(p-2)) * I(t) + t.
     At large t the first addend tends to -t; the closed form cancels the
     two analytically, so h keeps its relative accuracy where it is O(1/t).
-    For p = 6 this collapses to h(t) = t.
+    For p = 6 this collapses to h(t) = t.  Off the diagonal only.
     """
     d = resolve_d(t, d)
-    if params.p == 6.0 and not params.diagonal:
-        return ScalarEval(1.0 + d, 0.0)
-    # the addends are O(t) up to t = 2 and O(1/t) beyond, after the cancellation
-    t = 1.0 + d
-    scale = (1.0 + abs(_r(params))) * min(t, 4.0 / t)
-    value = h_value(params, d)
-    return ScalarEval(value, I_RTOL * (1.0 + abs(math.log(d))) * (abs(value) + scale))
+    if params.diagonal:
+        raise ValueError("mass-map derivative factor is defined off the diagonal only")
+    if params.p == 6.0:
+        return 1.0 + d
+    tl, r = _tail(params.p), _r(params)
+    return _h_near(tl, r, d) if d <= 1.0 else _h_far(tl, r, d)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +447,11 @@ def _deficit_far(tl: _Tail, ex: MassExponents, d: float) -> float:
         v = tl.eps * z * s1 + t ** (2.0 * tl.eps) * (mk - 1.0)
         return -math.expm1(-ex.ke * l1z + math.log1p(v))
     amp = tl.m * tl.a_over_m
-    v = z * _horner(tl.p_coef[1:], z) + math.exp(-tl.a * l1z) * (
-        z ** tl.k * amp * (z * s1 - 2.0 * lt * _exprel(t, lt, 2.0 * tl.eps))
-        + mk * t ** (-tl.m))
+    # (1-z)^(-a) t^(-m) = t (t^2-1)^(-a) as one power of a base in range
+    w = (t ** (1.0 / tl.a) / d / (d + 2.0)) ** tl.a
+    v = z * _horner(tl.p_coef[1:], z) + w * (
+        t ** (-2.0 * tl.eps) * amp * (z * s1 - 2.0 * lt * _exprel(t, lt, 2.0 * tl.eps))
+        + mk)
     return -math.expm1(ex.t1_rate * l1z + math.log1p(v))
 
 

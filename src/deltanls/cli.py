@@ -87,7 +87,7 @@ def _thresholds_payload(params: Params) -> dict:
             out["provenance"]["mu_tilde"] = (
                 "limit-constant" if region in (Region.G, Region.H) else "root")
         if params.q < min(4.0, params.p / 2.0 + 1.0):
-            out["mu_bar"] = massmap.mass_of_t(params, algebra.t_star(params)).value
+            out["mu_bar"] = massmap.mass_of_t(params, algebra.t_star(params))
             out["provenance"]["mu_bar"] = "closed-form (multiplier peak)"
     return out
 
@@ -231,7 +231,7 @@ def cmd_curves(args, config: RunConfig) -> int:
             "extrema": curve.extrema,
             "thresholds": _thresholds_payload(params),
         }
-        _emit(out_base, _csv(config, ["t", "mu", "mu_err", "h_sign"],
+        _emit(out_base, _csv(config, ["t", "mu", "h_sign"],
                              curve.samples, config.precision))
         _emit(out_base + ".json", _json_doc(config, sidecar))
         return 0
@@ -281,16 +281,17 @@ def cmd_verify(args, config: RunConfig) -> int:
             for r in results
         ],
     }
+    # the status lines go to stderr, so that stdout holds the report alone
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        sys.stdout.write(f"[{status}] {r.name} ({r.seconds:.2f}s)\n")
+        sys.stderr.write(f"[{status}] {r.name} ({r.seconds:.2f}s)\n")
         if not r.passed:
-            sys.stdout.write(f"       {r.detail}\n")
+            sys.stderr.write(f"       {r.detail}\n")
     if args.out:
         _emit(args.out, _json_doc(config, report))
     elif config.format == "json":
         sys.stdout.write(_json_doc(config, report))
-    sys.stdout.write(f"{'OK' if n_fail == 0 else 'FAILED'}: "
+    sys.stderr.write(f"{'OK' if n_fail == 0 else 'FAILED'}: "
                      f"{len(results) - n_fail}/{len(results)} checks passed\n")
     return 0 if n_fail == 0 else 1
 

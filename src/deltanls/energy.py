@@ -22,9 +22,6 @@ from . import algebra, massmap, stationary
 from .params import Params, Region, classify
 from .stationary import BranchPoint
 
-#: Numerical stand-in for "below any floor" in unboundedness probes.
-PROBE_FLOOR = -1.0e6
-
 
 @dataclass(frozen=True)
 class EnergyBreakdown:
@@ -74,28 +71,6 @@ def branch_energy(point: BranchPoint) -> EnergyBreakdown:
             "state outside double range: its energy is beyond the largest double "
             f"(t = {point.t:.6g}, lambda = {point.lam:.6g}, u0 = {u0:.6g})")
     return EnergyBreakdown(kinetic, bulk, pt, total)
-
-
-def multiplier_identity_residual(point: BranchPoint, mass: float) -> float:
-    """|lambda - (u0^q - ||u'||^2 - ||u||_p^p) / mu|, an exact identity on branches."""
-    e = branch_energy(point)
-    q, p = point.params.q, point.params.p
-    lam_from_energy = (q * e.point - 2.0 * e.kinetic - p * e.bulk) / mass
-    return abs(point.lam - lam_from_energy)
-
-
-def gagliardo_nirenberg_margin(point: BranchPoint, mass: float | None = None) -> float:
-    """||u||_2 ||u'||_2 - ||u||_inf^2 for the materialized profile (must be >= 0)."""
-    if mass is None:
-        mass = massmap.profile_mass_quadrature(point)
-    grad_sq = 2.0 * branch_energy(point).kinetic
-    return math.sqrt(mass * grad_sq) - point.u0 ** 2
-
-
-def peak_bound_margin(point: BranchPoint) -> float:
-    """p/8 - u0^(p+2-2q): non-negative on every branch state when q < p/2 + 1."""
-    p, q = point.params.p, point.params.q
-    return p / 8.0 - point.u0 ** (p + 2.0 - 2.0 * q)
 
 
 # ---------------------------------------------------------------------------
@@ -231,93 +206,6 @@ def zero_level_mass(params: Params) -> float | None:
     return mu
 
 
-def multiplier_consistency(params: Params, mu: float, step: float) -> float:
-    """|dE/dmu + lambda(mu)/2| via Richardson-refined central differences.
-
-    Defined where the minimizing branch is unique and smooth around mu.
-    """
-    center = groundstate_energy(params, mu)
-    if center.lam is None:
-        raise ValueError("multiplier is undefined: no minimizing branch at this mass")
-
-    def level(m: float) -> float:
-        s = groundstate_energy(params, m)
-        if s.value is None:
-            raise ValueError("level curve is not finite near the requested mass")
-        return s.value
-
-    def central(s: float) -> float:
-        return (level(mu + s) - level(mu - s)) / (2.0 * s)
-
-    d1 = central(step)
-    d2 = central(step / 2.0)
-    deriv = (4.0 * d2 - d1) / 3.0
-    return abs(deriv + center.lam / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# unboundedness probes
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    """Outcome of a closed-form trial-family descent at fixed mass."""
-
-    min_energy: float
-    descended_below_floor: bool
-    floor: float
-    family: str
-    best: dict
-
-
-def unboundedness_probe(params: Params, mu: float,
-                        floor: float = PROBE_FLOOR) -> ProbeResult:
-    """Scan closed-form trial energies and report the lowest value found.
-
-    Trial functions are exponential bumps delta * exp(-delta^2 |x|)
-    rescaled to the target mass; for q != 4 the mass rescaling gives
-
-        E = -mu'^(q/(4-q)) (delta^q/q - delta^4/2)
-            + (2 delta^(p-2)/p^2) mu'^((p+2-q)/(4-q))
-
-    evaluated over a delta ladder and masses mu' <= mu (parking the rest of
-    the mass at infinity costs nothing, so any trial at mu' <= mu bounds the
-    level at mu).  For q = 4 that rescaling degenerates and the width family
-    sqrt(sigma) u(sigma x) is used instead.
-    """
-    p, q = params.p, params.q
-    if not mu > 0.0:
-        raise ValueError(f"need mu > 0, got {mu}")
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        if q == 4.0:
-            sigmas = np.logspace(0.0, 8.0, 81)
-            deltas = np.logspace(-1.0, 1.0, 21)
-            S, D = np.meshgrid(sigmas, deltas, indexing="ij")
-            vals = (S ** 2 * mu * D ** 4 * (2.0 - mu) / 4.0
-                    + S ** (p / 2.0 - 1.0) * 2.0 * mu ** (p / 2.0)
-                    * D ** (p - 2.0) / p ** 2)
-            family = "width-rescaled bump"
-            axes = {"sigma": S, "delta": D}
-        else:
-            deltas = np.logspace(-2.0, 2.0, 81)
-            mus = mu * np.logspace(-6.0, 0.0, 31)
-            D, M = np.meshgrid(deltas, mus, indexing="ij")
-            vals = (-M ** (q / (4.0 - q)) * (D ** q / q - D ** 4 / 2.0)
-                    + (2.0 * D ** (p - 2.0) / p ** 2)
-                    * M ** ((p + 2.0 - q) / (4.0 - q)))
-            family = "mass-rescaled bump"
-            axes = {"delta": D, "mu_trial": M}
-
-    finite = np.isfinite(vals)
-    if not np.any(finite):
-        raise RuntimeError("trial family evaluated to no finite energies")
-    idx = np.unravel_index(np.nanargmin(np.where(finite, vals, np.inf)), vals.shape)
-    best_val = float(vals[idx])
-    best = {name: float(grid[idx]) for name, grid in axes.items()}
-    return ProbeResult(best_val, best_val < floor, floor, family, best)
-
-
 # ---------------------------------------------------------------------------
 # convexity of the level curve
 
@@ -338,24 +226,23 @@ def second_divided_differences(mus: np.ndarray, levels: np.ndarray) -> np.ndarra
     return 2.0 * np.diff(slopes) / (mus[2:] - mus[:-2])
 
 
-def convexity_scan(params: Params, mu_grid=None) -> ConvexityReport:
+def convexity_scan(params: Params) -> ConvexityReport:
     """Locate the single concave-to-convex crossing of the level curve.
 
-    Second divided differences must change sign at most once, from <= 0 to
-    >= 0; anything else is reported as insufficient resolution.  The
-    crossing is cross-checked against the mass of the fold point t*, where
-    the multiplier lambda(mu) peaks.
+    The level is sampled at 400 masses: evenly on (0, mu0) for p < 6,
+    geometrically on [1e-2, 1e3] beyond.  Second divided differences must
+    change sign at most once, from <= 0 to >= 0; anything else is reported
+    as insufficient resolution.  The crossing is cross-checked against the
+    mass of the fold point t*, where the multiplier lambda(mu) peaks.
     """
     p, q = params.p, params.q
     if not q < min(4.0, p / 2.0 + 1.0):
         raise ValueError("level-curve convexity split needs q < min(4, p/2 + 1)")
-    if mu_grid is None:
-        if p < 6.0:
-            mu0 = algebra.constants(params).mu0
-            mu_grid = np.linspace(mu0 / 400.0, mu0 * (1.0 - 1e-4), 400)
-        else:
-            mu_grid = np.geomspace(1e-2, 1e3, 400)
-    mus = np.asarray(sorted(float(m) for m in mu_grid))
+    if p < 6.0:
+        mu0 = algebra.constants(params).mu0
+        mus = np.linspace(mu0 / 400.0, mu0 * (1.0 - 1e-4), 400)
+    else:
+        mus = np.geomspace(1e-2, 1e3, 400)
     levels = np.array([groundstate_energy(params, m).value for m in mus])
     if np.any(~np.isfinite(levels)):
         raise ValueError("level curve is not finite on the requested grid")
@@ -379,5 +266,5 @@ def convexity_scan(params: Params, mu_grid=None) -> ConvexityReport:
     lo = mus[1 + last_neg]
     hi = mus[1 + first_pos]
     mu_bar = 0.5 * (lo + hi)
-    lam_peak_mass = massmap.mass_of_t(params, algebra.t_star(params)).value
+    lam_peak_mass = massmap.mass_of_t(params, algebra.t_star(params))
     return ConvexityReport(mu_bar, lam_peak_mass, hi - lo, "concave-then-convex")

@@ -25,7 +25,6 @@ from scipy.integrate import quad
 from . import algebra, stationary
 from .params import (ExistenceRule, Params, Region, ThresholdKind, classify,
                      expected_solution_regime)
-from .algebra import ScalarEval
 from .stationary import BranchPoint
 
 #: Relative mismatch below which a requested mass is identified with mu0
@@ -40,7 +39,7 @@ class GateFailure(RuntimeError):
     """A state whose profile quadrature disagrees with its reported mass."""
 
 
-def mass_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
+def mass_of_t(params: Params, t: float, d: float | None = None) -> float:
     """mu(t) for t in (1, inf]; t = inf is allowed only for p < 6 (returns mu0).
 
     Pass d = t - 1 for coordinates too close to 1 for t to represent.  The
@@ -50,9 +49,8 @@ def mass_of_t(params: Params, t: float, d: float | None = None) -> ScalarEval:
     if d is None and math.isinf(t):
         if params.p >= 6.0:
             raise ValueError("branch mass diverges as t -> inf for p >= 6")
-        return ScalarEval(algebra.constants(params).mu0, 0.0)
-    value = algebra.exp_or_inf(algebra.log_mass(params, algebra.resolve_d(t, d)))
-    return ScalarEval(value, algebra.I_RTOL * value)
+        return algebra.constants(params).mu0
+    return algebra.exp_or_inf(algebra.log_mass(params, algebra.resolve_d(t, d)))
 
 
 def _log_diagonal_coefficient(params: Params) -> tuple[float, float]:
@@ -67,22 +65,21 @@ def _log_diagonal_coefficient(params: Params) -> tuple[float, float]:
             + algebra.log_I(params, t - 1.0)), t
 
 
-def mass_of_lambda_diagonal(params: Params, lam: float) -> ScalarEval:
+def mass_of_lambda_diagonal(params: Params, lam: float) -> float:
     """Mass of the unique diagonal state at frequency lam > 0 (p > 8 only)."""
     if not lam > 0.0:
         raise ValueError(f"need lambda > 0, got {lam}")
     log_coeff, _ = _log_diagonal_coefficient(params)
     p = params.p
-    value = algebra.exp_or_inf(log_coeff + (6.0 - p) / (2.0 * (p - 2.0)) * math.log(lam))
-    return ScalarEval(value, algebra.I_RTOL * value)
+    return algebra.exp_or_inf(log_coeff + (6.0 - p) / (2.0 * (p - 2.0)) * math.log(lam))
 
 
 def state_mass(point: BranchPoint) -> float:
     """Closed-form mass of a stationary state: diagonal, zero-frequency or branch."""
     params = point.params
     if params.diagonal:
-        return mass_of_lambda_diagonal(params, point.lam).value
-    return mass_of_t(params, point.t, None if point.zero_frequency else point.d).value
+        return mass_of_lambda_diagonal(params, point.lam)
+    return mass_of_t(params, point.t, None if point.zero_frequency else point.d)
 
 
 @dataclass(frozen=True)
@@ -123,14 +120,14 @@ class MassCurve:
     """Sampled mu(t) with its limits and interior critical points."""
 
     params: Params
-    samples: tuple[tuple[float, float, float, int], ...]  # (t, mu, mu_err, sign of mu')
+    samples: tuple[tuple[float, float, int], ...]         # (t, mu, sign of mu')
     limits: tuple[float, float]                           # (t -> 1+, t -> inf)
     extrema: tuple[tuple[float, float], ...]              # interior (t, mu) critical points
 
 
 def _mu_at(params: Params, y: float) -> float:
     d = math.exp(y)
-    return mass_of_t(params, 1.0 + d, d).value
+    return mass_of_t(params, 1.0 + d, d)
 
 
 class BranchMinimum(NamedTuple):
@@ -159,7 +156,8 @@ def _branch_minimum(params: Params) -> BranchMinimum:
     report: mu0 is the infimum, attained by the zero-frequency state.
     """
     def h_at(y: float) -> float:
-        return algebra.h_value(params, math.exp(y))
+        d = math.exp(y)
+        return algebra.h_of_t(params, 1.0 + d, d)
 
     h0 = h_at(0.0)
     try:
@@ -191,8 +189,7 @@ def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
     samples = []
     for y in np.linspace(y_lo, y_hi, n).tolist():
         d = math.exp(y)
-        mu = mass_of_t(params, 1.0 + d, d)
-        samples.append((1.0 + d, mu.value, mu.abs_error_estimate, -1 if y < y_min else 1))
+        samples.append((1.0 + d, mass_of_t(params, 1.0 + d, d), -1 if y < y_min else 1))
     return MassCurve(params, tuple(samples), (asym.t1_limit, asym.tinf_limit), extrema)
 
 

@@ -48,6 +48,11 @@ DECAY_GATE = 1e-7
 BLOWUP_FACTOR = 1e3
 #: Energy below which a flow in a bounded regime is declared divergent.
 FLOW_DIVERGENCE_FLOOR = -1.0e6
+#: Relative tolerance of the DOP853 shooter.
+SHOOT_RTOL = 1e-12
+#: Relative energy drop below which a flow step counts as stalled (eight
+#: stalled steps in a row end the flow).
+STALL_REL = 1e-10
 #: Own nodes per block of the grid kernels (sampling and the discrete
 #: functional): 256 KB per float temporary on any grid.
 BLOCK = 1 << 15
@@ -173,7 +178,7 @@ def _tail_value(params: Params, lam: float, u_d: float,
 
 
 def shoot(params: Params, lam: float, u0: float, L: float | None = None,
-          n: int = 20000, rtol: float = 1e-12) -> ShootingResult:
+          n: int = 20000) -> ShootingResult:
     """Integrate the vertex initial-value problem outward and classify it.
 
     decay_ok requires the trajectory to stay positive and the far-end gate
@@ -212,7 +217,7 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     ev_blow.terminal, ev_blow.direction = True, 1.0
 
     sol = solve_ivp(rhs, (0.0, L), [u0, -0.5 * u0 ** (q - 1.0)],
-                    method="DOP853", rtol=rtol,
+                    method="DOP853", rtol=SHOOT_RTOL,
                     atol=[1e-14 * u0, 1e-14 * u0 * slope_scale],
                     events=[ev_capture, ev_cross, ev_rebound, ev_blow],
                     dense_output=True)
@@ -366,7 +371,7 @@ def make_initial_profile(mu: float, L: float, n: int,
 
 
 def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
-                         max_iters: int = 200000, stall_rel: float = 1e-10,
+                         max_iters: int = 200000,
                          probe_floor: float | None = None):
     """Backward-Euler normalized gradient flow at fixed discrete mass.
 
@@ -434,7 +439,7 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
                 trace)
         if probe_floor is not None and energy < probe_floor:
             break
-        if drop <= stall_rel * max(1.0, abs(energy)):
+        if drop <= STALL_REL * max(1.0, abs(energy)):
             stall_count += 1
             if stall_count >= 8:
                 break

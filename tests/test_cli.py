@@ -145,11 +145,11 @@ def test_curves_mass_region_H(tmp_path, capsys):
                      "--out", str(out_file))
     assert code == 0
     lines = out_file.read_text().splitlines()
-    assert lines[1] == "t,mu,mu_err,h_sign"
+    assert lines[1] == "t,mu,h_sign"
     mus = [float(l.split(",")[1]) for l in lines[2:]]
     assert all(m > 2.0 for m in mus)
     assert all(a < b for a, b in zip(mus, mus[1:]))
-    assert all(int(l.split(",")[3]) == 1 for l in lines[2:])
+    assert all(int(l.split(",")[2]) == 1 for l in lines[2:])
 
 
 def test_curves_outputs_are_byte_identical(tmp_path, capsys):
@@ -182,12 +182,26 @@ def test_config_file_overrides(tmp_path, capsys):
 
 
 def test_verify_quick_passes(capsys):
-    code, out, _ = run(capsys, "verify", "quick")
+    code, out, err = run(capsys, "verify", "quick")
     assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith("[")]
+    assert out == ""
+    lines = [l for l in err.splitlines() if l.startswith("[")]
     assert len(lines) == len(verification.QUICK_CHECKS)
     assert all(l.startswith("[PASS]") for l in lines)
-    assert out.splitlines()[-1].startswith("OK")
+    assert err.splitlines()[-1].startswith("OK")
+
+
+def test_verify_json_on_stdout_is_the_report(capsys, monkeypatch):
+    # the status lines go to stderr, so stdout parses as the report itself
+    checks = verification.QUICK_CHECKS[:2]
+    monkeypatch.setattr(verification, "QUICK_CHECKS", checks)
+    code, out, err = run(capsys, "verify", "quick", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert [c["name"] for c in doc["checks"]] == [
+        l.split()[1] for l in err.splitlines() if l.startswith("[PASS]")]
+    assert err.splitlines()[-1] == "OK: 2/2 checks passed"
 
 
 def test_verify_report_is_deterministic(tmp_path, capsys):

@@ -49,7 +49,7 @@ def check_against_reference(p: float, q: float, y: float) -> None:
     # scale of its addends bounds the error instead
     t = 1.0 + d
     scale = (1.0 + abs((p - 2.0) / (p + 2.0 - 2.0 * q))) * min(t, 4.0 / t)
-    assert abs(algebra.h_value(params, d) - h) <= 1e-14 * (1.0 + abs(y)) * (abs(h) + scale)
+    assert abs(algebra.h_of_t(params, t, d) - h) <= 1e-14 * (1.0 + abs(y)) * (abs(h) + scale)
 
 
 exponents = st.tuples(st.floats(2.02, 16.0), st.floats(2.05, 12.0)).filter(
@@ -70,10 +70,20 @@ def test_closed_form_at_the_poles(p, y):
     check_against_reference(p, 2.9 if p < 6.0 else 3.1, y)
 
 
+# next to p = 2 the factor (1 - 1/t^2)^(-a) of the t > 2 series, a = 2/(p-2),
+# is beyond the double range on its own (once an OverflowError in h and in
+# the mass deficit)
+@pytest.mark.parametrize("p", [2.0001, 2.0003, 2.0008, 2.001])
+@pytest.mark.parametrize("q", [2.05, 2.6, 5.0])
+@pytest.mark.parametrize("y", [0.5, 3.0, 20.0])
+def test_closed_form_next_to_p_2(p, q, y):
+    check_against_reference(p, q, y)
+
+
 def test_p4_is_exact():
     params = Params(4.0, 3.5)
     for d in (1e-300, 0.3, 1.0, 7.0, 1e200):
-        assert algebra.I_of_t(params, 1.0 + d, d).value == d
+        assert algebra.I_of_t(params, 1.0 + d, d) == d
         assert algebra.log_I(params, d) == pytest.approx(math.log(d), rel=1e-15, abs=1e-15)
 
 
@@ -81,13 +91,13 @@ def test_p6_is_arccosh():
     params = Params(6.0, 3.0)
     for d in (1e-12, 0.4, 2.0, 1e5, 1e150):
         want = math.log1p(d + math.sqrt(d * (d + 2.0)))
-        assert algebra.I_of_t(params, 1.0 + d, d).value == pytest.approx(want, rel=1e-14)
+        assert algebra.I_of_t(params, 1.0 + d, d) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("p", [6.5, 8.0, 11.0, 16.0])
 def test_infinite_endpoint_is_half_beta(p):
     a, b = 2.0 / (p - 2.0), (p - 6.0) / (2.0 * (p - 2.0))
-    assert algebra.I_of_t(Params(p, 3.0), math.inf).value == pytest.approx(
+    assert algebra.I_of_t(Params(p, 3.0), math.inf) == pytest.approx(
         float(mp.beta(a, b)) / 2.0, rel=1e-14)
 
 
@@ -95,24 +105,22 @@ def test_infinite_endpoint_is_half_beta(p):
 @pytest.mark.parametrize("t", [1.0 + 1e-6, 1.3, 2.0, 2.5, 40.0, 3e4])
 def test_closed_form_matches_quadrature_oracle(p, t):
     params = Params(p, 3.0)
-    quad = algebra.I_of_t_quadrature(params, t)
-    assert algebra.I_of_t(params, t).value == pytest.approx(
-        quad.value, rel=1e-10, abs=quad.abs_error_estimate)
+    quad, err = algebra.I_of_t_quadrature(params, t)
+    assert algebra.I_of_t(params, t) == pytest.approx(quad, rel=1e-10, abs=err)
 
 
 def test_mass_curve_samples_are_mass_of_t():
     params = Params(4.0, 3.5)
     curve = massmap.mass_curve(params, n=64, y_lo=-20.0, y_hi=20.0)
-    for y, (t, mu, err, sign) in zip(np.linspace(-20.0, 20.0, 64), curve.samples):
+    for y, (t, mu, sign) in zip(np.linspace(-20.0, 20.0, 64), curve.samples):
         d = math.exp(y)
-        want = massmap.mass_of_t(params, t, d)
         assert t == 1.0 + d
-        assert (mu, err) == (want.value, want.abs_error_estimate)
+        assert mu == massmap.mass_of_t(params, t, d)
         assert sign == (-1 if y < 0.0 else 1)   # the minimum of (4, 3.5) is at t = 2
 
 
 @pytest.mark.parametrize("p, q", [(2.7, 3.4), (8.0, 4.5)])
 def test_mass_curve_spans_the_double_range(p, q):
     curve = massmap.mass_curve(Params(p, q), n=512, y_lo=-700.0, y_hi=350.0)
-    mus = [mu for _, mu, _, _ in curve.samples]
+    mus = [mu for _, mu, _ in curve.samples]
     assert all(mu > 0.0 and not math.isnan(mu) for mu in mus)   # finite or inf

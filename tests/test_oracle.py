@@ -100,7 +100,7 @@ def test_functional_eval_matches_closed_forms():
     pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
     grid = oracle.sample_profile(pt, 400.0, 200000)
     mass, eb = oracle.functional_eval(P425, grid)
-    assert mass == pytest.approx(massmap.mass_of_t(P425, 2.0).value, rel=1e-6)
+    assert mass == pytest.approx(massmap.mass_of_t(P425, 2.0), rel=1e-6)
     want = energy.branch_energy(pt)
     assert eb.kinetic == pytest.approx(want.kinetic, rel=1e-6)
     assert eb.bulk == pytest.approx(want.bulk, rel=1e-6)
@@ -235,7 +235,7 @@ def test_functional_eval_tent_family():
 
 def test_refinement_convergence():
     pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
-    closed = massmap.mass_of_t(P425, 2.0).value
+    closed = massmap.mass_of_t(P425, 2.0)
     errs = []
     for n in (25000, 50000):
         mass, _ = oracle.functional_eval(P425, oracle.sample_profile(pt, 400.0, n))

@@ -37,7 +37,7 @@ def test_region_C_fold_and_window():
     thr = massmap.mass_threshold(PC)
     # a bounded minimization of the mass map finds the same minimum
     y_min = math.log(thr.minimizer_t - 1.0)
-    direct = minimize_scalar(lambda y: massmap.mass_of_t(PC, 1.0 + math.exp(y)).value,
+    direct = minimize_scalar(lambda y: massmap.mass_of_t(PC, 1.0 + math.exp(y)),
                              bounds=(y_min - 0.5, y_min + 0.5), method="bounded",
                              options={"xatol": 1e-8})
     assert abs(direct.fun - thr.mu_threshold) < 1e-8

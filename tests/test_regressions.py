@@ -74,7 +74,7 @@ def test_profile_far_out_on_the_branch():
     u = stationary.profile(pt, np.array([0.0, 1.0, 1e20]))
     assert u[0] == pytest.approx(pt.u0, rel=1e-12)
     assert np.all(np.isfinite(u)) and u[2] < u[1] < u[0]
-    mu = massmap.mass_of_t(pt.params, pt.t, pt.d).value
+    mu = massmap.mass_of_t(pt.params, pt.t, pt.d)
     assert massmap.profile_mass_quadrature(pt) == pytest.approx(mu, rel=1e-6)
 
 
@@ -142,6 +142,19 @@ def test_zero_frequency_state_near_p_two():
     assert sols[0].point.a == pytest.approx(277.47802253024197, rel=1e-12)
     assert sols[0].point.u0 == pytest.approx(1.5467048265232274, rel=1e-12)
     assert math.isfinite(sols[0].energy)
+
+
+@pytest.mark.parametrize("p,q", [(2.0002, 2.05), (2.0004821378491826, 2.188884780621504)])
+def test_classify_next_to_p_two(capsys, p, q):
+    # p - 2 < 1e-3, region F: the factor (1 - 1/t^2)^(-2/(p-2)) of h and of
+    # the mass deficit left the double range on its own (an OverflowError
+    # traceback from classify and from zero_level_mass)
+    code = cli.main(["classify", "--p", repr(p), "--q", repr(q), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    th = json.loads(captured.out)["thresholds"]
+    assert th["mu_tilde"] == energy.zero_level_mass(Params(p, q))
+    assert th["mu_threshold"] <= th["mu_tilde"] < math.inf
 
 
 # Next to the diagonal q = p/2 + 1 the exponents over 2q - p - 2 are large:
