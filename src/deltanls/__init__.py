@@ -38,10 +38,8 @@ from .massmap import (
 from .energy import (
     Attainment,
     EnergyBreakdown,
-    EnergyCurve,
     branch_energy,
     convexity_scan,
-    energy_curve,
     groundstate_energy,
     zero_level_mass,
 )

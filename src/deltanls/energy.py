@@ -97,12 +97,6 @@ class EnergySample:
     # (t, lambda, energy) of every branch state at this mass
 
 
-@dataclass(frozen=True)
-class EnergyCurve:
-    params: Params
-    samples: tuple[EnergySample, ...]
-
-
 @lru_cache(maxsize=64)
 def _plateau_energy(params: Params) -> float:
     return branch_energy(stationary.zero_frequency_point(params)).total
@@ -157,12 +151,6 @@ def groundstate_energy(params: Params, mu: float) -> EnergySample:
                             Attainment.ATTAINED, cands)
     # branch states exist but all cost positive energy: the level sits at 0
     return EnergySample(mu, 0.0, None, "vanishing", Attainment.NOT_ATTAINED, cands)
-
-
-def energy_curve(params: Params, mu_grid) -> EnergyCurve:
-    """Sample the level curve on the given masses (ascending order enforced)."""
-    mus = sorted(float(m) for m in mu_grid)
-    return EnergyCurve(params, tuple(groundstate_energy(params, m) for m in mus))
 
 
 def zero_level_mass(params: Params) -> float | None:

@@ -206,43 +206,44 @@ class NormalizedSolution:
     energy: float
 
 
+def _panel_quad(f, ell: float, end: float) -> float:
+    """Integral of f over [0, end]: the panel [0, ell], then panels growing x4.
+
+    ell is the length over which the integrand falls by e at the origin, so
+    the first panel holds the peak however narrow it is (p -> 2).
+    """
+    cuts = [0.0, min(ell, end)]
+    while 0.0 < cuts[-1] < end:   # an ell that underflows to 0 fails the gate
+        cuts.append(min(4.0 * cuts[-1], end))
+    return sum(quad(f, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
 def profile_mass_quadrature(point: BranchPoint) -> float:
     """Mass of the materialized profile by adaptive quadrature (gate oracle).
 
     Independent of the closed-form mass map: integrates u(x)^2 directly.
     Positive frequencies are integrated in the scaled variable
-    z = (p-2) sqrt(lambda) x / 2 over geometric panels, so branch points
-    with tiny lambda (structure on scale 1/sqrt(lambda)) stay resolvable;
-    the algebraic zero-frequency tail is added in closed form past a cutoff.
+    z = (p-2) sqrt(lambda) x / 2, so branch points with tiny lambda
+    (structure on scale 1/sqrt(lambda)) stay resolvable; the algebraic
+    zero-frequency tail is added in closed form past a cutoff.  Both start
+    their panels at the e-folding length of u^2 at the origin.
     """
     u2 = lambda x: stationary.profile(point, x) ** 2
     p = point.params.p
     if point.zero_frequency:
+        # u^2 = u0^2 (1 + x/a)^(-4/(p-2)) falls by e within about a (p-2)/4
         cutoff = max(1e3, 100.0 * point.a)
-        # u^2 = u0^2 (1 + x/a)^(-4/(p-2)) falls by e within about a (p-2)/4:
-        # panels one decade apart from there on keep that peak resolved near p = 2
-        scale = 0.25 * (p - 2.0) * point.a
-        cuts = [0.0] + [scale * 10.0 ** k
-                        for k in range(max(0, math.ceil(math.log10(cutoff / scale))))]
-        cuts = [c for c in cuts if c < cutoff] + [cutoff]
-        core = sum(quad(u2, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=400)[0]
-                   for lo, hi in zip(cuts[:-1], cuts[1:]))
         tail = point.u0 ** 2 * (p - 2.0) / (6.0 - p) * point.a \
             * (point.a / (cutoff + point.a)) ** ((6.0 - p) / (p - 2.0))
-        return 2.0 * (core + tail)
+        return 2.0 * (_panel_quad(u2, 0.25 * (p - 2.0) * point.a, cutoff) + tail)
     kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
     eps = kappa * point.a   # = ln(1 + 2/d) / 2 > 0 for every finite d
-    z_max = max(40.0, 7.0 * (p - 2.0))  # u^2 ~ exp(-4 z/(p-2)) in the far tail
-    # one panel per decade from eps up to 1 (at most 309 for a double d)
-    decades = math.ceil(-math.log10(eps)) if eps < 1.0 else 0
-    cuts = [0.0] + [eps * 10.0 ** k for k in range(decades)] + [1.0, 5.0, 20.0, z_max]
-    cuts = sorted(set(c for c in cuts if c <= z_max))
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, _ = quad(lambda zz: u2(zz / kappa), lo, hi,
-                      epsabs=1e-14, epsrel=1e-10, limit=200)
-        total += val
-    return 2.0 * total / kappa
+    # u^2 ~ sinh(z + eps)^(-4/(p-2)) falls by e within (p-2) tanh(eps) / 4,
+    # and like exp(-4 z/(p-2)) in the far tail
+    z_max = max(40.0, 7.0 * (p - 2.0))
+    return 2.0 * _panel_quad(lambda z: u2(z / kappa), 0.25 * (p - 2.0) * math.tanh(eps),
+                             z_max) / kappa
 
 
 def mass_gate(point: BranchPoint, mu: float) -> None:

@@ -19,8 +19,7 @@ mode (error ~ eps * exp(sqrt(lambda) x)).  The shooter therefore stops at
 a capture radius where |u| + |u'|/sqrt(lambda) has dropped to 1e-6 * u0 --
 reached well before noise can -- and continues the tail with the exact
 decay law of the first integral.  Trajectories that instead cross zero,
-turn around, or exceed 1e3 * u0 are classified as non-decaying; that
-dichotomy is what the vertex-height solve consumes.
+turn around, or exceed 1e3 * u0 are classified as non-decaying.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import brentq
 
 from .params import Params
 from .stationary import BranchPoint, profile as analytic_profile
@@ -287,25 +285,6 @@ def shooting_sup_distance(point: BranchPoint, result: ShootingResult) -> float:
     """sup_x |numeric profile - closed-form profile| on the shooter's grid."""
     exact = np.asarray(analytic_profile(point, result.profile.x), dtype=float)
     return float(np.max(np.abs(result.profile.values - exact)))
-
-
-def bisect_vertex_height(params: Params, lam: float, lo: float, hi: float,
-                         rel_tol: float = 1e-8, L: float | None = None) -> float:
-    """Locate a decaying vertex height between an undershoot and an overshoot.
-
-    Trajectories rebound (or blow up) on one side of the connection and
-    cross zero on the other; that dichotomy is monotone in u0 near a simple
-    connection, so one bracketed Brent solve on the signed outcome (+1 for a
-    zero crossing, -1 otherwise) applies.
-    """
-
-    def outcome_sign(u0: float) -> float:
-        out = shoot(params, lam, u0, L=L, n=200).outcome
-        return 1.0 if out == "crossed_zero" else -1.0
-
-    if outcome_sign(lo) == outcome_sign(hi):
-        raise ValueError("bracket does not straddle the decay/blow-up dichotomy")
-    return brentq(outcome_sign, lo, hi, rtol=rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -74,17 +74,13 @@ def test_tail_continuation_matches_scalar_decay_law(params, lam):
     np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
 
 
-def test_vertex_height_bisection_recovers_solution():
+def test_vertex_height_matches_independent_root():
     # independent oracle: the decaying height solves
     # u0^(2(q-1))/4 = lam u0^2 + (2/p) u0^p
     p, q, lam = 3.0, 4.0, 1.0
     params = Params(p, q)
     exact = brentq(lambda u: u ** (2.0 * (q - 1.0)) / 4.0 - lam * u * u
                    - (2.0 / p) * u ** p, 1.0, 5.0, xtol=1e-12)
-    got = oracle.bisect_vertex_height(params, lam, 0.5 * exact, 2.0 * exact,
-                                      rel_tol=1e-8)
-    assert got == pytest.approx(exact, rel=1e-6)
-    # cross-check against the branch enumeration
     pt = stationary.solve_for_lambda(params, lam).points[0]
     assert pt.u0 == pytest.approx(exact, rel=1e-10)
 

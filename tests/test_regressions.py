@@ -209,6 +209,34 @@ def test_diagonal_mass_beyond_double_range_is_refused(capsys):
         assert "state outside double range" in capsys.readouterr().err
 
 
+# states next to p = 2 whose u^2 falls by e within (p - 2)/4 of the origin in
+# z = kappa x: the profile-mass gate must resolve that peak.  The last column
+# is the mass of u^2, from 40-digit mpmath for the first state.
+NEAR_P_TWO_GATE_CASES = [
+    (2.000124869650554, 12.549183521447292, 1e-8, 9.99999999835e-9),
+    (2.0001256655301716, 10.365862784002701, 1e-8, 1e-8),
+    (2.0001256655301716, 10.365862784002701, 1e-3, 1e-3),
+    (2.0001256655301716, 10.365862784002701, 0.3, 0.3),
+    (2.0001751071279203, 3.638273970703782, 2.5, 2.5),
+    (2.000120795123391, 3.1964696418337035, 40.0, 40.0),
+]
+
+
+@pytest.mark.parametrize("p,q,mass,want", NEAR_P_TWO_GATE_CASES)
+def test_gate_resolves_the_peak_next_to_p_two(p, q, mass, want):
+    sols = massmap.normalized_solutions(Params(p, q), mass)   # gated
+    assert len(sols) == 1
+    assert massmap.profile_mass_quadrature(sols[0].point) == pytest.approx(want, rel=1e-9)
+
+
+def test_gate_resolves_the_peak_for_a_small_offset():
+    # eps = kappa a = 9e-14 here, and u^2 falls by e within (p - 2) eps / 4 in
+    # z: a first panel [0, eps] holds the whole peak, and QUADPACK misses it
+    point = stationary.state_at_logd(Params(2.0002, 7.0), 30.0)
+    assert massmap.profile_mass_quadrature(point) == pytest.approx(
+        massmap.state_mass(point), rel=1e-10)
+
+
 def _near_diagonal_pairs(n: int, seed: int) -> list[Params]:
     """p ~ U(2.05, 16), q = p/2 + 1 +- 10^U(-8, -2)."""
     rng = np.random.default_rng(seed)
@@ -272,3 +300,17 @@ def test_near_diagonal_sweep_ends_in_answers_or_refusals(capsys):
             if states is None or (lb is not None and abs(lam - lb) <= 1e-6 * lam):
                 continue
             assert states.count == (1 if not below else 2 if lam < lb else 0), (params, lam)
+
+
+def test_near_p_two_sweep_ends_in_gated_states_or_refusals():
+    # p - 2 = 10^U(-4, -0.5), q ~ U(2.05, 12); a GateFailure fails the test
+    rng = np.random.default_rng(2026)
+    for _ in range(50):
+        params = Params(2.0 + 10.0 ** float(rng.uniform(-4.0, -0.5)),
+                        float(rng.uniform(2.05, 12.0)))
+        thr = _answer_or_refusal(massmap.mass_threshold, params)
+        for mu in (1e-8, 1e-3, 0.3, 2.5, 40.0, 1e4, 1e8):
+            sols = _answer_or_refusal(massmap.normalized_solutions, params, mu)
+            want = _expected_count(thr, mu) if thr is not None else None
+            if sols is not None and want is not None:
+                assert len(sols) == want, (params, mu)
