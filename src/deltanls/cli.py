@@ -1,8 +1,9 @@
 """Command-line front end: classify, solve, curves, verify.
 
-Artifacts are deterministic: fixed float formatting (17 significant digits
-by default), LF line endings, stable JSON key order, no timestamps, and the
-full run configuration embedded in every file.
+Artifacts are deterministic: identical inputs give byte-identical files
+(CSV floats to 17 significant digits, LF line endings, stable JSON key
+order, no timestamps).  `--format` is read by classify, solve and verify;
+curves always writes a CSV with a JSON sidecar.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 import numpy as np
 
 from . import algebra, energy, massmap, stationary, verification
-from .config import RunConfig, default_output_dir, load_config_file
 from .params import Params, Region, classify, expected_solution_regime
 from .stationary import BranchPoint
 
@@ -42,18 +42,15 @@ def _emit(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _csv(config: RunConfig, header: list[str], rows: list[list], precision: int) -> str:
-    lines = [f"# config: {config.to_json()}"]
-    lines.append(",".join(header))
+def _csv(header: list[str], rows: list[list]) -> str:
+    lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v, precision) for v in row))
+        lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def _json_doc(config: RunConfig, payload: dict) -> str:
-    doc = {"config": config.to_dict()}
-    doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _json_doc(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _parse_range(text: str) -> tuple[float, float, int]:
@@ -96,7 +93,7 @@ def _thresholds_payload(params: Params) -> dict:
 # classify
 
 
-def cmd_classify(args, config: RunConfig) -> int:
+def cmd_classify(args) -> int:
     params = Params(args.p, args.q)
     region = classify(params)
     rule = expected_solution_regime(params)
@@ -112,8 +109,8 @@ def cmd_classify(args, config: RunConfig) -> int:
     if params.diagonal:
         exists, t = stationary.diagonal_exists(params)
         payload["diagonal_state"] = {"exists": exists, "t": t}
-    if config.format == "json":
-        _emit(args.out, _json_doc(config, payload))
+    if args.format == "json":
+        _emit(args.out, _json_doc(payload))
         return 0
     lines = [
         f"exponents: p = {_fmt(params.p)}, q = {_fmt(params.q)}",
@@ -139,19 +136,15 @@ def cmd_classify(args, config: RunConfig) -> int:
 def _solution_row(point: BranchPoint) -> list:
     eb = energy.branch_energy(point)
     mass = massmap.state_mass(point)
-    q = point.params.q
-    vres = stationary.vertex_residual(point) / point.u0 ** (q - 1.0)
-    scale = point.u0 ** (q - 1.0 if point.zero_frequency else q - 2.0)
-    mres = stationary.matching_residual(point) / scale
     return [point.t, point.lam, point.a, point.u0, mass,
-            eb.kinetic, eb.bulk, eb.point, eb.total, vres, mres]
+            eb.kinetic, eb.bulk, eb.point, eb.total, stationary.vertex_residual(point)]
 
 
 _SOLVE_HEADER = ["t", "lambda", "a", "u0", "mass", "kinetic", "bulk",
-                 "point", "total", "vertex_residual_rel", "matching_residual_rel"]
+                 "point", "total", "vertex_residual_rel"]
 
 
-def cmd_solve(args, config: RunConfig) -> int:
+def cmd_solve(args) -> int:
     params = Params(args.p, args.q)
     note = ""
     if args.lam is not None:
@@ -166,7 +159,7 @@ def cmd_solve(args, config: RunConfig) -> int:
             rule = expected_solution_regime(params)
             note = f"no states at this mass: {rule.describe()}"
     rows = [_solution_row(pt) for pt in points]
-    if config.format == "json":
+    if args.format == "json":
         payload = {
             "p": params.p, "q": params.q,
             "query": {"lambda": args.lam, "mass": args.mass},
@@ -174,9 +167,9 @@ def cmd_solve(args, config: RunConfig) -> int:
             "columns": _SOLVE_HEADER,
             "rows": rows,
         }
-        _emit(args.out, _json_doc(config, payload))
+        _emit(args.out, _json_doc(payload))
     else:
-        text = _csv(config, _SOLVE_HEADER, rows, config.precision)
+        text = _csv(_SOLVE_HEADER, rows)
         if note:
             text += f"# note: {note}\n"
         _emit(args.out, text)
@@ -199,17 +192,17 @@ def _nonexistence_reason(params: Params, lam: float) -> str:
 # curves
 
 
-def cmd_curves(args, config: RunConfig) -> int:
+def cmd_curves(args) -> int:
     params = Params(args.p, args.q)
     region = classify(params)
     out_base = args.out
     if out_base is None:
         tag = f"{args.which}_p{_fmt(params.p, 6)}_q{_fmt(params.q, 6)}"
-        out_base = os.path.join(default_output_dir(), tag + ".csv")
+        out_base = os.path.join(os.environ.get("DELTANLS_OUT", "."), tag + ".csv")
 
     if args.which == "mass":
         if params.diagonal:
-            _emit(out_base + ".refused.json", _json_doc(config, {
+            _emit(out_base + ".refused.json", _json_doc({
                 "refused": "mass-vs-t curve",
                 "reason": ("the branch coordinate is frequency-independent on "
                            "the diagonal q = p/2 + 1; use `solve` at fixed "
@@ -231,9 +224,8 @@ def cmd_curves(args, config: RunConfig) -> int:
             "extrema": curve.extrema,
             "thresholds": _thresholds_payload(params),
         }
-        _emit(out_base, _csv(config, ["t", "mu", "h_sign"],
-                             curve.samples, config.precision))
-        _emit(out_base + ".json", _json_doc(config, sidecar))
+        _emit(out_base, _csv(["t", "mu", "h_sign"], curve.samples))
+        _emit(out_base + ".json", _json_doc(sidecar))
         return 0
 
     # energy curve
@@ -241,7 +233,7 @@ def cmd_curves(args, config: RunConfig) -> int:
     mus = np.linspace(a, b, n)
     samples = [energy.groundstate_energy(params, float(m)) for m in mus]
     if all(s.flag is energy.Attainment.MINUS_INFINITY for s in samples):
-        _emit(out_base + ".refused.json", _json_doc(config, {
+        _emit(out_base + ".refused.json", _json_doc({
             "refused": "energy curve",
             "reason": ("the energy level is unbounded below at every requested "
                        "mass for these exponents (the point term dominates "
@@ -258,9 +250,8 @@ def cmd_curves(args, config: RunConfig) -> int:
         "thresholds": _thresholds_payload(params) if not params.diagonal else {},
         "flags": sorted({s.flag.value for s in samples}),
     }
-    _emit(out_base, _csv(config, ["mu", "E", "lambda", "branch_id", "flag"],
-                         rows, config.precision))
-    _emit(out_base + ".json", _json_doc(config, sidecar))
+    _emit(out_base, _csv(["mu", "E", "lambda", "branch_id", "flag"], rows))
+    _emit(out_base + ".json", _json_doc(sidecar))
     return 0
 
 
@@ -268,7 +259,7 @@ def cmd_curves(args, config: RunConfig) -> int:
 # verify
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     results = verification.run_checks(args.suite)
     n_fail = sum(not r.passed for r in results)
     # timings stay on the console; the report must be byte-reproducible
@@ -288,9 +279,9 @@ def cmd_verify(args, config: RunConfig) -> int:
         if not r.passed:
             sys.stderr.write(f"       {r.detail}\n")
     if args.out:
-        _emit(args.out, _json_doc(config, report))
-    elif config.format == "json":
-        sys.stdout.write(_json_doc(config, report))
+        _emit(args.out, _json_doc(report))
+    elif args.format == "json":
+        sys.stdout.write(_json_doc(report))
     sys.stderr.write(f"{'OK' if n_fail == 0 else 'FAILED'}: "
                      f"{len(results) - n_fail}/{len(results)} checks passed\n")
     return 0 if n_fail == 0 else 1
@@ -307,22 +298,21 @@ def _build_parser() -> argparse.ArgumentParser:
                      "levels of the 1D NLS with a defocusing bulk term and a "
                      "focusing point term at the origin."))
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="output format (default from config)")
     common.add_argument("--out", default=None,
                         help="output file (default: stdout, or $DELTANLS_OUT for curves)")
-    common.add_argument("--config", default=None,
-                        help="key = value configuration file")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[common])
+    formatted.add_argument("--format", choices=("csv", "json"), default="csv",
+                           help="output format (default: csv)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("classify", parents=[common],
+    pc = sub.add_parser("classify", parents=[formatted],
                         help="region tag, existence rule and thresholds")
     pc.add_argument("--p", type=float, required=True)
     pc.add_argument("--q", type=float, required=True)
     pc.set_defaults(fn=cmd_classify)
 
-    ps = sub.add_parser("solve", parents=[common],
+    ps = sub.add_parser("solve", parents=[formatted],
                         help="all states at fixed frequency or fixed mass")
     ps.add_argument("--p", type=float, required=True)
     ps.add_argument("--q", type=float, required=True)
@@ -339,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--range", default=None, help="a:b:n sample range")
     pk.set_defaults(fn=cmd_curves)
 
-    pv = sub.add_parser("verify", parents=[common],
+    pv = sub.add_parser("verify", parents=[formatted],
                         help="run the verification battery")
     pv.add_argument("suite", choices=("quick", "full"), nargs="?", default="quick")
     pv.set_defaults(fn=cmd_verify)
@@ -349,14 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides.update(load_config_file(args.config))
-    if getattr(args, "format", None):
-        overrides["format"] = args.format
     try:
-        config = RunConfig(**overrides)
-        return args.fn(args, config)
+        return args.fn(args)
     except (ValueError, OSError) as exc:   # InvalidExponents is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -210,13 +210,20 @@ def _panel_quad(f, ell: float, end: float) -> float:
     """Integral of f over [0, end]: the panel [0, ell], then panels growing x4.
 
     ell is the length over which the integrand falls by e at the origin, so
-    the first panel holds the peak however narrow it is (p -> 2).
+    the first panel holds the peak however narrow it is (p -> 2).  f
+    decreases, so past the first panel that integrates to exactly 0 every
+    panel does, and the sum stops there.
     """
     cuts = [0.0, min(ell, end)]
     while 0.0 < cuts[-1] < end:   # an ell that underflows to 0 fails the gate
         cuts.append(min(4.0 * cuts[-1], end))
-    return sum(quad(f, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
-               for lo, hi in zip(cuts[:-1], cuts[1:]))
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        part = quad(f, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
+        if part == 0.0:
+            break
+        total += part
+    return total
 
 
 def profile_mass_quadrature(point: BranchPoint) -> float:

@@ -44,7 +44,9 @@ CAPTURE_TOL_ZERO = 1e-3
 DECAY_GATE = 1e-7
 #: Relative blow-up ceiling.
 BLOWUP_FACTOR = 1e3
-#: Energy below which a flow in a bounded regime is declared divergent.
+#: Numerical stand-in for "below any floor": a flow in a bounded regime that
+#: falls below it is declared divergent, and the unboundedness probes and
+#: the probe flow must fall below it.
 FLOW_DIVERGENCE_FLOOR = -1.0e6
 #: Relative tolerance of the DOP853 shooter.
 SHOOT_RTOL = 1e-12

@@ -292,27 +292,14 @@ def profile_derivative(point: BranchPoint, x):
 
 
 def vertex_residual(point: BranchPoint) -> float:
-    """|(-2 u'(0+)) - u0^(q-1)| from the analytic one-sided derivative.
+    """|(-2 u'(0+)) - u0^(q-1)| / u0^(q-1), the relative residual of the
+    vertex condition, from the analytic one-sided derivative.
 
-    Contract: at most 1e-8 * u0^(q-1) on every constructed branch point.
+    Contract: at most 1e-8 on every constructed branch point.
     """
-    q = point.params.q
     jump = -2.0 * profile_derivative(point, 0.0)
-    return abs(jump - point.u0 ** (q - 1.0))
-
-
-def matching_residual(point: BranchPoint) -> float:
-    """|2 sqrt(lam) coth((p-2) sqrt(lam) a / 2) - u0^(q-2)| (lambda > 0 form).
-
-    For the zero-frequency point the analogous algebraic condition
-    4 u0 / ((p-2) a) = u0^(q-1) is used.
-    """
-    p, q = point.params.p, point.params.q
-    if point.zero_frequency:
-        return abs(4.0 * point.u0 / ((p - 2.0) * point.a) - point.u0 ** (q - 1.0))
-    sq = math.sqrt(point.lam)
-    lhs = 2.0 * sq / math.tanh(0.5 * (p - 2.0) * sq * point.a)
-    return abs(lhs - point.u0 ** (q - 2.0))
+    target = point.u0 ** (point.params.q - 1.0)
+    return abs(jump - target) / target
 
 
 def first_integral_residual(point: BranchPoint, x) -> float:

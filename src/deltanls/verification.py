@@ -238,7 +238,7 @@ def check_oracle_equivalence() -> CheckResult:
             if rel > 1e-6:
                 fails.append(f"{tag}: {name} energy off by {rel:.3g}")
 
-        vres = stationary.vertex_residual(pt) / pt.u0 ** (pt.params.q - 1.0)
+        vres = stationary.vertex_residual(pt)
         xs = np.linspace(0.3, 8.0, 12) / max(math.sqrt(pt.lam), 0.05)
         fres = stationary.first_integral_residual(pt, xs) \
             / (pt.lam * pt.u0 ** 2 + (2.0 / pt.params.p) * pt.u0 ** pt.params.p)
@@ -334,10 +334,6 @@ def check_multiplier_identity() -> CheckResult:
     return _result("multiplier-identity", claim, fails, f"worst residual {worst:.3g}", t0)
 
 
-#: Numerical stand-in for "below any floor" in the unboundedness probes.
-_PROBE_FLOOR = -1.0e6
-
-
 def _probe_min_energy(params: Params, mu: float) -> float:
     """Lowest closed-form trial energy at mass mu.
 
@@ -380,11 +376,11 @@ def check_unboundedness_probes() -> CheckResult:
     mins = {}
     for p, q, mu in must_descend:
         mins[(p, q)] = e = _probe_min_energy(Params(p, q), mu)
-        if not e < _PROBE_FLOOR:
+        if not e < oracle.FLOW_DIVERGENCE_FLOOR:
             fails.append(f"(p={p}, q={q}, mu={mu}) stayed above the floor: {e}")
     for p, q, mu in must_stay:
         mins[(p, q)] = e = _probe_min_energy(Params(p, q), mu)
-        if e < _PROBE_FLOOR:
+        if e < oracle.FLOW_DIVERGENCE_FLOOR:
             fails.append(f"(p={p}, q={q}, mu={mu}) descended unexpectedly: {e}")
     floorA = energy.groundstate_energy(Params(4.0, 2.5), 1.0).value
     if mins[(4.0, 2.5)] < floorA - 1e-9:
@@ -528,8 +524,8 @@ def check_probe_flow() -> CheckResult:
     n = 4000
     prof0 = oracle.make_initial_profile(1.0, 5.0, n, width=5.0 / n * 10.0)
     _, trace = oracle.constrained_minimize(P, 1.0, prof0, max_iters=60000,
-                                           probe_floor=-1e6)
-    if not trace[-1] < -1e6:
+                                           probe_floor=oracle.FLOW_DIVERGENCE_FLOOR)
+    if not trace[-1] < oracle.FLOW_DIVERGENCE_FLOOR:
         fails.append(f"flow probe stayed at {trace[-1]}")
     claim = ("the discrete flow itself falls below -1e6 in an unbounded regime "
              "when seeded past the collapse barrier")

@@ -73,15 +73,15 @@ def test_solve_at_fixed_frequency(capsys):
     code, out, _ = run(capsys, "solve", "--p", "4", "--q", "2.5",
                        "--lambda", "0.0234375")
     assert code == 0
-    rows = [l for l in out.splitlines() if l and not l.startswith(("#", "t,"))]
+    header, *rows = out.splitlines()
     assert len(rows) == 2
     ts = sorted(float(r.split(",")[0]) for r in rows)
     assert ts[0] == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-9)
     assert ts[1] == pytest.approx(2.0, abs=1e-9)
-    # residual columns stay within the configured gate
+    # the relative vertex residual stays within its contract
+    col = header.split(",").index("vertex_residual_rel")
     for r in rows:
-        cells = r.split(",")
-        assert float(cells[-1]) <= 1e-8 and float(cells[-2]) <= 1e-8
+        assert float(r.split(",")[col]) <= 1e-8
 
 
 def test_solve_at_fixed_mass_multiplicity(capsys):
@@ -115,9 +115,8 @@ def test_curves_energy_plateau(tmp_path, capsys):
                      "--out", str(out_file))
     assert code == 0
     lines = out_file.read_text().splitlines()
-    assert lines[0].startswith("# config:")
-    assert lines[1] == "mu,E,lambda,branch_id,flag"
-    rows = [l.split(",") for l in lines[2:]]
+    assert lines[0] == "mu,E,lambda,branch_id,flag"
+    rows = [l.split(",") for l in lines[1:]]
     plateau_rows = [r for r in rows if r[3] == "plateau"]
     assert plateau_rows
     assert all(float(r[2]) == 0.0 for r in plateau_rows)
@@ -145,11 +144,11 @@ def test_curves_mass_region_H(tmp_path, capsys):
                      "--out", str(out_file))
     assert code == 0
     lines = out_file.read_text().splitlines()
-    assert lines[1] == "t,mu,h_sign"
-    mus = [float(l.split(",")[1]) for l in lines[2:]]
+    assert lines[0] == "t,mu,h_sign"
+    mus = [float(l.split(",")[1]) for l in lines[1:]]
     assert all(m > 2.0 for m in mus)
     assert all(a < b for a, b in zip(mus, mus[1:]))
-    assert all(int(l.split(",")[2]) == 1 for l in lines[2:])
+    assert all(int(l.split(",")[2]) == 1 for l in lines[1:])
 
 
 def test_curves_outputs_are_byte_identical(tmp_path, capsys):
@@ -172,13 +171,17 @@ def test_curves_default_output_honors_env_dir(tmp_path, capsys, monkeypatch):
     assert produced == ["energy_p4_q2.5.csv", "energy_p4_q2.5.csv.json"]
 
 
-def test_config_file_overrides(tmp_path, capsys):
+def test_config_file_and_curves_format_are_not_options(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("precision = 6\nformat = csv\n")
-    code, out, _ = run(capsys, "solve", "--p", "4", "--q", "2.5",
-                       "--lambda", "0.0234375", "--config", str(cfg))
-    assert code == 0
-    assert '"precision":6' in out.splitlines()[0]
+    cfg.write_text("format = csv\n")
+    for argv in (["solve", "--p", "4", "--q", "2.5", "--lambda", "0.0234375",
+                  "--config", str(cfg)],
+                 ["curves", "--p", "4", "--q", "2.5", "--which", "energy",
+                  "--format", "json", "--out", str(tmp_path / "e.csv")]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_verify_quick_passes(capsys):

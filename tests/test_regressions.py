@@ -43,8 +43,7 @@ def test_states_near_the_ends_of_double_range(p, q, query, value, offsets):
         # the offset a inverts t = coth((p-2) sqrt(lambda) a / 2)
         kappa_a = 0.5 * (p - 2.0) * math.sqrt(pt.lam) * pt.a
         assert 1.0 / math.tanh(kappa_a) == pytest.approx(pt.t, rel=1e-12)
-        assert stationary.vertex_residual(pt) <= 1e-8 * pt.u0 ** (q - 1.0)
-        assert stationary.matching_residual(pt) <= 1e-8 * pt.u0 ** (q - 2.0)
+        assert stationary.vertex_residual(pt) <= 1e-8
 
 
 # (p, q) in regions F and C; the mass map of (2.3648, 3.0216) has no dip
@@ -237,6 +236,18 @@ def test_gate_resolves_the_peak_for_a_small_offset():
         massmap.state_mass(point), rel=1e-10)
 
 
+def test_gate_stops_at_the_first_empty_panel(monkeypatch):
+    # t - 1 = e^300: u^2 underflows past the first few panels, and the other
+    # ~220 panels out to z_max = 40 integrate to exactly 0
+    point = stationary.state_at_logd(Params(2.0002, 7.0), 300.0)
+    calls = []
+    real = massmap.quad
+    monkeypatch.setattr(massmap, "quad", lambda *a, **k: calls.append(a) or real(*a, **k))
+    got = massmap.profile_mass_quadrature(point)
+    assert len(calls) <= 10
+    assert got == pytest.approx(massmap.state_mass(point), rel=1e-9)
+
+
 def _near_diagonal_pairs(n: int, seed: int) -> list[Params]:
     """p ~ U(2.05, 16), q = p/2 + 1 +- 10^U(-8, -2)."""
     rng = np.random.default_rng(seed)
@@ -302,15 +313,52 @@ def test_near_diagonal_sweep_ends_in_answers_or_refusals(capsys):
             assert states.count == (1 if not below else 2 if lam < lb else 0), (params, lam)
 
 
+def _sweep_masses(params: Params) -> None:
+    """Gated states with the count of the rule plus the threshold, or a
+    refusal, at masses 1e-8 to 1e8; a GateFailure fails the test."""
+    thr = _answer_or_refusal(massmap.mass_threshold, params)
+    for mu in (1e-8, 1e-3, 0.3, 2.5, 40.0, 1e4, 1e8):
+        sols = _answer_or_refusal(massmap.normalized_solutions, params, mu)
+        want = _expected_count(thr, mu) if thr is not None else None
+        if sols is not None and want is not None:
+            assert len(sols) == want, (params, mu)
+
+
 def test_near_p_two_sweep_ends_in_gated_states_or_refusals():
-    # p - 2 = 10^U(-4, -0.5), q ~ U(2.05, 12); a GateFailure fails the test
+    # p - 2 = 10^U(-4, -0.5), q ~ U(2.05, 12)
     rng = np.random.default_rng(2026)
     for _ in range(50):
-        params = Params(2.0 + 10.0 ** float(rng.uniform(-4.0, -0.5)),
-                        float(rng.uniform(2.05, 12.0)))
-        thr = _answer_or_refusal(massmap.mass_threshold, params)
-        for mu in (1e-8, 1e-3, 0.3, 2.5, 40.0, 1e4, 1e8):
-            sols = _answer_or_refusal(massmap.normalized_solutions, params, mu)
-            want = _expected_count(thr, mu) if thr is not None else None
-            if sols is not None and want is not None:
-                assert len(sols) == want, (params, mu)
+        _sweep_masses(Params(2.0 + 10.0 ** float(rng.uniform(-4.0, -0.5)),
+                             float(rng.uniform(2.05, 12.0))))
+
+
+def _edge_pairs(n: int, seed: int) -> list[Params]:
+    """Cycle through three edges of the quadrant: q - 2 = 10^U(-4, -0.5) with
+    p ~ U(2.05, 16); p ~ U(2.05, 216) with q ~ U(2.05, 102); and
+    |q - 4| = 10^U(-9, -1) with p ~ U(2.05, 16)."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(n):
+        if i % 3 == 0:
+            p, q = float(rng.uniform(2.05, 16.0)), 2.0 + 10.0 ** float(rng.uniform(-4.0, -0.5))
+        elif i % 3 == 1:
+            p, q = float(rng.uniform(2.05, 216.0)), float(rng.uniform(2.05, 102.0))
+        else:
+            gap = 10.0 ** float(rng.uniform(-9.0, -1.0))
+            p, q = float(rng.uniform(2.05, 16.0)), 4.0 + (gap if rng.random() < 0.5 else -gap)
+        pairs.append(Params(p, q))
+    return pairs
+
+
+def test_edge_sweep_ends_in_gated_states_or_refusals():
+    # the near-p = 2 edge runs in the sweep above
+    for params in _edge_pairs(60, 2026):
+        _answer_or_refusal(energy.zero_level_mass, params)
+        _sweep_masses(params)
+        below = params.q < params.p / 2.0 + 1.0
+        lb = _answer_or_refusal(stationary.lambda_bar, params)
+        for lam in (1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6):
+            states = _answer_or_refusal(stationary.solve_for_lambda, params, lam)
+            if states is None or (below and (lb is None or abs(lam - lb) <= 1e-6 * lam)):
+                continue
+            assert states.count == (1 if not below else 2 if lam < lb else 0), (params, lam)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from deltanls import energy, stationary, verification
+from deltanls import energy, oracle, stationary, verification
 from deltanls.params import Params
 
 P425 = Params(4.0, 2.5)
@@ -29,14 +29,14 @@ def test_multiplier_consistency_examples():
 def test_unboundedness_probe_descends():
     for p, q, mu in ((3.0, 5.0, 1.0), (5.0, 4.0, 3.0), (4.0, 6.0, 1.0)):
         e = verification._probe_min_energy(Params(p, q), mu)
-        assert e < verification._PROBE_FLOOR, (p, q, e)
+        assert e < oracle.FLOW_DIVERGENCE_FLOOR, (p, q, e)
         assert e < -1e6
 
 
 def test_unboundedness_probe_bounded():
     eA = verification._probe_min_energy(P425, 1.0)
-    assert not eA < verification._PROBE_FLOOR
+    assert not eA < oracle.FLOW_DIVERGENCE_FLOOR
     # trial energies bound the level curve from above
     assert eA >= energy.groundstate_energy(P425, 1.0).value - 1e-9
-    assert not verification._probe_min_energy(Params(8.0, 4.5), 1.0) < verification._PROBE_FLOOR
-    assert not verification._probe_min_energy(P84, 1.5) < verification._PROBE_FLOOR
+    for params, mu in ((Params(8.0, 4.5), 1.0), (P84, 1.5)):
+        assert not verification._probe_min_energy(params, mu) < oracle.FLOW_DIVERGENCE_FLOOR
