@@ -134,7 +134,7 @@ def cmd_classify(args) -> int:
 
 
 def _solution_row(point: BranchPoint) -> list:
-    eb = energy.branch_energy(point)
+    eb = stationary.branch_energy(point)
     mass = massmap.state_mass(point)
     return [point.t, point.lam, point.a, point.u0, mass,
             eb.kinetic, eb.bulk, eb.point, eb.total, stationary.vertex_residual(point)]

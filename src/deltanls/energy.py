@@ -1,12 +1,13 @@
-"""Energy of branch states and the ground-state energy level E(mu).
+"""The ground-state energy level E(mu), the zero-level mass and convexity.
 
 The functional is E(u) = (1/2)||u'||_2^2 + (1/p)||u||_p^p - (1/q)|u(0)|^q.
-For branch states all three pieces reduce to closed forms in (t, lambda),
-so the level curve E(mu) = inf {E(u) : ||u||_2^2 = mu} is assembled from
-branch enumeration plus the vanishing competitor 0: the level is always
-non-positive and non-increasing, and the minimizer (when one exists) is a
-stationary state.  Attainment bookkeeping is explicit: per sample the flag
-says attained / infimum-not-attained / minus-infinity / unknown.
+For branch states all three pieces reduce to closed forms in (t, lambda)
+(``stationary.branch_energy``), so the level curve
+E(mu) = inf {E(u) : ||u||_2^2 = mu} is assembled from branch enumeration
+plus the vanishing competitor 0: the level is always non-positive and
+non-increasing, and the minimizer (when one exists) is a stationary state.
+Attainment bookkeeping is explicit: per sample the flag says attained /
+infimum-not-attained / minus-infinity / unknown.
 """
 
 from __future__ import annotations
@@ -20,61 +21,7 @@ import numpy as np
 
 from . import algebra, massmap, stationary
 from .params import Params, Region, classify
-from .stationary import BranchPoint
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """The three pieces of the functional and their signed sum."""
-
-    kinetic: float   # (1/2) ||u'||_2^2
-    bulk: float      # (1/p) ||u||_p^p
-    point: float     # (1/q) |u(0)|^q
-    total: float     # kinetic + bulk - point
-
-
-def branch_energy(point: BranchPoint) -> EnergyBreakdown:
-    """Closed-form energy pieces of a branch state.
-
-    For lambda > 0, with c = 2 sqrt(lambda) u0^2 / (p+2) and
-    J(t) = I(t) / (t^2-1)^(2/(p-2)):
-
-        kinetic = c (t + J),   bulk = c (t - 4 J/(p-2)),   point = u0^q / q,
-
-    so that, by the matching condition u0^(q-2) = 2 sqrt(lambda) t,
-    E = c (t (2q-p-2)/q - (6-p)/(p-2) J).  J and the bulk factor
-    t - 4 J/(p-2) come from ``algebra.energy_j`` (in logs, and without the
-    cancellation of the bulk factor near t = 1), and u0 is stored finite, so
-    no intermediate leaves double range where the pieces do not.  The
-    lambda = 0 state integrates termwise to algebraic expressions in its
-    peak u0 and offset a (its kinetic and bulk pieces coincide).
-
-    Raises StateOutOfRange where a piece or the sum is beyond
-    the double range.
-    """
-    p, q = point.params.p, point.params.q
-    u0 = point.u0
-    try:
-        pt = u0 ** q / q
-        if point.zero_frequency:
-            kinetic = 4.0 * u0 * u0 / (point.a * (p - 2.0) * (p + 2.0))
-            bulk = 2.0 * u0 ** p * point.a * (p - 2.0) / (p * (p + 2.0))
-        else:
-            c = 2.0 * math.sqrt(point.lam) * u0 * u0 / (p + 2.0)
-            j, bulk_factor = algebra.energy_j(point.params, point.d)
-            kinetic, bulk = c * (point.t + j), c * bulk_factor
-    except OverflowError:
-        kinetic = bulk = pt = math.inf
-    total = kinetic + bulk - pt
-    if not math.isfinite(total):   # so is every piece
-        raise stationary.StateOutOfRange(
-            "state outside double range: its energy is beyond the largest double "
-            f"(t = {point.t:.6g}, lambda = {point.lam:.6g}, u0 = {u0:.6g})")
-    return EnergyBreakdown(kinetic, bulk, pt, total)
-
-
-# ---------------------------------------------------------------------------
-# ground-state energy level
+from .stationary import branch_energy
 
 
 class Attainment(enum.Enum):
@@ -174,7 +121,7 @@ def zero_level_mass(params: Params) -> float | None:
     # changes sign exactly once: towards t -> 1 in F (q < 4), towards
     # t -> inf in C (2q < p + 2).  In F without a dip the falling piece runs
     # up to the zero-frequency state, and E rises with y all along it.
-    y, mu, _ = massmap._branch_minimum(params)
+    y, mu, _ = massmap.branch_minimum(params)
     energy_at = lambda y: branch_energy(stationary.state_at_logd(params, y)).total
     if math.isinf(y):
         zero = stationary.zero_frequency_point(params)
@@ -183,14 +130,15 @@ def zero_level_mass(params: Params) -> float | None:
             return mu
         e0 = energy_at(0.0)
         y = stationary.root_from(energy_at, 0.0, e0, -1.0 if e0 > 0.0 else 1.0)
-        mu = massmap._mu_at(params, y)
     else:
         e_min = energy_at(y)
-        if e_min > 0.0:
-            y = stationary.root_from(energy_at, y, e_min,
-                                     -1.0 if region is Region.F else 1.0)
-            mu = massmap._mu_at(params, y)
-    massmap.mass_gate(stationary.state_at_logd(params, y), mu)
+        if e_min <= 0.0:
+            massmap.mass_gate(stationary.state_at_logd(params, y), mu)
+            return mu
+        y = stationary.root_from(energy_at, y, e_min, -1.0 if region is Region.F else 1.0)
+    root = stationary.state_at_logd(params, y)
+    mu = massmap.state_mass(root)
+    massmap.mass_gate(root, mu)
     return mu
 
 
@@ -205,7 +153,6 @@ class ConvexityReport:
     mu_bar: float                # crossing located from second differences
     lambda_peak_mass: float      # mass of the branch point maximizing lambda
     crossing_gap: float          # grid spacing at the crossing
-    annotation: str
 
 
 def second_divided_differences(mus: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -255,4 +202,4 @@ def convexity_scan(params: Params) -> ConvexityReport:
     hi = mus[1 + first_pos]
     mu_bar = 0.5 * (lo + hi)
     lam_peak_mass = massmap.mass_of_t(params, algebra.t_star(params))
-    return ConvexityReport(mu_bar, lam_peak_mass, hi - lo, "concave-then-convex")
+    return ConvexityReport(mu_bar, lam_peak_mass, hi - lo)

@@ -25,7 +25,7 @@ from scipy.integrate import quad
 from . import algebra, stationary
 from .params import (ExistenceRule, Params, Region, ThresholdKind, classify,
                      expected_solution_regime)
-from .stationary import BranchPoint
+from .stationary import BranchPoint, branch_energy
 
 #: Relative mismatch below which a requested mass is identified with mu0
 #: (and served by the zero-frequency branch endpoint).
@@ -125,11 +125,6 @@ class MassCurve:
     extrema: tuple[tuple[float, float], ...]              # interior (t, mu) critical points
 
 
-def _mu_at(params: Params, y: float) -> float:
-    d = math.exp(y)
-    return mass_of_t(params, 1.0 + d, d)
-
-
 class BranchMinimum(NamedTuple):
     """Minimum of the branch mass in regions C and F.
 
@@ -145,7 +140,7 @@ class BranchMinimum(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _branch_minimum(params: Params) -> BranchMinimum:
+def branch_minimum(params: Params) -> BranchMinimum:
     """The minimum of mu over branch states in regions C and F.
 
     h < 0 as t -> 1+ (the mass falls from +inf) and h > 0 past the minimum,
@@ -166,9 +161,10 @@ def _branch_minimum(params: Params) -> BranchMinimum:
         if not (h0 < 0.0 and params.p < 6.0):
             raise
         return BranchMinimum(math.inf, algebra.constants(params).mu0, 0.0)
+    d = math.exp(y)
     if params.p >= 6.0:
-        return BranchMinimum(y, _mu_at(params, y), None)
-    depth = max(0.0, algebra.mass_deficit(params, math.exp(y)))
+        return BranchMinimum(y, mass_of_t(params, 1.0 + d, d), None)
+    depth = max(0.0, algebra.mass_deficit(params, d))
     return BranchMinimum(y, algebra.constants(params).mu0 * (1.0 - depth), depth)
 
 
@@ -183,7 +179,7 @@ def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
     y_min = -math.inf
     extrema: tuple[tuple[float, float], ...] = ()
     if classify(params) in (Region.C, Region.F):
-        y_min, mu_min, _ = _branch_minimum(params)
+        y_min, mu_min, _ = branch_minimum(params)
         if math.isfinite(y_min):
             extrema = ((1.0 + math.exp(y_min), mu_min),)
     samples = []
@@ -199,10 +195,9 @@ def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
 
 @dataclass(frozen=True)
 class NormalizedSolution:
-    """A stationary state together with its prescribed mass and total energy."""
+    """A stationary state of the prescribed mass, with its total energy."""
 
     point: BranchPoint
-    mass: float
     energy: float
 
 
@@ -310,7 +305,7 @@ def _branch_offsets_at_mass(params: Params, mu: float) -> tuple[list[float], boo
             return [], with_zero
         return [_crossing(params, mu, 0.0, 1.0)], with_zero
 
-    y_min, mu_min, _ = _branch_minimum(params)
+    y_min, mu_min, _ = branch_minimum(params)
     if math.isinf(y_min):
         # h < 0 all along: mu falls from +inf towards mu0, which it never reaches
         return ([_crossing(params, mu, 0.0, -1.0)] if mu > mu_inf else []), with_zero
@@ -330,8 +325,6 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
     Each returned solution passes the profile-mass quadrature gate at
     relative tolerance 1e-6.
     """
-    from .energy import branch_energy  # deferred: energy builds on this module
-
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got {mu}")
     points: list[BranchPoint] = []
@@ -352,7 +345,7 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
     out = []
     for point in points:
         mass_gate(point, mu)
-        out.append(NormalizedSolution(point, mu, branch_energy(point).total))
+        out.append(NormalizedSolution(point, branch_energy(point).total))
     return out
 
 
@@ -397,7 +390,7 @@ def mass_threshold(params: Params) -> ThresholdReport:
     elif rule.threshold is ThresholdKind.MASS_TWO:
         mu_threshold, provenance = 2.0, "limit-constant"
     elif rule.threshold is ThresholdKind.BRANCH_MINIMUM:
-        log_offset, mu_threshold, depth = _branch_minimum(params)
+        log_offset, mu_threshold, depth = branch_minimum(params)
         minimizer_t = 1.0 + math.exp(log_offset)
         provenance = "minimized"
         if depth is not None and mu_threshold == mu0:

@@ -32,7 +32,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import dgtsv
 
 from .params import Params
-from .stationary import BranchPoint, profile as analytic_profile
+from .stationary import BranchPoint, EnergyBreakdown, profile as analytic_profile
 
 #: Relative (to u0) capture radius of the saddle neighbourhood.  Forward
 #: noise grows like exp(sqrt(lambda) x); 1e-5 is reached a safe margin
@@ -44,9 +44,8 @@ CAPTURE_TOL_ZERO = 1e-3
 DECAY_GATE = 1e-7
 #: Relative blow-up ceiling.
 BLOWUP_FACTOR = 1e3
-#: Numerical stand-in for "below any floor": a flow in a bounded regime that
-#: falls below it is declared divergent, and the unboundedness probes and
-#: the probe flow must fall below it.
+#: Numerical stand-in for "below any floor": the flow stops once its energy
+#: falls below it, and the unboundedness probes and the probe flow must.
 FLOW_DIVERGENCE_FLOOR = -1.0e6
 #: Relative tolerance of the DOP853 shooter.
 SHOOT_RTOL = 1e-12
@@ -158,8 +157,6 @@ def sampled_functional(point: BranchPoint, L: float, n: int):
 
 
 def _breakdown(mass: float, kinetic: float, bulk: float, point: float):
-    from .energy import EnergyBreakdown  # local: avoid import cycle
-
     return mass, EnergyBreakdown(kinetic, bulk, point, kinetic + bulk - point)
 
 
@@ -334,14 +331,6 @@ def discrete_mass(u: np.ndarray, h: float) -> float:
     return _grid_functional(_slices(u), h)[0]
 
 
-class FlowDivergence(RuntimeError):
-    """Raised when the flow dives below the probe floor in a bounded regime."""
-
-    def __init__(self, message: str, trace: list[float]):
-        super().__init__(message)
-        self.trace = trace
-
-
 def make_initial_profile(mu: float, L: float, n: int,
                          width: float = 2.0) -> GridProfile:
     """Mass-mu bump exp(-(x/width)^2) on the grid (generic flow seed)."""
@@ -352,8 +341,7 @@ def make_initial_profile(mu: float, L: float, n: int,
 
 
 def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
-                         max_iters: int = 200000,
-                         probe_floor: float | None = None):
+                         max_iters: int = 200000):
     """Backward-Euler normalized gradient flow at fixed discrete mass.
 
     Each step solves the semi-implicit system (Bao & Du, SIAM J. Sci. Comput.
@@ -371,11 +359,9 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
 
     u* is renormalized back to the mass sphere and accepted only if the energy
     does not increase, with halving on increase and mild growth on success.
-    Returns (final profile, energy trace).
-
-    In probe mode (probe_floor set) the flow stops as soon as the energy
-    drops below the floor; in bounded regimes such a drop raises
-    :class:`FlowDivergence` instead.
+    Returns (final profile, energy trace).  The flow stops once the energy
+    falls below FLOW_DIVERGENCE_FLOOR: the level is then unbounded below, or
+    the flow has diverged, which a check against a finite level reports.
     """
     p, q = params.p, params.q
     h = profile0.h
@@ -414,11 +400,7 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
         energy = e_trial
         trace.append(energy)
         tau *= 1.3
-        if energy < FLOW_DIVERGENCE_FLOOR and probe_floor is None:
-            raise FlowDivergence(
-                "flow descended below the divergence floor in a bounded regime",
-                trace)
-        if probe_floor is not None and energy < probe_floor:
+        if energy < FLOW_DIVERGENCE_FLOOR:
             break
         if drop <= STALL_REL * max(1.0, abs(energy)):
             stall_count += 1

@@ -5,6 +5,8 @@ one number t > 1 (the branch coordinate) through the vertex matching
 condition f(t) = g(lambda).  This module enumerates the admissible t for
 given (p, q, lambda), materializes the explicit profiles, and exposes the
 fold frequency lambda_bar past which the two-solution branch disappears.
+The energy pieces of a state are closed forms in (t, lambda) as well
+(:func:`branch_energy`).
 
 The zero-frequency solution (algebraic decay, existing iff p < 6 and the
 exponents are off the diagonal) is carried with branch coordinate
@@ -238,7 +240,7 @@ def solve_for_lambda(params: Params, lam: float) -> SolutionSet:
 
 
 # ---------------------------------------------------------------------------
-# profiles and pointwise residuals
+# profiles, pointwise residuals and the closed-form energy
 
 
 def _sinh_neg_pow(z: np.ndarray, expo: float, scale: float) -> np.ndarray:
@@ -300,6 +302,56 @@ def vertex_residual(point: BranchPoint) -> float:
     jump = -2.0 * profile_derivative(point, 0.0)
     target = point.u0 ** (point.params.q - 1.0)
     return abs(jump - target) / target
+
+
+@dataclass(frozen=True)
+class EnergyBreakdown:
+    """The three pieces of the functional and their signed sum."""
+
+    kinetic: float   # (1/2) ||u'||_2^2
+    bulk: float      # (1/p) ||u||_p^p
+    point: float     # (1/q) |u(0)|^q
+    total: float     # kinetic + bulk - point
+
+
+def branch_energy(point: BranchPoint) -> EnergyBreakdown:
+    """Closed-form energy pieces of a branch state.
+
+    For lambda > 0, with c = 2 sqrt(lambda) u0^2 / (p+2) and
+    J(t) = I(t) / (t^2-1)^(2/(p-2)):
+
+        kinetic = c (t + J),   bulk = c (t - 4 J/(p-2)),   point = u0^q / q,
+
+    so that, by the matching condition u0^(q-2) = 2 sqrt(lambda) t,
+    E = c (t (2q-p-2)/q - (6-p)/(p-2) J).  J and the bulk factor
+    t - 4 J/(p-2) come from ``algebra.energy_j`` (in logs, and without the
+    cancellation of the bulk factor near t = 1), and u0 is stored finite, so
+    no intermediate leaves double range where the pieces do not.  The
+    lambda = 0 state integrates termwise to algebraic expressions in its
+    peak u0 and offset a (its kinetic and bulk pieces coincide).
+
+    Raises StateOutOfRange where a piece or the sum is beyond
+    the double range.
+    """
+    p, q = point.params.p, point.params.q
+    u0 = point.u0
+    try:
+        pt = u0 ** q / q
+        if point.zero_frequency:
+            kinetic = 4.0 * u0 * u0 / (point.a * (p - 2.0) * (p + 2.0))
+            bulk = 2.0 * u0 ** p * point.a * (p - 2.0) / (p * (p + 2.0))
+        else:
+            c = 2.0 * math.sqrt(point.lam) * u0 * u0 / (p + 2.0)
+            j, bulk_factor = algebra.energy_j(point.params, point.d)
+            kinetic, bulk = c * (point.t + j), c * bulk_factor
+    except OverflowError:
+        kinetic = bulk = pt = math.inf
+    total = kinetic + bulk - pt
+    if not math.isfinite(total):   # so is every piece
+        raise StateOutOfRange(
+            "state outside double range: its energy is beyond the largest double "
+            f"(t = {point.t:.6g}, lambda = {point.lam:.6g}, u0 = {u0:.6g})")
+    return EnergyBreakdown(kinetic, bulk, pt, total)
 
 
 def first_integral_residual(point: BranchPoint, x) -> float:

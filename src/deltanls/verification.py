@@ -169,7 +169,7 @@ def check_diagonal_regime() -> CheckResult:
     energies = []
     for lam in (0.1, 1.0, 10.0):
         pt = stationary.solve_for_lambda(P, lam).points[0]
-        tot = energy.branch_energy(pt).total
+        tot = stationary.branch_energy(pt).total
         energies.append(tot)
         if not tot > 0.0:
             fails.append(f"diagonal energy at lambda={lam} is {tot}, expected > 0")
@@ -229,7 +229,7 @@ def check_oracle_equivalence() -> CheckResult:
         mass_worst = max(mass_worst, rel_mass)
         if rel_mass > 1e-6:
             fails.append(f"{tag}: quadrature mass off by {rel_mass:.3g}")
-        eb_c = energy.branch_energy(pt)
+        eb_c = stationary.branch_energy(pt)
         for name, got, want in (("kinetic", eb_q.kinetic, eb_c.kinetic),
                                 ("bulk", eb_q.bulk, eb_c.bulk),
                                 ("point", eb_q.point, eb_c.point)):
@@ -393,7 +393,7 @@ def check_unboundedness_probes() -> CheckResult:
 def _gn_margin(point: stationary.BranchPoint) -> float:
     """||u||_2 ||u'||_2 - ||u||_inf^2 of a branch state (must be >= 0), its
     mass by profile quadrature."""
-    grad_sq = 2.0 * energy.branch_energy(point).kinetic
+    grad_sq = 2.0 * stationary.branch_energy(point).kinetic
     return math.sqrt(massmap.profile_mass_quadrature(point) * grad_sq) - point.u0 ** 2
 
 
@@ -523,8 +523,7 @@ def check_probe_flow() -> CheckResult:
     P = Params(3.0, 5.0)
     n = 4000
     prof0 = oracle.make_initial_profile(1.0, 5.0, n, width=5.0 / n * 10.0)
-    _, trace = oracle.constrained_minimize(P, 1.0, prof0, max_iters=60000,
-                                           probe_floor=oracle.FLOW_DIVERGENCE_FLOOR)
+    _, trace = oracle.constrained_minimize(P, 1.0, prof0, max_iters=60000)
     if not trace[-1] < oracle.FLOW_DIVERGENCE_FLOOR:
         fails.append(f"flow probe stayed at {trace[-1]}")
     claim = ("the discrete flow itself falls below -1e6 in an unbounded regime "

@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from deltanls import GateFailure, algebra, massmap, verification
+from deltanls import algebra, massmap, verification
 from deltanls.cli import main
+from deltanls.massmap import GateFailure
 from deltanls.params import Params
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -248,6 +249,39 @@ def test_gate_stops_at_the_first_empty_panel(monkeypatch):
     assert got == pytest.approx(massmap.state_mass(point), rel=1e-9)
 
 
+def _stored_state_mass(point: stationary.BranchPoint) -> float:
+    """2 int_0^inf u(x)^2 dx of the stored doubles (p, lambda, a), in 40-digit
+    mpmath: panels [0, ell], then growing x4, until one adds below 1e-45 of
+    the sum (ell the e-folding length of u^2 at the origin, in x)."""
+    with mpmath.workdps(40):
+        p, lam, a = (mpmath.mpf(v) for v in (point.params.p, point.lam, point.a))
+        kappa = (p - 2) * mpmath.sqrt(lam) / 2
+        amp = (p * lam / 2) ** (2 / (p - 2))
+        u2 = lambda x: amp * mpmath.sinh(kappa * (x + a)) ** (-4 / (p - 2))
+        lo, hi = mpmath.mpf(0), (p - 2) * mpmath.tanh(kappa * a) / (4 * kappa)
+        total = part = mpmath.quad(u2, [lo, hi])
+        while part >= mpmath.mpf("1e-45") * total:
+            lo, hi = hi, 4 * hi
+            part = mpmath.quad(u2, [lo, hi])
+            total += part
+        return float(2 * total)
+
+
+@pytest.mark.parametrize("y", [30.0, 300.0])
+def test_gate_measures_the_stored_state(y):
+    # the gate and state_mass differ by 6e-10 at y = 300: the gate integrates
+    # the profile of the stored doubles, state_mass is the mass of the exact
+    # state at t = 1 + e^y.  The mass goes like lambda^(2/(p-2)) at fixed t,
+    # and lambda = exp(ln lambda), so the stored state's mass is off from the
+    # exact one by about (2/(p-2)) ulp(ln lambda): 7.1e-11 at y = 30, 1.1e-9
+    # at y = 300
+    point = stationary.state_at_logd(Params(2.0002, 7.0), y)
+    stored = _stored_state_mass(point)
+    assert massmap.profile_mass_quadrature(point) == pytest.approx(stored, rel=1e-11)
+    conditioning = 2.0 / (point.params.p - 2.0) * math.ulp(math.log(point.lam))
+    assert massmap.state_mass(point) == pytest.approx(stored, rel=conditioning)
+
+
 def _near_diagonal_pairs(n: int, seed: int) -> list[Params]:
     """p ~ U(2.05, 16), q = p/2 + 1 +- 10^U(-8, -2)."""
     rng = np.random.default_rng(seed)
@@ -314,13 +348,19 @@ def test_near_diagonal_sweep_ends_in_answers_or_refusals(capsys):
 
 
 def _sweep_masses(params: Params) -> None:
-    """Gated states with the count of the rule plus the threshold, or a
-    refusal, at masses 1e-8 to 1e8; a GateFailure fails the test."""
+    """Gated states with the count of the rule plus the threshold and vertex
+    residuals <= 1e-8, or a refusal, at masses 1e-8 to 1e8, and a threshold
+    at most mu0; a GateFailure fails the test."""
     thr = _answer_or_refusal(massmap.mass_threshold, params)
+    if thr is not None and None not in (thr.mu_threshold, thr.mu0):
+        assert thr.mu_threshold <= thr.mu0, params
     for mu in (1e-8, 1e-3, 0.3, 2.5, 40.0, 1e4, 1e8):
         sols = _answer_or_refusal(massmap.normalized_solutions, params, mu)
+        if sols is None:
+            continue
+        assert all(stationary.vertex_residual(s.point) <= 1e-8 for s in sols)
         want = _expected_count(thr, mu) if thr is not None else None
-        if sols is not None and want is not None:
+        if want is not None:
             assert len(sols) == want, (params, mu)
 
 
@@ -350,15 +390,36 @@ def _edge_pairs(n: int, seed: int) -> list[Params]:
     return pairs
 
 
+def _sweep_frequencies(params: Params) -> None:
+    """The states at frequencies 1e-12 to 1e6 with the count of the fold rule
+    (two below lambda_bar, none past it, one where there is no fold) and
+    vertex residuals <= 1e-8, or a refusal."""
+    below = params.q < params.p / 2.0 + 1.0
+    lb = _answer_or_refusal(stationary.lambda_bar, params)
+    for lam in (1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6):
+        states = _answer_or_refusal(stationary.solve_for_lambda, params, lam)
+        if states is None:
+            continue
+        assert all(stationary.vertex_residual(pt) <= 1e-8 for pt in states.points)
+        if below and (lb is None or abs(lam - lb) <= 1e-6 * lam):
+            continue
+        assert states.count == (1 if not below else 2 if lam < lb else 0), (params, lam)
+
+
 def test_edge_sweep_ends_in_gated_states_or_refusals():
     # the near-p = 2 edge runs in the sweep above
     for params in _edge_pairs(60, 2026):
         _answer_or_refusal(energy.zero_level_mass, params)
         _sweep_masses(params)
-        below = params.q < params.p / 2.0 + 1.0
-        lb = _answer_or_refusal(stationary.lambda_bar, params)
-        for lam in (1e-12, 1e-6, 1e-3, 1.0, 1e3, 1e6):
-            states = _answer_or_refusal(stationary.solve_for_lambda, params, lam)
-            if states is None or (below and (lb is None or abs(lam - lb) <= 1e-6 * lam)):
-                continue
-            assert states.count == (1 if not below else 2 if lam < lb else 0), (params, lam)
+        _sweep_frequencies(params)
+
+
+def test_uniform_sweep_ends_in_gated_states_or_refusals():
+    # (p, q) uniform on (2, 16] x (2, 12]
+    rng = np.random.default_rng(2026)
+    for _ in range(60):
+        params = Params(16.0 - float(rng.uniform(0.0, 14.0)),
+                        12.0 - float(rng.uniform(0.0, 10.0)))
+        _answer_or_refusal(energy.zero_level_mass, params)
+        _sweep_masses(params)
+        _sweep_frequencies(params)
