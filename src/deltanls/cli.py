@@ -57,7 +57,10 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"expected --range a:b:n, got {text!r}")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    n = int(parts[2])
+    if n < 1:
+        raise ValueError(f"--range needs n >= 1 samples, got {n}")
+    return float(parts[0]), float(parts[1]), n
 
 
 def _thresholds_payload(params: Params) -> dict:
@@ -344,8 +347,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:   # InvalidExponents is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except RuntimeError as exc:
-        # a GateFailure, or a state outside double range (StateOutOfRange)
+    except stationary.StateOutOfRange as exc:   # an honest refusal
+        sys.stderr.write(f"error: {exc}\n")
+        return 4
+    except RuntimeError as exc:   # a GateFailure, or another library defect
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

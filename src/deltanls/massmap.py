@@ -323,10 +323,17 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
     """Every stationary state with prescribed mass mu, or [] where none exists.
 
     Each returned solution passes the profile-mass quadrature gate at
-    relative tolerance 1e-6.
+    relative tolerance 1e-6.  Each (params, mu) is inverted and gated once
+    per process: a repeated call returns a new list of the states found
+    the first time, and a refusal is raised again on every call.
     """
     if not mu > 0.0:
         raise ValueError(f"need mu > 0, got {mu}")
+    return list(_gated_solutions(params, mu))
+
+
+@lru_cache(maxsize=64)
+def _gated_solutions(params: Params, mu: float) -> tuple[NormalizedSolution, ...]:
     points: list[BranchPoint] = []
     if params.diagonal:
         if params.p > 8.0:
@@ -346,7 +353,7 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
     for point in points:
         mass_gate(point, mu)
         out.append(NormalizedSolution(point, branch_energy(point).total))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,25 @@ def test_curves_default_output_honors_env_dir(tmp_path, capsys, monkeypatch):
     assert produced == ["energy_p4_q2.5.csv", "energy_p4_q2.5.csv.json"]
 
 
+@pytest.mark.parametrize("which", ["energy", "mass"])
+def test_curves_empty_range_is_invalid_input(tmp_path, capsys, which):
+    # n = 0 once gave a header-only CSV (mass) or a false refusal (energy)
+    code, out, err = run(capsys, "curves", "--p", "4", "--q", "2.5",
+                         "--which", which, "--range", "1.5:3:0",
+                         "--out", str(tmp_path / "c.csv"))
+    assert code == 2
+    assert out == "" and err == "error: --range needs n >= 1 samples, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refusal_exits_4(capsys):
+    # a state outside double range is an honest refusal, not a library defect
+    code, out, err = run(capsys, "solve", "--p", "8.5", "--q", "5.25", "--mass", "1e-200")
+    assert code == 4
+    assert out == ""
+    assert err == "error: state outside double range: ln(lambda) = 2399.06\n"
+
+
 def test_config_file_and_curves_format_are_not_options(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("format = csv\n")
@@ -234,7 +253,9 @@ def test_verify_detects_tampered_constant(capsys, monkeypatch):
 
 
 def test_gate_failure_is_one_line_with_exit_3(capsys, monkeypatch):
-    # a profile mass off by 1e-3 fails the always-on gate
+    # a profile mass off by 1e-3 fails the always-on gate; a mass gated
+    # earlier in the process is not gated again, so the memo goes first
+    massmap._gated_solutions.cache_clear()
     real = massmap.profile_mass_quadrature
     monkeypatch.setattr(massmap, "profile_mass_quadrature",
                         lambda point: real(point) * (1.0 + 1e-3))

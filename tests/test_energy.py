@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from deltanls import algebra, energy, massmap, stationary
 from deltanls.energy import Attainment
-from deltanls.params import Params
+from deltanls.params import Params, Region, classify
 
 P425 = Params(4.0, 2.5)
 P435 = Params(4.0, 3.5)
@@ -157,6 +157,47 @@ def test_region_F_candidates_recorded():
     # both multiplier/energy pairs retained, minimizer is the falling branch
     energies = sorted(c[2] for c in s.candidates)
     assert s.value == pytest.approx(energies[0])
+
+
+def _dipping_pairs(n: int, seed: int) -> list[Params]:
+    """n pairs of regions C and F whose mass map dips to an interior minimum."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        if rng.random() < 0.5:   # C: p > 6, 4 < q < p/2 + 1
+            p = float(rng.uniform(6.5, 14.0))
+            lo, hi = 4.0, p / 2.0 + 1.0
+        else:                    # F: p < 6, p/2 + 1 < q < 4
+            p = float(rng.uniform(2.5, 5.5))
+            lo, hi = p / 2.0 + 1.0, 4.0
+        params = Params(p, float(lo + (hi - lo) * rng.uniform(0.1, 0.9)))
+        y, _, depth = massmap.branch_minimum(params)
+        if math.isfinite(y) and (depth is None or depth > 0.0):
+            out.append(params)
+    return out
+
+
+def test_larger_frequency_state_is_the_ground_state_in_C_and_F():
+    # dE/dmu = -lambda/2 on each piece of the mass map, and the pieces meet
+    # at the branch minimum: of the two states at one mass, the one with the
+    # larger lambda has the lower energy, and the level selects it
+    seen = {Region.C: 0, Region.F: 0}
+    for params in _dipping_pairs(30, 2027):   # seed fixed before the first run
+        mu_min = massmap.branch_minimum(params).mass
+        for mu in np.geomspace(mu_min * (1.0 + 1e-6), 10.0 * mu_min, 6).tolist():
+            sols = massmap.normalized_solutions(params, mu)
+            if len(sols) != 2:
+                continue
+            seen[classify(params)] += 1
+            ground, other = sorted(sols, key=lambda s: -s.point.lam)
+            assert ground.energy < other.energy, (params, mu)
+            sample = energy.groundstate_energy(params, mu)
+            if ground.energy <= 0.0:
+                assert sample.flag is Attainment.ATTAINED
+                assert (sample.value, sample.lam) == (ground.energy, ground.point.lam)
+            else:   # every state costs positive energy: the level is 0
+                assert sample.flag is Attainment.NOT_ATTAINED and sample.value == 0.0
+    assert seen[Region.C] >= 50 and seen[Region.F] >= 10
 
 
 def test_zero_level_mass():

@@ -171,6 +171,29 @@ def test_normalized_solutions_at_mu0_is_zero_frequency():
     assert sols[0].point.zero_frequency
 
 
+def test_repeated_mass_is_answered_without_the_gate(monkeypatch):
+    # each (params, mu) is inverted and gated once; cleared first, so the
+    # count holds whatever ran before
+    massmap._gated_solutions.cache_clear()
+    real, calls = massmap.profile_mass_quadrature, []
+    monkeypatch.setattr(massmap, "profile_mass_quadrature",
+                        lambda point: calls.append(point) or real(point))
+    first = massmap.normalized_solutions(P435, 5.0)
+    assert len(calls) == len(first) == 2
+    second = massmap.normalized_solutions(P435, 5.0)
+    assert len(calls) == 2
+    assert second == first and second is not first
+    second.clear()   # a caller's list is its own
+    assert massmap.normalized_solutions(P435, 5.0) == first
+
+
+def test_refusal_is_raised_on_every_call():
+    # lambda = e^2399 at this mass: refused, and the refusal is never kept
+    for _ in range(2):
+        with pytest.raises(stationary.StateOutOfRange, match="ln\\(lambda\\)"):
+            massmap.normalized_solutions(Params(8.5, 5.25), 1e-200)
+
+
 def test_normalized_solution_round_trip():
     for params, mu in ((P425, 0.3), (P83, 2.0), (P435, 5.0)):
         for sol in massmap.normalized_solutions(params, mu):

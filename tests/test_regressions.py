@@ -205,7 +205,7 @@ def test_diagonal_mass_beyond_double_range_is_refused(capsys):
     for mu in ("1e-200", "1e200"):
         with pytest.raises(stationary.StateOutOfRange, match="ln\\(lambda\\)"):
             massmap.normalized_solutions(params, float(mu))
-        assert cli.main(["solve", "--p", "8.5", "--q", "5.25", "--mass", mu]) == 3
+        assert cli.main(["solve", "--p", "8.5", "--q", "5.25", "--mass", mu]) == 4
         assert "state outside double range" in capsys.readouterr().err
 
 
