@@ -300,9 +300,15 @@ def _grid_functional(blocks, h: float, params: Params | None = None):
     h (sum of v - (v_0 + v_n) / 2) for v = u^2 and |u|^p, over each block's
     own nodes.  Without params only the mass is formed and the energy terms
     are None.
+
+    |u|^p is raised only where |u| >= tiny^(1/p) (tiny the smallest normal
+    double); every other node adds 0 in place of a power below tiny, which
+    pow reaches only on its slow underflow path.
     """
     usq = diff2 = vsum = 0.0
     u0 = None
+    if params is not None:
+        floor = np.finfo(float).tiny ** (1.0 / params.p)
     for block in blocks:
         if u0 is None:
             u0 = block[0]
@@ -310,7 +316,9 @@ def _grid_functional(blocks, h: float, params: Params | None = None):
         usq += float(np.dot(own, own))
         if params is not None:
             diff2 += float(np.sum(np.diff(block) ** 2))
-            vsum += float(np.sum(np.abs(own) ** params.p))
+            mag = np.abs(own)
+            vsum += float(np.sum(np.power(mag, params.p, out=np.zeros_like(mag),
+                                          where=mag >= floor)))
     un = block[-1]
     mass = 2.0 * h * (usq - 0.5 * float(u0 ** 2 + un ** 2))
     if params is None:

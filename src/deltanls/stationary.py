@@ -244,14 +244,25 @@ def solve_for_lambda(params: Params, lam: float) -> SolutionSet:
 
 
 def _sinh_neg_pow(z: np.ndarray, expo: float, scale: float) -> np.ndarray:
-    """(scale / sinh(z))^expo for z > 0, stable for large z via the log form."""
+    """(scale / sinh(z))^expo for z > 0, each entry in one closed form.
+
+    Up to z = 20 the direct power.  Beyond, sinh(z) and its power leave
+    double range long before the result does, so the power is
+    exp(expo (ln scale - ln sinh z)) with ln sinh z = z - ln 2 +
+    log1p(-e^(-2z)).  A scalar, or an array wholly on one side of 20, runs
+    one form; a mixed array is split into its two sides.
+    """
     z = np.asarray(z, dtype=float)
     big = z > 20.0
-    # the unused direct entries take sinh(z) = scale, so their power is 1
-    direct = (scale / np.sinh(np.where(big, math.asinh(scale), z))) ** expo
-    zb = np.where(big, z, 21.0)
-    logsinh = zb - _LN2 + np.log1p(-np.exp(-2.0 * zb))
-    return np.where(big, np.exp(expo * (math.log(scale) - logsinh)), direct)
+    if not big.any():
+        return (scale / np.sinh(z)) ** expo
+    if big.all():
+        logsinh = z - _LN2 + np.log1p(-np.exp(-2.0 * z))
+        return np.exp(expo * (math.log(scale) - logsinh))
+    out = np.empty_like(z)
+    out[~big] = _sinh_neg_pow(z[~big], expo, scale)
+    out[big] = _sinh_neg_pow(z[big], expo, scale)
+    return out
 
 
 def profile(point: BranchPoint, x):

@@ -186,6 +186,24 @@ def test_streamed_grid_check_holds_no_whole_grid_array():
     assert check_peak < 6e6
 
 
+def test_bulk_term_is_the_plain_sum_of_powers_bit_for_bit():
+    # the grid check leaves out each |u|^p below the smallest normal double;
+    # on every oracle state the bulk term is still the sum of all the powers
+    points = verification._oracle_points()
+    assert len(points) == 14
+    n = 800000
+    for _, pt in points:
+        L = max(60.0, 30.0 / math.sqrt(pt.lam))
+        p = pt.params.p
+        u = oracle.sample_profile(pt, L, n).values
+        vsum = 0.0
+        for k in range(0, n + 1, oracle.BLOCK):
+            vsum += float(np.sum(np.abs(u[k:k + oracle.BLOCK]) ** p))
+        vsum -= 0.5 * float(abs(u[0]) ** p + abs(u[-1]) ** p)
+        _, eb = oracle.sampled_functional(pt, L, n)
+        assert eb.bulk == (2.0 / p) * (L / n) * vsum, pt
+
+
 def test_one_block_functional_is_the_whole_array_formula():
     # the flow's 1,501-node grids are one block: each sum is one numpy reduction
     pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]

@@ -105,6 +105,73 @@ def test_profile_is_even_and_decreasing():
     assert stationary.profile(pt, 0.0) == pytest.approx(pt.u0, rel=1e-14)
 
 
+_LN2 = math.log(2.0)
+PNEAR2 = Params(2.0 + 1e-4, 7.0)   # expo 2 / (p - 2) = 2e4
+
+
+def _two_form_sinh_neg_pow(z, expo, scale):
+    """(scale / sinh z)^expo with both closed forms formed on every entry
+    and one kept: the direct power up to z = 20, the log form beyond."""
+    z = np.asarray(z, dtype=float)
+    big = z > 20.0
+    direct = (scale / np.sinh(np.where(big, math.asinh(scale), z))) ** expo
+    zb = np.where(big, z, 21.0)
+    logsinh = zb - _LN2 + np.log1p(-np.exp(-2.0 * zb))
+    return np.where(big, np.exp(expo * (math.log(scale) - logsinh)), direct)
+
+
+def _two_form_profile(pt, x):
+    p = pt.params.p
+    ax = np.abs(np.asarray(x, dtype=float)) + pt.a
+    kappa = 0.5 * (p - 2.0) * math.sqrt(pt.lam)
+    out = _two_form_sinh_neg_pow(kappa * ax, 2.0 / (p - 2.0), math.sqrt(0.5 * p * pt.lam))
+    return float(out) if np.ndim(x) == 0 else out
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [PNEAR2.p, 4.0, 16.0])
+def test_profile_kernel_is_the_two_form_kernel_bit_for_bit(p):
+    # scale near sinh(20) puts the values next to z = 20 at O(1); z_lo keeps
+    # every direct power in double range
+    expo = 2.0 / (p - 2.0)
+    scale = 1.0001 * math.sinh(20.0)
+    z_lo = max(math.asinh(scale * math.exp(-700.0 / expo)), 1e-3)
+    at = [math.nextafter(20.0, 0.0), 20.0, math.nextafter(20.0, math.inf)]
+    small = np.concatenate([np.linspace(z_lo, 20.0, 37), at[:2]])
+    big = np.concatenate([at[2:], np.linspace(20.0, 45.0, 41)[1:]])
+    mixed = np.concatenate([small, big])[np.random.default_rng(7).permutation(
+        len(small) + len(big))]
+    cases = [*at, *small[::6], *big[::6], np.array(20.0), np.array(35.0),
+             small, big, mixed, np.array([]), mixed.reshape(2, -1)]
+    for z in cases:
+        got = stationary._sinh_neg_pow(z, expo, scale)
+        assert _same_bits(got, _two_form_sinh_neg_pow(z, expo, scale)), (p, z)
+    assert np.all(np.isfinite(stationary._sinh_neg_pow(mixed, expo, scale)))
+
+
+@pytest.mark.parametrize("params,lam", [(PNEAR2, 1.0), (PNEAR2, 100.0), (PD16, 1.0),
+                                        (P425, 3.0 / 128.0)])
+def test_profile_is_the_two_form_profile_bit_for_bit(params, lam):
+    for pt in stationary.solve_for_lambda(params, lam).points:
+        kappa = 0.5 * (params.p - 2.0) * math.sqrt(pt.lam)
+        x20 = 20.0 / kappa - pt.a   # z = 20 lies at x20 to rounding
+        near = [x20]
+        for _ in range(3):
+            near = [math.nextafter(near[0], 0.0), *near, math.nextafter(near[-1], math.inf)]
+        xs = np.concatenate([np.linspace(0.0, 2.0 * x20, 81), near])
+        z = kappa * (np.abs(xs) + pt.a)
+        assert z.min() < 20.0 < z.max()
+        for x in (*xs[::4], *near, -x20, np.array(x20)):
+            got = stationary.profile(pt, x)
+            assert type(got) is float and _same_bits(got, _two_form_profile(pt, x)), x
+        for x in (xs, -xs, xs[xs < x20], xs[xs > x20], xs[:0], np.array([x20])):
+            assert _same_bits(stationary.profile(pt, x), _two_form_profile(pt, x)), x
+
+
 def test_first_integral_residual():
     pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
     xs = np.linspace(0.2, 40.0, 25)
