@@ -302,8 +302,8 @@ def _grid_functional(blocks, h: float, params: Params | None = None):
     are None.
 
     |u|^p is raised only where |u| >= tiny^(1/p) (tiny the smallest normal
-    double); every other node adds 0 in place of a power below tiny, which
-    pow reaches only on its slow underflow path.
+    double); every other node adds 0 in place of a power of at most about
+    tiny, which pow reaches only on its slow underflow path.
     """
     usq = diff2 = vsum = 0.0
     u0 = None

@@ -271,6 +271,8 @@ def profile(point: BranchPoint, x):
     lambda > 0: u = (p lam / 2)^(1/(p-2)) sinh(kappa (|x|+a))^(-2/(p-2))
     with kappa = (p-2) sqrt(lam) / 2.
     lambda = 0: u = c_p (|x| + a)^(-2/(p-2)) = u0 (1 + |x|/a)^(-2/(p-2)).
+    For lambda > 0 each entry is one power of a ratio, in the one closed form
+    of :func:`_sinh_neg_pow` its z = kappa (|x|+a) selects.
     """
     p = point.params.p
     ax = np.abs(np.asarray(x, dtype=float)) + point.a
