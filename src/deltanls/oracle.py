@@ -19,7 +19,10 @@ mode (error ~ eps * exp(sqrt(lambda) x)).  The shooter therefore stops at
 a capture radius where |u| + |u'|/sqrt(lambda) has dropped to 1e-6 * u0 --
 reached well before noise can -- and continues the tail with the exact
 decay law of the first integral.  Trajectories that instead cross zero,
-turn around, or exceed 1e3 * u0 are classified as non-decaying.
+turn around, or exceed 1e3 * u0 are classified as non-decaying.  Each shot
+reads its dense output once, at the grid nodes up to the capture point and
+the drift abscissae, with every DOP853 step evaluated at once
+(:func:`_dense_values`).
 """
 
 from __future__ import annotations
@@ -174,6 +177,32 @@ def _tail_value(params: Params, lam: float, u_d: float,
     return base ** (-1.0 / half)
 
 
+def _dense_values(ode, x: np.ndarray) -> np.ndarray:
+    """ode(x) for the dense output ode of a forward DOP853 solve_ivp run, bit
+    for bit, with every step evaluated at once.
+
+    OdeSolution.__call__ sorts x and loops in Python over the steps it
+    touches.  Here each point takes the step OdeSolution would take (the
+    lower one at a step end point) and the coefficients F, h, t_old and
+    y_old of that step's interpolant, and every point runs the interpolant's
+    own arithmetic: the nested product of the F rows in r = (x - t_old) / h
+    and 1 - r, plus y_old.
+    """
+    steps = ode.interpolants
+    seg = np.searchsorted(ode.ts, x, side=ode.side) - 1
+    np.clip(seg, 0, len(steps) - 1, out=seg)
+    F = np.array([s.F for s in steps])
+    t_old = np.array([s.t_old for s in steps])[seg]
+    h = np.array([s.h for s in steps])[seg]
+    r = ((x - t_old) / h)[:, None]
+    y = np.zeros((len(x), F.shape[2]))
+    for i in range(F.shape[1]):
+        y += F[seg, F.shape[1] - 1 - i]
+        y *= r if i % 2 == 0 else 1 - r
+    y += np.array([s.y_old for s in steps])[seg]
+    return y.T
+
+
 def shoot(params: Params, lam: float, u0: float, L: float | None = None,
           n: int = 20000) -> ShootingResult:
     """Integrate the vertex initial-value problem outward and classify it.
@@ -224,26 +253,30 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     rebounded = len(sol.t_events[2]) > 0
     blew_up = len(sol.t_events[3]) > 0
     x_end = sol.t[-1]
+
+    # one dense evaluation: the grid nodes up to x_end, then the 512 drift
+    # abscissae, the last of which is x_end itself
+    x = np.linspace(0.0, L, n + 1)
+    k = int(np.searchsorted(x, x_end, side="right"))   # nodes with x <= x_end
+    y = _dense_values(sol.sol, np.concatenate([x[:k], np.linspace(0.0, x_end, 512)]))
+    uu, dd = y[:, k:]
+    u_end, du_end = float(uu[-1]), float(dd[-1])
     if (crossed or rebounded) and not captured:
         # a turn or zero crossing with the whole state inside the saddle
         # neighbourhood means the trajectory tracked the connection until
         # integration noise took over: classify as captured there
-        u_end, du_end = (float(v) for v in sol.sol(x_end))
         if abs(u_end) <= 10.0 * cap_tol * u0 \
                 and abs(du_end) <= 10.0 * cap_tol * u0 * slope_scale:
             captured, crossed, rebounded = True, False, False
 
-    x = np.linspace(0.0, L, n + 1)
-    numeric = x <= x_end
     vals = np.empty(n + 1)
-    vals[numeric] = sol.sol(x[numeric])[0]
+    vals[:k] = y[0, :k]
     if captured:
-        u_d = float(sol.sol(x_end)[0])
-        vals[~numeric] = _tail_value(params, lam, u_d, x[~numeric] - x_end)
+        vals[k:] = _tail_value(params, lam, u_end, x[k:] - x_end)
         capture_x = x_end
         outcome = "decayed"
     else:
-        vals[~numeric] = 0.0
+        vals[k:] = 0.0
         capture_x = None
         if crossed:
             outcome = "crossed_zero"
@@ -255,8 +288,6 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
             outcome = "no_event"
 
     # first-integral drift along the numeric part of the trajectory
-    xs = np.linspace(0.0, x_end, 512)
-    uu, dd = sol.sol(xs)
     H = dd ** 2 - lam * uu ** 2 - (2.0 / p) * np.abs(uu) ** p
     scale = lam * u0 ** 2 + (2.0 / p) * u0 ** p
     drift = float(np.max(np.abs(H - H[0]))) / scale
@@ -264,7 +295,7 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     stayed_positive = outcome in ("decayed", "no_event") and np.all(vals >= 0.0)
     if outcome == "decayed":
         dx = L - capture_x
-        uL = float(_tail_value(params, lam, float(sol.sol(x_end)[0]), dx))
+        uL = float(_tail_value(params, lam, u_end, dx))
         duL = math.sqrt(lam) * uL if lam > 0.0 \
             else math.sqrt(2.0 / p) * uL ** (p / 2.0)
         gate = uL + duL <= DECAY_GATE * u0
@@ -301,9 +332,11 @@ def _grid_functional(blocks, h: float, params: Params | None = None):
     own nodes.  Without params only the mass is formed and the energy terms
     are None.
 
-    |u|^p is raised only where |u| >= tiny^(1/p) (tiny the smallest normal
-    double); every other node adds 0 in place of a power of at most about
-    tiny, which pow reaches only on its slow underflow path.
+    The nodes with |u| < tiny^(1/p) (tiny the smallest normal double) are set
+    to 0 and the block is raised to the power p in one unmasked call: such a
+    node adds 0^p = 0 in place of a power of at most about tiny, which pow
+    reaches only on its slow underflow path.  Every other node adds its
+    plain power.
     """
     usq = diff2 = vsum = 0.0
     u0 = None
@@ -315,10 +348,11 @@ def _grid_functional(blocks, h: float, params: Params | None = None):
         own = block[:BLOCK]
         usq += float(np.dot(own, own))
         if params is not None:
-            diff2 += float(np.sum(np.diff(block) ** 2))
+            d = np.diff(block)
+            diff2 += float(np.sum(np.multiply(d, d, out=d)))
             mag = np.abs(own)
-            vsum += float(np.sum(np.power(mag, params.p, out=np.zeros_like(mag),
-                                          where=mag >= floor)))
+            mag[mag < floor] = 0.0
+            vsum += float(np.sum(np.power(mag, params.p, out=mag)))
     un = block[-1]
     mass = 2.0 * h * (usq - 0.5 * float(u0 ** 2 + un ** 2))
     if params is None:

@@ -248,17 +248,21 @@ def _sinh_neg_pow(z: np.ndarray, expo: float, scale: float) -> np.ndarray:
 
     Up to z = 20 the direct power.  Beyond, sinh(z) and its power leave
     double range long before the result does, so the power is
-    exp(expo (ln scale - ln sinh z)) with ln sinh z = z - ln 2 +
-    log1p(-e^(-2z)).  A scalar, or an array wholly on one side of 20, runs
-    one form; a mixed array is split into its two sides.
+    exp(expo (ln scale - ln sinh z)) with ln sinh z = z - ln 2.  That is
+    exact in doubles: ln sinh z = z - ln 2 + log1p(-e^(-2z)), whose last
+    term is below 4.3e-18 while half an ulp of z - ln 2 > 19.3 is at least
+    1.7e-15, so the sum rounds to z - ln 2 bit for bit.  Not forming that
+    term saves two transcendentals per entry and, past z = 354 where
+    e^(-2z) is subnormal or 0, keeps exp off its slow underflow path.  A
+    scalar, or an array wholly on one side of 20, runs one form; a mixed
+    array is split into its two sides.
     """
     z = np.asarray(z, dtype=float)
     big = z > 20.0
     if not big.any():
         return (scale / np.sinh(z)) ** expo
     if big.all():
-        logsinh = z - _LN2 + np.log1p(-np.exp(-2.0 * z))
-        return np.exp(expo * (math.log(scale) - logsinh))
+        return np.exp(expo * (math.log(scale) - (z - _LN2)))
     out = np.empty_like(z)
     out[~big] = _sinh_neg_pow(z[~big], expo, scale)
     out[big] = _sinh_neg_pow(z[big], expo, scale)

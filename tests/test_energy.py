@@ -180,10 +180,13 @@ def _dipping_pairs(n: int, seed: int) -> list[Params]:
 def test_larger_frequency_state_is_the_ground_state_in_C_and_F():
     # dE/dmu = -lambda/2 on each piece of the mass map, and the pieces meet
     # at the branch minimum: of the two states at one mass, the one with the
-    # larger lambda has the lower energy, and the level selects it
+    # larger lambda has the lower energy, and the level selects it.  The gap
+    # E_other - E_ground has derivative (lambda_ground - lambda_other)/2 > 0,
+    # so it grows strictly along the mass ladder
     seen = {Region.C: 0, Region.F: 0}
     for params in _dipping_pairs(30, 2027):   # seed fixed before the first run
         mu_min = massmap.branch_minimum(params).mass
+        gaps = []
         for mu in np.geomspace(mu_min * (1.0 + 1e-6), 10.0 * mu_min, 6).tolist():
             sols = massmap.normalized_solutions(params, mu)
             if len(sols) != 2:
@@ -191,12 +194,14 @@ def test_larger_frequency_state_is_the_ground_state_in_C_and_F():
             seen[classify(params)] += 1
             ground, other = sorted(sols, key=lambda s: -s.point.lam)
             assert ground.energy < other.energy, (params, mu)
+            gaps.append(other.energy - ground.energy)
             sample = energy.groundstate_energy(params, mu)
             if ground.energy <= 0.0:
                 assert sample.flag is Attainment.ATTAINED
                 assert (sample.value, sample.lam) == (ground.energy, ground.point.lam)
             else:   # every state costs positive energy: the level is 0
                 assert sample.flag is Attainment.NOT_ATTAINED and sample.value == 0.0
+        assert all(a < b for a, b in zip(gaps, gaps[1:])), (params, gaps)
     assert seen[Region.C] >= 50 and seen[Region.F] >= 10
 
 

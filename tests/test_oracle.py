@@ -320,3 +320,44 @@ def test_default_domain():
     assert oracle.default_domain(0.0) == 1e3
     assert oracle.default_domain(1.0) == 50.0
     assert oracle.default_domain(1e-4) == pytest.approx(2000.0)
+
+
+def test_oracle_check_reports_its_pinned_figures():
+    result = verification.check_oracle_equivalence()
+    assert result.passed and result.detail == (
+        "14 states; worst: sup=1.06e-07 (bound 1e-6) mass=9.23e-09 (bound 1e-6) "
+        "energy=4.15e-07 (bound 1e-6) residual=1.01e-15 (bound 1e-8)")
+
+
+def test_dense_values_are_the_dense_output_bit_for_bit(monkeypatch):
+    # shoot evaluates the DOP853 dense output of every step at once from the
+    # interpolants' coefficients; SciPy's own OdeSolution is the reference,
+    # on every point shoot evaluates and on each step's end points
+    solves = []
+    solve_ivp = oracle.solve_ivp
+
+    def recording_ivp(*args, **kwargs):
+        solves.append(solve_ivp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(oracle, "solve_ivp", recording_ivp)
+    n = 20000
+    for _, pt in verification._oracle_points():
+        res = oracle.shoot(pt.params, pt.lam, pt.u0, n=n)
+        sol = solves[-1]
+        x_end = sol.t[-1]
+        x = np.linspace(0.0, oracle.default_domain(pt.lam), n + 1)
+        grid = x[x <= x_end]
+        drift = np.linspace(0.0, x_end, 512)
+        for pts in (grid, drift, sol.t, np.array([x_end]), np.concatenate([grid, drift])):
+            assert _same_bits(oracle._dense_values(sol.sol, pts), sol.sol(pts)), pt
+        assert _same_bits(oracle._dense_values(sol.sol, np.array([x_end]))[:, 0],
+                          sol.sol(x_end))
+        assert _same_bits(res.profile.values[:len(grid)], sol.sol(grid)[0])
+        assert res.capture_x == x_end
+    assert len(solves) == 14
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()

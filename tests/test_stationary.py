@@ -136,13 +136,17 @@ def _same_bits(got, want):
 @pytest.mark.parametrize("p", [PNEAR2.p, 4.0, 16.0])
 def test_profile_kernel_is_the_two_form_kernel_bit_for_bit(p):
     # scale near sinh(20) puts the values next to z = 20 at O(1); z_lo keeps
-    # every direct power in double range
+    # every direct power in double range.  The far side runs to z = 1000
+    # through the band 354 < z < 372.5 where e^(-2z) is subnormal and past
+    # the point where it is 0, against the reference's log1p(-e^(-2z)) term
     expo = 2.0 / (p - 2.0)
     scale = 1.0001 * math.sinh(20.0)
     z_lo = max(math.asinh(scale * math.exp(-700.0 / expo)), 1e-3)
     at = [math.nextafter(20.0, 0.0), 20.0, math.nextafter(20.0, math.inf)]
     small = np.concatenate([np.linspace(z_lo, 20.0, 37), at[:2]])
-    big = np.concatenate([at[2:], np.linspace(20.0, 45.0, 41)[1:]])
+    big = np.concatenate([at[2:], np.linspace(20.0, 45.0, 41)[1:],
+                          np.linspace(45.0, 1000.0, 193)[1:],
+                          np.linspace(354.0, 372.5, 38)[1:-1]])
     mixed = np.concatenate([small, big])[np.random.default_rng(7).permutation(
         len(small) + len(big))]
     cases = [*at, *small[::6], *big[::6], np.array(20.0), np.array(35.0),
