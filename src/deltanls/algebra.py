@@ -1,7 +1,10 @@
 """Closed-form scalars of the branch analysis.
 
 Everything here is a plain function of the exponents and of either the
-branch coordinate t > 1 or the frequency lambda > 0:
+branch offset d = t - 1 > 0 of the branch coordinate t or the frequency
+lambda > 0.  The functions of the branch take the offset as the keyword
+``d`` alone: t = 1 + d loses the digits of d near t = 1, and d = inf is the
+end t = inf.
 
 * ``log_f`` / ``log_g`` -- the logs of the two sides of the vertex
   matching condition f(t) = g(lambda) that every positive stationary state
@@ -15,8 +18,8 @@ branch coordinate t > 1 or the frequency lambda > 0:
   sign(mu'(t));
 * ``log_mass`` / ``mass_deficit`` -- ln mu(t) and, for p < 6, the relative
   deficit (mu0 - mu)/mu0, formed from separated terms in logs;
-* ``constants`` -- the prefactor C_pq of the mass map, the zero-frequency
-  profile constant c_p, and the zero-frequency mass mu0 (finite iff p < 6).
+* ``mu0`` -- the zero-frequency mass (finite iff p < 6), formed from the
+  one ``log2_c_pq`` of the mass-map prefactor C_pq.
 
 The closed forms return floats; the tests hold them to 1e-14 against
 40-digit mpmath.
@@ -46,21 +49,14 @@ LOG_DOUBLE = (math.log(sys.float_info.min), math.log(sys.float_info.max))
 _LOG_MAX = LOG_DOUBLE[1]
 
 
-def resolve_d(t: float, d: float | None) -> float:
-    """Exact branch offset d = t - 1; an explicit d overrides the subtraction.
+def branch_offset(d: float) -> float:
+    """The branch offset d = t - 1 as a float, refused (ValueError) unless d > 0.
 
-    Branch coordinates extremely close to 1 are not representable through t
-    alone (t = 1 + d collapses in double precision); solvers that work in
-    log(t - 1) pass d through to keep full relative accuracy.
+    d = inf is the end t = inf of the branch; NaN is refused.
     """
-    if d is None:
-        t = float(t)
-        if not t > 1.0:
-            raise ValueError(f"branch coordinate must satisfy t > 1, got {t}")
-        return t - 1.0
     d = float(d)
     if not d > 0.0:
-        raise ValueError(f"branch offset must satisfy t - 1 > 0, got {d}")
+        raise ValueError(f"branch offset must satisfy d = t - 1 > 0, got {d}")
     return d
 
 
@@ -267,24 +263,26 @@ def energy_j(params: Params, d: float) -> tuple[float, float]:
     return j, t - 2.0 * tl.a * j
 
 
-def I_of_t(params: Params, t: float, d: float | None = None) -> float:
-    """I(t) = integral_1^t (s^2 - 1)^((4-p)/(p-2)) ds, with t = inf allowed for p > 6.
+def I_of_t(params: Params, *, d: float) -> float:
+    """I(t) = integral_1^t (s^2 - 1)^((4-p)/(p-2)) ds at t = 1 + d, for d in (0, inf].
 
-    Closed form (see the notes above ``_tail``); p = 4 gives t - 1 exactly.
-    Values below the double range come back as 0; ``log_I`` keeps them.
+    d = inf gives I(inf) = 1/2 B(a, b), finite for p > 6 only (ValueError
+    beyond).  Closed form (see the notes above ``_tail``); p = 4 gives d
+    exactly.  Values below the double range come back as 0; ``log_I`` keeps
+    them.
     """
-    if d is None and math.isinf(t):
+    d = branch_offset(d)
+    if math.isinf(d):
         return half_beta(params)
-    d = resolve_d(t, d)
     if params.p == 4.0:
         return d
     return math.exp(log_I(params, d))
 
 
-def I_of_t_quadrature(params: Params, t: float,
-                      d: float | None = None) -> tuple[float, float]:
-    """(I(t), QUADPACK's absolute error estimate) by adaptive quadrature: the
-    independent route the tests check I_of_t against.
+def I_of_t_quadrature(params: Params, *, d: float) -> tuple[float, float]:
+    """(I(t), QUADPACK's absolute error estimate) at t = 1 + d, d in (0, inf],
+    by adaptive quadrature: the independent route the tests check I_of_t
+    against.  d = inf is refused (ValueError) where I(inf) diverges, p <= 6.
 
     Under s = cosh(theta) the integrand becomes sinh(theta)^m with
     m = (6-p)/(p-2) > -1, so the s = 1 endpoint singularity (present for
@@ -292,13 +290,10 @@ def I_of_t_quadrature(params: Params, t: float,
     absorbed exactly by the further substitution v = theta^(m+1)/(m+1).
     """
     p = params.p
-    if d is None and math.isinf(t):
-        if p <= 6.0:
-            raise ValueError("I(inf) diverges for p <= 6")
-        theta_hi = math.inf
-    else:
-        d = resolve_d(t, d)
-        theta_hi = math.log1p(d + math.sqrt(d * (d + 2.0)))   # arccosh t, exact near t = 1
+    d = branch_offset(d)
+    if math.isinf(d) and p <= 6.0:
+        raise ValueError("I(inf) diverges for p <= 6")
+    theta_hi = math.log1p(d + math.sqrt(d * (d + 2.0)))   # arccosh t, exact near t = 1
 
     m = (6.0 - p) / (p - 2.0)
     total = 0.0
@@ -364,17 +359,20 @@ def _h_far(tl: _Tail, r: float, d: float) -> float:
     return (r * pk - dpk) / t - (1.0 - r * z) * pole
 
 
-def h_of_t(params: Params, t: float, d: float | None = None) -> float:
-    """Sign-carrier of the mass-map derivative: sign(h(t)) = sign(mu'(t)).
+def h_of_t(params: Params, *, d: float) -> float:
+    """Sign-carrier of the mass-map derivative at t = 1 + d: sign(h(t)) = sign(mu'(t)).
 
     h(t) = (6-p)/(p-2) * ((p-2)/(p+2-2q) - t^2) / (t^2-1)^(2/(p-2)) * I(t) + t.
     At large t the first addend tends to -t; the closed form cancels the
     two analytically, so h keeps its relative accuracy where it is O(1/t).
-    For p = 6 this collapses to h(t) = t.  Off the diagonal only.
+    For p = 6 this collapses to h(t) = t.  Off the diagonal, and at finite
+    t only: d = inf is refused (ValueError).
     """
-    d = resolve_d(t, d)
+    d = branch_offset(d)
     if params.diagonal:
         raise ValueError("mass-map derivative factor is defined off the diagonal only")
+    if math.isinf(d):
+        raise ValueError("mass-map derivative factor is defined at finite t only")
     if params.p == 6.0:
         return 1.0 + d
     tl, r = _tail(params.p), _r(params)
@@ -516,25 +514,13 @@ def log_c_p(params: Params) -> float:
     return 2.0 / (p - 2.0) * (0.5 * math.log(2.0 * p) - math.log(p - 2.0))
 
 
-def c_p(params: Params) -> float:
-    """Amplitude constant of the algebraically decaying zero-frequency profile
-    (inf where it is beyond the double range, as near p = 2)."""
-    return exp_or_inf(log_c_p(params))
+def mu0(params: Params) -> float | None:
+    """The zero-frequency mass mu0 = C_pq (p-2)/(6-p), the mass of the lambda = 0
+    state: finite for p < 6 only (None beyond), inf where beyond the double range.
 
-
-class Constants(NamedTuple):
-    c_pq: float
-    c_p: float
-    mu0: float | None
-
-
-def constants(params: Params) -> Constants:
-    """(C_pq, c_p, mu0): mass-map prefactor, zero-frequency amplitude, zero-frequency mass.
-
-    C_pq = 2^(3(q-p+2)/(2q-p-2)) p^((q-4)/(2q-p-2)) / (p-2), and mu0 =
-    C_pq (p-2)/(6-p) is the mass of the lambda = 0 state, finite only for p
-    in (2, 6).  Both are undefined on the diagonal and are formed from the
-    one log2 C_pq: inf or 0 where they are beyond the double range.
+    Like C_pq it is undefined (ValueError) on the diagonal, for every p.
     """
-    mu0 = exp2_or_inf(log2_mu0(params)) if params.p < 6.0 else None
-    return Constants(exp2_or_inf(log2_c_pq(params)), c_p(params), mu0)
+    if params.p < 6.0:
+        return exp2_or_inf(log2_mu0(params))
+    mass_exponents(params)   # refuses the diagonal
+    return None

@@ -9,6 +9,7 @@ curves always writes a CSV with a JSON sidecar.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -73,7 +74,7 @@ def _thresholds_payload(params: Params) -> dict:
             out["lambda_bar"] = stationary.lambda_bar(params)
             out["provenance"]["lambda_bar"] = "closed-form"
         if params.p < 6.0:
-            out["mu0"] = algebra.constants(params).mu0
+            out["mu0"] = algebra.mu0(params)
             out["provenance"]["mu0"] = "closed-form"
         thr = massmap.mass_threshold(params)
         if thr.mu_threshold is not None:
@@ -87,7 +88,7 @@ def _thresholds_payload(params: Params) -> dict:
             out["provenance"]["mu_tilde"] = (
                 "limit-constant" if region in (Region.G, Region.H) else "root")
         if params.q < min(4.0, params.p / 2.0 + 1.0):
-            out["mu_bar"] = massmap.mass_of_t(params, algebra.t_star(params))
+            out["mu_bar"] = massmap.mass_of_t(params, d=algebra.t_star(params) - 1.0)
             out["provenance"]["mu_bar"] = "closed-form (multiplier peak)"
     return out
 
@@ -294,7 +295,9 @@ def cmd_verify(args) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="deltanls",
         description=("Stationary states, mass maps and ground-state energy "
@@ -340,8 +343,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:   # InvalidExponents is a ValueError

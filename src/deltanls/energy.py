@@ -69,14 +69,12 @@ def groundstate_energy(params: Params, mu: float) -> EnergySample:
     if region is Region.I:
         if params.p < 6.0:
             return EnergySample(mu, 0.0, None, "vanishing", Attainment.NOT_ATTAINED)
-        cands: tuple = ()
-        if params.p > 8.0:
-            sols = massmap.normalized_solutions(params, mu)
-            cands = tuple((s.point.t, s.point.lam, s.energy) for s in sols)
+        cands = tuple((s.point.t, s.point.lam, s.energy)
+                      for s in massmap.normalized_solutions(params, mu))
         return EnergySample(mu, None, None, "none", Attainment.UNKNOWN, cands)
 
     if region is Region.A:
-        mu0 = algebra.constants(params).mu0
+        mu0 = algebra.mu0(params)
         if mu > mu0 * (1.0 + massmap.MU0_MATCH_RTOL):
             # constant level past mu0; only partial mass can concentrate
             return EnergySample(mu, _plateau_energy(params), 0.0, "plateau",
@@ -174,7 +172,7 @@ def convexity_scan(params: Params) -> ConvexityReport:
     if not q < min(4.0, p / 2.0 + 1.0):
         raise ValueError("level-curve convexity split needs q < min(4, p/2 + 1)")
     if p < 6.0:
-        mu0 = algebra.constants(params).mu0
+        mu0 = algebra.mu0(params)
         mus = np.linspace(mu0 / 400.0, mu0 * (1.0 - 1e-4), 400)
     else:
         mus = np.geomspace(1e-2, 1e3, 400)
@@ -201,5 +199,5 @@ def convexity_scan(params: Params) -> ConvexityReport:
     lo = mus[1 + last_neg]
     hi = mus[1 + first_pos]
     mu_bar = 0.5 * (lo + hi)
-    lam_peak_mass = massmap.mass_of_t(params, algebra.t_star(params))
+    lam_peak_mass = massmap.mass_of_t(params, d=algebra.t_star(params) - 1.0)
     return ConvexityReport(mu_bar, lam_peak_mass, hi - lo)

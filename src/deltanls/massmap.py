@@ -39,18 +39,20 @@ class GateFailure(RuntimeError):
     """A state whose profile quadrature disagrees with its reported mass."""
 
 
-def mass_of_t(params: Params, t: float, d: float | None = None) -> float:
-    """mu(t) for t in (1, inf]; t = inf is allowed only for p < 6 (returns mu0).
+def mass_of_t(params: Params, *, d: float) -> float:
+    """mu(t) at t = 1 + d for d in (0, inf]; d = inf is allowed only for p < 6
+    (returns mu0; ValueError beyond, where the mass diverges).
 
-    Pass d = t - 1 for coordinates too close to 1 for t to represent.  The
-    value comes from ln mu (``algebra.log_mass``), so no intermediate power
-    leaves the double range; a mass beyond it is inf.  Off the diagonal only.
+    The value comes from ln mu (``algebra.log_mass``), so no intermediate
+    power leaves the double range; a mass beyond it is inf.  Off the
+    diagonal only.
     """
-    if d is None and math.isinf(t):
+    d = algebra.branch_offset(d)
+    if math.isinf(d):
         if params.p >= 6.0:
             raise ValueError("branch mass diverges as t -> inf for p >= 6")
-        return algebra.constants(params).mu0
-    return algebra.exp_or_inf(algebra.log_mass(params, algebra.resolve_d(t, d)))
+        return algebra.mu0(params)
+    return algebra.exp_or_inf(algebra.log_mass(params, d))
 
 
 def _log_diagonal_coefficient(params: Params) -> tuple[float, float]:
@@ -79,7 +81,7 @@ def state_mass(point: BranchPoint) -> float:
     params = point.params
     if params.diagonal:
         return mass_of_lambda_diagonal(params, point.lam)
-    return mass_of_t(params, point.t, None if point.zero_frequency else point.d)
+    return mass_of_t(params, d=point.d)
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ def asymptotics(params: Params) -> MassAsymptotics:
     t1_pref = algebra.exp2_or_inf(ex.log2_t1)
     t1_limit = 0.0 if ex.t1_rate > 0.0 else t1_pref if ex.t1_rate == 0.0 else math.inf
     tinf_limit, tinf_rate, kind = (
-        (algebra.constants(params).mu0, 0.0, "plateau") if p < 6.0
+        (algebra.mu0(params), 0.0, "plateau") if p < 6.0
         else (math.inf, None, "log") if p == 6.0
         else (math.inf, (p - 6.0) / (p - 2.0), "power"))
     return MassAsymptotics(t1_limit, tinf_limit, ex.t1_rate, tinf_rate, t1_pref, kind)
@@ -151,8 +153,7 @@ def branch_minimum(params: Params) -> BranchMinimum:
     report: mu0 is the infimum, attained by the zero-frequency state.
     """
     def h_at(y: float) -> float:
-        d = math.exp(y)
-        return algebra.h_of_t(params, 1.0 + d, d)
+        return algebra.h_of_t(params, d=math.exp(y))
 
     h0 = h_at(0.0)
     try:
@@ -160,12 +161,12 @@ def branch_minimum(params: Params) -> BranchMinimum:
     except stationary.StateOutOfRange:
         if not (h0 < 0.0 and params.p < 6.0):
             raise
-        return BranchMinimum(math.inf, algebra.constants(params).mu0, 0.0)
+        return BranchMinimum(math.inf, algebra.mu0(params), 0.0)
     d = math.exp(y)
     if params.p >= 6.0:
-        return BranchMinimum(y, mass_of_t(params, 1.0 + d, d), None)
+        return BranchMinimum(y, mass_of_t(params, d=d), None)
     depth = max(0.0, algebra.mass_deficit(params, d))
-    return BranchMinimum(y, algebra.constants(params).mu0 * (1.0 - depth), depth)
+    return BranchMinimum(y, algebra.mu0(params) * (1.0 - depth), depth)
 
 
 def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
@@ -185,7 +186,7 @@ def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
     samples = []
     for y in np.linspace(y_lo, y_hi, n).tolist():
         d = math.exp(y)
-        samples.append((1.0 + d, mass_of_t(params, 1.0 + d, d), -1 if y < y_min else 1))
+        samples.append((1.0 + d, mass_of_t(params, d=d), -1 if y < y_min else 1))
     return MassCurve(params, tuple(samples), (asym.t1_limit, asym.tinf_limit), extrema)
 
 
@@ -336,13 +337,13 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
 def _gated_solutions(params: Params, mu: float) -> tuple[NormalizedSolution, ...]:
     points: list[BranchPoint] = []
     if params.diagonal:
-        if params.p > 8.0:
+        if stationary.diagonal_exists(params)[0]:
             p = params.p
             log_coeff, t = _log_diagonal_coefficient(params)
             # ln lambda = 2(p-2)/(6-p) (ln mu - ln M_pq), refused outside double range
             lam = stationary.exp_in_range(
                 2.0 * (p - 2.0) / (6.0 - p) * (math.log(mu) - log_coeff), "lambda")
-            points.append(stationary.branch_point_from_t(params, lam, t))
+            points.append(stationary.branch_point_from_t(params, lam, d=t - 1.0))
     else:
         ys, with_zero = _branch_offsets_at_mass(params, mu)
         points.extend(stationary.state_at_logd(params, y) for y in ys)
@@ -389,7 +390,7 @@ class ThresholdReport:
 def mass_threshold(params: Params) -> ThresholdReport:
     """Mass threshold named by the existence rule of params (off-diagonal)."""
     rule = expected_solution_regime(params)
-    mu0 = algebra.constants(params).mu0
+    mu0 = algebra.mu0(params)
     mu_threshold = minimizer_t = log_offset = depth = provenance = None
     if rule.threshold is ThresholdKind.ZERO_FREQUENCY_MASS:
         mu_threshold, minimizer_t, log_offset = mu0, math.inf, math.inf

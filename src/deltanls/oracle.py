@@ -87,8 +87,6 @@ class GridProfile:
 
 @dataclass(frozen=True)
 class ShootingResult:
-    u0: float
-    lam: float
     decay_ok: bool
     profile: GridProfile
     outcome: str               # decayed | crossed_zero | rebounded | blew_up | no_event
@@ -306,9 +304,8 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
         gate = False
 
     profile = GridProfile(L, n, vals if stayed_positive else np.maximum(vals, 0.0))
-    return ShootingResult(u0=u0, lam=lam, decay_ok=bool(gate and stayed_positive),
-                          profile=profile, outcome=outcome,
-                          first_integral_drift=drift, capture_x=capture_x)
+    return ShootingResult(decay_ok=bool(gate and stayed_positive), profile=profile,
+                          outcome=outcome, first_integral_drift=drift, capture_x=capture_x)
 
 
 def shooting_sup_distance(point: BranchPoint, result: ShootingResult) -> float:

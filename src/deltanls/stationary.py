@@ -69,28 +69,23 @@ class SolutionSet:
     """All positive solutions at one frequency, ordered by ascending t."""
 
     points: tuple[BranchPoint, ...]
-    lam: float
 
     @property
     def count(self) -> int:
         return len(self.points)
 
 
-def branch_point_from_t(params: Params, lam: float, t: float | None = None,
-                        d: float | None = None) -> BranchPoint:
-    """Materialize the stationary state at frequency lam > 0.
+def branch_point_from_t(params: Params, lam: float, *, d: float) -> BranchPoint:
+    """Materialize the stationary state at frequency lam > 0 and t = 1 + d.
 
-    Accepts the branch coordinate as t, as d = t - 1 (preferred near the
-    left endpoint), or both.
+    d is finite: the t = inf end is the zero-frequency state
+    (:func:`zero_frequency_point`).
     """
     if not lam > 0.0:
         raise ValueError("positive-frequency branch point needs lambda > 0")
-    if d is None:
-        if t is None or not t > 1.0:
-            raise ValueError(f"branch coordinate must exceed 1, got {t}")
-        d = t - 1.0
-    elif not d > 0.0:
-        raise ValueError(f"branch offset must be positive, got {d}")
+    d = algebra.branch_offset(d)
+    if math.isinf(d):
+        raise ValueError("the t = inf state has lambda = 0: use zero_frequency_point")
     t = 1.0 + d
     p = params.p
     sq = math.sqrt(lam)
@@ -227,16 +222,15 @@ def solve_for_lambda(params: Params, lam: float) -> SolutionSet:
         raise ValueError("no stationary states exist for lambda < 0")
     if lam == 0.0:
         if params.p < 6.0 and not params.diagonal:
-            return SolutionSet((zero_frequency_point(params),), 0.0)
-        return SolutionSet((), 0.0)
+            return SolutionSet((zero_frequency_point(params),))
+        return SolutionSet(())
     if params.diagonal:
         exists, t = diagonal_exists(params)
         if not exists:
-            return SolutionSet((), lam)
-        return SolutionSet((branch_point_from_t(params, lam, t),), lam)
-    points = tuple(branch_point_from_t(params, lam, d=math.exp(y))
-                   for y in _matching_roots(params, lam))
-    return SolutionSet(points, lam)
+            return SolutionSet(())
+        return SolutionSet((branch_point_from_t(params, lam, d=t - 1.0),))
+    return SolutionSet(tuple(branch_point_from_t(params, lam, d=math.exp(y))
+                             for y in _matching_roots(params, lam)))
 
 
 # ---------------------------------------------------------------------------

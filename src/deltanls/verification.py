@@ -74,18 +74,19 @@ def check_exact_branch_regression() -> CheckResult:
         for pt, te in zip(pts, expected_ts):
             if abs(pt.t - te) > 1e-10:
                 fails.append(f"branch coordinate {pt.t} != {te}")
-    mu2 = massmap.mass_of_t(P, 2.0)
+    mu2 = massmap.mass_of_t(P, d=1.0)
     if abs(mu2 - math.sqrt(6.0) / 4.0) > 1e-10:
         fails.append(f"mu(2) = {mu2} != sqrt(6)/4")
-    mu0 = algebra.constants(P).mu0
+    mu0 = algebra.mu0(P)
     if abs(mu0 - math.sqrt(2.0)) > 1e-12:
         fails.append(f"mu0 = {mu0} != sqrt(2)")
     # the closed-form I(t) against adaptive quadrature, on both of its series
     # and next to the poles of its connection formula (p = 6, 10/3, 14/5)
     gap = 0.0
     for p, t in _QUADRATURE_POINTS:
-        closed = algebra.I_of_t(Params(p, 3.0), t)
-        gap = max(gap, abs(closed / algebra.I_of_t_quadrature(Params(p, 3.0), t)[0] - 1.0))
+        P3, d = Params(p, 3.0), t - 1.0
+        closed = algebra.I_of_t(P3, d=d)
+        gap = max(gap, abs(closed / algebra.I_of_t_quadrature(P3, d=d)[0] - 1.0))
     if gap > 1e-9:
         fails.append(f"closed-form I(t) and quadrature differ by {gap:.3g} relative")
     detail = (f"lambda_bar={lb:.17g} mu(2)={mu2:.17g} mu0={mu0:.17g} "
@@ -108,7 +109,7 @@ def check_multiplicity_window() -> CheckResult:
         fails.append(f"minimizer t {thr.minimizer_t} != 2")
     # second route to the branch minimum: bounded minimization of mu in y = ln(t - 1)
     y_min = math.log(thr.minimizer_t - 1.0)
-    direct = minimize_scalar(lambda y: massmap.mass_of_t(P, 1.0 + math.exp(y)),
+    direct = minimize_scalar(lambda y: massmap.mass_of_t(P, d=math.exp(y)),
                              bounds=(y_min - 0.5, y_min + 0.5), method="bounded",
                              options={"xatol": 1e-8})
     gap = abs(float(direct.fun) - thr.mu_threshold)
@@ -135,7 +136,7 @@ def check_mass_two_threshold() -> CheckResult:
     for p in (5.0, 8.0):
         P = Params(p, 4.0)
         ds = [1e-6 * 4.0 ** (-k) for k in range(7)]
-        seq = [massmap.mass_of_t(P, 1.0 + dd, dd) for dd in ds]
+        seq = [massmap.mass_of_t(P, d=dd) for dd in ds]
         lim = _aitken_limit(seq)
         limits[p] = lim
         if abs(lim - 2.0) > 1e-4:
@@ -423,11 +424,11 @@ def check_mass_monotonicity() -> CheckResult:
     ys = np.linspace(-14.0, math.log(99.0), 1000)
     for p, q in ((4.0, 2.5), (8.0, 3.0), (8.0, 4.0), (3.0, 4.5)):
         P = Params(p, q)
-        hs = [algebra.h_of_t(P, 1.0 + math.exp(y), math.exp(y)) for y in ys]
+        hs = [algebra.h_of_t(P, d=math.exp(y)) for y in ys]
         if min(hs) <= 0.0:
             fails.append(f"(p={p}, q={q}): h dips to {min(hs)}")
     P = Params(4.0, 3.5)
-    hs = [algebra.h_of_t(P, 1.0 + math.exp(y), math.exp(y)) for y in ys]
+    hs = [algebra.h_of_t(P, d=math.exp(y)) for y in ys]
     signs = np.sign(hs)
     changes = int(np.sum(np.abs(np.diff(signs)) > 0))
     if changes != 1:

@@ -92,20 +92,20 @@ def test_f_prime_matches_finite_differences(params, t):
 
 
 def test_I_p4_is_exact():
-    assert algebra.I_of_t(P425, 3.0) == 2.0
+    assert algebra.I_of_t(P425, d=2.0) == 2.0
 
 
 def test_I_p6_grows_like_log():
     # I(t) = arccosh(t) = log(2t) + O(1/t^2), so I/log(t) -> 1 from above
     P6 = Params(6.0, 3.0)
-    ratios = [algebra.I_of_t(P6, t) / math.log(t) for t in (1e3, 1e6, 1e9)]
+    ratios = [algebra.I_of_t(P6, d=t - 1.0) / math.log(t) for t in (1e3, 1e6, 1e9)]
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
     assert ratios[2] == pytest.approx(1.0, abs=0.04)
-    assert algebra.I_of_t(P6, 1e9) - math.log(2e9) == pytest.approx(0.0, abs=1e-12)
+    assert algebra.I_of_t(P6, d=1e9 - 1.0) - math.log(2e9) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_I_p8_against_graded_midpoint_oracle():
-    got = algebra.I_of_t(P83, 2.0)
+    got = algebra.I_of_t(P83, d=1.0)
     want = graded_midpoint_integral(8.0, 2.0)
     assert abs(got - want) < 1e-10
 
@@ -120,18 +120,18 @@ def test_I_additivity_on_random_splits():
             t2 = t1 + rng.random() * 5.0
             middle, _ = quad(lambda s: (s * s - 1.0) ** e, t1, t2,
                              epsabs=1e-13, epsrel=1e-12)
-            lhs = algebra.I_of_t(params, t2)
-            rhs = algebra.I_of_t(params, t1) + middle
+            lhs = algebra.I_of_t(params, d=t2 - 1.0)
+            rhs = algebra.I_of_t(params, d=t1 - 1.0) + middle
             assert abs(lhs - rhs) < 1e-9
 
 
 def test_I_infinite_endpoint():
     with pytest.raises(ValueError):
-        algebra.I_of_t(Params(5.0, 3.0), math.inf)
+        algebra.I_of_t(Params(5.0, 3.0), d=math.inf)
     with pytest.raises(ValueError):
-        algebra.I_of_t(Params(6.0, 3.0), math.inf)
-    tail = algebra.I_of_t(P83, math.inf)
-    assert tail > algebra.I_of_t(P83, 100.0)
+        algebra.I_of_t(Params(6.0, 3.0), d=math.inf)
+    tail = algebra.I_of_t(P83, d=math.inf)
+    assert tail > algebra.I_of_t(P83, d=99.0)
     assert math.isfinite(tail)
 
 
@@ -148,7 +148,7 @@ def test_integration_by_parts_identity(p, t):
     th = ((m + 1.0) * v) ** (1.0 / (m + 1.0))
     lhs = float(np.sum(np.cosh(th) ** 2 * (np.sinh(th) / th) ** m) * v_hi / k)
     rhs = (p - 2.0) / (p + 2.0) * (
-        t * (t * t - 1.0) ** (2.0 / (p - 2.0)) + algebra.I_of_t(params, t))
+        t * (t * t - 1.0) ** (2.0 / (p - 2.0)) + algebra.I_of_t(params, d=t - 1.0))
     assert abs(lhs - rhs) < 1e-8
 
 
@@ -157,37 +157,33 @@ def test_h_closed_form_for_p4():
     q = 3.5
     for t in (1.2, 1.5, 2.0, 3.0, 10.0):
         want = ((q - 3.0) * t - 1.0) / ((q - 3.0) * (t + 1.0))
-        assert algebra.h_of_t(P435, t) == pytest.approx(want, abs=1e-12)
-    assert algebra.h_of_t(P435, 2.0) == pytest.approx(0.0, abs=1e-12)
-    assert algebra.h_of_t(P435, 1.5) < 0.0
-    assert algebra.h_of_t(P83, 2.0) > 0.0
+        assert algebra.h_of_t(P435, d=t - 1.0) == pytest.approx(want, abs=1e-12)
+    assert algebra.h_of_t(P435, d=1.0) == pytest.approx(0.0, abs=1e-12)
+    assert algebra.h_of_t(P435, d=0.5) < 0.0
+    assert algebra.h_of_t(P83, d=1.0) > 0.0
 
 
 def test_h_sign_change_counts():
     ys = np.linspace(-10.0, math.log(99.0), 400)
     for q in (3.2, 3.5, 3.8):
-        hs = [algebra.h_of_t(Params(4.0, q), 1.0 + math.exp(y), math.exp(y))
-              for y in ys]
+        hs = [algebra.h_of_t(Params(4.0, q), d=math.exp(y)) for y in ys]
         assert int(np.sum(np.abs(np.diff(np.sign(hs))) > 0)) == 1
     for p, q in ((4.0, 2.5), (8.0, 3.0), (8.0, 4.0), (3.0, 4.5)):
-        hs = [algebra.h_of_t(Params(p, q), 1.0 + math.exp(y), math.exp(y))
-              for y in ys]
+        hs = [algebra.h_of_t(Params(p, q), d=math.exp(y)) for y in ys]
         assert min(hs) > 0.0
 
 
 def test_h_p6_is_identity():
-    assert algebra.h_of_t(Params(6.0, 3.0), 2.5) == 2.5
+    assert algebra.h_of_t(Params(6.0, 3.0), d=1.5) == 2.5
 
 
 def test_constants_exact_values():
-    c = algebra.constants(P425)
-    assert c.c_pq == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert c.c_p == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    assert c.mu0 == pytest.approx(math.sqrt(2.0), abs=1e-15)
-    c2 = algebra.constants(P435)
-    assert c2.c_pq == pytest.approx(2.0 ** 2.5, abs=1e-14)
-    assert c2.mu0 == pytest.approx(2.0 ** 2.5, abs=1e-14)
-    assert algebra.constants(P83).mu0 is None
+    assert 2.0 ** algebra.log2_c_pq(P425) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert math.exp(algebra.log_c_p(P425)) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert algebra.mu0(P425) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    assert 2.0 ** algebra.log2_c_pq(P435) == pytest.approx(2.0 ** 2.5, abs=1e-14)
+    assert algebra.mu0(P435) == pytest.approx(2.0 ** 2.5, abs=1e-14)
+    assert algebra.mu0(P83) is None
 
 
 def test_constants_mu0_identity():
@@ -197,13 +193,16 @@ def test_constants_mu0_identity():
         q = 2.1 + rng.random() * 9.0
         if q == p / 2.0 + 1.0:
             continue
-        c = algebra.constants(Params(p, q))
-        assert c.mu0 == pytest.approx(c.c_pq * (p - 2.0) / (6.0 - p), rel=1e-13)
+        params = Params(p, q)
+        assert algebra.mu0(params) == pytest.approx(
+            2.0 ** algebra.log2_c_pq(params) * (p - 2.0) / (6.0 - p), rel=1e-13)
 
 
 def test_constants_reject_diagonal():
     with pytest.raises(ValueError):
-        algebra.constants(Params(16.0, 9.0))
+        algebra.log2_c_pq(Params(16.0, 9.0))
+    with pytest.raises(ValueError):
+        algebra.mu0(Params(16.0, 9.0))
     # c_p alone is fine on the diagonal
-    assert algebra.c_p(Params(16.0, 9.0)) > 0.0
+    assert math.exp(algebra.log_c_p(Params(16.0, 9.0))) > 0.0
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import deltanls
 from deltanls import algebra, massmap, verification
 from deltanls.cli import main
 from deltanls.massmap import GateFailure
@@ -13,6 +18,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_alone(*argv):
+    """(exit code, stdout, stderr) of one command in a fresh interpreter."""
+    src = str(pathlib.Path(deltanls.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "deltanls.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("calls", [
+    (("solve", "--p", "4", "--q", "3.5", "--lambda", "0.01"),
+     ("solve", "--p", "4", "--q", "3.5", "--mass", "5")),
+    (("classify", "--p", "4", "--q", "2.5", "--format", "json"),
+     ("classify", "--p", "4", "--q", "2.5")),
+], ids=["lambda-then-mass", "json-then-default"])
+def test_consecutive_calls_match_calls_made_alone(capsys, calls):
+    # one parser serves every call of a process: no parsed value of a call
+    # (--lambda, --format json) may reach the next
+    together = [run(capsys, *argv) for argv in calls]
+    assert together == [run_alone(*argv) for argv in calls]
 
 
 def test_classify_text_output(capsys):

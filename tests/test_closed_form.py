@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltanls import algebra, massmap
+from deltanls import algebra, massmap, stationary
 from deltanls.params import Params
 
 
@@ -49,7 +49,7 @@ def check_against_reference(p: float, q: float, y: float) -> None:
     # scale of its addends bounds the error instead
     t = 1.0 + d
     scale = (1.0 + abs((p - 2.0) / (p + 2.0 - 2.0 * q))) * min(t, 4.0 / t)
-    assert abs(algebra.h_of_t(params, t, d) - h) <= 1e-14 * (1.0 + abs(y)) * (abs(h) + scale)
+    assert abs(algebra.h_of_t(params, d=d) - h) <= 1e-14 * (1.0 + abs(y)) * (abs(h) + scale)
 
 
 exponents = st.tuples(st.floats(2.02, 16.0), st.floats(2.05, 12.0)).filter(
@@ -83,7 +83,7 @@ def test_closed_form_next_to_p_2(p, q, y):
 def test_p4_is_exact():
     params = Params(4.0, 3.5)
     for d in (1e-300, 0.3, 1.0, 7.0, 1e200):
-        assert algebra.I_of_t(params, 1.0 + d, d) == d
+        assert algebra.I_of_t(params, d=d) == d
         assert algebra.log_I(params, d) == pytest.approx(math.log(d), rel=1e-15, abs=1e-15)
 
 
@@ -91,13 +91,13 @@ def test_p6_is_arccosh():
     params = Params(6.0, 3.0)
     for d in (1e-12, 0.4, 2.0, 1e5, 1e150):
         want = math.log1p(d + math.sqrt(d * (d + 2.0)))
-        assert algebra.I_of_t(params, 1.0 + d, d) == pytest.approx(want, rel=1e-14)
+        assert algebra.I_of_t(params, d=d) == pytest.approx(want, rel=1e-14)
 
 
 @pytest.mark.parametrize("p", [6.5, 8.0, 11.0, 16.0])
 def test_infinite_endpoint_is_half_beta(p):
     a, b = 2.0 / (p - 2.0), (p - 6.0) / (2.0 * (p - 2.0))
-    assert algebra.I_of_t(Params(p, 3.0), math.inf) == pytest.approx(
+    assert algebra.I_of_t(Params(p, 3.0), d=math.inf) == pytest.approx(
         float(mp.beta(a, b)) / 2.0, rel=1e-14)
 
 
@@ -105,8 +105,46 @@ def test_infinite_endpoint_is_half_beta(p):
 @pytest.mark.parametrize("t", [1.0 + 1e-6, 1.3, 2.0, 2.5, 40.0, 3e4])
 def test_closed_form_matches_quadrature_oracle(p, t):
     params = Params(p, 3.0)
-    quad, err = algebra.I_of_t_quadrature(params, t)
-    assert algebra.I_of_t(params, t) == pytest.approx(quad, rel=1e-10, abs=err)
+    quad, err = algebra.I_of_t_quadrature(params, d=t - 1.0)
+    assert algebra.I_of_t(params, d=t - 1.0) == pytest.approx(quad, rel=1e-10, abs=err)
+
+
+# every function of the branch coordinate, with the arguments it takes before d
+BRANCH_FUNCTIONS = {
+    "I_of_t": (algebra.I_of_t, ()),
+    "I_of_t_quadrature": (algebra.I_of_t_quadrature, ()),
+    "h_of_t": (algebra.h_of_t, ()),
+    "mass_of_t": (massmap.mass_of_t, ()),
+    "branch_point_from_t": (stationary.branch_point_from_t, (0.5,)),
+}
+
+
+def _at_infinity(name: str, params: Params):
+    """The value at d = inf (t = inf): I(inf) for p > 6, mu0 for p < 6, None where refused."""
+    if name in ("I_of_t", "I_of_t_quadrature") and params.p > 6.0:
+        return algebra.half_beta(params)
+    if name == "mass_of_t" and params.p < 6.0:
+        return algebra.mu0(params)
+    return None
+
+
+@pytest.mark.parametrize("name", list(BRANCH_FUNCTIONS))
+def test_branch_offset_is_checked(name):
+    fn, args = BRANCH_FUNCTIONS[name]
+    for params in (Params(5.0, 3.0), Params(8.0, 3.0)):
+        for d in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="branch offset"):
+                fn(params, *args, d=d)
+        with pytest.raises(TypeError):
+            fn(params, *args, 2.0)   # the coordinate is the keyword d alone
+        want = _at_infinity(name, params)
+        if want is None:
+            with pytest.raises(ValueError):
+                fn(params, *args, d=math.inf)
+        else:
+            got = fn(params, *args, d=math.inf)
+            assert (got[0] if name == "I_of_t_quadrature" else got) == pytest.approx(
+                want, rel=1e-10)
 
 
 def test_mass_curve_samples_are_mass_of_t():
@@ -115,7 +153,7 @@ def test_mass_curve_samples_are_mass_of_t():
     for y, (t, mu, sign) in zip(np.linspace(-20.0, 20.0, 64), curve.samples):
         d = math.exp(y)
         assert t == 1.0 + d
-        assert mu == massmap.mass_of_t(params, t, d)
+        assert mu == massmap.mass_of_t(params, d=d)
         assert sign == (-1 if y < 0.0 else 1)   # the minimum of (4, 3.5) is at t = 2
 
 

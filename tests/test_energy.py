@@ -72,7 +72,7 @@ def test_diagonal_energy_positive_and_reduced_form():
             assert eb.total > 0.0
             pref = 2.0 ** ((p - 4.0) / (p - 2.0)) * p ** (2.0 / (p - 2.0)) \
                 * lam ** ((p + 2.0) / (2.0 * (p - 2.0))) / (p + 2.0)
-            reduced = pref * (p - 6.0) / (p - 2.0) * algebra.I_of_t(params, pt.t)
+            reduced = pref * (p - 6.0) / (p - 2.0) * algebra.I_of_t(params, d=pt.d)
             assert eb.total == pytest.approx(reduced, rel=1e-10)
 
 
@@ -211,7 +211,7 @@ def test_zero_level_mass():
     assert energy.zero_level_mass(P425) is None
     mt = energy.zero_level_mass(P435)
     thr = massmap.mass_threshold(P435)
-    assert thr.mu_threshold < mt < algebra.constants(P435).mu0
+    assert thr.mu_threshold < mt < algebra.mu0(P435)
     # the minimal branch energy changes sign at mt
     lo = min(s.energy for s in massmap.normalized_solutions(P435, mt * (1.0 - 1e-4)))
     hi = min(s.energy for s in massmap.normalized_solutions(P435, mt * (1.0 + 1e-4)))
@@ -240,7 +240,7 @@ def test_convexity_scan_region_A():
     # the curvature flip sits at the mass of the fold point, where the
     # multiplier peaks
     assert rep.lambda_peak_mass == pytest.approx(
-        massmap.mass_of_t(P425, math.sqrt(2.0)), rel=1e-12)
+        massmap.mass_of_t(P425, d=math.sqrt(2.0) - 1.0), rel=1e-12)
     assert abs(rep.mu_bar - rep.lambda_peak_mass) <= 2.0 * rep.crossing_gap
 
 

@@ -24,25 +24,25 @@ def mu_p4_q35(t):
 
 
 def test_mass_examples_exact():
-    assert massmap.mass_of_t(P425, 2.0) == pytest.approx(
+    assert massmap.mass_of_t(P425, d=1.0) == pytest.approx(
         math.sqrt(6.0) / 4.0, abs=1e-12)
-    assert massmap.mass_of_t(P425, math.inf) == pytest.approx(
+    assert massmap.mass_of_t(P425, d=math.inf) == pytest.approx(
         math.sqrt(2.0), abs=1e-14)
-    assert massmap.mass_of_t(P435, 2.0) == pytest.approx(
+    assert massmap.mass_of_t(P435, d=1.0) == pytest.approx(
         16.0 * math.sqrt(6.0) / 9.0, abs=1e-12)
 
 
 def test_mass_matches_exact_p4_curves():
     for t in (1.2, 1.7, 2.0, 3.5, 20.0):
-        assert massmap.mass_of_t(P425, t) == pytest.approx(mu_p4_q25(t), rel=1e-13)
-        assert massmap.mass_of_t(P435, t) == pytest.approx(mu_p4_q35(t), rel=1e-13)
+        assert massmap.mass_of_t(P425, d=t - 1.0) == pytest.approx(mu_p4_q25(t), rel=1e-13)
+        assert massmap.mass_of_t(P435, d=t - 1.0) == pytest.approx(mu_p4_q35(t), rel=1e-13)
 
 
 def test_mass_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        massmap.mass_of_t(P83, math.inf)
+        massmap.mass_of_t(P83, d=math.inf)
     with pytest.raises(ValueError):
-        massmap.mass_of_t(PD16, 2.0)
+        massmap.mass_of_t(PD16, d=1.0)
 
 
 def test_diagonal_mass_slope():
@@ -93,7 +93,7 @@ def test_small_t_extrapolation_matches_predicted_rate(p, q):
     params = Params(p, q)
     a = massmap.asymptotics(params)
     ds = [1e-5 * 4.0 ** (-k) for k in range(7)]
-    seq = [massmap.mass_of_t(params, 1.0 + dd, dd)
+    seq = [massmap.mass_of_t(params, d=dd)
            / (a.t1_prefactor * dd ** a.t1_rate) for dd in ds]
     cur = list(seq)
     while len(cur) >= 3:
@@ -111,8 +111,8 @@ def test_branch_mass_consistency_random_points():
         params = pool[rng.integers(len(pool))]
         t = 1.0 + math.exp(rng.uniform(-4.0, 4.0))
         lam = math.exp(algebra.log_lambda(params, algebra.log_f(params, math.log(t - 1.0))))
-        pt = stationary.branch_point_from_t(params, lam, t)
-        closed = massmap.mass_of_t(params, t)
+        pt = stationary.branch_point_from_t(params, lam, d=t - 1.0)
+        closed = massmap.mass_of_t(params, d=t - 1.0)
         direct = massmap.profile_mass_quadrature(pt)
         assert abs(direct - closed) <= 1e-6 * closed
         checked += 1
@@ -213,7 +213,7 @@ def test_mass_threshold_by_region():
     assert tf.mu_threshold == pytest.approx(16.0 * math.sqrt(6.0) / 9.0, abs=1e-8)
     assert tf.minimizer_t == pytest.approx(2.0, abs=1e-6)
     # a bounded minimization of the mass map finds the same minimum
-    direct = minimize_scalar(lambda y: massmap.mass_of_t(P435, 1.0 + math.exp(y)),
+    direct = minimize_scalar(lambda y: massmap.mass_of_t(P435, d=math.exp(y)),
                              bounds=(-0.5, 0.5), method="bounded", options={"xatol": 1e-8})
     assert abs(direct.fun - tf.mu_threshold) < 1e-8
 

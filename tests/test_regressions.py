@@ -74,7 +74,7 @@ def test_profile_far_out_on_the_branch():
     u = stationary.profile(pt, np.array([0.0, 1.0, 1e20]))
     assert u[0] == pytest.approx(pt.u0, rel=1e-12)
     assert np.all(np.isfinite(u)) and u[2] < u[1] < u[0]
-    mu = massmap.mass_of_t(pt.params, pt.t, pt.d)
+    mu = massmap.mass_of_t(pt.params, d=pt.d)
     assert massmap.profile_mass_quadrature(pt) == pytest.approx(mu, rel=1e-6)
 
 
@@ -137,7 +137,7 @@ def test_zero_frequency_state_near_p_two():
     # c_p ~ e^1650 is beyond double range here while the state is not; its
     # offset and peak from the vertex condition in 50-digit mpmath
     params = Params(2.007209414427276, 3.5888045792720167)
-    sols = massmap.normalized_solutions(params, algebra.constants(params).mu0)
+    sols = massmap.normalized_solutions(params, algebra.mu0(params))
     assert [s.point.zero_frequency for s in sols] == [True]
     assert sols[0].point.a == pytest.approx(277.47802253024197, rel=1e-12)
     assert sols[0].point.u0 == pytest.approx(1.5467048265232274, rel=1e-12)
