@@ -70,12 +70,17 @@ def log_f(params: Params, y: float) -> float:
     return math.log1p(d) - k * (y + math.log(d + 2.0))
 
 
-def t_star(params: Params) -> float:
-    """Abscissa of the f-minimum, defined for q < p/2 + 1."""
+def d_star(params: Params) -> float:
+    """d* = t* - 1 of the f-minimum t* = sqrt((p-2)/(p+2-2q)), defined for q < p/2 + 1.
+
+    Formed as (2q-4)/(p+2-2q)/(t* + 1) with p+2-2q = (p-2) - (2q-4), so that
+    no digits of d* cancel near q = 2 (p - 2 and 2q - 4 are exact for p, q <= 4).
+    """
     p, q = params.p, params.q
     if not q < p / 2.0 + 1.0:
         raise ValueError("f has no interior critical point unless q < p/2 + 1")
-    return math.sqrt((p - 2.0) / (p + 2.0 - 2.0 * q))
+    r = (p - 2.0) - (2.0 * q - 4.0)
+    return (2.0 * q - 4.0) / r / (math.sqrt((p - 2.0) / r) + 1.0)
 
 
 def log_g(params: Params, lam: float) -> float:

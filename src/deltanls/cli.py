@@ -66,30 +66,27 @@ def _parse_range(text: str) -> tuple[float, float, int]:
 
 def _thresholds_payload(params: Params) -> dict:
     """All thresholds that exist for these exponents, with provenance labels."""
-    region = classify(params)
     out: dict = {"lambda_bar": None, "mu0": None, "mu_threshold": None,
                  "mu_tilde": None, "mu_bar": None, "provenance": {}}
-    if not params.diagonal:
-        if params.q < params.p / 2.0 + 1.0:
-            out["lambda_bar"] = stationary.lambda_bar(params)
-            out["provenance"]["lambda_bar"] = "closed-form"
-        if params.p < 6.0:
-            out["mu0"] = algebra.mu0(params)
-            out["provenance"]["mu0"] = "closed-form"
-        thr = massmap.mass_threshold(params)
-        if thr.mu_threshold is not None:
-            out["mu_threshold"] = thr.mu_threshold
-            out["provenance"]["mu_threshold"] = thr.provenance
-        try:
-            out["mu_tilde"] = energy.zero_level_mass(params)
-        except stationary.StateOutOfRange as exc:
-            out["provenance"]["mu_tilde"] = f"refused: {exc}"
-        if out["mu_tilde"] is not None:
-            out["provenance"]["mu_tilde"] = (
-                "limit-constant" if region in (Region.G, Region.H) else "root")
-        if params.q < min(4.0, params.p / 2.0 + 1.0):
-            out["mu_bar"] = massmap.mass_of_t(params, d=algebra.t_star(params) - 1.0)
-            out["provenance"]["mu_bar"] = "closed-form (multiplier peak)"
+    if params.diagonal:
+        return out
+    out["lambda_bar"] = stationary.lambda_bar(params)
+    out["mu0"] = algebra.mu0(params)
+    out["mu_threshold"], threshold_provenance = massmap.mass_threshold(params)
+    for key, prov in (("lambda_bar", "closed-form"), ("mu0", "closed-form"),
+                      ("mu_threshold", threshold_provenance)):
+        if out[key] is not None:
+            out["provenance"][key] = prov
+    try:
+        out["mu_tilde"] = energy.zero_level_mass(params)
+    except stationary.StateOutOfRange as exc:
+        out["provenance"]["mu_tilde"] = f"refused: {exc}"
+    if out["mu_tilde"] is not None:
+        out["provenance"]["mu_tilde"] = (
+            "limit-constant" if classify(params) in (Region.G, Region.H) else "root")
+    if params.q < min(4.0, params.p / 2.0 + 1.0):
+        out["mu_bar"] = massmap.mass_of_t(params, d=algebra.d_star(params))
+        out["provenance"]["mu_bar"] = "closed-form (multiplier peak)"
     return out
 
 

@@ -101,10 +101,10 @@ def groundstate_energy(params: Params, mu: float) -> EnergySample:
 def zero_level_mass(params: Params) -> float | None:
     """Largest mass with E(mu) = 0, where the level starts strictly negative.
 
-    Exactly 2 for q = 4; in regions C and F the root of the branch energy
-    on one monotone piece of the mass map (the minimum's mass if the energy
-    there is already <= 0); None where the level is negative for all masses
-    (A, B) or identically unbounded/zero elsewhere.
+    Exactly 2 for q = 4; in regions C and F the mass of the root of the
+    branch energy on one monotone piece of the mass map; None where the
+    level is negative for all masses (A, B) or identically unbounded/zero
+    elsewhere.
     """
     region = classify(params)
     if region in (Region.G, Region.H):
@@ -113,27 +113,22 @@ def zero_level_mass(params: Params) -> float | None:
         return None
 
     # Along each monotone piece of mu(y), E falls as mu grows (dE/dmu =
-    # -lambda/2), and E = c (t (2q-p-2)/q - (6-p)/(p-2) J(t)) with c > 0.
-    # The bracket tends to (p+2)(q-4)/(4q) as t -> 1+ and has the sign of
-    # 2q-p-2 as t -> inf, so a positive energy at the branch minimum
-    # changes sign exactly once: towards t -> 1 in F (q < 4), towards
-    # t -> inf in C (2q < p + 2).  In F without a dip the falling piece runs
-    # up to the zero-frequency state, and E rises with y all along it.
-    y, mu, _ = massmap.branch_minimum(params)
+    # -lambda/2), so the branch minimum has the largest energy on both of
+    # its pieces, and that energy is positive: in C because E > 0 as t -> 1
+    # (q > 4), in F because it exceeds the energy
+    # E0 = 4 u0^2 (2q-p-2)/((p-2)(p+2) q a) > 0 of the zero-frequency state.
+    # E = c (t (2q-p-2)/q - (6-p)/(p-2) J(t)) with c > 0, and the bracket
+    # tends to (p+2)(q-4)/(4q) as t -> 1+ and has the sign of 2q-p-2 as
+    # t -> inf, so E changes sign exactly once on the piece searched: towards
+    # t -> 1 in F (q < 4), where E rises with y, and towards t -> inf in C
+    # (2q < p + 2), where it falls.  In F without a dip the falling piece is
+    # the whole branch, and the walk starts from t = 2.
+    y = massmap.branch_minimum(params).y
+    y = y if math.isfinite(y) else 0.0
     energy_at = lambda y: branch_energy(stationary.state_at_logd(params, y)).total
-    if math.isinf(y):
-        zero = stationary.zero_frequency_point(params)
-        if branch_energy(zero).total <= 0.0:
-            massmap.mass_gate(zero, mu)
-            return mu
-        e0 = energy_at(0.0)
-        y = stationary.root_from(energy_at, 0.0, e0, -1.0 if e0 > 0.0 else 1.0)
-    else:
-        e_min = energy_at(y)
-        if e_min <= 0.0:
-            massmap.mass_gate(stationary.state_at_logd(params, y), mu)
-            return mu
-        y = stationary.root_from(energy_at, y, e_min, -1.0 if region is Region.F else 1.0)
+    e = energy_at(y)
+    slope = 1.0 if region is Region.F else -1.0   # sign of dE/dy on the piece
+    y = stationary.root_from(energy_at, y, e, -slope if e > 0.0 else slope)
     root = stationary.state_at_logd(params, y)
     mu = massmap.state_mass(root)
     massmap.mass_gate(root, mu)
@@ -199,5 +194,5 @@ def convexity_scan(params: Params) -> ConvexityReport:
     lo = mus[1 + last_neg]
     hi = mus[1 + first_pos]
     mu_bar = 0.5 * (lo + hi)
-    lam_peak_mass = massmap.mass_of_t(params, d=algebra.t_star(params) - 1.0)
+    lam_peak_mass = massmap.mass_of_t(params, d=algebra.d_star(params))
     return ConvexityReport(mu_bar, lam_peak_mass, hi - lo)

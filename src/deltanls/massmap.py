@@ -23,8 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import algebra, stationary
-from .params import (ExistenceRule, Params, Region, ThresholdKind, classify,
-                     expected_solution_regime)
+from .params import Params, Region, ThresholdKind, classify, expected_solution_regime
 from .stationary import BranchPoint, branch_energy
 
 #: Relative mismatch below which a requested mass is identified with mu0
@@ -119,11 +118,9 @@ def asymptotics(params: Params) -> MassAsymptotics:
 
 @dataclass(frozen=True)
 class MassCurve:
-    """Sampled mu(t) with its limits and interior critical points."""
+    """Sampled mu(t) with its interior critical points (limits: :func:`asymptotics`)."""
 
-    params: Params
     samples: tuple[tuple[float, float, int], ...]         # (t, mu, sign of mu')
-    limits: tuple[float, float]                           # (t -> 1+, t -> inf)
     extrema: tuple[tuple[float, float], ...]              # interior (t, mu) critical points
 
 
@@ -171,12 +168,11 @@ def branch_minimum(params: Params) -> BranchMinimum:
 
 def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
                y_hi: float = 30.0) -> MassCurve:
-    """Sample mu on the log grid t = 1 + e^y and annotate limits and extrema.
+    """Sample mu on the log grid t = 1 + e^y and annotate its extrema.
 
     The sign of mu' is -1 left of the branch minimum of regions C and F and
     +1 everywhere else (mu is increasing outside C and F).
     """
-    asym = asymptotics(params)
     y_min = -math.inf
     extrema: tuple[tuple[float, float], ...] = ()
     if classify(params) in (Region.C, Region.F):
@@ -187,7 +183,7 @@ def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
     for y in np.linspace(y_lo, y_hi, n).tolist():
         d = math.exp(y)
         samples.append((1.0 + d, mass_of_t(params, d=d), -1 if y < y_min else 1))
-    return MassCurve(params, tuple(samples), (asym.t1_limit, asym.tinf_limit), extrema)
+    return MassCurve(tuple(samples), extrema)
 
 
 # ---------------------------------------------------------------------------
@@ -361,51 +357,35 @@ def _gated_solutions(params: Params, mu: float) -> tuple[NormalizedSolution, ...
 # thresholds
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Mass threshold of the existence rule.
+class ThresholdReport(NamedTuple):
+    """Mass threshold of the existence rule, and how it was obtained.
 
-    The threshold is the one `rule.threshold` names: mu0, the constant 2, or
-    the branch minimum of regions C and F, taken as the mass at the single
-    root of h (one Brent solve).  `deltanls verify` checks that minimum
-    against a direct bounded minimization of the mass map.  Whether it is
-    attained, and whether masses must also exceed 2, is `rule.interval`.
-
-    In F the threshold never exceeds mu0: `depth` is the relative depth
-    (mu0 - mu_threshold)/mu0 of the dip, which may lie far below one ulp of
-    mu0, and `log_offset` is ln(t - 1) of the minimizer (inf for t = inf).
-    `provenance` says how the number was obtained.
+    The threshold is the one ``expected_solution_regime(params).threshold``
+    names: mu0, the constant 2, or the branch minimum of regions C and F
+    (:func:`branch_minimum`, which also gives the minimizer and, in F, the
+    depth of the dip below mu0).  Both fields are None where the rule names
+    no threshold.
     """
 
-    region: Region
-    rule: ExistenceRule
-    mu0: float | None
     mu_threshold: float | None
-    minimizer_t: float | None
-    log_offset: float | None
-    depth: float | None
     provenance: str | None
 
 
 def mass_threshold(params: Params) -> ThresholdReport:
     """Mass threshold named by the existence rule of params (off-diagonal)."""
-    rule = expected_solution_regime(params)
-    mu0 = algebra.mu0(params)
-    mu_threshold = minimizer_t = log_offset = depth = provenance = None
-    if rule.threshold is ThresholdKind.ZERO_FREQUENCY_MASS:
-        mu_threshold, minimizer_t, log_offset = mu0, math.inf, math.inf
-        provenance = "closed-form"
-    elif rule.threshold is ThresholdKind.MASS_TWO:
-        mu_threshold, provenance = 2.0, "limit-constant"
-    elif rule.threshold is ThresholdKind.BRANCH_MINIMUM:
-        log_offset, mu_threshold, depth = branch_minimum(params)
-        minimizer_t = 1.0 + math.exp(log_offset)
-        provenance = "minimized"
-        if depth is not None and mu_threshold == mu0:
-            # the zero-frequency state attains mu0 itself
-            dip = depth > 0.0 or (math.isinf(log_offset) and algebra.mass_deficit(
-                params, math.exp(stationary.LOGD_RANGE[1])) > 0.0)
-            provenance = ("limit; dip below double resolution" if dip
-                          else "limit; no dip below mu0")
-    return ThresholdReport(classify(params), rule, mu0, mu_threshold, minimizer_t,
-                           log_offset, depth, provenance)
+    kind = expected_solution_regime(params).threshold
+    mu0 = algebra.mu0(params)   # refuses the diagonal
+    if kind is ThresholdKind.ZERO_FREQUENCY_MASS:
+        return ThresholdReport(mu0, "closed-form")
+    if kind is ThresholdKind.MASS_TWO:
+        return ThresholdReport(2.0, "limit-constant")
+    if kind is not ThresholdKind.BRANCH_MINIMUM:
+        return ThresholdReport(None, None)
+    y, mu, depth = branch_minimum(params)
+    if depth is None or mu != mu0:
+        return ThresholdReport(mu, "minimized")
+    # in F the zero-frequency state attains mu0 itself
+    dip = depth > 0.0 or (math.isinf(y) and algebra.mass_deficit(
+        params, math.exp(stationary.LOGD_RANGE[1])) > 0.0)
+    return ThresholdReport(mu, "limit; dip below double resolution" if dip
+                           else "limit; no dip below mu0")

@@ -125,13 +125,8 @@ def lambda_bar(params: Params) -> float | None:
         raise ValueError("use diagonal_exists on the diagonal q = p/2 + 1")
     if params.q > params.p / 2.0 + 1.0:
         return None
-    return algebra.exp_or_inf(
-        algebra.log_lambda(params, algebra.log_f(params, _log_offset_star(params))))
-
-
-def _log_offset_star(params: Params) -> float:
-    """ln(t* - 1) of the minimum of f (q < p/2 + 1)."""
-    return math.log(algebra.t_star(params) - 1.0)
+    y_star = math.log(algebra.d_star(params))
+    return algebra.exp_or_inf(algebra.log_lambda(params, algebra.log_f(params, y_star)))
 
 
 def diagonal_exists(params: Params) -> tuple[bool, float | None]:
@@ -190,7 +185,7 @@ def _matching_roots(params: Params, lam: float) -> list[float]:
     if params.q > params.p / 2.0 + 1.0:
         f0 = F(0.0)
         return [root_from(F, 0.0, f0, 1.0 if f0 > 0.0 else -1.0)]
-    y_star = _log_offset_star(params)
+    y_star = math.log(algebra.d_star(params))
     gap = F(y_star)
     if abs(gap) <= 1e-12:
         return [y_star]  # at the fold within double precision
@@ -363,12 +358,3 @@ def branch_energy(point: BranchPoint) -> EnergyBreakdown:
             "state outside double range: its energy is beyond the largest double "
             f"(t = {point.t:.6g}, lambda = {point.lam:.6g}, u0 = {u0:.6g})")
     return EnergyBreakdown(kinetic, bulk, pt, total)
-
-
-def first_integral_residual(point: BranchPoint, x) -> float:
-    """max |u'^2 - lam u^2 - (2/p) u^p| over the sample points x (all nonzero)."""
-    p = point.params.p
-    u = np.asarray(profile(point, x), dtype=float)
-    du = np.asarray(profile_derivative(point, x), dtype=float)
-    resid = du ** 2 - point.lam * u ** 2 - (2.0 / p) * u ** p
-    return float(np.max(np.abs(resid)))

@@ -101,18 +101,18 @@ def check_multiplicity_window() -> CheckResult:
     t0 = time.perf_counter()
     fails: list[str] = []
     P = Params(4.0, 3.5)
-    thr = massmap.mass_threshold(P)
+    y_min, mu_min, _ = massmap.branch_minimum(P)
+    t_min = 1.0 + math.exp(y_min)
     mu_min_exact = 16.0 * math.sqrt(6.0) / 9.0
-    if abs(thr.mu_threshold - mu_min_exact) > 1e-8:
-        fails.append(f"branch minimum {thr.mu_threshold} != 16*sqrt(6)/9")
-    if abs(thr.minimizer_t - 2.0) > 1e-6:
-        fails.append(f"minimizer t {thr.minimizer_t} != 2")
+    if abs(mu_min - mu_min_exact) > 1e-8:
+        fails.append(f"branch minimum {mu_min} != 16*sqrt(6)/9")
+    if abs(t_min - 2.0) > 1e-6:
+        fails.append(f"minimizer t {t_min} != 2")
     # second route to the branch minimum: bounded minimization of mu in y = ln(t - 1)
-    y_min = math.log(thr.minimizer_t - 1.0)
     direct = minimize_scalar(lambda y: massmap.mass_of_t(P, d=math.exp(y)),
                              bounds=(y_min - 0.5, y_min + 0.5), method="bounded",
                              options={"xatol": 1e-8})
-    gap = abs(float(direct.fun) - thr.mu_threshold)
+    gap = abs(float(direct.fun) - mu_min)
     if gap > 1e-8:
         fails.append(f"root of h and bounded minimization differ by {gap:.3g}")
     n5 = len(massmap.normalized_solutions(P, 5.0))
@@ -121,7 +121,7 @@ def check_multiplicity_window() -> CheckResult:
     n43 = len(massmap.normalized_solutions(P, 4.3))
     if n43 != 0:
         fails.append(f"mass 4.3 carries {n43} states, expected 0")
-    detail = (f"mu_min={thr.mu_threshold:.12g} at t={thr.minimizer_t:.12g}, "
+    detail = (f"mu_min={mu_min:.12g} at t={t_min:.12g}, "
               f"counts: mu=5 -> {n5}, mu=4.3 -> {n43}, "
               f"two-route gap={gap:.3g} (bound 1e-8)")
     claim = ("p=4, q=3.5: the mass map dips to 16*sqrt(6)/9 at t=2; masses "
@@ -205,6 +205,15 @@ def _oracle_points() -> list[tuple[str, stationary.BranchPoint]]:
     return picks
 
 
+def _first_integral_residual(point: stationary.BranchPoint, x) -> float:
+    """max |u'^2 - lam u^2 - (2/p) u^p| over the sample points x (all nonzero)."""
+    p = point.params.p
+    u = np.asarray(stationary.profile(point, x), dtype=float)
+    du = np.asarray(stationary.profile_derivative(point, x), dtype=float)
+    resid = du ** 2 - point.lam * u ** 2 - (2.0 / p) * u ** p
+    return float(np.max(np.abs(resid)))
+
+
 def check_oracle_equivalence() -> CheckResult:
     t0 = time.perf_counter()
     fails: list[str] = []
@@ -241,7 +250,7 @@ def check_oracle_equivalence() -> CheckResult:
 
         vres = stationary.vertex_residual(pt)
         xs = np.linspace(0.3, 8.0, 12) / max(math.sqrt(pt.lam), 0.05)
-        fres = stationary.first_integral_residual(pt, xs) \
+        fres = _first_integral_residual(pt, xs) \
             / (pt.lam * pt.u0 ** 2 + (2.0 / pt.params.p) * pt.u0 ** pt.params.p)
         resid_worst = max(resid_worst, vres, fres)
         if vres > 1e-8 or fres > 1e-8:
@@ -433,7 +442,7 @@ def check_mass_monotonicity() -> CheckResult:
     changes = int(np.sum(np.abs(np.diff(signs)) > 0))
     if changes != 1:
         fails.append(f"(4, 3.5): {changes} sign changes, expected 1")
-    t_min = massmap.mass_threshold(P).minimizer_t
+    t_min = 1.0 + math.exp(massmap.branch_minimum(P).y)
     if abs(t_min - 2.0) > 1e-10:
         fails.append(f"(4, 3.5): root {t_min} != 2")
     claim = ("the mass map is strictly increasing in the covered strips "

@@ -66,3 +66,8 @@ def test_criterion_09_gagliardo_nirenberg_gate():
 def test_criterion_10_monotonicity_contract():
     _run(verification.check_mass_monotonicity,
          "criterion 10: mass-map monotonicity contract")
+
+
+def test_criterion_11_region_partition():
+    _run(verification.check_region_partition,
+         "criterion 11: the nine regions tile the quadrant", budget=5.0)

@@ -66,8 +66,8 @@ def test_g_rejects_bad_inputs():
 
 def test_f_prime_critical_point_and_signs():
     # f' vanishes at t* = sqrt(2), where ln f has its minimum in y = ln(t - 1)
-    y_star = math.log(algebra.t_star(P425) - 1.0)
-    assert algebra.t_star(P425) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    y_star = math.log(algebra.d_star(P425))
+    assert algebra.d_star(P425) == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-15)
     f_min = algebra.log_f(P425, y_star)
     for step in (1e-3, 1e-2, 0.5):
         assert algebra.log_f(P425, y_star - step) > f_min

@@ -126,6 +126,19 @@ def test_solve_nonexistent_mass_explains(capsys):
     assert "# note: no states at this mass" in out
 
 
+@pytest.mark.parametrize("p,q,lam,reason", [
+    ("8", "5", "1", "on the diagonal q = p/2 + 1 the matching level is constant; "
+                    "states exist only for p > 8"),
+    ("8", "3", "0", "zero-frequency states require p < 6 off the diagonal"),
+    ("4", "2.5", "0.05", "frequency exceeds the fold value lambda_bar = 0.03125"),
+], ids=["diagonal", "zero-frequency", "above-fold"])
+def test_solve_nonexistent_frequency_explains(capsys, p, q, lam, reason):
+    code, out, err = run(capsys, "solve", "--p", p, "--q", q, "--lambda", lam)
+    assert code == 0 and err == ""
+    assert out == ("t,lambda,a,u0,mass,kinetic,bulk,point,total,vertex_residual_rel\n"
+                   f"# note: no states at this frequency: {reason}\n")
+
+
 def test_solve_json_format(capsys):
     code, out, _ = run(capsys, "solve", "--p", "16", "--q", "9",
                        "--lambda", "1", "--format", "json")
@@ -162,6 +175,28 @@ def test_curves_energy_refusal(tmp_path, capsys):
     refusal = json.loads((tmp_path / "bad.csv.refused.json").read_text())
     assert refusal["refused"] == "energy curve"
     assert "unbounded below" in refusal["reason"]
+
+
+def test_curves_mass_refused_on_the_diagonal(tmp_path, capsys):
+    out_file = tmp_path / "mass.csv"
+    code, out, err = run(capsys, "curves", "--p", "8", "--q", "5",
+                         "--which", "mass", "--out", str(out_file))
+    assert (code, out, err) == (1, "", "")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mass.csv.refused.json"]
+    refusal = json.loads((tmp_path / "mass.csv.refused.json").read_text())
+    assert refusal == {
+        "refused": "mass-vs-t curve",
+        "reason": ("the branch coordinate is frequency-independent on the diagonal "
+                   "q = p/2 + 1; use `solve` at fixed frequency instead")}
+
+
+def test_curves_malformed_range_is_invalid_input(tmp_path, capsys):
+    code, out, err = run(capsys, "curves", "--p", "4", "--q", "2.5",
+                         "--which", "mass", "--range", "1.5:3",
+                         "--out", str(tmp_path / "c.csv"))
+    assert code == 2
+    assert out == "" and err == "error: expected --range a:b:n, got '1.5:3'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_curves_mass_region_H(tmp_path, capsys):

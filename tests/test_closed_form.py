@@ -1,4 +1,4 @@
-"""The closed-form I(t), h(t) and mass map against 40-digit mpmath.
+"""The closed-form I(t), h(t), mass map and fold against 40-digit mpmath.
 
 The reference takes I(t) = B(x; a, b)/2, x = 1 - 1/t^2, from mpmath's
 incomplete beta function, and h and mu from their definitions.  h and the
@@ -78,6 +78,30 @@ def test_closed_form_at_the_poles(p, y):
 @pytest.mark.parametrize("y", [0.5, 3.0, 20.0])
 def test_closed_form_next_to_p_2(p, q, y):
     check_against_reference(p, q, y)
+
+
+def test_fold_next_to_q_2():
+    # d* = t* - 1 of the fold, the fold frequency lambda_bar and the
+    # multiplier-peak mass mu(t*) at seeded pairs with q - 2 down to 1e-12
+    # (p - 2); t* - 1 formed from t* = sqrt((p-2)/(p+2-2q)) cancels the
+    # digits of q - 2 and was off by up to 25% here
+    rng = np.random.default_rng(2122)
+    for _ in range(360):
+        p = 2.0 + 10.0 ** rng.uniform(-3.0, 1.0)
+        q = 2.0 + (p / 2.0 - 1.0) * 10.0 ** rng.uniform(-12.0, -0.2)
+        params = Params(p, q)
+        with mp.workdps(40):
+            P, Q = mp.mpf(p), mp.mpf(q)
+            d = mp.sqrt((P - 2) / (P + 2 - 2 * Q)) - 1
+            k = (Q - 2) / (P - 2)
+            log_f = mp.log1p(d) - k * mp.log(d * (d + 2))
+            log_g1 = -mp.log(2) + k * mp.log(P / 2)
+            lam = mp.exp((log_f - log_g1) * 2 * (P - 2) / (2 * Q - P - 2))
+        d_star = algebra.d_star(params)
+        assert d_star == pytest.approx(float(d), rel=2e-15, abs=0.0), (p, q)
+        assert stationary.lambda_bar(params) == pytest.approx(float(lam), rel=4e-15), (p, q)
+        log_mu = reference(p, q, math.log(float(d)))[2]
+        assert algebra.log_mass(params, d_star) == pytest.approx(log_mu, rel=1e-14, abs=1e-14)
 
 
 def test_p4_is_exact():

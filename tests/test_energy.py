@@ -218,6 +218,42 @@ def test_zero_level_mass():
     assert lo > 0.0 > hi
 
 
+def test_energy_at_the_branch_minimum_is_positive():
+    # zero_level_mass walks from the branch minimum (from t = 2 where F has
+    # no dip) away from it, which finds the zero of E only where E > 0 there.
+    # In F the zero-frequency energy E0 = 4 u0^2 (2q-p-2)/((p-2)(p+2) q a)
+    # is positive, and the branch minimum lies above it.
+    rng = np.random.default_rng(2121)
+    refused = 0
+    for region in [Region.C] * 150 + [Region.F] * 150:
+        if region is Region.C:
+            p = 6.0 + 8.0 * rng.random()
+            q = 4.0 + (p / 2.0 - 3.0) * rng.random()
+        else:
+            p = 2.2 + 3.8 * rng.random()
+            q = p / 2.0 + 1.0 + (3.0 - p / 2.0) * rng.random()
+        params = Params(p, q)
+        assert classify(params) is region, params
+        y = massmap.branch_minimum(params).y
+        try:   # next to the diagonal a state may lie beyond the double range
+            # in F without a dip (y = inf) the zero-frequency state is the minimum
+            states = [stationary.state_at_logd(params, y)] if math.isfinite(y) else []
+            if region is Region.F:
+                states.append(stationary.zero_frequency_point(params))
+            pieces = [stationary.branch_energy(pt) for pt in states]
+        except stationary.StateOutOfRange:
+            refused += 1
+            continue
+        assert pieces[0].total > 0.0, params
+        if region is Region.F:
+            zero, eb = states[-1], pieces[-1]
+            e0 = 4.0 * zero.u0 ** 2 * (2.0 * q - p - 2.0) / ((p - 2.0) * (p + 2.0) * q * zero.a)
+            # the sum of the pieces is accurate to the size of the pieces
+            assert abs(eb.total - e0) <= 1e-14 * (eb.kinetic + eb.bulk + eb.point), params
+            assert pieces[0].total >= eb.total * (1.0 - 1e-12) and eb.total > 0.0, params
+    assert refused <= 10
+
+
 def test_scaling_estimate_strict_decrease_region_F():
     # past the zero-level mass, E(mu2) < (mu2/mu1)^(q/(4-q)) E(mu1)
     q = 3.5

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from deltanls import algebra, massmap, stationary
-from deltanls.params import MassInterval, Params, Region, expected_solution_regime
+from deltanls.params import MassInterval, Params, Region, classify, expected_solution_regime
 
 P425 = Params(4.0, 2.5)
 P435 = Params(4.0, 3.5)
@@ -211,7 +211,7 @@ def test_mass_threshold_by_region():
 
     tf = massmap.mass_threshold(P435)
     assert tf.mu_threshold == pytest.approx(16.0 * math.sqrt(6.0) / 9.0, abs=1e-8)
-    assert tf.minimizer_t == pytest.approx(2.0, abs=1e-6)
+    assert 1.0 + math.exp(massmap.branch_minimum(P435).y) == pytest.approx(2.0, abs=1e-6)
     # a bounded minimization of the mass map finds the same minimum
     direct = minimize_scalar(lambda y: massmap.mass_of_t(P435, d=math.exp(y)),
                              bounds=(-0.5, 0.5), method="bounded", options={"xatol": 1e-8})
@@ -226,21 +226,20 @@ def test_mass_threshold_by_region():
     assert tb.mu_threshold is None
 
     tg = massmap.mass_threshold(Params(5.0, 4.0))
-    assert tg.region is Region.G
+    assert classify(Params(5.0, 4.0)) is Region.G
     assert expected_solution_regime(Params(5.0, 4.0)).interval is MassInterval.TWO_TO_THRESHOLD
-    assert tg.mu_threshold == pytest.approx(tg.mu0)
-    assert tg.mu0 > 2.0
+    assert tg.mu_threshold == pytest.approx(algebra.mu0(Params(5.0, 4.0)))
+    assert algebra.mu0(Params(5.0, 4.0)) > 2.0
 
     with pytest.raises(ValueError):
         massmap.mass_threshold(PD16)
 
 
 def test_mass_curve_limits_annotation():
-    curve = massmap.mass_curve(P425, n=128)
-    assert curve.limits[0] == 0.0
-    assert curve.limits[1] == pytest.approx(math.sqrt(2.0))
-    curveB = massmap.mass_curve(P83, n=128)
-    assert math.isinf(curveB.limits[1])
+    asym = massmap.asymptotics(P425)
+    assert asym.t1_limit == 0.0
+    assert asym.tinf_limit == pytest.approx(math.sqrt(2.0))
+    assert math.isinf(massmap.asymptotics(P83).tinf_limit)
 
 
 def test_region_F_sweep_threshold_never_above_mu0():
@@ -253,7 +252,9 @@ def test_region_F_sweep_threshold_never_above_mu0():
         p = 2.0 + 4.0 * rng.random()
         q = p / 2.0 + 1.0 + (3.0 - p / 2.0) * rng.random()
         thr = massmap.mass_threshold(Params(p, q))
+        y, _, depth = massmap.branch_minimum(Params(p, q))
+        mu0 = algebra.mu0(Params(p, q))
         c1 = (q - 4.0) / (2.0 * q - p - 2.0) + (p - 2.0) / (10.0 - 3.0 * p)
-        assert math.isinf(thr.log_offset) == (p < 10.0 / 3.0 and c1 < 0.0), (p, q)
-        assert thr.mu_threshold == thr.mu0 * (1.0 - thr.depth) <= thr.mu0
-        assert thr.depth >= 0.0
+        assert math.isinf(y) == (p < 10.0 / 3.0 and c1 < 0.0), (p, q)
+        assert thr.mu_threshold == mu0 * (1.0 - depth) <= mu0
+        assert depth >= 0.0

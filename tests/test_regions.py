@@ -36,7 +36,7 @@ def test_region_C_fold_and_window():
     assert stationary.solve_for_lambda(PC, 2.0 * lb).count == 0
     thr = massmap.mass_threshold(PC)
     # a bounded minimization of the mass map finds the same minimum
-    y_min = math.log(thr.minimizer_t - 1.0)
+    y_min = massmap.branch_minimum(PC).y
     direct = minimize_scalar(lambda y: massmap.mass_of_t(PC, d=math.exp(y)),
                              bounds=(y_min - 0.5, y_min + 0.5), method="bounded",
                              options={"xatol": 1e-8})
@@ -88,8 +88,9 @@ def test_region_boundaries_next_to_lines():
     # existence rules flip across p = 6 at fixed q < 4
     just_below = massmap.mass_threshold(Params(6.0 - 1e-9, 3.0))
     just_at = massmap.mass_threshold(Params(6.0, 3.0))
-    assert just_below.region is Region.A and just_below.mu_threshold is not None
-    assert just_at.region is Region.B and just_at.mu_threshold is None
+    assert classify(Params(6.0 - 1e-9, 3.0)) is Region.A
+    assert classify(Params(6.0, 3.0)) is Region.B
+    assert just_below.mu_threshold is not None and just_at.mu_threshold is None
 
 
 def test_diagonal_neighbourhood_is_discontinuous():

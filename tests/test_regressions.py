@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from deltanls import algebra, cli, energy, massmap, stationary
-from deltanls.params import MassInterval, Params
+from deltanls.params import MassInterval, Params, expected_solution_regime
 
 # (p, q, query, value, offsets t - 1 of the states): states near the ends of
 # double range.  The offsets come from a separate log-space reference
@@ -105,8 +105,9 @@ def test_threshold_without_a_dip_is_mu0(p, q):
     # above all along (a rounding-level "minimum" used to be reported, above
     # mu0 or as an overflow of the h walk)
     thr = massmap.mass_threshold(Params(p, q))
-    assert thr.mu_threshold == thr.mu0
-    assert thr.depth == 0.0 and math.isinf(thr.log_offset)
+    y, _, depth = massmap.branch_minimum(Params(p, q))
+    assert thr.mu_threshold == algebra.mu0(Params(p, q))
+    assert depth == 0.0 and math.isinf(y)
     assert thr.provenance == "limit; no dip below mu0"
 
 
@@ -127,9 +128,10 @@ def test_dip_below_double_resolution_is_reported():
     # below mu0; the depth 1e-18 (400-digit mpmath at the minimizer:
     # 9.9999700042683221e-19) is below one ulp of mu0
     thr = massmap.mass_threshold(Params(3.0, 3.000001))
-    assert thr.mu_threshold == thr.mu0
-    assert thr.depth == pytest.approx(9.9999700042683221e-19, rel=1e-9)
-    assert thr.log_offset == pytest.approx(13.8155, abs=1e-3)
+    y, _, depth = massmap.branch_minimum(Params(3.0, 3.000001))
+    assert thr.mu_threshold == algebra.mu0(Params(3.0, 3.000001))
+    assert depth == pytest.approx(9.9999700042683221e-19, rel=1e-9)
+    assert y == pytest.approx(13.8155, abs=1e-3)
     assert thr.provenance == "limit; dip below double resolution"
 
 
@@ -303,13 +305,14 @@ def _answer_or_refusal(fn, *args):
         return None
 
 
-def _expected_count(thr: massmap.ThresholdReport, mu: float) -> int | None:
+def _expected_count(params: Params, thr: massmap.ThresholdReport, mu: float) -> int | None:
     """State count at mass mu from the existence rule and its threshold
     (None within 1e-6 of a threshold, where rounding decides)."""
-    interval = thr.rule.interval
+    interval = expected_solution_regime(params).interval
+    mu0 = algebra.mu0(params)
     if interval is MassInterval.ALL:
         return 1
-    ends = [m for m in (thr.mu_threshold, thr.mu0) if m is not None]
+    ends = [m for m in (thr.mu_threshold, mu0) if m is not None]
     if any(abs(mu - m) <= 1e-6 * m for m in ends if math.isfinite(m)):
         return None
     if interval is MassInterval.UPTO_THRESHOLD:
@@ -318,7 +321,7 @@ def _expected_count(thr: massmap.ThresholdReport, mu: float) -> int | None:
     if mu < thr.mu_threshold:
         return 0
     # C: both pieces rise to inf; F: the rising piece stops at mu0
-    return 2 if thr.mu0 is None or mu < thr.mu0 else 1
+    return 2 if mu0 is None or mu < mu0 else 1
 
 
 def test_near_diagonal_sweep_ends_in_answers_or_refusals(capsys):
@@ -337,7 +340,7 @@ def test_near_diagonal_sweep_ends_in_answers_or_refusals(capsys):
         assert json.loads(capsys.readouterr().out)["thresholds"]["mu_tilde"] == tilde
         for mu in (0.3, 2.5, 40.0):
             sols = _answer_or_refusal(massmap.normalized_solutions, params, mu)
-            want = _expected_count(thr, mu) if thr is not None else None
+            want = _expected_count(params, thr, mu) if thr is not None else None
             if sols is not None and want is not None:
                 assert len(sols) == want, (params, mu)
         for lam in (1e-3, 1.0):
@@ -352,14 +355,15 @@ def _sweep_masses(params: Params) -> None:
     residuals <= 1e-8, or a refusal, at masses 1e-8 to 1e8, and a threshold
     at most mu0; a GateFailure fails the test."""
     thr = _answer_or_refusal(massmap.mass_threshold, params)
-    if thr is not None and None not in (thr.mu_threshold, thr.mu0):
-        assert thr.mu_threshold <= thr.mu0, params
+    mu0 = algebra.mu0(params)
+    if thr is not None and None not in (thr.mu_threshold, mu0):
+        assert thr.mu_threshold <= mu0, params
     for mu in (1e-8, 1e-3, 0.3, 2.5, 40.0, 1e4, 1e8):
         sols = _answer_or_refusal(massmap.normalized_solutions, params, mu)
         if sols is None:
             continue
         assert all(stationary.vertex_residual(s.point) <= 1e-8 for s in sols)
-        want = _expected_count(thr, mu) if thr is not None else None
+        want = _expected_count(params, thr, mu) if thr is not None else None
         if want is not None:
             assert len(sols) == want, (params, mu)
 

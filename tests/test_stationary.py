@@ -176,13 +176,6 @@ def test_profile_is_the_two_form_profile_bit_for_bit(params, lam):
             assert _same_bits(stationary.profile(pt, x), _two_form_profile(pt, x)), x
 
 
-def test_first_integral_residual():
-    pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
-    xs = np.linspace(0.2, 40.0, 25)
-    scale = pt.lam * pt.u0 ** 2 + (2.0 / 4.0) * pt.u0 ** 4
-    assert stationary.first_integral_residual(pt, xs) <= 1e-8 * scale
-
-
 def test_zero_frequency_profile_tail():
     # p = 4: u ~ c_p / x for large x
     pt = stationary.zero_frequency_point(P425)

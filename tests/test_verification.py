@@ -1,9 +1,10 @@
 """The helpers behind single checks of the verification battery."""
 
+import numpy as np
 import pytest
 
 from deltanls import energy, oracle, stationary, verification
-from deltanls.params import Params
+from deltanls.params import Params, Region, classify
 
 P425 = Params(4.0, 2.5)
 P83 = Params(8.0, 3.0)
@@ -17,6 +18,25 @@ def test_gn_margin_on_profiles():
     pts.extend(stationary.solve_for_lambda(PD16, 1.0).points)
     for pt in pts:
         assert verification._gn_margin(pt) >= 0.0
+
+
+def test_first_integral_residual():
+    pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
+    xs = np.linspace(0.2, 40.0, 25)
+    scale = pt.lam * pt.u0 ** 2 + (2.0 / 4.0) * pt.u0 ** 4
+    assert verification._first_integral_residual(pt, xs) <= 1e-8 * scale
+
+
+def test_region_partition_catches_a_mislabelled_region(monkeypatch):
+    # classify answers C where the exponents lie in F: the check must fail
+    def mislabel(params):
+        region = classify(params)
+        return Region.C if region is Region.F else region
+
+    monkeypatch.setattr(verification, "classify", mislabel)
+    result = verification.check_region_partition()
+    assert not result.passed
+    assert "memberships ['F'], classified C" in result.detail
 
 
 def test_multiplier_consistency_examples():
