@@ -442,20 +442,26 @@ def _log_shape_near(tl: _Tail, ex: MassExponents, d: float) -> float:
 
 
 def _deficit_far(tl: _Tail, ex: MassExponents, d: float) -> float:
-    """(mu0 - mu)/mu0 at t = 1 + d > 2, p < 6."""
+    """(mu0 - mu)/mu0 at t = 1 + d > 2, p < 6; -inf where mu/mu0 is beyond
+    the double range."""
     t, lt, z, s1 = _far(tl, d)
     l1z = math.log1p(-z)
     mk = tl.m * tl.k_fin
     if tl.k == 0:
         v = tl.eps * z * s1 + t ** (2.0 * tl.eps) * (mk - 1.0)
-        return -math.expm1(-ex.ke * l1z + math.log1p(v))
+        return _one_minus_exp(-ex.ke * l1z + math.log1p(v))
     amp = tl.m * tl.a_over_m
     # (1-z)^(-a) t^(-m) = t (t^2-1)^(-a) as one power of a base in range
     w = (t ** (1.0 / tl.a) / d / (d + 2.0)) ** tl.a
     v = z * _horner(tl.p_coef[1:], z) + w * (
         t ** (-2.0 * tl.eps) * amp * (z * s1 - 2.0 * lt * _exprel(t, lt, 2.0 * tl.eps))
         + mk)
-    return -math.expm1(ex.t1_rate * l1z + math.log1p(v))
+    return _one_minus_exp(ex.t1_rate * l1z + math.log1p(v))
+
+
+def _one_minus_exp(x: float) -> float:
+    """1 - e^x, or -inf where e^x is beyond the double range."""
+    return -math.expm1(x) if x < _LOG_MAX else -math.inf
 
 
 def _log_mass_far(tl: _Tail, ex: MassExponents, d: float) -> float:
@@ -467,9 +473,9 @@ def _log_mass_far(tl: _Tail, ex: MassExponents, d: float) -> float:
 def log_mass_ratio(params: Params, d: float) -> float:
     """ln(mu(1 + d) / mu0) for p < 6 and d = t - 1 > 0.
 
-    Beyond t = 2, where mu >= mu0/2 it is ln(1 - D) of the deficit D, so it
-    keeps the digits of D down to 1e-300; elsewhere the logs of the
-    factors of mu are added.
+    Beyond t = 2, where mu0/2 <= mu < e^709 mu0 it is ln(1 - D) of the
+    deficit D, so it keeps the digits of D down to 1e-300; elsewhere the
+    logs of the factors of mu are added.
     """
     tl, ex = _tail(params.p), mass_exponents(params)
     if not params.p < 6.0:
@@ -478,7 +484,7 @@ def log_mass_ratio(params: Params, d: float) -> float:
     if d <= 1.0:
         return log_m + _log_shape_near(tl, ex, d)
     deficit = _deficit_far(tl, ex, d)
-    if deficit <= 0.5:
+    if -math.inf < deficit <= 0.5:
         return math.log1p(-deficit)
     return log_m + _log_mass_far(tl, ex, d)
 

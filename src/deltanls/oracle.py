@@ -19,10 +19,12 @@ mode (error ~ eps * exp(sqrt(lambda) x)).  The shooter therefore stops at
 a capture radius where |u| + |u'|/sqrt(lambda) has dropped to 1e-6 * u0 --
 reached well before noise can -- and continues the tail with the exact
 decay law of the first integral.  Trajectories that instead cross zero,
-turn around, or exceed 1e3 * u0 are classified as non-decaying.  Each shot
-reads its dense output once, at the grid nodes up to the capture point and
-the drift abscissae, with every DOP853 step evaluated at once
-(:func:`_dense_values`).
+turn around, or exceed 1e3 * u0 are classified as non-decaying.  The
+shooter steps SciPy's DOP853 under solve_ivp on Python floats
+(:class:`_TwoFloatDOP853`: SciPy's tableau, initial step and step-size
+rules, the same steps and right-hand-side count), and reads the dense output
+once, at the grid nodes up to the capture point and the drift abscissae,
+with every step evaluated at once (:func:`_dense_values`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
 from scipy.linalg.lapack import dgtsv
 
 from .params import Params
@@ -201,6 +204,127 @@ def _dense_values(ode, x: np.ndarray) -> np.ndarray:
     return y.T
 
 
+def _nonzero_rows(matrix) -> tuple:
+    """Each row of a tableau matrix as its ((index, coefficient), ...) nonzeros."""
+    return tuple(tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+                 for row in matrix)
+
+
+class _TwoFloatDOP853(DOP853):
+    """SciPy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) for a
+    two-component system, stepped on Python floats.
+
+    The tableau, the initial step and the step-size rules are DOP853's own;
+    only the stage sums are formed as float sums over the tableau's nonzero
+    coefficients, where SciPy forms numpy products on a 2-vector whose
+    overhead is nearly all the cost of a step of so small a system.  The
+    sums are added in another order, so values can differ from SciPy's in
+    their last bits.  The right-hand side is called as fun(t, (u, v)) and
+    returns two floats; nfev counts each call.  The dense output of a step
+    is SciPy's own Dop853DenseOutput, and self.y is an array, as solve_ivp
+    and OdeSolution expect.
+    """
+
+    _STAGES = tuple(zip(DOP853.C[1:].tolist(), _nonzero_rows(DOP853.A[1:])))
+    _EXTRA = tuple(zip(DOP853.C_EXTRA.tolist(), _nonzero_rows(DOP853.A_EXTRA)))
+    _B, _E3, _E5 = _nonzero_rows([DOP853.B, DOP853.E3, DOP853.E5])
+    _D = _nonzero_rows(DOP853.D)
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._rhs = fun
+        self._ku = self._kv = None      # the stages of the last accepted step
+
+    def _step_impl(self):
+        t, (u, v), (fu, fv) = self.t, self.y.tolist(), self.f.tolist()
+        direction = float(self.direction)
+        atol_u, atol_v = np.broadcast_to(self.atol, 2).tolist()
+        rtol, exponent = float(self.rtol), self.error_exponent
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = min(max(float(self.h_abs), min_step), self.max_step)
+
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+
+            self.nfev += 12
+            ku, kv = [fu], [fv]
+            _stages(self._rhs, t, u, v, ku, kv, h, self._STAGES)
+            bu, bv = _combine(self._B, ku, kv)
+            u_new, v_new = u + h * bu, v + h * bv
+            fu_new, fv_new = self._rhs(t_new, (u_new, v_new))
+            ku.append(fu_new)
+            kv.append(fv_new)
+            su = atol_u + max(abs(u), abs(u_new)) * rtol
+            sv = atol_v + max(abs(v), abs(v_new)) * rtol
+            e5u, e5v = _combine(self._E5, ku, kv)
+            e3u, e3v = _combine(self._E3, ku, kv)
+            err5 = (e5u / su) ** 2 + (e5v / sv) ** 2
+            err3 = (e3u / su) ** 2 + (e3v / sv) ** 2
+            error_norm = 0.0 if err5 == 0.0 and err3 == 0.0 else \
+                h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+
+            if error_norm < 1.0:
+                factor = MAX_FACTOR if error_norm == 0.0 else \
+                    min(MAX_FACTOR, SAFETY * error_norm ** exponent)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
+            step_rejected = True
+
+        self.h_previous = h
+        self.y_old = self.y
+        self.t = t_new
+        self.y = np.array((u_new, v_new))
+        self.h_abs = h_abs
+        self.f = np.array((fu_new, fv_new))
+        self._ku, self._kv = ku, kv
+        return True, None
+
+    def _dense_output_impl(self):
+        h, t_old = self.h_previous, self.t_old
+        (u, v), (u1, v1) = self.y_old.tolist(), self.y.tolist()
+        ku, kv = list(self._ku), list(self._kv)
+        fu0, fv0 = ku[0], kv[0]         # f at t_old
+        fu1, fv1 = self.f.tolist()      # f at t
+        self.nfev += 3
+        _stages(self._rhs, t_old, u, v, ku, kv, h, self._EXTRA)
+        du, dv = u1 - u, v1 - v
+        F = [(du, dv), (h * fu0 - du, h * fv0 - dv),
+             (2.0 * du - h * (fu1 + fu0), 2.0 * dv - h * (fv1 + fv0))]
+        for row in self._D:
+            cu, cv = _combine(row, ku, kv)
+            F.append((h * cu, h * cv))
+        return Dop853DenseOutput(t_old, self.t, self.y_old, np.array(F))
+
+
+def _combine(row, ku, kv) -> tuple[float, float]:
+    """The sums of a * ku[j] and of a * kv[j] over the nonzeros (j, a) of a
+    tableau row."""
+    su = sv = 0.0
+    for j, a in row:
+        su += a * ku[j]
+        sv += a * kv[j]
+    return su, sv
+
+
+def _stages(rhs, t, u, v, ku, kv, h, stages):
+    """Append to the stage lists ku, kv one stage per (c, row) of stages."""
+    for c, row in stages:
+        su, sv = _combine(row, ku, kv)
+        fu, fv = rhs(t + c * h, (u + su * h, v + sv * h))
+        ku.append(fu)
+        kv.append(fv)
+
+
 def shoot(params: Params, lam: float, u0: float, L: float | None = None,
           n: int = 20000) -> ShootingResult:
     """Integrate the vertex initial-value problem outward and classify it.
@@ -241,7 +365,7 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     ev_blow.terminal, ev_blow.direction = True, 1.0
 
     sol = solve_ivp(rhs, (0.0, L), [u0, -0.5 * u0 ** (q - 1.0)],
-                    method="DOP853", rtol=SHOOT_RTOL,
+                    method=_TwoFloatDOP853, rtol=SHOOT_RTOL,
                     atol=[1e-14 * u0, 1e-14 * u0 * slope_scale],
                     events=[ev_capture, ev_cross, ev_rebound, ev_blow],
                     dense_output=True)

@@ -199,6 +199,21 @@ def test_curves_malformed_range_is_invalid_input(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_curves_mass_beyond_the_double_range_next_to_p_2(tmp_path, capsys):
+    # mu/mu0 beyond the double range once raised an OverflowError out of
+    # the mass map; every mass on this curve is beyond it, and is inf
+    out_file = tmp_path / "mass.csv"
+    code, out, err = run(capsys, "curves", "--p", "2.001", "--q", "2.0006",
+                         "--which", "mass", "--range", "1.001:1000:40",
+                         "--out", str(out_file))
+    assert (code, out, err) == (0, "", "")
+    lines = out_file.read_text().splitlines()
+    assert lines[0] == "t,mu,h_sign" and len(lines) == 41
+    assert all(line.split(",")[1] == "inf" for line in lines[1:])
+    sidecar = json.loads((tmp_path / "mass.csv.json").read_text())
+    assert sidecar["region"] == "F" and sidecar["thresholds"]["mu0"] == math.inf
+
+
 def test_curves_mass_region_H(tmp_path, capsys):
     out_file = tmp_path / "mass.csv"
     code, _, _ = run(capsys, "curves", "--p", "8", "--q", "4",

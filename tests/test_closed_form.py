@@ -80,6 +80,29 @@ def test_closed_form_next_to_p_2(p, q, y):
     check_against_reference(p, q, y)
 
 
+# at (2.001, 2.0006), region F, mu0 ~ e^13854 is beyond the double range
+# and mu/mu0 is too: e^x, x = ln(mu/mu0) > 709, once overflowed in the
+# deficit (mu0 - mu)/mu0 = -expm1(x) (an OverflowError from mass_of_t and
+# from `deltanls curves`); the log of the ratio is formed from the logs of
+# the factors of mu instead, finite, and the mass is inf
+@pytest.mark.parametrize("y", [0.25, 0.5, 0.75, 1.0, 1.25])
+def test_mass_ratio_beyond_the_double_range_next_to_p_2(y):
+    p, q = 2.001, 2.0006
+    params = Params(p, q)
+    with mp.workdps(40):
+        P, Q = mp.mpf(p), mp.mpf(q)
+        log_mu0 = ((3 * (Q - P + 2) * mp.log(2) + (Q - 4) * mp.log(P)) / (2 * Q - P - 2)
+                   - mp.log(P - 2) + mp.log((P - 2) / (6 - P)))
+        want = float(reference(p, q, y)[2] - log_mu0)
+    got = algebra.log_mass_ratio(params, math.exp(y))
+    assert 500.0 < want < 2200.0
+    assert got == pytest.approx(want, rel=1e-14)
+    assert massmap.mass_of_t(params, d=math.exp(y)) == math.inf
+    beyond = want > algebra.LOG_DOUBLE[1]
+    assert algebra.mass_deficit(params, math.exp(y)) == (
+        -math.inf if beyond else pytest.approx(-math.expm1(want), rel=1e-12))
+
+
 def test_fold_next_to_q_2():
     # d* = t* - 1 of the fold, the fold frequency lambda_bar and the
     # multiplier-peak mass mu(t*) at seeded pairs with q - 2 down to 1e-12

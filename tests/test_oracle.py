@@ -360,3 +360,73 @@ def test_dense_values_are_the_dense_output_bit_for_bit(monkeypatch):
 def _same_bits(got, want):
     got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
     return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _shots():
+    """(params, lam, u0, L) of the 14 oracle states and of the other shots
+    above: a zero-frequency one, and ones that rebound, cross zero or end
+    without an event."""
+    pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
+    zero_u0 = (8.0 / 3.0) ** (1.0 / (2.0 * 4.0 - 2.0 - 3.0))
+    return ([(s.params, s.lam, s.u0, None) for _, s in verification._oracle_points()]
+            + [(Params(3.0, 4.0), 0.0, zero_u0, None),
+               (P425, pt.lam, pt.u0 * 1.1, 200.0), (P425, pt.lam, pt.u0 * 0.9, 200.0),
+               (P425, 1.0, 5.0, 50.0), (P83, 0.04, 0.4, 5.0)])
+
+
+def test_two_float_stepper_takes_scipys_steps(monkeypatch):
+    # every shot again with SciPy's own DOP853 stepper: the same steps, the
+    # same right-hand-side count and the same outcome; only the order of the
+    # stage sums differs, which moves the nodal values by at most 3.3e-10 u0
+    # (the zero-frequency shot) and the capture point by at most 1.2e-6
+    solve_ivp = oracle.solve_ivp
+    method, solves = [None], []
+
+    def forced_ivp(*args, **kwargs):
+        if method[0] is not None:
+            kwargs["method"] = method[0]
+        solves.append(solve_ivp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(oracle, "solve_ivp", forced_ivp)
+    outcomes = set()
+    for params, lam, u0, L in _shots():
+        method[0] = None
+        ours = oracle.shoot(params, lam, u0, L=L)
+        method[0] = "DOP853"
+        ref = oracle.shoot(params, lam, u0, L=L)
+        sol, ref_sol = solves[-2:]
+        assert (sol.nfev, len(sol.t), ours.outcome) \
+            == (ref_sol.nfev, len(ref_sol.t), ref.outcome), (params, lam, u0)
+        if ref.capture_x is None:
+            assert ours.capture_x is None
+        else:
+            assert ours.capture_x == pytest.approx(ref.capture_x, rel=1e-5, abs=0.0)
+        assert np.max(np.abs(ours.profile.values - ref.profile.values)) <= 1e-9 * u0
+        assert ours.decay_ok == ref.decay_ok
+        outcomes.add(ours.outcome)
+    assert outcomes == {"decayed", "rebounded", "crossed_zero", "no_event"}
+
+
+def test_stepper_nfev_counts_every_rhs_call(monkeypatch):
+    # sol.nfev is the figure the benchmark's tracer reads as the shooter's
+    # right-hand-side evaluations: it must be the number of calls made
+    solve_ivp = oracle.solve_ivp
+    totals = []
+
+    def counting_ivp(fun, *args, **kwargs):
+        calls = [0]
+
+        def counted(x, y):
+            calls[0] += 1
+            return fun(x, y)
+
+        sol = solve_ivp(counted, *args, **kwargs)
+        assert sol.nfev == calls[0]
+        totals.append(calls[0])
+        return sol
+
+    monkeypatch.setattr(oracle, "solve_ivp", counting_ivp)
+    for params, lam, u0, L in _shots():
+        oracle.shoot(params, lam, u0, L=L)
+    assert sum(totals[:14]) == 15970
