@@ -10,21 +10,26 @@ normalized gradient flow on that functional at fixed mass.
 Grid sampling and the functional run over blocks of BLOCK nodes, so their
 temporaries stay block-sized however fine the grid.  One kernel of block sums
 (:func:`_grid_functional`) forms the functional from array slices (the flow,
-:func:`functional_eval`) or from closed-form samples streamed block by block
-(:func:`sampled_functional`, which never holds the whole grid).
+:func:`functional_eval`), summing every node, or from closed-form samples
+streamed block by block (:func:`sampled_functional`, which never holds the
+whole grid).  A closed-form state is positive, decreasing and convex, so the
+stream stops at the first block past which the rest of the grid provably
+cannot change a bit of any sum, and reads the last node alone.
 
 Shooting detail: the decaying orbit is a saddle connection, so forward
 integration in double precision is eventually taken over by the growing
 mode (error ~ eps * exp(sqrt(lambda) x)).  The shooter therefore stops at
 a capture radius where |u| + |u'|/sqrt(lambda) has dropped to 1e-6 * u0 --
 reached well before noise can -- and continues the tail with the exact
-decay law of the first integral.  Trajectories that instead cross zero,
-turn around, or exceed 1e3 * u0 are classified as non-decaying.  The
-shooter steps SciPy's DOP853 under solve_ivp on Python floats
-(:class:`_TwoFloatDOP853`: SciPy's tableau, initial step and step-size
-rules, the same steps and right-hand-side count), and reads the dense output
-once, at the grid nodes up to the capture point and the drift abscissae,
-with every step evaluated at once (:func:`_dense_values`).
+decay law of the first integral.  Trajectories that instead cross zero or
+turn around (u' = 0, which precedes any growth: the vertex slope is
+negative) are classified as non-decaying.  The shooter steps SciPy's
+DOP853 under solve_ivp on Python floats (:class:`_TwoFloatDOP853`: SciPy's
+tableau, initial step and step-size rules, the same steps and
+right-hand-side count), and reads the dense output once, at the grid nodes
+up to the capture point and the drift abscissae, with every step evaluated
+at once, one component and one coefficient row at a time
+(:func:`_dense_values`).
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ CAPTURE_TOL = 1e-5
 CAPTURE_TOL_ZERO = 1e-3
 #: Relative decay gate evaluated at the far end of the domain.
 DECAY_GATE = 1e-7
-#: Relative blow-up ceiling.
-BLOWUP_FACTOR = 1e3
 #: Numerical stand-in for "below any floor": the flow stops once its energy
 #: falls below it, and the unboundedness probes and the probe flow must.
 FLOW_DIVERGENCE_FLOOR = -1.0e6
@@ -92,7 +95,7 @@ class GridProfile:
 class ShootingResult:
     decay_ok: bool
     profile: GridProfile
-    outcome: str               # decayed | crossed_zero | rebounded | blew_up | no_event
+    outcome: str               # decayed | crossed_zero | rebounded | no_event
     first_integral_drift: float
     capture_x: float | None
 
@@ -154,10 +157,16 @@ def sampled_functional(point: BranchPoint, L: float, n: int):
     """functional_eval(point.params, sample_profile(point, L, n)), bit for bit.
 
     The closed-form samples are formed and summed one block at a time, so
-    no array of the whole grid is built.
+    no array of the whole grid is built, and the sums stop at the first
+    block past which the rest of the grid provably rounds away (the rule
+    and its proof are in :func:`_grid_functional`); the last node is then
+    the profile at L alone.
     """
+    def last_node():
+        return analytic_profile(point, np.array([L]))[0]
+
     return _breakdown(*_grid_functional(_profile_blocks(point, L, n), L / n,
-                                        point.params))
+                                        point.params, tail=(n + 1, last_node)))
 
 
 def _breakdown(mass: float, kinetic: float, bulk: float, point: float):
@@ -187,21 +196,26 @@ def _dense_values(ode, x: np.ndarray) -> np.ndarray:
     lower one at a step end point) and the coefficients F, h, t_old and
     y_old of that step's interpolant, and every point runs the interpolant's
     own arithmetic: the nested product of the F rows in r = (x - t_old) / h
-    and 1 - r, plus y_old.
+    and 1 - r, plus y_old.  The coefficients are held as (component, row,
+    step) arrays, so each row of each component is gathered at the points'
+    steps by one 1-D take; the arithmetic of each element is the
+    interpolant's, so the bits are too.
     """
     steps = ode.interpolants
     seg = np.searchsorted(ode.ts, x, side=ode.side) - 1
     np.clip(seg, 0, len(steps) - 1, out=seg)
-    F = np.array([s.F for s in steps])
-    t_old = np.array([s.t_old for s in steps])[seg]
-    h = np.array([s.h for s in steps])[seg]
-    r = ((x - t_old) / h)[:, None]
-    y = np.zeros((len(x), F.shape[2]))
-    for i in range(F.shape[1]):
-        y += F[seg, F.shape[1] - 1 - i]
-        y *= r if i % 2 == 0 else 1 - r
-    y += np.array([s.y_old for s in steps])[seg]
-    return y.T
+    F = np.ascontiguousarray(np.array([s.F for s in steps]).transpose(2, 1, 0))
+    y_old = np.ascontiguousarray(np.array([s.y_old for s in steps]).T)
+    r = (x - np.array([s.t_old for s in steps]).take(seg)) \
+        / np.array([s.h for s in steps]).take(seg)
+    factors = (r, 1 - r)
+    y = np.zeros((len(F), len(x)))
+    for rows, start, yc in zip(F, y_old, y):
+        for i, row in enumerate(rows[::-1]):
+            yc += row.take(seg)
+            yc *= factors[i % 2]
+        yc += start.take(seg)
+    return y
 
 
 def _nonzero_rows(matrix) -> tuple:
@@ -330,8 +344,10 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     """Integrate the vertex initial-value problem outward and classify it.
 
     decay_ok requires the trajectory to stay positive and the far-end gate
-    |u(L)| + |u'(L)| <= 1e-7 * u0 to hold; blow-up past 1e3 * u0 is an
-    outcome, not an exception.
+    |u(L)| + |u'(L)| <= 1e-7 * u0 to hold.  A trajectory that does not
+    decay is an outcome, not an exception: it crosses zero, turns around
+    (u' = 0; the vertex slope is negative, so u can grow only after it has
+    turned) or ends without an event.
     """
     if not u0 > 0.0:
         raise ValueError(f"need a positive vertex height, got {u0}")
@@ -356,24 +372,19 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     def ev_rebound(x, y):
         return y[1]
 
-    def ev_blow(x, y):
-        return y[0] - BLOWUP_FACTOR * u0
-
     ev_capture.terminal, ev_capture.direction = True, -1.0
     ev_cross.terminal, ev_cross.direction = True, -1.0
     ev_rebound.terminal, ev_rebound.direction = True, 1.0
-    ev_blow.terminal, ev_blow.direction = True, 1.0
 
     sol = solve_ivp(rhs, (0.0, L), [u0, -0.5 * u0 ** (q - 1.0)],
                     method=_TwoFloatDOP853, rtol=SHOOT_RTOL,
                     atol=[1e-14 * u0, 1e-14 * u0 * slope_scale],
-                    events=[ev_capture, ev_cross, ev_rebound, ev_blow],
+                    events=[ev_capture, ev_cross, ev_rebound],
                     dense_output=True)
 
     captured = len(sol.t_events[0]) > 0
     crossed = len(sol.t_events[1]) > 0
     rebounded = len(sol.t_events[2]) > 0
-    blew_up = len(sol.t_events[3]) > 0
     x_end = sol.t[-1]
 
     # one dense evaluation: the grid nodes up to x_end, then the 512 drift
@@ -402,8 +413,6 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
         capture_x = None
         if crossed:
             outcome = "crossed_zero"
-        elif blew_up:
-            outcome = "blew_up"
         elif rebounded:
             outcome = "rebounded"
         else:
@@ -442,7 +451,8 @@ def shooting_sup_distance(point: BranchPoint, result: ShootingResult) -> float:
 # discrete functional and normalized gradient flow
 
 
-def _grid_functional(blocks, h: float, params: Params | None = None):
+def _grid_functional(blocks, h: float, params: Params | None = None,
+                     tail=None):
     """(mass, kinetic, bulk, point) of the piecewise-linear even extension of
     the nodal values given as the overlapping blocks of :func:`_blocks`.
 
@@ -458,11 +468,39 @@ def _grid_functional(blocks, h: float, params: Params | None = None):
     node adds 0^p = 0 in place of a power of at most about tiny, which pow
     reaches only on its slow underflow path.  Every other node adds its
     plain power.
+
+    tail = (n_nodes, last_node) is given, with params, only for the blocks
+    of a closed-form state (:func:`sampled_functional`): n_nodes is the
+    grid's node count and last_node() its last node value.  After each
+    block, with S_m, S_k and S_b the running mass, kinetic and bulk sums,
+    e the block's last node (the next block's first), delta = u[-2] - u[-1]
+    its last difference and R the nodes not yet summed, the sums stop once
+
+        2 R e^2 < ulp(S_m) / 2,   2 e delta < ulp(S_k) / 2,
+        2 R e^p < ulp(S_b) / 2,
+
+    and u_n is last_node(), the double the last block would hold (the
+    profile is evaluated entry by entry).  The sums are then those of the
+    whole grid, bit for bit.  Every closed-form profile is positive,
+    decreasing and convex in x >= 0: for lambda > 0, ln u = -(2/(p-2))
+    ln sinh z + const with z linear in x is convex (ln sinh is concave), so
+    u is too, and for lambda = 0, u is a negative power of a linear function
+    of x.  So every later node is at most e, every later difference at most
+    delta, and the later squared differences sum to at most
+    delta * (sum of the differences) <= delta * e.  The rest of each sum is
+    therefore below the left-hand side without its factor 2, which covers
+    the rounding of the block sums, of the nodes and of the bound itself.
+    Under round-to-nearest, adding a nonnegative number below half an ulp of
+    a nonnegative sum leaves the sum unchanged, so each later block sum would
+    leave S_m, S_k and S_b as they are.  The array callers (the flow,
+    :func:`functional_eval`) pass no tail and sum every node.
     """
     usq = diff2 = vsum = 0.0
     u0 = None
     if params is not None:
         floor = np.finfo(float).tiny ** (1.0 / params.p)
+    if tail is not None:
+        rest, last_node = tail
     for block in blocks:
         if u0 is None:
             u0 = block[0]
@@ -474,13 +512,30 @@ def _grid_functional(blocks, h: float, params: Params | None = None):
             mag = np.abs(own)
             mag[mag < floor] = 0.0
             vsum += float(np.sum(np.power(mag, params.p, out=mag)))
-    un = block[-1]
+        if tail is not None:
+            rest -= len(own)
+            if rest > 0 and _rest_rounds_away(block, rest, params.p,
+                                              usq, diff2, vsum):
+                un = last_node()
+                break
+    else:
+        un = block[-1]
     mass = 2.0 * h * (usq - 0.5 * float(u0 ** 2 + un ** 2))
     if params is None:
         return mass, None, None, None
     p, q = params.p, params.q
     vsum -= 0.5 * float(abs(u0) ** p + abs(un) ** p)
     return mass, diff2 / h, (2.0 / p) * h * vsum, abs(u0) ** q / q
+
+
+def _rest_rounds_away(block, rest: int, p: float, usq: float, diff2: float,
+                      vsum: float) -> bool:
+    """The stop rule of :func:`_grid_functional` after a block that is
+    followed by rest more nodes of a closed-form state."""
+    e, delta = float(block[-1]), float(block[-2] - block[-1])
+    return (2.0 * rest * e * e < 0.5 * math.ulp(usq)
+            and 2.0 * e * delta < 0.5 * math.ulp(diff2)
+            and 2.0 * rest * e ** p < 0.5 * math.ulp(vsum))
 
 
 def discrete_energy(params: Params, u: np.ndarray, h: float) -> float:

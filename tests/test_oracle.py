@@ -30,13 +30,15 @@ def test_shoot_perturbed_height_fails():
     assert not up.decay_ok
     down = oracle.shoot(P425, pt.lam, pt.u0 * 0.9, L=200.0)
     assert not down.decay_ok
-    assert {up.outcome, down.outcome} <= {"crossed_zero", "rebounded", "blew_up"}
+    assert {up.outcome, down.outcome} <= {"crossed_zero", "rebounded"}
 
 
 def test_shoot_blowup_is_reported_not_raised():
+    # the vertex slope is negative, so a trajectory that grows has turned
+    # around first: the rebound ends it
     res = oracle.shoot(P425, 1.0, 5.0, L=50.0)
     assert not res.decay_ok
-    assert res.outcome in ("blew_up", "rebounded")
+    assert res.outcome == "rebounded"
 
 
 def test_shoot_initial_slope_convention():
@@ -167,6 +169,45 @@ def test_streamed_functional_is_the_materialized_one_bit_for_bit(state, n):
     pt, L = state()
     want = oracle.functional_eval(pt.params, oracle.sample_profile(pt, L, n))
     assert oracle.sampled_functional(pt, L, n) == want
+
+
+def _grid_check_states():
+    """The 14 states of the grid check on their domains, and a zero-frequency
+    state of algebraic decay on [0, 1e3]."""
+    states = [(pt, max(60.0, 30.0 / math.sqrt(pt.lam)))
+              for _, pt in verification._oracle_points()]
+    return states + [(stationary.zero_frequency_point(Params(2.5, 2.5)), 1e3)]
+
+
+def test_stopped_grid_sums_are_the_whole_grid_sums_bit_for_bit():
+    # the stream stops where the rest of the grid rounds away; the array
+    # route sums every node and is the reference
+    n = 800000
+    for pt, L in _grid_check_states():
+        want = oracle.functional_eval(pt.params, oracle.sample_profile(pt, L, n))
+        assert oracle.sampled_functional(pt, L, n) == want, (pt.params, pt.lam)
+
+
+def test_grid_stop_leaves_out_the_decayed_blocks(monkeypatch):
+    # 800,001 nodes are 25 blocks; at lambda = 2 the profile falls below the
+    # last bit of every sum within the first 7, and the (2.5, 2.5)
+    # zero-frequency state, a power (x + a)^(-4), within 17 of its 25
+    calls = [0]
+    profile = oracle.analytic_profile
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return profile(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "analytic_profile", counted)
+    blocks = {}
+    for pt, L in _grid_check_states():
+        calls[0] = 0
+        oracle.sampled_functional(pt, L, 800000)
+        blocks[pt.params, pt.lam] = calls[0]
+    assert blocks[Params(4.0, 3.5), 2.0] < 12.5
+    assert blocks[PD16, 2.0] < 12.5
+    assert blocks[Params(2.5, 2.5), 0.0] < 25
 
 
 def test_streamed_grid_check_holds_no_whole_grid_array():
@@ -331,7 +372,9 @@ def test_oracle_check_reports_its_pinned_figures():
 def test_dense_values_are_the_dense_output_bit_for_bit(monkeypatch):
     # shoot evaluates the DOP853 dense output of every step at once from the
     # interpolants' coefficients; SciPy's own OdeSolution is the reference,
-    # on every point shoot evaluates and on each step's end points
+    # on every point shoot evaluates and on each step's end points, for the
+    # 14 oracle states and the zero-frequency, rebounded, crossed_zero and
+    # no_event shots
     solves = []
     solve_ivp = oracle.solve_ivp
 
@@ -341,20 +384,25 @@ def test_dense_values_are_the_dense_output_bit_for_bit(monkeypatch):
 
     monkeypatch.setattr(oracle, "solve_ivp", recording_ivp)
     n = 20000
-    for _, pt in verification._oracle_points():
-        res = oracle.shoot(pt.params, pt.lam, pt.u0, n=n)
+    outcomes = set()
+    for params, lam, u0, L in _shots():
+        res = oracle.shoot(params, lam, u0, L=L, n=n)
         sol = solves[-1]
         x_end = sol.t[-1]
-        x = np.linspace(0.0, oracle.default_domain(pt.lam), n + 1)
+        x = np.linspace(0.0, oracle.default_domain(lam) if L is None else L, n + 1)
         grid = x[x <= x_end]
         drift = np.linspace(0.0, x_end, 512)
         for pts in (grid, drift, sol.t, np.array([x_end]), np.concatenate([grid, drift])):
-            assert _same_bits(oracle._dense_values(sol.sol, pts), sol.sol(pts)), pt
+            assert _same_bits(oracle._dense_values(sol.sol, pts), sol.sol(pts)), \
+                (params, lam, u0)
         assert _same_bits(oracle._dense_values(sol.sol, np.array([x_end]))[:, 0],
                           sol.sol(x_end))
-        assert _same_bits(res.profile.values[:len(grid)], sol.sol(grid)[0])
-        assert res.capture_x == x_end
-    assert len(solves) == 14
+        if res.outcome == "decayed":
+            assert _same_bits(res.profile.values[:len(grid)], sol.sol(grid)[0])
+            assert res.capture_x == x_end
+        outcomes.add(res.outcome)
+    assert len(solves) == 19
+    assert outcomes == {"decayed", "rebounded", "crossed_zero", "no_event"}
 
 
 def _same_bits(got, want):
