@@ -61,7 +61,10 @@ def _parse_range(text: str) -> tuple[float, float, int]:
     n = int(parts[2])
     if n < 1:
         raise ValueError(f"--range needs n >= 1 samples, got {n}")
-    return float(parts[0]), float(parts[1]), n
+    a, b = float(parts[0]), float(parts[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"--range needs finite end points, got {text!r}")
+    return a, b, n
 
 
 def _thresholds_payload(params: Params) -> dict:

@@ -56,8 +56,8 @@ def groundstate_energy(params: Params, mu: float) -> EnergySample:
     flagged minus-infinity and carries no number.  On the diagonal with
     p >= 6 finiteness is genuinely open and reported as unknown.
     """
-    if not mu > 0.0:
-        raise ValueError(f"need mu > 0, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"need a finite mu > 0, got {mu}")
     region = classify(params)
 
     if region in (Region.D, Region.E):

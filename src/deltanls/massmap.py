@@ -324,8 +324,8 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
     per process: a repeated call returns a new list of the states found
     the first time, and a refusal is raised again on every call.
     """
-    if not mu > 0.0:
-        raise ValueError(f"need mu > 0, got {mu}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"need a finite mu > 0, got {mu}")
     return list(_gated_solutions(params, mu))
 
 

@@ -12,9 +12,12 @@ temporaries stay block-sized however fine the grid.  One kernel of block sums
 (:func:`_grid_functional`) forms the functional from array slices (the flow,
 :func:`functional_eval`), summing every node, or from closed-form samples
 streamed block by block (:func:`sampled_functional`, which never holds the
-whole grid).  A closed-form state is positive, decreasing and convex, so the
-stream stops at the first block past which the rest of the grid provably
-cannot change a bit of any sum, and reads the last node alone.
+whole grid).  A closed-form state is positive, decreasing and convex, so
+each of the stream's three sums stops forming its term at the first block
+past which the rest of the grid provably cannot change a bit of it; the
+stream ends once all three have stopped, and reads the last node alone.
+The flow solves its symmetric positive definite tridiagonal system by
+LDL^T (LAPACK dptsv).
 
 Shooting detail: the decaying orbit is a saddle connection, so forward
 integration in double precision is eventually taken over by the growing
@@ -26,7 +29,8 @@ turn around (u' = 0, which precedes any growth: the vertex slope is
 negative) are classified as non-decaying.  The shooter steps SciPy's
 DOP853 under solve_ivp on Python floats (:class:`_TwoFloatDOP853`: SciPy's
 tableau, initial step and step-size rules, the same steps and
-right-hand-side count), and reads the dense output once, at the grid nodes
+right-hand-side count; the state stays in floats between steps and the
+events read floats), and reads the dense output once, at the grid nodes
 up to the capture point and the drift abscissae, with every step evaluated
 at once, one component and one coefficient row at a time
 (:func:`_dense_values`).
@@ -35,12 +39,13 @@ at once, one component and one coefficient row at a time
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dptsv
 
 from .params import Params
 from .stationary import BranchPoint, EnergyBreakdown, profile as analytic_profile
@@ -118,7 +123,9 @@ def _blocks(n_nodes: int):
 
 
 def _slices(u: np.ndarray):
-    """The blocks of the nodal array u, as views."""
+    """The blocks of the nodal array u, as views (u itself if it is one block)."""
+    if len(u) <= BLOCK + 1:
+        return (u,)
     return (u[k:stop] for k, stop in _blocks(len(u)))
 
 
@@ -234,9 +241,10 @@ class _TwoFloatDOP853(DOP853):
     overhead is nearly all the cost of a step of so small a system.  The
     sums are added in another order, so values can differ from SciPy's in
     their last bits.  The right-hand side is called as fun(t, (u, v)) and
-    returns two floats; nfev counts each call.  The dense output of a step
-    is SciPy's own Dop853DenseOutput, and self.y is an array, as solve_ivp
-    and OdeSolution expect.
+    returns two floats; nfev counts each call.  The state (u, v), its
+    derivative self.f and the atol pair are held as floats; self.y is also
+    kept as an array, as solve_ivp and OdeSolution expect, and the dense
+    output of a step is SciPy's own Dop853DenseOutput.
     """
 
     _STAGES = tuple(zip(DOP853.C[1:].tolist(), _nonzero_rows(DOP853.A[1:])))
@@ -247,12 +255,14 @@ class _TwoFloatDOP853(DOP853):
     def __init__(self, fun, t0, y0, t_bound, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._rhs = fun
+        self._atol = np.broadcast_to(self.atol, 2).tolist()
+        self._uv, self.f = tuple(self.y.tolist()), tuple(self.f.tolist())
         self._ku = self._kv = None      # the stages of the last accepted step
 
     def _step_impl(self):
-        t, (u, v), (fu, fv) = self.t, self.y.tolist(), self.f.tolist()
+        t, (u, v), (fu, fv) = self.t, self._uv, self.f
         direction = float(self.direction)
-        atol_u, atol_v = np.broadcast_to(self.atol, 2).tolist()
+        atol_u, atol_v = self._atol
         rtol, exponent = float(self.rtol), self.error_exponent
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min(max(float(self.h_abs), min_step), self.max_step)
@@ -297,18 +307,18 @@ class _TwoFloatDOP853(DOP853):
         self.h_previous = h
         self.y_old = self.y
         self.t = t_new
-        self.y = np.array((u_new, v_new))
+        self._uv, self.f = (u_new, v_new), (fu_new, fv_new)
+        self.y = np.array(self._uv)
         self.h_abs = h_abs
-        self.f = np.array((fu_new, fv_new))
         self._ku, self._kv = ku, kv
         return True, None
 
     def _dense_output_impl(self):
         h, t_old = self.h_previous, self.t_old
-        (u, v), (u1, v1) = self.y_old.tolist(), self.y.tolist()
+        (u, v), (u1, v1) = self.y_old.tolist(), self._uv
         ku, kv = list(self._ku), list(self._kv)
         fu0, fv0 = ku[0], kv[0]         # f at t_old
-        fu1, fv1 = self.f.tolist()      # f at t
+        fu1, fv1 = self.f               # f at t
         self.nfev += 3
         _stages(self._rhs, t_old, u, v, ku, kv, h, self._EXTRA)
         du, dv = u1 - u, v1 - v
@@ -364,19 +374,21 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     cap_tol = CAPTURE_TOL if lam > 0.0 else CAPTURE_TOL_ZERO
 
     def ev_capture(x, y):
-        return y[0] - y[1] / slope_scale - cap_tol * u0
+        u, v = y.tolist()
+        return u - v / slope_scale - cap_tol * u0
 
     def ev_cross(x, y):
-        return y[0]
+        return y.item(0)
 
     def ev_rebound(x, y):
-        return y[1]
+        return y.item(1)
 
     ev_capture.terminal, ev_capture.direction = True, -1.0
     ev_cross.terminal, ev_cross.direction = True, -1.0
     ev_rebound.terminal, ev_rebound.direction = True, 1.0
 
-    sol = solve_ivp(rhs, (0.0, L), [u0, -0.5 * u0 ** (q - 1.0)],
+    # y0 is an array, as every later y the events read
+    sol = solve_ivp(rhs, (0.0, L), np.array([u0, -0.5 * u0 ** (q - 1.0)]),
                     method=_TwoFloatDOP853, rtol=SHOOT_RTOL,
                     atol=[1e-14 * u0, 1e-14 * u0 * slope_scale],
                     events=[ev_capture, ev_cross, ev_rebound],
@@ -474,68 +486,82 @@ def _grid_functional(blocks, h: float, params: Params | None = None,
     grid's node count and last_node() its last node value.  After each
     block, with S_m, S_k and S_b the running mass, kinetic and bulk sums,
     e the block's last node (the next block's first), delta = u[-2] - u[-1]
-    its last difference and R the nodes not yet summed, the sums stop once
+    its last difference and R the nodes not yet summed, each sum stops at
+    the first block where its own condition holds:
 
-        2 R e^2 < ulp(S_m) / 2,   2 e delta < ulp(S_k) / 2,
-        2 R e^p < ulp(S_b) / 2,
+        mass:     2 R e^2     < ulp(S_m) / 2,
+        kinetic:  2 e delta   < ulp(S_k) / 2,
+        bulk:     2 R e^p     < ulp(S_b) / 2.
 
-    and u_n is last_node(), the double the last block would hold (the
-    profile is evaluated entry by entry).  The sums are then those of the
-    whole grid, bit for bit.  Every closed-form profile is positive,
-    decreasing and convex in x >= 0: for lambda > 0, ln u = -(2/(p-2))
-    ln sinh z + const with z linear in x is convex (ln sinh is concave), so
-    u is too, and for lambda = 0, u is a negative power of a linear function
-    of x.  So every later node is at most e, every later difference at most
-    delta, and the later squared differences sum to at most
-    delta * (sum of the differences) <= delta * e.  The rest of each sum is
-    therefore below the left-hand side without its factor 2, which covers
-    the rounding of the block sums, of the nodes and of the bound itself.
-    Under round-to-nearest, adding a nonnegative number below half an ulp of
-    a nonnegative sum leaves the sum unchanged, so each later block sum would
-    leave S_m, S_k and S_b as they are.  The array callers (the flow,
-    :func:`functional_eval`) pass no tail and sum every node.
+    Once all three have stopped, u_n is last_node(), the double the last
+    block would hold (the profile is evaluated entry by entry).  The sums are
+    then those of the whole grid, bit for bit.  Every closed-form profile is
+    positive, decreasing and convex in x >= 0: for lambda > 0, ln u =
+    -(2/(p-2)) ln sinh z + const with z linear in x is convex (ln sinh is
+    concave), so u is too, and for lambda = 0, u is a negative power of a
+    linear function of x.  So every later node is at most e, every later
+    difference at most delta, and the later squared differences sum to at
+    most delta * (sum of the differences) <= delta * e.  The rest of each
+    sum is therefore below the left-hand side of its condition without the
+    factor 2, which covers the rounding of the block sums, of the nodes and
+    of the bound itself.  Under round-to-nearest, adding a nonnegative number
+    below half an ulp of a nonnegative sum leaves the sum unchanged, so each
+    later block sum of that term would leave it as it is.  A condition, once
+    true, stays true at every later block, since e, delta and R only shrink
+    and the sums only grow; each term is therefore left out from its own
+    stop on (:func:`_block_kinetic`, :func:`_block_bulk`).  The array callers
+    (the flow, :func:`functional_eval`) pass no tail and sum every node.
     """
     usq = diff2 = vsum = 0.0
     u0 = None
+    mass_open = True
+    kinetic_open = bulk_open = params is not None
     if params is not None:
-        floor = np.finfo(float).tiny ** (1.0 / params.p)
+        p = params.p
+        floor = sys.float_info.min ** (1.0 / p)
     if tail is not None:
         rest, last_node = tail
     for block in blocks:
         if u0 is None:
             u0 = block[0]
         own = block[:BLOCK]
-        usq += float(np.dot(own, own))
-        if params is not None:
-            d = np.diff(block)
-            diff2 += float(np.sum(np.multiply(d, d, out=d)))
-            mag = np.abs(own)
-            mag[mag < floor] = 0.0
-            vsum += float(np.sum(np.power(mag, params.p, out=mag)))
+        if mass_open:
+            usq += float(np.dot(own, own))
+        if kinetic_open:
+            diff2 += _block_kinetic(block)
+        if bulk_open:
+            vsum += _block_bulk(own, p, floor)
         if tail is not None:
             rest -= len(own)
-            if rest > 0 and _rest_rounds_away(block, rest, params.p,
-                                              usq, diff2, vsum):
-                un = last_node()
-                break
+            if rest > 0:
+                e, delta = block.item(-1), block.item(-2) - block.item(-1)
+                mass_open &= not 2.0 * rest * e * e < 0.5 * math.ulp(usq)
+                kinetic_open &= not 2.0 * e * delta < 0.5 * math.ulp(diff2)
+                bulk_open &= not 2.0 * rest * e ** p < 0.5 * math.ulp(vsum)
+                if not (mass_open or kinetic_open or bulk_open):
+                    un = last_node()
+                    break
     else:
         un = block[-1]
     mass = 2.0 * h * (usq - 0.5 * float(u0 ** 2 + un ** 2))
     if params is None:
         return mass, None, None, None
-    p, q = params.p, params.q
+    q = params.q
     vsum -= 0.5 * float(abs(u0) ** p + abs(un) ** p)
     return mass, diff2 / h, (2.0 / p) * h * vsum, abs(u0) ** q / q
 
 
-def _rest_rounds_away(block, rest: int, p: float, usq: float, diff2: float,
-                      vsum: float) -> bool:
-    """The stop rule of :func:`_grid_functional` after a block that is
-    followed by rest more nodes of a closed-form state."""
-    e, delta = float(block[-1]), float(block[-2] - block[-1])
-    return (2.0 * rest * e * e < 0.5 * math.ulp(usq)
-            and 2.0 * e * delta < 0.5 * math.ulp(diff2)
-            and 2.0 * rest * e ** p < 0.5 * math.ulp(vsum))
+def _block_kinetic(block: np.ndarray) -> float:
+    """Sum of the squared differences of a block (its kinetic block sum)."""
+    d = block[1:] - block[:-1]
+    return float(np.add.reduce(np.multiply(d, d, out=d)))
+
+
+def _block_bulk(own: np.ndarray, p: float, floor: float) -> float:
+    """Sum of |u|^p over a block's own nodes, each node below floor as 0."""
+    mag = np.abs(own)
+    mag[mag < floor] = 0.0
+    return float(np.add.reduce(np.power(mag, p, out=mag)))
 
 
 def discrete_energy(params: Params, u: np.ndarray, h: float) -> float:
@@ -570,7 +596,9 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
     with W the trapezoid weights and K the kinetic stiffness of
     :func:`discrete_energy`: one symmetric tridiagonal solve, with the bulk
     coefficient lagged at u^n and the point term explicit in the origin row.
-    The matrix is then symmetric positive definite for every tau.  With the
+    The matrix is then symmetric positive definite for every tau, and it is
+    solved as such, by LDL^T without pivoting (LAPACK dptsv); 2W, the lagged
+    diagonal K + 2W |u^n|^(p-2) and 2W u^n are formed once per step.  With the
     point term moved into it, its ground-state direction has eigenvalue about
     2W(1 - tau lambda), so past tau = 1/lambda the solve flips the sign of
     the profile (the flow lands on -u at the same energy).
@@ -585,8 +613,8 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
     h = profile0.h
     u = profile0.values.copy()
     u *= math.sqrt(mu / discrete_mass(u, h))
-    w = np.full(len(u), h)
-    w[0] = w[-1] = 0.5 * h
+    two_w = np.full(len(u), 2.0 * h)
+    two_w[0] = two_w[-1] = h
     stiff = np.full(len(u), 4.0 / h)
     stiff[0] = stiff[-1] = 2.0 / h
 
@@ -595,16 +623,21 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
     tau = 1e-3 * h * h
     stall_count = 0
     for _ in range(max_iters):
-        diag = stiff + 2.0 * w * np.abs(u) ** (p - 2.0)
+        diag = np.abs(u)
+        diag **= p - 2.0
+        diag *= two_w
+        diag += stiff
         point = np.abs(u[0]) ** (q - 2.0) * u[0]
+        two_w_u = two_w * u
         accepted = False
         for _ in range(60):
             off = np.full(len(u) - 1, -2.0 * tau / h)
-            rhs = 2.0 * w * u
+            rhs = two_w_u.copy()
             rhs[0] += tau * point
-            *_, trial, info = dgtsv(off, 2.0 * w + tau * diag, off, rhs)
+            *_, trial, info = dptsv(two_w + tau * diag, off, rhs,
+                                    overwrite_d=1, overwrite_e=1, overwrite_b=1)
             if info != 0:
-                raise np.linalg.LinAlgError(f"tridiagonal solve failed (dgtsv info={info})")
+                raise np.linalg.LinAlgError(f"tridiagonal solve failed (dptsv info={info})")
             trial *= math.sqrt(mu / discrete_mass(trial, h))
             e_trial = discrete_energy(params, trial, h)
             if e_trial <= energy:

@@ -10,6 +10,7 @@ uniqueness and multiplicity of mass-constrained solutions change.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 
@@ -35,6 +36,8 @@ class Params:
         p, q = float(self.p), float(self.q)
         if not (p > 2.0) or not (q > 2.0):
             raise InvalidExponents(f"need p > 2 and q > 2, got p={self.p}, q={self.q}")
+        if math.isinf(p) or math.isinf(q):
+            raise InvalidExponents(f"need finite p and q, got p={self.p}, q={self.q}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 

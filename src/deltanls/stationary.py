@@ -213,6 +213,8 @@ def solve_for_lambda(params: Params, lam: float) -> SolutionSet:
     position of g(lambda) relative to the minimum of f.
     """
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"need a finite lambda, got {lam}")
     if lam < 0.0:
         raise ValueError("no stationary states exist for lambda < 0")
     if lam == 0.0:

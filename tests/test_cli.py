@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -256,6 +257,28 @@ def test_curves_empty_range_is_invalid_input(tmp_path, capsys, which):
                          "--out", str(tmp_path / "c.csv"))
     assert code == 2
     assert out == "" and err == "error: --range needs n >= 1 samples, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("classify", "--p", "inf", "--q", "3"), "need finite p and q, got p=inf, q=3.0"),
+    (("classify", "--p", "4", "--q", "inf"), "need finite p and q, got p=4.0, q=inf"),
+    (("curves", "--p", "inf", "--q", "3", "--which", "mass"),
+     "need finite p and q, got p=inf, q=3.0"),
+    (("solve", "--p", "4", "--q", "2.5", "--lambda", "nan"), "need a finite lambda, got nan"),
+    (("solve", "--p", "8", "--q", "3", "--mass", "inf"), "need a finite mu > 0, got inf"),
+    (("curves", "--p", "4", "--q", "2.5", "--which", "energy", "--range", "0.1:inf:5"),
+     "--range needs finite end points, got '0.1:inf:5'"),
+], ids=["p-inf", "q-inf", "curves-p-inf", "lambda-nan", "mass-inf", "range-inf"])
+def test_non_finite_input_is_refused_by_name(tmp_path, capsys, argv, message):
+    # these once gave a nan branch offset (exit 2), mu0 = inf (exit 0), a
+    # float-to-int error, "state outside double range" (exit 4), "no states
+    # at this mass", and a numpy RuntimeWarning ahead of the error line; a
+    # warning now is an error, so it cannot reach stderr unseen
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 from deltanls import energy, massmap, oracle, stationary, verification
@@ -210,6 +211,41 @@ def test_grid_stop_leaves_out_the_decayed_blocks(monkeypatch):
     assert blocks[Params(2.5, 2.5), 0.0] < 25
 
 
+def test_each_grid_sum_stops_where_its_own_bound_allows(monkeypatch):
+    # the mass sum runs longest; the kinetic and bulk terms stop at their own
+    # bounds, so their block sums are formed on fewer of the summed blocks
+    counts = {"summed": 0, "kinetic": 0, "bulk": 0}
+    profile, kinetic, bulk = oracle.analytic_profile, oracle._block_kinetic, oracle._block_bulk
+
+    def block(pt, x):
+        counts["summed"] += len(x) > 1     # the last node alone is no block
+        return profile(pt, x)
+
+    def block_kinetic(*args):
+        counts["kinetic"] += 1
+        return kinetic(*args)
+
+    def block_bulk(*args):
+        counts["bulk"] += 1
+        return bulk(*args)
+
+    monkeypatch.setattr(oracle, "analytic_profile", block)
+    monkeypatch.setattr(oracle, "_block_kinetic", block_kinetic)
+    monkeypatch.setattr(oracle, "_block_bulk", block_bulk)
+    per_state = {}
+    totals = dict.fromkeys(counts, 0)
+    for _, pt in verification._oracle_points():
+        counts.update(dict.fromkeys(counts, 0))
+        oracle.sampled_functional(pt, max(60.0, 30.0 / math.sqrt(pt.lam)), 800000)
+        per_state[pt.params, pt.lam] = dict(counts)
+        for name, count in counts.items():
+            totals[name] += count
+    assert totals == {"summed": 208, "kinetic": 192, "bulk": 79}
+    for params in (Params(4.0, 3.5), PD16):
+        state = per_state[params, 2.0]
+        assert state["bulk"] < state["summed"], state
+
+
 def test_streamed_grid_check_holds_no_whole_grid_array():
     # one 800,001-node profile alone is 6.4 MB; sample_profile peaks at 8.3 MB
     pt, L = _fine_grid_state()
@@ -265,6 +301,34 @@ def test_flow_checks_report_their_pinned_figures():
     assert flow.passed and "diff=1.2e-06" in flow.detail and "steps=992" in flow.detail
     probe = verification.check_probe_flow()
     assert probe.passed and probe.detail == "final=-1.62e+06"
+
+
+def _dgtsv_step(d, e, b, **overwrite):
+    """The flow's tridiagonal solve by general LU with partial pivoting, in
+    the (d, e, x, info) form of LAPACK dptsv."""
+    *_, x, info = dgtsv(e, d, e, b)
+    return d, e, x, info
+
+
+@pytest.mark.parametrize("params, mu, L, n, width", [
+    (P425, 0.3, None, 1500, 3.0),           # flow-vs-branch
+    (Params(3.0, 5.0), 1.0, 5.0, 4000, 5.0 / 4000 * 10.0),   # probe-flow
+], ids=["flow-vs-branch", "probe-flow"])
+def test_flow_ldlt_solve_tracks_the_general_lu_solve(monkeypatch, params, mu, L, n, width):
+    # the flow's matrix is symmetric positive definite, so LDL^T (dptsv)
+    # solves it; the general LU solve (dgtsv) is the reference.  The traces
+    # differ by rounding only: at most 2.1e-17 on the flow (whose energy
+    # passes 0) and 4.1e-15 |E| on the probe flow
+    if L is None:
+        L = max(50.0, 20.0 / math.sqrt(energy.groundstate_energy(params, mu).lam))
+    prof0 = oracle.make_initial_profile(mu, L, n, width=width)
+    _, trace = oracle.constrained_minimize(params, mu, prof0, max_iters=120000)
+    monkeypatch.setattr(oracle, "dptsv", _dgtsv_step)
+    _, ref = oracle.constrained_minimize(params, mu, prof0, max_iters=120000)
+    assert len(trace) == len(ref)
+    trace, ref = np.array(trace), np.array(ref)
+    scale = np.maximum(np.abs(ref), abs(ref[0]))
+    assert np.all(np.abs(trace - ref) <= 1e-14 * scale)
 
 
 def test_functional_eval_tent_family():

@@ -427,3 +427,19 @@ def test_uniform_sweep_ends_in_gated_states_or_refusals():
         _answer_or_refusal(energy.zero_level_mass, params)
         _sweep_masses(params)
         _sweep_frequencies(params)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Params(math.inf, 3.0), "need finite p and q"),
+    (lambda: Params(4.0, math.inf), "need finite p and q"),
+    (lambda: stationary.solve_for_lambda(Params(4.0, 2.5), math.nan), "need a finite lambda"),
+    (lambda: stationary.solve_for_lambda(Params(4.0, 2.5), math.inf), "need a finite lambda"),
+    (lambda: massmap.normalized_solutions(Params(8.0, 3.0), math.inf), "need a finite mu"),
+    (lambda: energy.groundstate_energy(Params(4.0, 2.5), math.inf), "need a finite mu"),
+    (lambda: energy.groundstate_energy(Params(4.0, 2.5), math.nan), "need a finite mu"),
+], ids=["p-inf", "q-inf", "lambda-nan", "lambda-inf", "mass-inf", "level-inf", "level-nan"])
+def test_non_finite_inputs_are_invalid(call, message):
+    # an infinite p once gave a nan branch offset, an infinite q mu0 = inf, a
+    # nan frequency "state outside double range", an infinite mass "no states"
+    with pytest.raises(ValueError, match=message):
+        call()
