@@ -124,7 +124,7 @@ def _blocks(n_nodes: int):
 
 def _slices(u: np.ndarray):
     """The blocks of the nodal array u, as views (u itself if it is one block)."""
-    if len(u) <= BLOCK + 1:
+    if len(u) <= BLOCK:
         return (u,)
     return (u[k:stop] for k, stop in _blocks(len(u)))
 

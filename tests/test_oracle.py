@@ -172,6 +172,27 @@ def test_streamed_functional_is_the_materialized_one_bit_for_bit(state, n):
     assert oracle.sampled_functional(pt, L, n) == want
 
 
+@pytest.mark.parametrize("nodes", [oracle.BLOCK, oracle.BLOCK + 1, oracle.BLOCK + 2])
+def test_array_functional_sums_the_last_node_of_an_undecayed_profile(nodes):
+    # from BLOCK + 1 nodes on the last node is a block of its own; a profile
+    # that has not decayed at L shows a last node dropped from the sums
+    h, p, q = 0.01, P425.p, P425.q
+    ones = np.ones(nodes)
+    assert oracle.discrete_mass(ones, h) == 2.0 * h * (nodes - 1)
+    mass, eb = oracle.functional_eval(P425, oracle.GridProfile(h * (nodes - 1), nodes - 1, ones))
+    assert (mass, eb.kinetic) == (2.0 * h * (nodes - 1), 0.0)
+    assert eb.bulk == (2.0 / p) * h * (nodes - 1)
+    assert oracle.discrete_energy(P425, ones, h) == eb.bulk - 1.0 / q
+    ramp = np.linspace(2.0, 1.0, nodes)
+    w = np.full(nodes, h)
+    w[0] = w[-1] = 0.5 * h
+    assert oracle.discrete_mass(ramp, h) == pytest.approx(2.0 * np.sum(w * ramp ** 2), rel=1e-13)
+    kinetic = np.sum(np.diff(ramp) ** 2) / h
+    bulk = (2.0 / p) * np.sum(w * ramp ** p)
+    assert oracle.discrete_energy(P425, ramp, h) == \
+        pytest.approx(kinetic + bulk - 2.0 ** q / q, rel=1e-13)
+
+
 def _grid_check_states():
     """The 14 states of the grid check on their domains, and a zero-frequency
     state of algebraic decay on [0, 1e3]."""
