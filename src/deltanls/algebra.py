@@ -86,15 +86,16 @@ def d_star(params: Params) -> float:
 def log_g(params: Params, lam: float) -> float:
     """ln g(lambda) = -ln 2 + (q-2)/(p-2) ln(p/2) + (2q-p-2)/(2(p-2)) ln lambda, off the diagonal."""
     p, q = params.p, params.q
+    # (2q-p-2)/2 is formed as q - p/2 - 1, finite for every finite q
     return (-_LN2 + (q - 2.0) / (p - 2.0) * math.log(0.5 * p)
-            + (2.0 * q - p - 2.0) / (2.0 * (p - 2.0)) * math.log(lam))
+            + (q - 0.5 * p - 1.0) / (p - 2.0) * math.log(lam))
 
 
 def log_lambda(params: Params, log_level: float) -> float:
     """ln lambda of the frequency whose matching level g(lambda) is e^log_level
     (off the diagonal, where ln g is affine in ln lambda)."""
     p, q = params.p, params.q
-    return (log_level - log_g(params, 1.0)) * 2.0 * (p - 2.0) / (2.0 * q - p - 2.0)
+    return (log_level - log_g(params, 1.0)) * (p - 2.0) / (q - 0.5 * p - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +415,17 @@ def mass_exponents(params: Params) -> MassExponents:
     if params.diagonal:
         raise ValueError("C_pq and the mass map are undefined on the diagonal q = p/2 + 1")
     p, q = params.p, params.q
-    denom = 2.0 * q - p - 2.0
-    e = (6.0 - p) / denom
-    log2_p = (q - 4.0) * math.log2(p)
-    return MassExponents(e, e * (q - 2.0) / (p - 2.0), (q - 4.0) / denom,
-                         (3.0 * (q - p + 2.0) + log2_p) / denom - math.log2(p - 2.0),
-                         (6.0 - p + log2_p) / denom)
+    # the numerators and the denominator 2q - p - 2, each times s = 2^-11:
+    # with log2 p < 1024 none leaves the double range for any finite (p, q),
+    # and a power of two scales exactly, so each quotient is the unscaled one
+    # bit for bit wherever that one's terms are finite
+    s = 2.0 ** -11
+    denom = 2.0 * s * (q - 0.5 * p - 1.0)
+    e = s * (6.0 - p) / denom
+    log2_p = s * (q - 4.0) * math.log2(p)
+    return MassExponents(e, e * (q - 2.0) / (p - 2.0), s * (q - 4.0) / denom,
+                         (3.0 * s * (q - p + 2.0) + log2_p) / denom - math.log2(p - 2.0),
+                         (s * (6.0 - p) + log2_p) / denom)
 
 
 def log2_c_pq(params: Params) -> float:

@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -295,10 +296,21 @@ def cmd_verify(args) -> int:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, reading an argument that starts with '-' and then a
+    digit, a point, 'inf' or 'nan' as a value ('--lambda -1e-3', '--range
+    -1:2:3'), as the '--option=value' form is: argparse's own pattern takes
+    only plain digits ('-1', '-.5') for a number and the rest for options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it was."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltanls",
         description=("Stationary states, mass maps and ground-state energy "
                      "levels of the 1D NLS with a defocusing bulk term and a "

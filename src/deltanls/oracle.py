@@ -22,9 +22,9 @@ LDL^T (LAPACK dptsv).
 Shooting detail: the decaying orbit is a saddle connection, so forward
 integration in double precision is eventually taken over by the growing
 mode (error ~ eps * exp(sqrt(lambda) x)).  The shooter therefore stops at
-a capture radius where |u| + |u'|/sqrt(lambda) has dropped to 1e-6 * u0 --
-reached well before noise can -- and continues the tail with the exact
-decay law of the first integral.  Trajectories that instead cross zero or
+a capture radius where u - u'/max(sqrt(lambda), 1) has dropped to 1e-5 * u0
+(1e-3 * u0 at lambda = 0) -- reached well before noise can -- and continues
+the tail with the exact decay law of the first integral.  Trajectories that instead cross zero or
 turn around (u' = 0, which precedes any growth: the vertex slope is
 negative) are classified as non-decaying.  The shooter steps SciPy's
 DOP853 under solve_ivp on Python floats (:class:`_TwoFloatDOP853`: SciPy's
@@ -353,11 +353,16 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
           n: int = 20000) -> ShootingResult:
     """Integrate the vertex initial-value problem outward and classify it.
 
-    decay_ok requires the trajectory to stay positive and the far-end gate
-    |u(L)| + |u'(L)| <= 1e-7 * u0 to hold.  A trajectory that does not
-    decay is an outcome, not an exception: it crosses zero, turns around
-    (u' = 0; the vertex slope is negative, so u can grow only after it has
-    turned) or ends without an event.
+    The outcome is read once, from the events: decayed (captured in the
+    saddle neighbourhood, the tail continued by the decay law), crossed_zero,
+    rebounded (u' = 0; the vertex slope is negative, so u can grow only after
+    it has turned) or no_event.  A trajectory that does not decay is an
+    outcome, not an exception.  decay_ok holds only for a decayed shot that
+    stays positive and whose tail meets the far-end gate u(L) + |u'(L)| <=
+    1e-7 * u0.  No other outcome could meet it: a no_event shot ends with
+    u > 0, u' < 0 and u - u'/s > cap_tol * u0 (s = max(sqrt(lambda), 1) >= 1,
+    cap_tol = 1e-5, or 1e-3 at lambda = 0), as no event fired, so
+    |u| + |u'| > 1e-5 * u0 there.
     """
     if not u0 > 0.0:
         raise ValueError(f"need a positive vertex height, got {u0}")
@@ -370,7 +375,7 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     def rhs(x, y):
         return (y[1], lam * y[0] + abs(y[0]) ** (p - 2.0) * y[0])
 
-    slope_scale = max(math.sqrt(lam), 1.0) if lam > 0.0 else 1.0
+    slope_scale = max(math.sqrt(lam), 1.0)
     cap_tol = CAPTURE_TOL if lam > 0.0 else CAPTURE_TOL_ZERO
 
     def ev_capture(x, y):
@@ -418,39 +423,29 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     vals[:k] = y[0, :k]
     if captured:
         vals[k:] = _tail_value(params, lam, u_end, x[k:] - x_end)
-        capture_x = x_end
-        outcome = "decayed"
+        capture_x, outcome = x_end, "decayed"
     else:
         vals[k:] = 0.0
         capture_x = None
-        if crossed:
-            outcome = "crossed_zero"
-        elif rebounded:
-            outcome = "rebounded"
-        else:
-            outcome = "no_event"
+        outcome = "crossed_zero" if crossed else "rebounded" if rebounded else "no_event"
 
     # first-integral drift along the numeric part of the trajectory
     H = dd ** 2 - lam * uu ** 2 - (2.0 / p) * np.abs(uu) ** p
     scale = lam * u0 ** 2 + (2.0 / p) * u0 ** p
     drift = float(np.max(np.abs(H - H[0]))) / scale
 
-    stayed_positive = outcome in ("decayed", "no_event") and np.all(vals >= 0.0)
-    if outcome == "decayed":
-        dx = L - capture_x
-        uL = float(_tail_value(params, lam, u_end, dx))
+    stayed_positive = outcome in ("decayed", "no_event") and bool(np.all(vals >= 0.0))
+    decay_ok = False
+    if captured and stayed_positive:
+        # the far-end gate, read on the decay law's tail
+        uL = float(_tail_value(params, lam, u_end, L - x_end))
         duL = math.sqrt(lam) * uL if lam > 0.0 \
             else math.sqrt(2.0 / p) * uL ** (p / 2.0)
-        gate = uL + duL <= DECAY_GATE * u0
-    elif outcome == "no_event":
-        uL, duL = sol.sol(L)
-        gate = abs(uL) + abs(duL) <= DECAY_GATE * u0
-    else:
-        gate = False
+        decay_ok = uL + duL <= DECAY_GATE * u0
 
     profile = GridProfile(L, n, vals if stayed_positive else np.maximum(vals, 0.0))
-    return ShootingResult(decay_ok=bool(gate and stayed_positive), profile=profile,
-                          outcome=outcome, first_integral_drift=drift, capture_x=capture_x)
+    return ShootingResult(decay_ok=decay_ok, profile=profile, outcome=outcome,
+                          first_integral_drift=drift, capture_x=capture_x)
 
 
 def shooting_sup_distance(point: BranchPoint, result: ShootingResult) -> float:

@@ -40,19 +40,19 @@ def exp_in_range(x: float, name: str) -> float:
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One stationary state: branch coordinate, frequency, offset, peak value.
+    """One stationary state: branch offset d = t - 1, frequency lam, profile
+    offset a and peak value u0.
 
+    d in (0, inf] is the one stored branch coordinate, at full relative
+    precision (t alone cannot represent coordinates within ~1e-16 of 1);
+    t = 1 + d is read from it, and consumers that evaluate t^2 - 1 must use
+    d * (d + 2).
     For lambda > 0: t = coth((p-2) sqrt(lambda) a / 2) and
     u0 = ((p lambda / 2)(t^2 - 1))^(1/(p-2)).
-    For lambda = 0: t = inf and the offset a solves the algebraic vertex
+    For lambda = 0: d = t = inf and the offset a solves the algebraic vertex
     condition of the power-law profile.
-
-    `d` carries t - 1 at full relative precision (t alone cannot represent
-    coordinates within ~1e-16 of 1); consumers that evaluate t^2 - 1 must
-    use d * (d + 2).
     """
 
-    t: float
     lam: float
     a: float
     u0: float
@@ -60,8 +60,12 @@ class BranchPoint:
     d: float
 
     @property
+    def t(self) -> float:
+        return 1.0 + self.d
+
+    @property
     def zero_frequency(self) -> bool:
-        return math.isinf(self.t)
+        return math.isinf(self.d)
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,6 @@ def branch_point_from_t(params: Params, lam: float, *, d: float) -> BranchPoint:
     d = algebra.branch_offset(d)
     if math.isinf(d):
         raise ValueError("the t = inf state has lambda = 0: use zero_frequency_point")
-    t = 1.0 + d
     p = params.p
     sq = math.sqrt(lam)
     # atanh(1/t) = ln(1 + 2/d) / 2, exact for large d and for d near 0
@@ -94,7 +97,7 @@ def branch_point_from_t(params: Params, lam: float, *, d: float) -> BranchPoint:
     # logs keep u0 representable when d (d + 2) underflows
     u0 = exp_in_range((math.log(0.5 * p * lam) + math.log(d) + math.log(d + 2.0))
                       / (p - 2.0), "u0")
-    return BranchPoint(t=t, lam=lam, a=a, u0=u0, params=params, d=d)
+    return BranchPoint(lam=lam, a=a, u0=u0, params=params, d=d)
 
 
 def zero_frequency_point(params: Params) -> BranchPoint:
@@ -105,13 +108,14 @@ def zero_frequency_point(params: Params) -> BranchPoint:
     if params.diagonal:
         raise ValueError("zero-frequency states do not exist on the diagonal")
     # a^((2q-p-2)/(p-2)) = (p-2) c_p^(q-2) / 4 and u0 = c_p a^(-2/(p-2)), in
-    # logs: near p = 2 c_p leaves double range while a and u0 do not
+    # logs: near p = 2 c_p leaves double range while a and u0 do not; half
+    # of 2q - p - 2 is formed as q - p/2 - 1, finite for every finite q
     log_cp = algebra.log_c_p(params)
-    log_a = (math.log(0.25 * (p - 2.0)) + (q - 2.0) * log_cp) \
-        * (p - 2.0) / (2.0 * q - p - 2.0)
+    log_a = 0.5 * (math.log(0.25 * (p - 2.0)) + (q - 2.0) * log_cp) \
+        * (p - 2.0) / (q - 0.5 * p - 1.0)
     a = exp_in_range(log_a, "a")
     u0 = exp_in_range(log_cp - 2.0 / (p - 2.0) * log_a, "u0")
-    return BranchPoint(t=math.inf, lam=0.0, a=a, u0=u0, params=params, d=math.inf)
+    return BranchPoint(lam=0.0, a=a, u0=u0, params=params, d=math.inf)
 
 
 def lambda_bar(params: Params) -> float | None:

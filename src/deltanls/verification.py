@@ -11,6 +11,7 @@ cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -31,11 +32,29 @@ class CheckResult:
     seconds: float
 
 
-def _result(name: str, claim: str, failures: list[str], detail: str,
-            t0: float) -> CheckResult:
-    if failures:
-        detail = detail + " | FAILURES: " + "; ".join(failures)
-    return CheckResult(name, not failures, claim, detail, time.perf_counter() - t0)
+def _check(claim: str):
+    """Make body(fails) -> detail a check of the battery that states claim.
+
+    The check is named from its function (check_flow_vs_branch is
+    flow-vs-branch) and timed from its call to its result; the body appends
+    each failure to the list it is handed, and the check passes iff it
+    appends none.
+    """
+    def decorate(body):
+        name = body.__name__[len("check_"):].replace("_", "-")
+
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            t0 = time.perf_counter()
+            fails: list[str] = []
+            detail = body(fails)
+            if fails:
+                detail += " | FAILURES: " + "; ".join(fails)
+            return CheckResult(name, not fails, claim, detail, time.perf_counter() - t0)
+
+        return check
+
+    return decorate
 
 
 def _aitken_limit(seq: list[float]) -> float:
@@ -59,9 +78,10 @@ _QUADRATURE_POINTS = ((2.5, 1.3), (3.0, 40.0), (10.0 / 3.0, 7.0), (2.8, 3e3),
                       (4.5, 1.9), (5.999, 200.0), (6.0, 11.0), (8.0, 2.5), (12.0, 1e4))
 
 
-def check_exact_branch_regression() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("p=4, q=2.5: fold at 1/32, the two states at lambda=3/128 sit at "
+        "t=2/sqrt(3) and t=2, mu(2)=sqrt(6)/4, zero-frequency mass sqrt(2); "
+        "the closed-form I(t) matches adaptive quadrature")
+def check_exact_branch_regression(fails: list[str]) -> str:
     P = Params(4.0, 2.5)
     lb = stationary.lambda_bar(P)
     if abs(lb - 1.0 / 32.0) > 1e-12:
@@ -89,17 +109,13 @@ def check_exact_branch_regression() -> CheckResult:
         gap = max(gap, abs(closed / algebra.I_of_t_quadrature(P3, d=d)[0] - 1.0))
     if gap > 1e-9:
         fails.append(f"closed-form I(t) and quadrature differ by {gap:.3g} relative")
-    detail = (f"lambda_bar={lb:.17g} mu(2)={mu2:.17g} mu0={mu0:.17g} "
-              f"I-quadrature gap={gap:.3g} (bound 1e-9)")
-    claim = ("p=4, q=2.5: fold at 1/32, the two states at lambda=3/128 sit at "
-             "t=2/sqrt(3) and t=2, mu(2)=sqrt(6)/4, zero-frequency mass sqrt(2); "
-             "the closed-form I(t) matches adaptive quadrature")
-    return _result("exact-branch-regression", claim, fails, detail, t0)
+    return (f"lambda_bar={lb:.17g} mu(2)={mu2:.17g} mu0={mu0:.17g} "
+            f"I-quadrature gap={gap:.3g} (bound 1e-9)")
 
 
-def check_multiplicity_window() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("p=4, q=3.5: the mass map dips to 16*sqrt(6)/9 at t=2; masses "
+        "above the dip and below the plateau carry two states, below it none")
+def check_multiplicity_window(fails: list[str]) -> str:
     P = Params(4.0, 3.5)
     y_min, mu_min, _ = massmap.branch_minimum(P)
     t_min = 1.0 + math.exp(y_min)
@@ -121,17 +137,14 @@ def check_multiplicity_window() -> CheckResult:
     n43 = len(massmap.normalized_solutions(P, 4.3))
     if n43 != 0:
         fails.append(f"mass 4.3 carries {n43} states, expected 0")
-    detail = (f"mu_min={mu_min:.12g} at t={t_min:.12g}, "
-              f"counts: mu=5 -> {n5}, mu=4.3 -> {n43}, "
-              f"two-route gap={gap:.3g} (bound 1e-8)")
-    claim = ("p=4, q=3.5: the mass map dips to 16*sqrt(6)/9 at t=2; masses "
-             "above the dip and below the plateau carry two states, below it none")
-    return _result("multiplicity-window", claim, fails, detail, t0)
+    return (f"mu_min={mu_min:.12g} at t={t_min:.12g}, "
+            f"counts: mu=5 -> {n5}, mu=4.3 -> {n43}, "
+            f"two-route gap={gap:.3g} (bound 1e-8)")
 
 
-def check_mass_two_threshold() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("q=4: the branch mass tends to 2 at the small-t end; for p=8 "
+        "masses below 2 carry no state and masses just above carry one")
+def check_mass_two_threshold(fails: list[str]) -> str:
     limits = {}
     for p in (5.0, 8.0):
         P = Params(p, 4.0)
@@ -148,16 +161,14 @@ def check_mass_two_threshold() -> CheckResult:
         fails.append(f"p=8, q=4: mass 1.9 carries {n_below} states, expected 0")
     if n_above != 1:
         fails.append(f"p=8, q=4: mass 2.1 carries {n_above} states, expected 1")
-    detail = (f"extrapolated limits: p=5 -> {limits[5.0]:.8f}, "
-              f"p=8 -> {limits[8.0]:.8f}; counts 1.9 -> {n_below}, 2.1 -> {n_above}")
-    claim = ("q=4: the branch mass tends to 2 at the small-t end; for p=8 "
-             "masses below 2 carry no state and masses just above carry one")
-    return _result("mass-two-threshold", claim, fails, detail, t0)
+    return (f"extrapolated limits: p=5 -> {limits[5.0]:.8f}, "
+            f"p=8 -> {limits[8.0]:.8f}; counts 1.9 -> {n_below}, 2.1 -> {n_above}")
 
 
-def check_diagonal_regime() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("diagonal q=p/2+1: states exist only for p>8 (t=sqrt(2) at p=16), "
+        "mass scales like lambda^(-5/14) at p=16, branch energies stay "
+        "positive, and p=8 carries nothing")
+def check_diagonal_regime(fails: list[str]) -> str:
     P = Params(16.0, 9.0)
     exists, tdiag = stationary.diagonal_exists(P)
     if not exists or abs(tdiag - math.sqrt(2.0)) > 1e-12:
@@ -178,11 +189,7 @@ def check_diagonal_regime() -> CheckResult:
         cnt = stationary.solve_for_lambda(Params(8.0, 5.0), lam).count
         if cnt != 0:
             fails.append(f"p=8, q=5: lambda={lam} carries {cnt} states, expected 0")
-    detail = f"t={tdiag:.17g} slope={slope:.12g} energies={[f'{e:.6g}' for e in energies]}"
-    claim = ("diagonal q=p/2+1: states exist only for p>8 (t=sqrt(2) at p=16), "
-             "mass scales like lambda^(-5/14) at p=16, branch energies stay "
-             "positive, and p=8 carries nothing")
-    return _result("diagonal-regime", claim, fails, detail, t0)
+    return f"t={tdiag:.17g} slope={slope:.12g} energies={[f'{e:.6g}' for e in energies]}"
 
 
 def _oracle_points() -> list[tuple[str, stationary.BranchPoint]]:
@@ -214,9 +221,10 @@ def _first_integral_residual(point: stationary.BranchPoint, x) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def check_oracle_equivalence() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("shooting from the vertex data reproduces every closed-form "
+        "profile to 1e-6, grid quadrature matches closed-form mass and "
+        "energy to 1e-6, vertex and conservation residuals below 1e-8")
+def check_oracle_equivalence(fails: list[str]) -> str:
     points = _oracle_points()
     if len(points) < 12:
         fails.append(f"only {len(points)} branch states collected")
@@ -255,18 +263,16 @@ def check_oracle_equivalence() -> CheckResult:
         resid_worst = max(resid_worst, vres, fres)
         if vres > 1e-8 or fres > 1e-8:
             fails.append(f"{tag}: residuals vertex={vres:.3g} first-integral={fres:.3g}")
-    detail = (f"{len(points)} states; worst: sup={sup_worst:.3g} (bound 1e-6) "
-              f"mass={mass_worst:.3g} (bound 1e-6) energy={en_worst:.3g} (bound 1e-6) "
-              f"residual={resid_worst:.3g} (bound 1e-8)")
-    claim = ("shooting from the vertex data reproduces every closed-form "
-             "profile to 1e-6, grid quadrature matches closed-form mass and "
-             "energy to 1e-6, vertex and conservation residuals below 1e-8")
-    return _result("oracle-equivalence", claim, fails, detail, t0)
+    return (f"{len(points)} states; worst: sup={sup_worst:.3g} (bound 1e-6) "
+            f"mass={mass_worst:.3g} (bound 1e-6) energy={en_worst:.3g} (bound 1e-6) "
+            f"residual={resid_worst:.3g} (bound 1e-8)")
 
 
-def check_energy_level_shape() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("the level curve is non-positive and non-increasing, constant "
+        "past the zero-frequency mass in region A, bounded with shrinking "
+        "decrements for large mass in region B, and switches from concave "
+        "to convex exactly once")
+def check_energy_level_shape(fails: list[str]) -> str:
     PA = Params(4.0, 2.5)
     mu_grid = [0.05, 0.1, 0.2, 0.29, 0.4, 0.6, 0.9, 1.2, 1.35, math.sqrt(2.0),
                1.5, 2.0, 3.0]
@@ -294,13 +300,8 @@ def check_energy_level_shape() -> CheckResult:
         if abs(rep.mu_bar - rep.lambda_peak_mass) > 2.0 * rep.crossing_gap + 1e-9:
             fails.append(f"p={P.p}: curvature flip {rep.mu_bar} far from "
                          f"multiplier peak {rep.lambda_peak_mass}")
-    detail = (f"plateau={plateau:.12g}; tail={['%.10g' % x for x in eb]} "
-              f"gap_ratio={gap_ratio:.3g}; flips={flips}")
-    claim = ("the level curve is non-positive and non-increasing, constant "
-             "past the zero-frequency mass in region A, bounded with shrinking "
-             "decrements for large mass in region B, and switches from concave "
-             "to convex exactly once")
-    return _result("energy-level-shape", claim, fails, detail, t0)
+    return (f"plateau={plateau:.12g}; tail={['%.10g' % x for x in eb]} "
+            f"gap_ratio={gap_ratio:.3g}; flips={flips}")
 
 
 def _multiplier_consistency(params: Params, mu: float, step: float) -> float:
@@ -327,9 +328,9 @@ def _multiplier_consistency(params: Params, mu: float, step: float) -> float:
     return abs(deriv + center.lam / 2.0)
 
 
-def check_multiplier_identity() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("the slope of the level curve equals minus half the multiplier "
+        "of the minimizing state at interior masses")
+def check_multiplier_identity(fails: list[str]) -> str:
     worst = 0.0
     cases = {Params(4.0, 2.5): (0.2, 0.4, 0.6, 0.9, 1.2),
              Params(8.0, 3.0): (0.5, 1.0, 2.0, 5.0, 10.0)}
@@ -339,9 +340,7 @@ def check_multiplier_identity() -> CheckResult:
             worst = max(worst, resid)
             if resid > 1e-5:
                 fails.append(f"(p={P.p}, q={P.q}, mu={mu}): residual {resid:.3g}")
-    claim = ("the slope of the level curve equals minus half the multiplier "
-             "of the minimizing state at interior masses")
-    return _result("multiplier-identity", claim, fails, f"worst residual {worst:.3g}", t0)
+    return f"worst residual {worst:.3g}"
 
 
 def _probe_min_energy(params: Params, mu: float) -> float:
@@ -378,9 +377,9 @@ def _probe_min_energy(params: Params, mu: float) -> float:
     return float(np.min(finite))
 
 
-def check_unboundedness_probes() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("trial families drive the energy below -1e6 exactly in the "
+        "unbounded regimes, and stay above the level curve elsewhere")
+def check_unboundedness_probes(fails: list[str]) -> str:
     must_descend = [(3.0, 5.0, 1.0), (5.0, 4.0, 3.0), (4.0, 6.0, 1.0)]
     must_stay = [(4.0, 2.5, 1.0), (8.0, 4.5, 1.0)]
     mins = {}
@@ -395,9 +394,7 @@ def check_unboundedness_probes() -> CheckResult:
     floorA = energy.groundstate_energy(Params(4.0, 2.5), 1.0).value
     if mins[(4.0, 2.5)] < floorA - 1e-9:
         fails.append(f"bounded probe dips below the level curve: {mins[(4.0, 2.5)]} < {floorA}")
-    claim = ("trial families drive the energy below -1e6 exactly in the "
-             "unbounded regimes, and stay above the level curve elsewhere")
-    return _result("unboundedness-probes", claim, fails, f"minima: {mins}", t0)
+    return f"minima: {mins}"
 
 
 def _gn_margin(point: stationary.BranchPoint) -> float:
@@ -407,9 +404,9 @@ def _gn_margin(point: stationary.BranchPoint) -> float:
     return math.sqrt(massmap.profile_mass_quadrature(point) * grad_sq) - point.u0 ** 2
 
 
-def check_gn_inequality() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("peak^2 <= L2 norm * gradient norm holds with margin on every "
+        "materialized profile")
+def check_gn_inequality(fails: list[str]) -> str:
     points = [pt for _, pt in _oracle_points()]
     points.append(stationary.zero_frequency_point(Params(4.0, 2.5)))
     for pt in stationary.solve_for_lambda(Params(4.0, 3.5), 1.0).points:
@@ -421,15 +418,13 @@ def check_gn_inequality() -> CheckResult:
         if margin < 0.0:
             fails.append(f"(p={pt.params.p}, q={pt.params.q}, t={pt.t:.6g}): "
                          f"margin {margin:.3g} < 0")
-    claim = ("peak^2 <= L2 norm * gradient norm holds with margin on every "
-             "materialized profile")
-    return _result("gn-inequality", claim, fails,
-                   f"{len(points)} profiles, smallest margin {worst:.6g}", t0)
+    return f"{len(points)} profiles, smallest margin {worst:.6g}"
 
 
-def check_mass_monotonicity() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("the mass map is strictly increasing in the covered strips "
+        "(h > 0), and for p=4, q=3.5 its derivative changes sign exactly "
+        "once, at t=2")
+def check_mass_monotonicity(fails: list[str]) -> str:
     ys = np.linspace(-14.0, math.log(99.0), 1000)
     for p, q in ((4.0, 2.5), (8.0, 3.0), (8.0, 4.0), (3.0, 4.5)):
         P = Params(p, q)
@@ -445,11 +440,7 @@ def check_mass_monotonicity() -> CheckResult:
     t_min = 1.0 + math.exp(massmap.branch_minimum(P).y)
     if abs(t_min - 2.0) > 1e-10:
         fails.append(f"(4, 3.5): root {t_min} != 2")
-    claim = ("the mass map is strictly increasing in the covered strips "
-             "(h > 0), and for p=4, q=3.5 its derivative changes sign exactly "
-             "once, at t=2")
-    return _result("mass-monotonicity", claim, fails,
-                   f"root at {t_min:.15g}", t0)
+    return f"root at {t_min:.15g}"
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +471,10 @@ def _region_membership(p: float, q: float) -> list[str]:
     return tags
 
 
-def check_region_partition() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("the nine regions tile the admissible quadrant: every sampled "
+        "exponent pair lies in exactly one region, boundary lines "
+        "included on the printed sides")
+def check_region_partition(fails: list[str]) -> str:
     rng = np.random.default_rng(20240817)
     pts = 2.01 + rng.random((10000, 2)) * (12.0 - 2.01)
     bad = 0
@@ -500,45 +492,36 @@ def check_region_partition() -> CheckResult:
         got = classify(Params(p, q)).value
         if got != want:
             fails.append(f"boundary ({p}, {q}): {got} != {want}")
-    claim = ("the nine regions tile the admissible quadrant: every sampled "
-             "exponent pair lies in exactly one region, boundary lines "
-             "included on the printed sides")
-    return _result("region-partition", claim, fails, "10000 samples + 6 boundary points", t0)
+    return "10000 samples + 6 boundary points"
 
 
-def check_flow_vs_branch() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("the mass-constrained gradient flow lands on the branch level "
+        "to 1e-4 with a non-increasing energy trace")
+def check_flow_vs_branch(fails: list[str]) -> str:
     P = Params(4.0, 2.5)
     mu = 0.3
     gs = energy.groundstate_energy(P, mu)
-    L = max(50.0, 20.0 / math.sqrt(gs.lam))
-    prof0 = oracle.make_initial_profile(mu, L, 1500, width=3.0)
+    prof0 = oracle.make_initial_profile(mu, oracle.default_domain(gs.lam), 1500, width=3.0)
     _, trace = oracle.constrained_minimize(P, mu, prof0, max_iters=120000)
     diff = abs(trace[-1] - gs.value)
     if diff > 1e-4:
         fails.append(f"flow level {trace[-1]} vs branch level {gs.value}")
     if any(b - a > 0.0 for a, b in zip(trace, trace[1:])):
         fails.append("energy trace increased")
-    claim = ("the mass-constrained gradient flow lands on the branch level "
-             "to 1e-4 with a non-increasing energy trace")
-    return _result("flow-vs-branch", claim, fails,
-                   f"flow={trace[-1]:.8g} branch={gs.value:.8g} "
-                   f"diff={diff:.2g} (bound 1e-4) steps={len(trace) - 1}", t0)
+    return (f"flow={trace[-1]:.8g} branch={gs.value:.8g} "
+            f"diff={diff:.2g} (bound 1e-4) steps={len(trace) - 1}")
 
 
-def check_probe_flow() -> CheckResult:
-    t0 = time.perf_counter()
-    fails: list[str] = []
+@_check("the discrete flow itself falls below -1e6 in an unbounded regime "
+        "when seeded past the collapse barrier")
+def check_probe_flow(fails: list[str]) -> str:
     P = Params(3.0, 5.0)
     n = 4000
     prof0 = oracle.make_initial_profile(1.0, 5.0, n, width=5.0 / n * 10.0)
     _, trace = oracle.constrained_minimize(P, 1.0, prof0, max_iters=60000)
     if not trace[-1] < oracle.FLOW_DIVERGENCE_FLOOR:
         fails.append(f"flow probe stayed at {trace[-1]}")
-    claim = ("the discrete flow itself falls below -1e6 in an unbounded regime "
-             "when seeded past the collapse barrier")
-    return _result("probe-flow", claim, fails, f"final={trace[-1]:.3g}", t0)
+    return f"final={trace[-1]:.3g}"
 
 
 QUICK_CHECKS = [

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -184,6 +185,38 @@ def test_constants_exact_values():
     assert 2.0 ** algebra.log2_c_pq(P435) == pytest.approx(2.0 ** 2.5, abs=1e-14)
     assert algebra.mu0(P435) == pytest.approx(2.0 ** 2.5, abs=1e-14)
     assert algebra.mu0(P83) is None
+
+
+def _direct_exponents(p, q):
+    """The mass-map exponents with every term formed as written."""
+    denom = 2.0 * q - p - 2.0
+    e = (6.0 - p) / denom
+    log2_p = (q - 4.0) * math.log2(p)
+    return (e, e * (q - 2.0) / (p - 2.0), (q - 4.0) / denom,
+            (3.0 * (q - p + 2.0) + log2_p) / denom - math.log2(p - 2.0),
+            (6.0 - p + log2_p) / denom)
+
+
+def test_mass_exponents_are_the_direct_quotients_bit_for_bit():
+    # mass_exponents scales its terms by 2^-11 so that none overflows; where
+    # the direct terms are finite every exponent is theirs, bit for bit
+    rng = np.random.default_rng(25)
+    pairs = 2.0 + 10.0 ** rng.uniform(-15.0, 300.0, (4000, 2))
+    near_diagonal = [(p, p / 2.0 + 1.0 + s) for p in (3.0, 5.0, 10.0, 30.0)
+                     for s in (-1e-9, 1e-12, 3e-6)]
+    for p, q in [*pairs, *near_diagonal, (4.0, 2.5), (8.0, 3.0)]:
+        got = [v.hex() for v in algebra.mass_exponents(Params(float(p), float(q)))]
+        assert got == [v.hex() for v in _direct_exponents(float(p), float(q))], (p, q)
+
+
+@pytest.mark.parametrize("q", [2e307, 5e307, 9e307, 1e308, 1.79e308, sys.float_info.max])
+def test_mass_exponents_stay_finite_at_huge_q(q):
+    # 3 (q - p + 2) and 2q - p - 2 once overflowed from about q = 5e307 and
+    # 9e307: log2 mu0 went to inf, then nan, and log_g(., 1) to nan
+    P = Params(4.0, q)
+    assert all(math.isfinite(v) for v in algebra.mass_exponents(P))
+    assert algebra.log2_mu0(P) == pytest.approx(1.5, rel=1e-15)
+    assert algebra.log_g(P, 1.0) == pytest.approx(0.5 * (q - 4.0) * math.log(2.0), rel=1e-15)
 
 
 def test_constants_mu0_identity():

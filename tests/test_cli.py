@@ -282,6 +282,42 @@ def test_non_finite_input_is_refused_by_name(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--p", "4", "--q", "2.5", "--lambda", "-1e-3"),
+     "no stationary states exist for lambda < 0"),
+    (("solve", "--p", "4", "--q", "2.5", "--lambda", "-inf"), "need a finite lambda, got -inf"),
+    (("solve", "--p", "4", "--q", "2.5", "--mass", "-1e3"), "need a finite mu > 0, got -1000.0"),
+    (("classify", "--p", "-1e3", "--q", "3"), "need p > 2 and q > 2, got p=-1000.0, q=3.0"),
+    (("curves", "--p", "4", "--q", "2.5", "--which", "energy", "--range", "-1:2:3"),
+     "need a finite mu > 0, got -1.0"),
+], ids=["lambda-exponent", "lambda-minus-inf", "mass-exponent", "p-exponent", "range"])
+def test_negative_value_given_as_its_own_argument_is_read(tmp_path, capsys, argv, message):
+    # argparse once took each of these values for an option and exited 2
+    # with its usage block and "expected one argument"; each now gets the
+    # refusal its --option=value form gets
+    k = next(i for i, a in enumerate(argv) if a.startswith("-") and not a.startswith("--"))
+    joined = argv[:k - 1] + (f"{argv[k - 1]}={argv[k]}",) + argv[k + 1:]
+    for args in (argv, joined):
+        code, out, err = run(capsys, *args, "--out", str(tmp_path / "out.csv"))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_huge_q_reads_the_finite_mass_map(capsys):
+    # the mass-map exponents once overflowed from about q = 5e307: mu0 = inf,
+    # and solve --mass refused by name at 5e307 (the overflowed mu0 asked for
+    # t - 1 below 2.2e-308) but found no states at 1e308; mu0 tends to 2^1.5
+    code, out, _ = run(capsys, "classify", "--p", "4", "--q", "1e308")
+    assert code == 0
+    assert "mu0 = 2.8284271247461903  [closed-form]\n" in out
+    rows = []
+    for q in ("2e307", "5e307", "1e308"):
+        code, out, err = run(capsys, "solve", "--p", "4", "--q", q, "--mass", "1")
+        assert (code, err) == (0, "")
+        rows.append(out.splitlines()[1].split(",")[:5])   # t, lambda, a, u0, mass
+    assert rows[0] == rows[1] == rows[2]
+
+
 def test_refusal_exits_4(capsys):
     # a state outside double range is an honest refusal, not a library defect
     code, out, err = run(capsys, "solve", "--p", "8.5", "--q", "5.25", "--mass", "1e-200")

@@ -563,3 +563,29 @@ def test_stepper_nfev_counts_every_rhs_call(monkeypatch):
     for params, lam, u0, L in _shots():
         oracle.shoot(params, lam, u0, L=L)
     assert sum(totals[:14]) == 15970
+
+
+def test_only_a_decayed_shot_can_pass_the_decay_gate(monkeypatch):
+    # shoot reads the far-end gate on the decay law's tail alone: a shot that
+    # ends without an event stops with u - u'/s above the capture radius
+    # (s = max(sqrt(lambda), 1)), so |u| + |u'| there is above CAPTURE_TOL u0,
+    # far above the gate's DECAY_GATE u0
+    solve_ivp = oracle.solve_ivp
+    solves = []
+
+    def recording_ivp(*args, **kwargs):
+        solves.append(solve_ivp(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(oracle, "solve_ivp", recording_ivp)
+    verdicts, no_event = set(), 0
+    for params, lam, u0, L in _shots():
+        res = oracle.shoot(params, lam, u0, L=L)
+        verdicts.add((res.outcome, res.decay_ok))
+        if res.outcome == "no_event":
+            u, v = solves[-1].y[:, -1]
+            assert u - v / max(math.sqrt(lam), 1.0) > oracle.CAPTURE_TOL * u0
+            assert abs(u) + abs(v) > oracle.CAPTURE_TOL * u0 > oracle.DECAY_GATE * u0
+            no_event += 1
+    assert all(outcome == "decayed" for outcome, ok in verdicts if ok)
+    assert ("decayed", True) in verdicts and no_event == 1
