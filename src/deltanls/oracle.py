@@ -1,23 +1,16 @@
-"""Independent brute-force checks: shooting, grid functionals, gradient flow.
+"""Independent brute-force checks: shooting, profile quadrature, grid
+functionals, gradient flow.
 
-Nothing here trusts the closed forms.  The shooter integrates the radial
-ODE u'' = lambda u + |u|^(p-2) u from the vertex data (u0, -u0^(q-1)/2)
-outward; one discrete functional (the piecewise-linear interpolant, its
-kinetic term exact and its mass and bulk terms by the trapezoidal rule)
-evaluates sampled profiles; the constrained minimizer runs a backward-Euler
-normalized gradient flow on that functional at fixed mass.
-
-Grid sampling and the functional run over blocks of BLOCK nodes, so their
-temporaries stay block-sized however fine the grid.  One kernel of block sums
-(:func:`_grid_functional`) forms the functional from array slices (the flow,
-:func:`functional_eval`), summing every node, or from closed-form samples
-streamed block by block (:func:`sampled_functional`, which never holds the
-whole grid).  A closed-form state is positive, decreasing and convex, so
-each of the stream's three sums stops forming its term at the first block
-past which the rest of the grid provably cannot change a bit of it; the
-stream ends once all three have stopped, and reads the last node alone.
-The flow solves its symmetric positive definite tridiagonal system by
-LDL^T (LAPACK dptsv).
+Nothing here trusts the closed-form matching, mass or energy.  The shooter
+integrates the radial ODE u'' = lambda u + |u|^(p-2) u from the vertex data
+(u0, -u0^(q-1)/2) outward; the mass and energy pieces of a closed-form
+profile are integrated directly, by panel Gauss-Legendre quadrature with an
+error estimate (:func:`profile_functional`); one discrete functional (the
+piecewise-linear interpolant, its kinetic term exact and its mass and bulk
+terms by the trapezoidal rule) evaluates sampled profiles; the constrained
+minimizer runs a backward-Euler normalized gradient flow on that functional
+at fixed mass, and solves its symmetric positive definite tridiagonal system
+by LDL^T (LAPACK dptsv).
 
 Shooting detail: the decaying orbit is a saddle connection, so forward
 integration in double precision is eventually taken over by the growing
@@ -38,6 +31,7 @@ at once, one component and one coefficient row at a time
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,7 +42,8 @@ from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseO
 from scipy.linalg.lapack import dptsv
 
 from .params import Params
-from .stationary import BranchPoint, EnergyBreakdown, profile as analytic_profile
+from .stationary import BranchPoint, EnergyBreakdown, profile as analytic_profile, \
+    profile_derivative
 
 #: Relative (to u0) capture radius of the saddle neighbourhood.  Forward
 #: noise grows like exp(sqrt(lambda) x); 1e-5 is reached a safe margin
@@ -66,9 +61,6 @@ SHOOT_RTOL = 1e-12
 #: Relative energy drop below which a flow step counts as stalled (eight
 #: stalled steps in a row end the flow).
 STALL_REL = 1e-10
-#: Own nodes per block of the grid kernels (sampling and the discrete
-#: functional): 256 KB per float temporary on any grid.
-BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -112,43 +104,69 @@ def default_domain(lam: float) -> float:
     return 1e3
 
 
-def _blocks(n_nodes: int):
-    """(start, stop) of the blocks of a grid of n_nodes nodes.
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """Nodes and weights on [-1, 1] of the 40-point Gauss-Legendre rule and
+    of the 20-point rule of its error estimate, formed on first use (leggauss
+    solves an eigenproblem, whose first LAPACK call adds about 1 MB to the
+    resident set of every process that imports the module)."""
+    return np.polynomial.legendre.leggauss(40), np.polynomial.legendre.leggauss(20)
 
-    Each block holds BLOCK own nodes (fewer in the last) followed by the
-    first node of the next block, so consecutive blocks overlap by one node.
+
+def _gauss_legendre_panels(integrand, ell: float, end: float):
+    """(integrals, estimates) over [0, end] of the rows of integrand(x).
+
+    The panels are [0, ell], then panels growing x4 up to end.  Each
+    integral is the 40-point Gauss-Legendre rule summed over the panels, and
+    its estimate is |I40 - I20| against the 20-point rule on the same
+    panels.  integrand is called once, on the nodes of both rules, and
+    returns one row per integral.
     """
-    for k in range(0, n_nodes, BLOCK):
-        yield k, min(k + BLOCK + 1, n_nodes)
+    cuts = [0.0, min(ell, end)]
+    while 0.0 < cuts[-1] < end:   # an ell that underflows to 0 integrates to 0
+        cuts.append(min(4.0 * cuts[-1], end))
+    lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
+    mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
+    (x40, w40), (x20, w20) = _gauss_legendre()
+    nodes = (mid + half * x40).ravel()
+    rows = integrand(np.concatenate([nodes, (mid + half * x20).ravel()]))
+    fine = rows[:, :nodes.size] @ (half * w40).ravel()
+    coarse = rows[:, nodes.size:] @ (half * w20).ravel()
+    return fine, np.abs(fine - coarse)
 
 
-def _slices(u: np.ndarray):
-    """The blocks of the nodal array u, as views (u itself if it is one block)."""
-    if len(u) <= BLOCK:
-        return (u,)
-    return (u[k:stop] for k, stop in _blocks(len(u)))
+def profile_functional(point: BranchPoint, L: float):
+    """(mass, EnergyBreakdown, estimate) of a closed-form state on [-L, L].
 
-
-def _profile_blocks(point: BranchPoint, L: float, n: int):
-    """The blocks of a branch state sampled on n + 1 uniform nodes of [0, L].
-
-    The nodes k * (L / n), with the last one set to L, are those of
-    np.linspace(0, L, n + 1) bit for bit.
+    The mass 2 int u^2, the kinetic term int u'^2 and the bulk term
+    (2/p) int u^p over [0, L] come from :func:`_gauss_legendre_panels`, with
+    u and u' evaluated once, at all its nodes.  The first panel is the
+    length over which u^2 falls by e at the origin: (p-2) tanh(kappa a) /
+    (4 kappa), kappa = (p-2) sqrt(lambda) / 2, and (p-2) a / 4 at zero
+    frequency.  The point term is u(0)^q / q.  estimate is the largest
+    relative error estimate of the three integrals.
     """
-    step = L / n
-    for k, stop in _blocks(n + 1):
-        x = np.arange(k, stop) * step
-        if stop == n + 1:
-            x[-1] = L
-        yield analytic_profile(point, x)
+    p, q = point.params.p, point.params.q
+    if point.zero_frequency:
+        ell = 0.25 * (p - 2.0) * point.a
+    else:
+        kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
+        ell = 0.25 * (p - 2.0) * math.tanh(kappa * point.a) / kappa
+
+    def integrand(x):
+        u = analytic_profile(point, x)
+        return np.array([u * u, profile_derivative(point, x) ** 2, u ** p])
+
+    integrals, estimates = _gauss_legendre_panels(integrand, ell, L)
+    usq, dusq, upow = integrals.tolist()
+    mass, eb = _breakdown(2.0 * usq, dusq, (2.0 / p) * upow,
+                          analytic_profile(point, 0.0) ** q / q)
+    return mass, eb, float(np.max(estimates / integrals))
 
 
 def sample_profile(point: BranchPoint, L: float, n: int) -> GridProfile:
     """Materialize a branch state on a uniform grid (closed-form sampling)."""
-    values = np.empty(n + 1)
-    for k, block in zip(range(0, n + 1, BLOCK), _profile_blocks(point, L, n)):
-        values[k:k + BLOCK] = block[:BLOCK]
-    return GridProfile(L, n, values)
+    return GridProfile(L, n, analytic_profile(point, np.linspace(0.0, L, n + 1)))
 
 
 def functional_eval(params: Params, profile: GridProfile):
@@ -157,23 +175,7 @@ def functional_eval(params: Params, profile: GridProfile):
     The discrete functional of :func:`discrete_energy` and
     :func:`discrete_mass`, split into its kinetic, bulk and point terms.
     """
-    return _breakdown(*_grid_functional(_slices(profile.values), profile.h, params))
-
-
-def sampled_functional(point: BranchPoint, L: float, n: int):
-    """functional_eval(point.params, sample_profile(point, L, n)), bit for bit.
-
-    The closed-form samples are formed and summed one block at a time, so
-    no array of the whole grid is built, and the sums stop at the first
-    block past which the rest of the grid provably rounds away (the rule
-    and its proof are in :func:`_grid_functional`); the last node is then
-    the profile at L alone.
-    """
-    def last_node():
-        return analytic_profile(point, np.array([L]))[0]
-
-    return _breakdown(*_grid_functional(_profile_blocks(point, L, n), L / n,
-                                        point.params, tail=(n + 1, last_node)))
+    return _breakdown(*_grid_functional(profile.values, profile.h, params))
 
 
 def _breakdown(mass: float, kinetic: float, bulk: float, point: float):
@@ -458,116 +460,44 @@ def shooting_sup_distance(point: BranchPoint, result: ShootingResult) -> float:
 # discrete functional and normalized gradient flow
 
 
-def _grid_functional(blocks, h: float, params: Params | None = None,
-                     tail=None):
+def _grid_functional(u: np.ndarray, h: float, params: Params | None = None):
     """(mass, kinetic, bulk, point) of the piecewise-linear even extension of
-    the nodal values given as the overlapping blocks of :func:`_blocks`.
+    the nodal values u.
 
     The kinetic term is exact for the piecewise-linear interpolant (the factor
-    2 for evenness cancels the 1/2 of the functional), sum(diff(u)^2) / h over
-    whole blocks; the mass and bulk terms are the trapezoidal rule,
-    h (sum of v - (v_0 + v_n) / 2) for v = u^2 and |u|^p, over each block's
-    own nodes.  Without params only the mass is formed and the energy terms
-    are None.
+    2 for evenness cancels the 1/2 of the functional), sum(diff(u)^2) / h;
+    the mass and bulk terms are the trapezoidal rule, h (sum of v - (v_0 +
+    v_n) / 2) for v = u^2 and |u|^p.  Without params only the mass is formed
+    and the energy terms are None.
 
     The nodes with |u| < tiny^(1/p) (tiny the smallest normal double) are set
-    to 0 and the block is raised to the power p in one unmasked call: such a
-    node adds 0^p = 0 in place of a power of at most about tiny, which pow
-    reaches only on its slow underflow path.  Every other node adds its
-    plain power.
-
-    tail = (n_nodes, last_node) is given, with params, only for the blocks
-    of a closed-form state (:func:`sampled_functional`): n_nodes is the
-    grid's node count and last_node() its last node value.  After each
-    block, with S_m, S_k and S_b the running mass, kinetic and bulk sums,
-    e the block's last node (the next block's first), delta = u[-2] - u[-1]
-    its last difference and R the nodes not yet summed, each sum stops at
-    the first block where its own condition holds:
-
-        mass:     2 R e^2     < ulp(S_m) / 2,
-        kinetic:  2 e delta   < ulp(S_k) / 2,
-        bulk:     2 R e^p     < ulp(S_b) / 2.
-
-    Once all three have stopped, u_n is last_node(), the double the last
-    block would hold (the profile is evaluated entry by entry).  The sums are
-    then those of the whole grid, bit for bit.  Every closed-form profile is
-    positive, decreasing and convex in x >= 0: for lambda > 0, ln u =
-    -(2/(p-2)) ln sinh z + const with z linear in x is convex (ln sinh is
-    concave), so u is too, and for lambda = 0, u is a negative power of a
-    linear function of x.  So every later node is at most e, every later
-    difference at most delta, and the later squared differences sum to at
-    most delta * (sum of the differences) <= delta * e.  The rest of each
-    sum is therefore below the left-hand side of its condition without the
-    factor 2, which covers the rounding of the block sums, of the nodes and
-    of the bound itself.  Under round-to-nearest, adding a nonnegative number
-    below half an ulp of a nonnegative sum leaves the sum unchanged, so each
-    later block sum of that term would leave it as it is.  A condition, once
-    true, stays true at every later block, since e, delta and R only shrink
-    and the sums only grow; each term is therefore left out from its own
-    stop on (:func:`_block_kinetic`, :func:`_block_bulk`).  The array callers
-    (the flow, :func:`functional_eval`) pass no tail and sum every node.
+    to 0 and raised to the power p in one unmasked call: such a node adds
+    0^p = 0 in place of a power of at most about tiny, which pow reaches
+    only on its slow underflow path.  Every other node adds its plain power.
     """
-    usq = diff2 = vsum = 0.0
-    u0 = None
-    mass_open = True
-    kinetic_open = bulk_open = params is not None
-    if params is not None:
-        p = params.p
-        floor = sys.float_info.min ** (1.0 / p)
-    if tail is not None:
-        rest, last_node = tail
-    for block in blocks:
-        if u0 is None:
-            u0 = block[0]
-        own = block[:BLOCK]
-        if mass_open:
-            usq += float(np.dot(own, own))
-        if kinetic_open:
-            diff2 += _block_kinetic(block)
-        if bulk_open:
-            vsum += _block_bulk(own, p, floor)
-        if tail is not None:
-            rest -= len(own)
-            if rest > 0:
-                e, delta = block.item(-1), block.item(-2) - block.item(-1)
-                mass_open &= not 2.0 * rest * e * e < 0.5 * math.ulp(usq)
-                kinetic_open &= not 2.0 * e * delta < 0.5 * math.ulp(diff2)
-                bulk_open &= not 2.0 * rest * e ** p < 0.5 * math.ulp(vsum)
-                if not (mass_open or kinetic_open or bulk_open):
-                    un = last_node()
-                    break
-    else:
-        un = block[-1]
-    mass = 2.0 * h * (usq - 0.5 * float(u0 ** 2 + un ** 2))
+    u0, un = u[0], u[-1]
+    mass = 2.0 * h * (float(np.dot(u, u)) - 0.5 * float(u0 ** 2 + un ** 2))
     if params is None:
         return mass, None, None, None
-    q = params.q
-    vsum -= 0.5 * float(abs(u0) ** p + abs(un) ** p)
+    p, q = params.p, params.q
+    d = u[1:] - u[:-1]
+    diff2 = float(np.add.reduce(np.multiply(d, d, out=d)))
+    mag = np.abs(u)
+    mag[mag < sys.float_info.min ** (1.0 / p)] = 0.0
+    vsum = float(np.add.reduce(np.power(mag, p, out=mag))) \
+        - 0.5 * float(abs(u0) ** p + abs(un) ** p)
     return mass, diff2 / h, (2.0 / p) * h * vsum, abs(u0) ** q / q
-
-
-def _block_kinetic(block: np.ndarray) -> float:
-    """Sum of the squared differences of a block (its kinetic block sum)."""
-    d = block[1:] - block[:-1]
-    return float(np.add.reduce(np.multiply(d, d, out=d)))
-
-
-def _block_bulk(own: np.ndarray, p: float, floor: float) -> float:
-    """Sum of |u|^p over a block's own nodes, each node below floor as 0."""
-    mag = np.abs(own)
-    mag[mag < floor] = 0.0
-    return float(np.add.reduce(np.power(mag, p, out=mag)))
 
 
 def discrete_energy(params: Params, u: np.ndarray, h: float) -> float:
     """Energy of the piecewise-linear even extension of nodal values u."""
-    _, kinetic, bulk, point = _grid_functional(_slices(u), h, params)
+    _, kinetic, bulk, point = _grid_functional(u, h, params)
     return kinetic + bulk - point
 
 
 def discrete_mass(u: np.ndarray, h: float) -> float:
     """Mass of the even extension of nodal values u by the trapezoidal rule."""
-    return _grid_functional(_slices(u), h)[0]
+    return _grid_functional(u, h)[0]
 
 
 def make_initial_profile(mu: float, L: float, n: int,

@@ -309,11 +309,15 @@ def vertex_residual(point: BranchPoint) -> float:
     """|(-2 u'(0+)) - u0^(q-1)| / u0^(q-1), the relative residual of the
     vertex condition, from the analytic one-sided derivative.
 
+    Formed in logs, as |expm1(ln(-2 u'(0+)) - (q-1) ln u0)|, so u0^(q-1)
+    is never formed: at large q it under- or overflows while the ratio does
+    not.  A ratio beyond the double range is inf.
+
     Contract: at most 1e-8 on every constructed branch point.
     """
-    jump = -2.0 * profile_derivative(point, 0.0)
-    target = point.u0 ** (point.params.q - 1.0)
-    return abs(jump - target) / target
+    gap = math.log(-2.0 * profile_derivative(point, 0.0)) \
+        - (point.params.q - 1.0) * math.log(point.u0)
+    return math.inf if gap > algebra.LOG_DOUBLE[1] else abs(math.expm1(gap))
 
 
 @dataclass(frozen=True)

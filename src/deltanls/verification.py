@@ -2,7 +2,8 @@
 acceptance test suite.
 
 Each check re-derives its expected numbers from exact arithmetic or from an
-independent numerical route (shooting, grid quadrature, extrapolation) and
+independent numerical route (shooting, Gauss-Legendre quadrature of the
+closed-form profiles, the gradient flow on a grid, extrapolation) and
 compares against the library at a fixed tolerance.  Checks are pure and
 deterministic; `quick` covers the closed-form battery, `full` adds the
 shooting sweep, the region-partition sweep and the gradient-flow
@@ -222,17 +223,20 @@ def _first_integral_residual(point: stationary.BranchPoint, x) -> float:
 
 
 @_check("shooting from the vertex data reproduces every closed-form "
-        "profile to 1e-6, grid quadrature matches closed-form mass and "
-        "energy to 1e-6, vertex and conservation residuals below 1e-8")
+        "profile to 1e-6, Gauss-Legendre quadrature of each profile matches "
+        "its closed-form mass and energy pieces to 1e-10 with error "
+        "estimates at most 1e-12, vertex and conservation residuals below 1e-8")
 def check_oracle_equivalence(fails: list[str]) -> str:
     points = _oracle_points()
     if len(points) < 12:
         fails.append(f"only {len(points)} branch states collected")
-    sup_worst = mass_worst = en_worst = resid_worst = 0.0
+    bounds = {"sup": "1e-6", "mass": "1e-10", "kinetic": "1e-10", "bulk": "1e-10",
+              "point": "1e-10", "estimate": "1e-12", "residual": "1e-8"}
+    worst = dict.fromkeys(bounds, 0.0)
     for tag, pt in points:
         res = oracle.shoot(pt.params, pt.lam, pt.u0)
         sup = oracle.shooting_sup_distance(pt, res)
-        sup_worst = max(sup_worst, sup)
+        worst["sup"] = max(worst["sup"], sup)
         if not res.decay_ok:
             fails.append(f"{tag}: shot at t={pt.t:.6g} did not decay ({res.outcome})")
         if sup > 1e-6:
@@ -240,32 +244,30 @@ def check_oracle_equivalence(fails: list[str]) -> str:
         if res.first_integral_drift > 1e-7:
             fails.append(f"{tag}: first-integral drift {res.first_integral_drift:.3g}")
 
-        L = max(60.0, 30.0 / math.sqrt(pt.lam))
-        mass_q, eb_q = oracle.sampled_functional(pt, L, 800000)
-        mass_c = massmap.state_mass(pt)
-        rel_mass = abs(mass_q - mass_c) / mass_c
-        mass_worst = max(mass_worst, rel_mass)
-        if rel_mass > 1e-6:
-            fails.append(f"{tag}: quadrature mass off by {rel_mass:.3g}")
+        mass_q, eb_q, estimate = oracle.profile_functional(
+            pt, max(60.0, 30.0 / math.sqrt(pt.lam)))
+        worst["estimate"] = max(worst["estimate"], estimate)
+        if estimate > 1e-12:
+            fails.append(f"{tag}: quadrature error estimate {estimate:.3g} > 1e-12")
         eb_c = stationary.branch_energy(pt)
-        for name, got, want in (("kinetic", eb_q.kinetic, eb_c.kinetic),
+        for name, got, want in (("mass", mass_q, massmap.state_mass(pt)),
+                                ("kinetic", eb_q.kinetic, eb_c.kinetic),
                                 ("bulk", eb_q.bulk, eb_c.bulk),
                                 ("point", eb_q.point, eb_c.point)):
             rel = abs(got - want) / abs(want)
-            en_worst = max(en_worst, rel)
-            if rel > 1e-6:
-                fails.append(f"{tag}: {name} energy off by {rel:.3g}")
+            worst[name] = max(worst[name], rel)
+            if rel > 1e-10:
+                fails.append(f"{tag}: quadrature {name} off by {rel:.3g}")
 
         vres = stationary.vertex_residual(pt)
         xs = np.linspace(0.3, 8.0, 12) / max(math.sqrt(pt.lam), 0.05)
         fres = _first_integral_residual(pt, xs) \
             / (pt.lam * pt.u0 ** 2 + (2.0 / pt.params.p) * pt.u0 ** pt.params.p)
-        resid_worst = max(resid_worst, vres, fres)
+        worst["residual"] = max(worst["residual"], vres, fres)
         if vres > 1e-8 or fres > 1e-8:
             fails.append(f"{tag}: residuals vertex={vres:.3g} first-integral={fres:.3g}")
-    return (f"{len(points)} states; worst: sup={sup_worst:.3g} (bound 1e-6) "
-            f"mass={mass_worst:.3g} (bound 1e-6) energy={en_worst:.3g} (bound 1e-6) "
-            f"residual={resid_worst:.3g} (bound 1e-8)")
+    return f"{len(points)} states; worst: " + " ".join(
+        f"{name}={value:.3g} (bound {bounds[name]})" for name, value in worst.items())
 
 
 @_check("the level curve is non-positive and non-increasing, constant "

@@ -40,7 +40,7 @@ def test_criterion_04_diagonal_regime():
 
 def test_criterion_05_oracle_equivalence():
     _run(verification.check_oracle_equivalence,
-         "criterion 5: oracle equivalence", budget=120.0)
+         "criterion 5: oracle equivalence", budget=10.0)
 
 
 def test_criterion_06_energy_level_shape():

@@ -318,6 +318,21 @@ def test_huge_q_reads_the_finite_mass_map(capsys):
     assert rows[0] == rows[1] == rows[2]
 
 
+@pytest.mark.parametrize("q, residual", [
+    ("1e12", "0.00013758276849820859"), ("1e15", "0.0063346918744012657"),
+    ("1e20", "inf"), ("2e307", "inf"),
+])
+def test_huge_q_vertex_residual_is_printed_not_raised(capsys, q, residual):
+    # u0 rounds towards 1 as q grows, so u0^(q-1) leaves the double range
+    # (from q = 1e20 it underflowed to 0 and solve raised ZeroDivisionError);
+    # the residual is formed in logs and is inf past the double range
+    code, out, err = run(capsys, "solve", "--p", "4", "--q", q, "--lambda", "0.1")
+    assert (code, err) == (0, "")
+    header, row = out.splitlines()
+    assert header.endswith(",vertex_residual_rel")
+    assert row.split(",")[-1] == residual
+
+
 def test_refusal_exits_4(capsys):
     # a state outside double range is an honest refusal, not a library defect
     code, out, err = run(capsys, "solve", "--p", "8.5", "--q", "5.25", "--mass", "1e-200")

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
@@ -11,7 +12,6 @@ from deltanls.params import Params
 
 P425 = Params(4.0, 2.5)
 P83 = Params(8.0, 3.0)
-PD16 = Params(16.0, 9.0)
 
 
 def test_shoot_reproduces_closed_form():
@@ -111,11 +111,9 @@ def _fine_grid_state():
     return pt, max(60.0, 30.0 / math.sqrt(pt.lam))
 
 
-@pytest.mark.parametrize("n", [800000, 800001, oracle.BLOCK - 2, oracle.BLOCK - 1,
-                               oracle.BLOCK, oracle.BLOCK + 1])
+@pytest.mark.parametrize("n", [800000, 800001, 32766, 32767, 32768, 32769])
 def test_sample_profile_is_the_linspace_sampling_bit_for_bit(n):
-    # node counts one block - 1 up to one block + 2 put the last block at 1 to
-    # 2 nodes or fill the first exactly; at n = 800,001, n * (L / n) != L
+    # at n = 800,001, n * (L / n) != L
     pt, L = _fine_grid_state()
     want = stationary.profile(pt, np.linspace(0.0, L, n + 1))
     np.testing.assert_array_equal(oracle.sample_profile(pt, L, n).values, want)
@@ -138,44 +136,9 @@ def test_blocked_functional_matches_whole_grid_formulas():
     assert eb.bulk == pytest.approx(bulk_ref, rel=1e-13)
 
 
-def test_grid_kernels_build_no_whole_grid_temporaries():
-    # the 800,001-node sampling holds its 6.4 MB output and block-sized
-    # temporaries; whole-grid temporaries peaked at 52 MB and 25.6 MB
-    pt, L = _fine_grid_state()
-    tracemalloc.start()
-    try:
-        grid = oracle.sample_profile(pt, L, 800000)
-        _, sample_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        oracle.functional_eval(P425, grid)
-        _, functional_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sample_peak < 12e6
-    assert functional_peak < 12e6
-
-
-def _diagonal_state():
-    """A diagonal p > 8 state (region I) and its domain in the oracle-equivalence check."""
-    pt = stationary.solve_for_lambda(PD16, 0.5).points[0]
-    return pt, max(60.0, 30.0 / math.sqrt(pt.lam))
-
-
-@pytest.mark.parametrize("state", [_fine_grid_state, _diagonal_state])
-@pytest.mark.parametrize("n", [800000, oracle.BLOCK - 2, oracle.BLOCK - 1, oracle.BLOCK,
-                               oracle.BLOCK + 1, 2 * oracle.BLOCK])
-def test_streamed_functional_is_the_materialized_one_bit_for_bit(state, n):
-    # n + 1 nodes from one block - 1 to one block + 2 leave a last block of
-    # 1 or 2 nodes or fill the first exactly; 2 BLOCK + 1 ends in one node
-    pt, L = state()
-    want = oracle.functional_eval(pt.params, oracle.sample_profile(pt, L, n))
-    assert oracle.sampled_functional(pt, L, n) == want
-
-
-@pytest.mark.parametrize("nodes", [oracle.BLOCK, oracle.BLOCK + 1, oracle.BLOCK + 2])
+@pytest.mark.parametrize("nodes", [32768, 32769, 32770])
 def test_array_functional_sums_the_last_node_of_an_undecayed_profile(nodes):
-    # from BLOCK + 1 nodes on the last node is a block of its own; a profile
-    # that has not decayed at L shows a last node dropped from the sums
+    # a profile that has not decayed at L shows a last node dropped from the sums
     h, p, q = 0.01, P425.p, P425.q
     ones = np.ones(nodes)
     assert oracle.discrete_mass(ones, h) == 2.0 * h * (nodes - 1)
@@ -194,115 +157,63 @@ def test_array_functional_sums_the_last_node_of_an_undecayed_profile(nodes):
 
 
 def _grid_check_states():
-    """The 14 states of the grid check on their domains, and a zero-frequency
+    """The 14 states of oracle-equivalence on their domains, and a zero-frequency
     state of algebraic decay on [0, 1e3]."""
     states = [(pt, max(60.0, 30.0 / math.sqrt(pt.lam)))
               for _, pt in verification._oracle_points()]
     return states + [(stationary.zero_frequency_point(Params(2.5, 2.5)), 1e3)]
 
 
-def test_stopped_grid_sums_are_the_whole_grid_sums_bit_for_bit():
-    # the stream stops where the rest of the grid rounds away; the array
-    # route sums every node and is the reference
-    n = 800000
-    for pt, L in _grid_check_states():
-        want = oracle.functional_eval(pt.params, oracle.sample_profile(pt, L, n))
-        assert oracle.sampled_functional(pt, L, n) == want, (pt.params, pt.lam)
-
-
-def test_grid_stop_leaves_out_the_decayed_blocks(monkeypatch):
-    # 800,001 nodes are 25 blocks; at lambda = 2 the profile falls below the
-    # last bit of every sum within the first 7, and the (2.5, 2.5)
-    # zero-frequency state, a power (x + a)^(-4), within 17 of its 25
-    calls = [0]
-    profile = oracle.analytic_profile
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return profile(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "analytic_profile", counted)
-    blocks = {}
-    for pt, L in _grid_check_states():
-        calls[0] = 0
-        oracle.sampled_functional(pt, L, 800000)
-        blocks[pt.params, pt.lam] = calls[0]
-    assert blocks[Params(4.0, 3.5), 2.0] < 12.5
-    assert blocks[PD16, 2.0] < 12.5
-    assert blocks[Params(2.5, 2.5), 0.0] < 25
-
-
-def test_each_grid_sum_stops_where_its_own_bound_allows(monkeypatch):
-    # the mass sum runs longest; the kinetic and bulk terms stop at their own
-    # bounds, so their block sums are formed on fewer of the summed blocks
-    counts = {"summed": 0, "kinetic": 0, "bulk": 0}
-    profile, kinetic, bulk = oracle.analytic_profile, oracle._block_kinetic, oracle._block_bulk
-
-    def block(pt, x):
-        counts["summed"] += len(x) > 1     # the last node alone is no block
-        return profile(pt, x)
-
-    def block_kinetic(*args):
-        counts["kinetic"] += 1
-        return kinetic(*args)
-
-    def block_bulk(*args):
-        counts["bulk"] += 1
-        return bulk(*args)
-
-    monkeypatch.setattr(oracle, "analytic_profile", block)
-    monkeypatch.setattr(oracle, "_block_kinetic", block_kinetic)
-    monkeypatch.setattr(oracle, "_block_bulk", block_bulk)
-    per_state = {}
-    totals = dict.fromkeys(counts, 0)
-    for _, pt in verification._oracle_points():
-        counts.update(dict.fromkeys(counts, 0))
-        oracle.sampled_functional(pt, max(60.0, 30.0 / math.sqrt(pt.lam)), 800000)
-        per_state[pt.params, pt.lam] = dict(counts)
-        for name, count in counts.items():
-            totals[name] += count
-    assert totals == {"summed": 208, "kinetic": 192, "bulk": 79}
-    for params in (Params(4.0, 3.5), PD16):
-        state = per_state[params, 2.0]
-        assert state["bulk"] < state["summed"], state
-
-
 def test_streamed_grid_check_holds_no_whole_grid_array():
-    # one 800,001-node profile alone is 6.4 MB; sample_profile peaks at 8.3 MB
-    pt, L = _fine_grid_state()
+    # one 800,001-node profile alone is 6.4 MB; the check's largest arrays
+    # are the shooter's 20,001-node grids
     tracemalloc.start()
     try:
-        oracle.sampled_functional(pt, L, 800000)
-        _, state_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
         verification.check_oracle_equivalence()
         _, check_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert state_peak < 4e6
     assert check_peak < 6e6
 
 
-def test_bulk_term_is_the_plain_sum_of_powers_bit_for_bit():
-    # the grid check leaves out each |u|^p below the smallest normal double;
-    # on every oracle state the bulk term is still the sum of all the powers
-    points = verification._oracle_points()
-    assert len(points) == 14
-    n = 800000
-    for _, pt in points:
-        L = max(60.0, 30.0 / math.sqrt(pt.lam))
-        p = pt.params.p
-        u = oracle.sample_profile(pt, L, n).values
-        vsum = 0.0
-        for k in range(0, n + 1, oracle.BLOCK):
-            vsum += float(np.sum(np.abs(u[k:k + oracle.BLOCK]) ** p))
-        vsum -= 0.5 * float(abs(u[0]) ** p + abs(u[-1]) ** p)
-        _, eb = oracle.sampled_functional(pt, L, n)
-        assert eb.bulk == (2.0 / p) * (L / n) * vsum, pt
+def test_profile_quadrature_matches_adaptive_quadrature():
+    # SciPy's adaptive quad of the same three integrands is the reference, on
+    # panels of its own: [0, 1/64], then doubling to L
+    for pt, L in _grid_check_states():
+        p, q = pt.params.p, pt.params.q
+        integrands = (lambda x: stationary.profile(pt, x) ** 2,
+                      lambda x: stationary.profile_derivative(pt, x) ** 2,
+                      lambda x: stationary.profile(pt, x) ** p)
+        cuts = [0.0, 1.0 / 64.0]
+        while cuts[-1] < L:
+            cuts.append(min(2.0 * cuts[-1], L))
+        usq, dusq, upow = (sum(quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                               for lo, hi in zip(cuts, cuts[1:])) for f in integrands)
+        mass, eb, estimate = oracle.profile_functional(pt, L)
+        assert mass == pytest.approx(2.0 * usq, rel=1e-12, abs=0.0), pt
+        assert eb.kinetic == pytest.approx(dusq, rel=1e-12, abs=0.0), pt
+        assert eb.bulk == pytest.approx((2.0 / p) * upow, rel=1e-12, abs=0.0), pt
+        assert eb.point == stationary.profile(pt, 0.0) ** q / q
+        assert eb.total == eb.kinetic + eb.bulk - eb.point
+        assert estimate <= 1e-12, pt
+
+
+def test_oracle_check_names_the_estimate_of_a_kinked_profile(monkeypatch):
+    # u (1 + 1e-6 max(0, x - 0.7)) has a kink at x = 0.7, inside a panel of
+    # every state: there the 40- and 20-point rules part, and the check names
+    # the estimate of each state (the kink moves the integrals too)
+    profile = oracle.analytic_profile
+    monkeypatch.setattr(oracle, "analytic_profile", lambda pt, x: profile(pt, x)
+                        * (1.0 + 1e-6 * np.maximum(np.asarray(x) - 0.7, 0.0)))
+    result = verification.check_oracle_equivalence()
+    assert not result.passed
+    failures = result.detail.split(" | FAILURES: ", 1)[1].split("; ")
+    assert sum("quadrature error estimate" in f and f.endswith("> 1e-12")
+               for f in failures) == 14
 
 
 def test_one_block_functional_is_the_whole_array_formula():
-    # the flow's 1,501-node grids are one block: each sum is one numpy reduction
+    # on the flow's 1,501-node grids each sum is one numpy reduction
     pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
     n = 1500
     L = 50.0
@@ -450,8 +361,10 @@ def test_default_domain():
 def test_oracle_check_reports_its_pinned_figures():
     result = verification.check_oracle_equivalence()
     assert result.passed and result.detail == (
-        "14 states; worst: sup=1.06e-07 (bound 1e-6) mass=9.23e-09 (bound 1e-6) "
-        "energy=4.15e-07 (bound 1e-6) residual=1.01e-15 (bound 1e-8)")
+        "14 states; worst: sup=1.06e-07 (bound 1e-6) mass=1.99e-15 (bound 1e-10) "
+        "kinetic=2.56e-15 (bound 1e-10) bulk=8.39e-15 (bound 1e-10) "
+        "point=1.84e-15 (bound 1e-10) estimate=1.38e-14 (bound 1e-12) "
+        "residual=9.99e-16 (bound 1e-8)")
 
 
 def test_dense_values_are_the_dense_output_bit_for_bit(monkeypatch):
