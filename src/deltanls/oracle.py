@@ -19,13 +19,14 @@ a capture radius where u - u'/max(sqrt(lambda), 1) has dropped to 1e-5 * u0
 (1e-3 * u0 at lambda = 0) -- reached well before noise can -- and continues
 the tail with the exact decay law of the first integral.  Trajectories that instead cross zero or
 turn around (u' = 0, which precedes any growth: the vertex slope is
-negative) are classified as non-decaying.  The shooter steps SciPy's
-DOP853 under solve_ivp on Python floats (:class:`_TwoFloatDOP853`: SciPy's
-tableau, initial step and step-size rules, the same steps and
-right-hand-side count; the state stays in floats between steps and the
-events read floats), and reads the dense output once, at the grid nodes
-up to the capture point and the drift abscissae, with every step evaluated
-at once, one component and one coefficient row at a time
+negative) are classified as non-decaying.  The shooter steps DOP853 under
+solve_ivp on Python floats (:class:`_TwoFloatDOP853`: SciPy's tableau,
+initial step and step-size rules, the same steps and right-hand-side count).
+The stepper reads the three events in floats at each step end and ends the
+solve at the first sign change, and forms the dense output of all its steps
+at once when the solve ends; the event point is then located as solve_ivp
+locates it (brentq on that step's interpolant), and the dense output is read
+once, at the grid nodes up to the event and at the drift abscissae
 (:func:`_dense_values`).
 """
 
@@ -33,13 +34,14 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
-from scipy.integrate._ivp.rk import MAX_FACTOR, MIN_FACTOR, SAFETY, Dop853DenseOutput
 from scipy.linalg.lapack import dptsv
+from scipy.optimize import brentq
 
 from .params import Params
 from .stationary import BranchPoint, EnergyBreakdown, profile as analytic_profile, \
@@ -58,6 +60,11 @@ DECAY_GATE = 1e-7
 FLOW_DIVERGENCE_FLOOR = -1.0e6
 #: Relative tolerance of the DOP853 shooter.
 SHOOT_RTOL = 1e-12
+#: DOP853's step-size rules (SciPy's values): the safety factor of the step
+#: update and the least and greatest factor by which one step can change it.
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
 #: Relative energy drop below which a flow step counts as stalled (eight
 #: stalled steps in a row end the flow).
 STALL_REL = 1e-10
@@ -92,7 +99,7 @@ class GridProfile:
 class ShootingResult:
     decay_ok: bool
     profile: GridProfile
-    outcome: str               # decayed | crossed_zero | rebounded | no_event
+    outcome: str   # decayed | crossed_zero | rebounded | no_event | step_failed
     first_integral_drift: float
     capture_x: float | None
 
@@ -175,7 +182,8 @@ def functional_eval(params: Params, profile: GridProfile):
     The discrete functional of :func:`discrete_energy` and
     :func:`discrete_mass`, split into its kinetic, bulk and point terms.
     """
-    return _breakdown(*_grid_functional(profile.values, profile.h, params))
+    u, h = profile.values, profile.h
+    return _breakdown(discrete_mass(u, h), *_grid_energy(u, h, params))
 
 
 def _breakdown(mass: float, kinetic: float, bulk: float, point: float):
@@ -196,35 +204,57 @@ def _tail_value(params: Params, lam: float, u_d: float,
     return base ** (-1.0 / half)
 
 
-def _dense_values(ode, x: np.ndarray) -> np.ndarray:
-    """ode(x) for the dense output ode of a forward DOP853 solve_ivp run, bit
-    for bit, with every step evaluated at once.
+def _dense_values(t: np.ndarray, y: np.ndarray, F: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """The DOP853 dense output at the ascending points x of the steps between
+    the step ends t, bit for bit, with every step evaluated at once.
 
-    OdeSolution.__call__ sorts x and loops in Python over the steps it
-    touches.  Here each point takes the step OdeSolution would take (the
-    lower one at a step end point) and the coefficients F, h, t_old and
-    y_old of that step's interpolant, and every point runs the interpolant's
-    own arithmetic: the nested product of the F rows in r = (x - t_old) / h
-    and 1 - r, plus y_old.  The coefficients are held as (component, row,
-    step) arrays, so each row of each component is gathered at the points'
-    steps by one 1-D take; the arithmetic of each element is the
-    interpolant's, so the bits are too.
+    y[:, i] is the state at the start of step i and F[:, :, i] the
+    coefficients of its interpolant, as (component, row, step) arrays; only
+    the components in y and F are evaluated.  Each point takes the step
+    SciPy's OdeSolution would take (the lower one at a step end point, the
+    first and last steps beyond the ends): the points up to the first inner
+    step end go to the first step, and so on.  Each point then runs the
+    arithmetic of SciPy's Dop853DenseOutput: r = (x - t_old) / h, the nested
+    product of the F rows in r and 1 - r, plus y.  The coefficients are
+    repeated out to the points by step; the arithmetic of each element is
+    the interpolant's, so the bits are too.
     """
-    steps = ode.interpolants
-    seg = np.searchsorted(ode.ts, x, side=ode.side) - 1
-    np.clip(seg, 0, len(steps) - 1, out=seg)
-    F = np.ascontiguousarray(np.array([s.F for s in steps]).transpose(2, 1, 0))
-    y_old = np.ascontiguousarray(np.array([s.y_old for s in steps]).T)
-    r = (x - np.array([s.t_old for s in steps]).take(seg)) \
-        / np.array([s.h for s in steps]).take(seg)
+    bounds = np.searchsorted(x, t, side="right")    # points up to each step end
+    bounds[0], bounds[-1] = 0, len(x)
+    counts = bounds[1:] - bounds[:-1]
+    t_old = t[:-1]
+    r = (x - t_old.repeat(counts)) / (t[1:] - t_old).repeat(counts)
     factors = (r, 1 - r)
-    y = np.zeros((len(F), len(x)))
-    for rows, start, yc in zip(F, y_old, y):
-        for i, row in enumerate(rows[::-1]):
-            yc += row.take(seg)
+    out = np.zeros((len(F), len(x)))
+    for rows, start, yc in zip(F, y, out):
+        for i, row in enumerate(rows.repeat(counts, axis=1)[::-1]):
+            yc += row
             yc *= factors[i % 2]
-        yc += start.take(seg)
-    return y
+        yc += start.repeat(counts)
+    return out
+
+
+def _step_interpolant(t_old: float, t: float, y_old, F):
+    """The dense output of one step as a function of a float x, returning
+    (u, v): the arithmetic of SciPy's Dop853DenseOutput at a scalar point, on
+    Python floats.  y_old is the state at t_old and F the step's (component,
+    row) coefficients."""
+    h = t - t_old
+    (u_old, v_old), rows = y_old, F.T.tolist()[::-1]
+
+    def at(x: float) -> tuple[float, float]:
+        r = (x - t_old) / h
+        factors = (r, 1 - r)
+        u = v = 0.0
+        for i, (fu, fv) in enumerate(rows):
+            u += fu
+            v += fv
+            u *= factors[i % 2]
+            v *= factors[i % 2]
+        return u + u_old, v + v_old
+
+    return at
 
 
 def _nonzero_rows(matrix) -> tuple:
@@ -235,37 +265,77 @@ def _nonzero_rows(matrix) -> tuple:
 
 class _TwoFloatDOP853(DOP853):
     """SciPy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) for a
-    two-component system, stepped on Python floats.
+    two-component system, stepped on Python floats, with terminal events read
+    in floats and the dense output formed once.
 
     The tableau, the initial step and the step-size rules are DOP853's own;
     only the stage sums are formed as float sums over the tableau's nonzero
-    coefficients, where SciPy forms numpy products on a 2-vector whose
-    overhead is nearly all the cost of a step of so small a system.  The
-    sums are added in another order, so values can differ from SciPy's in
-    their last bits.  The right-hand side is called as fun(t, (u, v)) and
+    coefficients, by a trial step compiled from them (:func:`_trial_step`),
+    where SciPy forms numpy products on a 2-vector whose overhead is nearly
+    all the cost of a step of so small a system.  The sums are added in
+    another order, so values can differ from SciPy's in their last bits.  The right-hand side is called as fun(t, (u, v)) and
     returns two floats; nfev counts each call.  The state (u, v), its
     derivative self.f and the atol pair are held as floats; self.y is also
-    kept as an array, as solve_ivp and OdeSolution expect, and the dense
-    output of a step is SciPy's own Dop853DenseOutput.
+    kept as an array, as solve_ivp expects.
+
+    Two options reach it through solve_ivp.  stops holds the terminal
+    events as (g, direction) pairs, g(u, v) a float and direction +1
+    (upward) or -1 (downward): at each step end the stepper reads them and
+    ends the solve on the first step over which one changes sign in its
+    direction, by the rule of solve_ivp's find_active_events (g <= 0 <=
+    g_new upward, g >= 0 >= g_new downward); stopped lists those events.
+    out is a list the stepper appends itself to, so that its stopped events
+    and dense output can be read after solve_ivp returns.
+
+    When the solve ends (at t_bound, at a stop or on a failed step) the
+    stepper forms the dense output of every accepted step at once, before
+    solve_ivp returns and reads nfev: steps = (t, y, F), the step ends, the
+    state at each step's start, and the coefficients of each step's
+    interpolant as a (component, row, step) array.  The three extra stages
+    call fun once per step on floats, as the steps do (numpy's power is not
+    libm's pow to the last bit); every stage sum and every row of F is array
+    arithmetic over the steps, element for element the float operations of
+    one step's float sums, in their order, so F is bit for bit what forming
+    it step by step gives.  SciPy's per-step dense_output is not available.
     """
 
     _STAGES = tuple(zip(DOP853.C[1:].tolist(), _nonzero_rows(DOP853.A[1:])))
-    _EXTRA = tuple(zip(DOP853.C_EXTRA.tolist(), _nonzero_rows(DOP853.A_EXTRA)))
-    _B, _E3, _E5 = _nonzero_rows([DOP853.B, DOP853.E3, DOP853.E5])
-    _D = _nonzero_rows(DOP853.D)
+    _B, _E5, _E3 = _nonzero_rows([DOP853.B, DOP853.E5, DOP853.E3])
 
-    def __init__(self, fun, t0, y0, t_bound, **options):
+    def __init__(self, fun, t0, y0, t_bound, stops=(), out=None, **options):
         super().__init__(fun, t0, y0, t_bound, **options)
-        self._rhs = fun
+        self._rhs, self._trial = fun, _trial_step(self._STAGES, self._B, self._E5, self._E3)
+        self._direction, self._rtol = float(self.direction), float(self.rtol)
         self._atol = np.broadcast_to(self.atol, 2).tolist()
         self._uv, self.f = tuple(self.y.tolist()), tuple(self.f.tolist())
-        self._ku = self._kv = None      # the stages of the last accepted step
+        self._stops = stops
+        self._g = [g(*self._uv) for g, _ in stops]
+        # t, h, u, v and the stages ku, kv of each accepted step, as packed doubles
+        self._pack = struct.Struct(f"{4 + 2 * (len(self._STAGES) + 2)}d").pack
+        self._steps = []
+        self.stopped, self.steps = [], None
+        if out is not None:
+            out.append(self)
+
+    def step(self):
+        message = super().step()
+        if self.status != "failed":
+            u, v = self._uv
+            g_old, self._g = self._g, [g(u, v) for g, _ in self._stops]
+            self.stopped = [i for i, ((_, up), g, g_new)
+                            in enumerate(zip(self._stops, g_old, self._g))
+                            if (g <= 0.0 <= g_new if up > 0.0 else g >= 0.0 >= g_new)]
+            if self.stopped:
+                self.status = "finished"
+        if self.status != "running":
+            self.steps = self._dense_output_all()
+        return message
 
     def _step_impl(self):
         t, (u, v), (fu, fv) = self.t, self._uv, self.f
-        direction = float(self.direction)
+        rhs, trial, direction, t_bound = self._rhs, self._trial, self._direction, self.t_bound
         atol_u, atol_v = self._atol
-        rtol, exponent = float(self.rtol), self.error_exponent
+        rtol, exponent = self._rtol, self.error_exponent
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = min(max(float(self.h_abs), min_step), self.max_step)
 
@@ -274,23 +344,16 @@ class _TwoFloatDOP853(DOP853):
             if h_abs < min_step:
                 return False, self.TOO_SMALL_STEP
             t_new = t + h_abs * direction
-            if direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
 
             self.nfev += 12
-            ku, kv = [fu], [fv]
-            _stages(self._rhs, t, u, v, ku, kv, h, self._STAGES)
-            bu, bv = _combine(self._B, ku, kv)
-            u_new, v_new = u + h * bu, v + h * bv
-            fu_new, fv_new = self._rhs(t_new, (u_new, v_new))
-            ku.append(fu_new)
-            kv.append(fv_new)
+            u_new, v_new, fu_new, fv_new, e5u, e5v, e3u, e3v, k = \
+                trial(rhs, t, u, v, fu, fv, h, t_new)
             su = atol_u + max(abs(u), abs(u_new)) * rtol
             sv = atol_v + max(abs(v), abs(v_new)) * rtol
-            e5u, e5v = _combine(self._E5, ku, kv)
-            e3u, e3v = _combine(self._E3, ku, kv)
             err5 = (e5u / su) ** 2 + (e5v / sv) ** 2
             err3 = (e3u / su) ** 2 + (e3v / sv) ** 2
             error_norm = 0.0 if err5 == 0.0 and err3 == 0.0 else \
@@ -306,49 +369,81 @@ class _TwoFloatDOP853(DOP853):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** exponent)
             step_rejected = True
 
-        self.h_previous = h
-        self.y_old = self.y
         self.t = t_new
         self._uv, self.f = (u_new, v_new), (fu_new, fv_new)
         self.y = np.array(self._uv)
         self.h_abs = h_abs
-        self._ku, self._kv = ku, kv
+        self._steps.append(self._pack(t, h, u, v, *k))
         return True, None
 
     def _dense_output_impl(self):
-        h, t_old = self.h_previous, self.t_old
-        (u, v), (u1, v1) = self.y_old.tolist(), self._uv
-        ku, kv = list(self._ku), list(self._kv)
-        fu0, fv0 = ku[0], kv[0]         # f at t_old
-        fu1, fv1 = self.f               # f at t
-        self.nfev += 3
-        _stages(self._rhs, t_old, u, v, ku, kv, h, self._EXTRA)
-        du, dv = u1 - u, v1 - v
-        F = [(du, dv), (h * fu0 - du, h * fv0 - dv),
-             (2.0 * du - h * (fu1 + fu0), 2.0 * dv - h * (fv1 + fv0))]
-        for row in self._D:
-            cu, cv = _combine(row, ku, kv)
-            F.append((h * cu, h * cv))
-        return Dop853DenseOutput(t_old, self.t, self.y_old, np.array(F))
+        raise NotImplementedError("the dense output of every step is formed once, "
+                                  "when the solve ends: read steps")
+
+    def _dense_output_all(self):
+        """(t, y, F) of every accepted step: see the class docstring."""
+        n, stages = len(self._steps), len(self._STAGES) + 2
+        S = np.frombuffer(b"".join(self._steps)).reshape(n, -1).T
+        t_old, h, y = S[0], S[1], S[2:4]
+        K = np.empty((stages + len(DOP853.C_EXTRA), 2, n))    # (stage, component, step)
+        K[:stages] = S[4:].reshape(2, stages, n).transpose(1, 0, 2)
+        rhs = self._rhs
+        for s, c in enumerate(DOP853.C_EXTRA.tolist()):
+            uv = y + _row_sums(DOP853.A_EXTRA[s:s + 1], K)[0] * h
+            f = [rhs(ti, (ui, vi))
+                 for ti, ui, vi in zip((t_old + c * h).tolist(), *uv.tolist())]
+            K[stages + s] = np.array(f).T
+        self.nfev += len(DOP853.C_EXTRA) * n
+        du = np.column_stack([y[:, 1:], self._uv]) - y
+        F = np.concatenate([[du, h * K[0] - du, 2.0 * du - h * (K[stages - 1] + K[0])],
+                            h * _row_sums(DOP853.D, K)])
+        return np.append(t_old, self.t), y, np.ascontiguousarray(F.transpose(1, 0, 2))
 
 
-def _combine(row, ku, kv) -> tuple[float, float]:
-    """The sums of a * ku[j] and of a * kv[j] over the nonzeros (j, a) of a
-    tableau row."""
-    su = sv = 0.0
-    for j, a in row:
-        su += a * ku[j]
-        sv += a * kv[j]
-    return su, sv
+@functools.cache
+def _trial_step(stages, b, e5, e3):
+    """One DOP853 trial step on floats, compiled on first use from the
+    nonzeros of the tableau's rows (stages: (c, row) of each stage after the
+    first; b, e5, e3: the rows B, E5 and E3):
+
+        trial(rhs, t, u, v, fu, fv, h, t_new)
+            -> (u_new, v_new, fu_new, fv_new, e5u, e5v, e3u, e3v, k)
+
+    with k the 13 stages, those of u and then those of v.  Each sum over a
+    row is written out as (0.0 + a * kj + ...) over its nonzeros (j, a) in
+    order, the coefficients as float literals (repr round-trips every
+    double): the products and additions of a loop over the row, in its
+    order, without the loop, which took most of a step's time.
+    """
+    def total(row, part):
+        return "(0.0" + "".join(f" + {a!r} * k{j}{part}" for j, a in row) + ")"
+
+    last = len(stages) + 1
+    lines = ["def trial(rhs, t, u, v, k0u, k0v, h, t_new):"]
+    lines += [f"    k{i}u, k{i}v = rhs(t + {c!r} * h, "
+              f"(u + {total(row, 'u')} * h, v + {total(row, 'v')} * h))"
+              for i, (c, row) in enumerate(stages, start=1)]
+    lines += [f"    u_new = u + h * {total(b, 'u')}",
+              f"    v_new = v + h * {total(b, 'v')}",
+              f"    k{last}u, k{last}v = rhs(t_new, (u_new, v_new))",
+              f"    return (u_new, v_new, k{last}u, k{last}v, "
+              + ", ".join(total(row, part) for row in (e5, e3) for part in "uv")
+              + ", (" + "".join(f"k{j}{part}, " for part in "uv" for j in range(last + 1)) + "))"]
+    namespace = {}
+    exec(compile("\n".join(lines), "<DOP853 trial step>", "exec"), namespace)
+    return namespace["trial"]
 
 
-def _stages(rhs, t, u, v, ku, kv, h, stages):
-    """Append to the stage lists ku, kv one stage per (c, row) of stages."""
-    for c, row in stages:
-        su, sv = _combine(row, ku, kv)
-        fu, fv = rhs(t + c * h, (u + su * h, v + sv * h))
-        ku.append(fu)
-        kv.append(fv)
+def _row_sums(matrix, K):
+    """The sums of matrix[r, j] * K[j] over the columns j where the rows of
+    matrix are nonzero (they share their nonzeros), one per row r, added in
+    the order of j from 0.0 as the steps add their stage sums."""
+    cols = np.flatnonzero(matrix.any(axis=0))
+    terms = matrix[:, cols].T[:, :, None, None] * K[cols][:, None]
+    total = 0.0 + terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def shoot(params: Params, lam: float, u0: float, L: float | None = None,
@@ -358,13 +453,15 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     The outcome is read once, from the events: decayed (captured in the
     saddle neighbourhood, the tail continued by the decay law), crossed_zero,
     rebounded (u' = 0; the vertex slope is negative, so u can grow only after
-    it has turned) or no_event.  A trajectory that does not decay is an
-    outcome, not an exception.  decay_ok holds only for a decayed shot that
-    stays positive and whose tail meets the far-end gate u(L) + |u'(L)| <=
-    1e-7 * u0.  No other outcome could meet it: a no_event shot ends with
-    u > 0, u' < 0 and u - u'/s > cap_tol * u0 (s = max(sqrt(lambda), 1) >= 1,
-    cap_tol = 1e-5, or 1e-3 at lambda = 0), as no event fired, so
-    |u| + |u'| > 1e-5 * u0 there.
+    it has turned), no_event (the solve reached L), or step_failed (DOP853
+    needed a step below its least step, 10 ulp of x, before any event).  A
+    trajectory that does not decay is an outcome, not an exception.
+    decay_ok holds only for a decayed shot that stays positive and whose
+    tail meets the far-end gate u(L) + |u'(L)| <= 1e-7 * u0.  No other
+    outcome could meet it: a no_event shot ends with u > 0, u' < 0 and
+    u - u'/s > cap_tol * u0 (s = max(sqrt(lambda), 1) >= 1, cap_tol = 1e-5,
+    or 1e-3 at lambda = 0), as no event fired, so |u| + |u'| > 1e-5 * u0
+    there, and a step_failed shot has no trustworthy state at its end.
     """
     if not u0 > 0.0:
         raise ValueError(f"need a positive vertex height, got {u0}")
@@ -373,70 +470,74 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     if L is None:
         L = default_domain(lam)
     p, q = params.p, params.q
+    power = p - 2.0
 
     def rhs(x, y):
-        return (y[1], lam * y[0] + abs(y[0]) ** (p - 2.0) * y[0])
+        u, v = y
+        return v, lam * u + abs(u) ** power * u
 
     slope_scale = max(math.sqrt(lam), 1.0)
     cap_tol = CAPTURE_TOL if lam > 0.0 else CAPTURE_TOL_ZERO
 
-    def ev_capture(x, y):
-        u, v = y.tolist()
+    def ev_capture(u, v):
         return u - v / slope_scale - cap_tol * u0
 
-    def ev_cross(x, y):
-        return y.item(0)
+    def ev_cross(u, v):
+        return u
 
-    def ev_rebound(x, y):
-        return y.item(1)
+    def ev_rebound(u, v):
+        return v
 
-    ev_capture.terminal, ev_capture.direction = True, -1.0
-    ev_cross.terminal, ev_cross.direction = True, -1.0
-    ev_rebound.terminal, ev_rebound.direction = True, 1.0
-
-    # y0 is an array, as every later y the events read
+    stops = ((ev_capture, -1.0), (ev_cross, -1.0), (ev_rebound, 1.0))
+    stepper = []
     sol = solve_ivp(rhs, (0.0, L), np.array([u0, -0.5 * u0 ** (q - 1.0)]),
                     method=_TwoFloatDOP853, rtol=SHOOT_RTOL,
-                    atol=[1e-14 * u0, 1e-14 * u0 * slope_scale],
-                    events=[ev_capture, ev_cross, ev_rebound],
-                    dense_output=True)
+                    atol=[1e-14 * u0, 1e-14 * u0 * slope_scale], stops=stops, out=stepper)
+    (stepper,) = stepper
+    t, y, F = stepper.steps
+    x_end = t[-1]
+    if stepper.stopped:
+        # each event that changed sign over the last step is located as
+        # solve_ivp locates it, and the earliest root wins
+        at = _step_interpolant(t[-2], t[-1], y[:, -1].tolist(), F[:, :, -1])
+        tol = 4.0 * sys.float_info.epsilon
+        x_end, first = min((brentq(lambda x, g=stops[i][0]: g(*at(x)), t[-2], t[-1],
+                                   xtol=tol, rtol=tol), i) for i in stepper.stopped)
+        outcome = ("decayed", "crossed_zero", "rebounded")[first]   # the order of stops
+    else:
+        outcome = "step_failed" if sol.status == -1 else "no_event"
 
-    captured = len(sol.t_events[0]) > 0
-    crossed = len(sol.t_events[1]) > 0
-    rebounded = len(sol.t_events[2]) > 0
-    x_end = sol.t[-1]
-
-    # one dense evaluation: the grid nodes up to x_end, then the 512 drift
-    # abscissae, the last of which is x_end itself
-    x = np.linspace(0.0, L, n + 1)
-    k = int(np.searchsorted(x, x_end, side="right"))   # nodes with x <= x_end
-    y = _dense_values(sol.sol, np.concatenate([x[:k], np.linspace(0.0, x_end, 512)]))
-    uu, dd = y[:, k:]
+    # one dense evaluation of (u, u') at the 512 drift abscissae, the last of
+    # which is x_end itself, and one of u at the grid nodes up to x_end
+    uu, dd = _dense_values(t, y, F, np.linspace(0.0, x_end, 512))
     u_end, du_end = float(uu[-1]), float(dd[-1])
-    if (crossed or rebounded) and not captured:
+    if outcome in ("crossed_zero", "rebounded"):
         # a turn or zero crossing with the whole state inside the saddle
         # neighbourhood means the trajectory tracked the connection until
         # integration noise took over: classify as captured there
         if abs(u_end) <= 10.0 * cap_tol * u0 \
                 and abs(du_end) <= 10.0 * cap_tol * u0 * slope_scale:
-            captured, crossed, rebounded = True, False, False
+            outcome = "decayed"
 
+    x = np.linspace(0.0, L, n + 1)
+    k = int(np.searchsorted(x, x_end, side="right"))   # nodes with x <= x_end
     vals = np.empty(n + 1)
-    vals[:k] = y[0, :k]
+    vals[:k] = _dense_values(t, y[:1], F[:1], x[:k])[0]
+    captured = outcome == "decayed"
     if captured:
         vals[k:] = _tail_value(params, lam, u_end, x[k:] - x_end)
-        capture_x, outcome = x_end, "decayed"
+        capture_x = x_end
     else:
         vals[k:] = 0.0
         capture_x = None
-        outcome = "crossed_zero" if crossed else "rebounded" if rebounded else "no_event"
 
     # first-integral drift along the numeric part of the trajectory
     H = dd ** 2 - lam * uu ** 2 - (2.0 / p) * np.abs(uu) ** p
     scale = lam * u0 ** 2 + (2.0 / p) * u0 ** p
     drift = float(np.max(np.abs(H - H[0]))) / scale
 
-    stayed_positive = outcome in ("decayed", "no_event") and bool(np.all(vals >= 0.0))
+    stayed_positive = outcome not in ("crossed_zero", "rebounded") \
+        and bool(np.all(vals >= 0.0))
     decay_ok = False
     if captured and stayed_positive:
         # the far-end gate, read on the decay law's tail
@@ -460,44 +561,45 @@ def shooting_sup_distance(point: BranchPoint, result: ShootingResult) -> float:
 # discrete functional and normalized gradient flow
 
 
-def _grid_functional(u: np.ndarray, h: float, params: Params | None = None):
-    """(mass, kinetic, bulk, point) of the piecewise-linear even extension of
-    the nodal values u.
+def _grid_energy(u: np.ndarray, h: float, params: Params, work=None):
+    """(kinetic, bulk, point) of the piecewise-linear even extension of the
+    nodal values u.
 
     The kinetic term is exact for the piecewise-linear interpolant (the factor
     2 for evenness cancels the 1/2 of the functional), sum(diff(u)^2) / h;
-    the mass and bulk terms are the trapezoidal rule, h (sum of v - (v_0 +
-    v_n) / 2) for v = u^2 and |u|^p.  Without params only the mass is formed
-    and the energy terms are None.
+    the bulk term is the trapezoidal rule, (2/p) h (sum of |u|^p - (|u_0|^p +
+    |u_n|^p) / 2); the point term is |u_0|^q / q.  work is a float and a
+    bool array of len(u) that the terms are formed in; the flow passes its
+    own, so that a trial allocates nothing here.
 
     The nodes with |u| < tiny^(1/p) (tiny the smallest normal double) are set
     to 0 and raised to the power p in one unmasked call: such a node adds
     0^p = 0 in place of a power of at most about tiny, which pow reaches
     only on its slow underflow path.  Every other node adds its plain power.
     """
-    u0, un = u[0], u[-1]
-    mass = 2.0 * h * (float(np.dot(u, u)) - 0.5 * float(u0 ** 2 + un ** 2))
-    if params is None:
-        return mass, None, None, None
     p, q = params.p, params.q
-    d = u[1:] - u[:-1]
+    mag, small = work if work is not None else (np.empty(len(u)), np.empty(len(u), bool))
+    d = np.subtract(u[1:], u[:-1], out=mag[:-1])
     diff2 = float(np.add.reduce(np.multiply(d, d, out=d)))
-    mag = np.abs(u)
-    mag[mag < sys.float_info.min ** (1.0 / p)] = 0.0
+    np.abs(u, out=mag)
+    np.putmask(mag, np.less(mag, sys.float_info.min ** (1.0 / p), out=small), 0.0)
+    u0, un = u.item(0), u.item(-1)
     vsum = float(np.add.reduce(np.power(mag, p, out=mag))) \
-        - 0.5 * float(abs(u0) ** p + abs(un) ** p)
-    return mass, diff2 / h, (2.0 / p) * h * vsum, abs(u0) ** q / q
+        - 0.5 * (abs(u0) ** p + abs(un) ** p)
+    return diff2 / h, (2.0 / p) * h * vsum, abs(u0) ** q / q
 
 
 def discrete_energy(params: Params, u: np.ndarray, h: float) -> float:
     """Energy of the piecewise-linear even extension of nodal values u."""
-    _, kinetic, bulk, point = _grid_functional(u, h, params)
+    kinetic, bulk, point = _grid_energy(u, h, params)
     return kinetic + bulk - point
 
 
 def discrete_mass(u: np.ndarray, h: float) -> float:
-    """Mass of the even extension of nodal values u by the trapezoidal rule."""
-    return _grid_functional(u, h)[0]
+    """Mass of the even extension of nodal values u by the trapezoidal rule,
+    2h (sum of u^2 - (u_0^2 + u_n^2) / 2)."""
+    u0, un = u.item(0), u.item(-1)      # floats: pow is libm's, as for numpy's scalars
+    return 2.0 * h * (float(np.dot(u, u)) - 0.5 * (u0 ** 2 + un ** 2))
 
 
 def make_initial_profile(mu: float, L: float, n: int,
@@ -542,6 +644,10 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
     two_w[0] = two_w[-1] = h
     stiff = np.full(len(u), 4.0 / h)
     stiff[0] = stiff[-1] = 2.0 / h
+    # the trial's matrix diagonal and off-diagonal, which dptsv overwrites,
+    # and the energy's work arrays
+    d, off = np.empty(len(u)), np.empty(len(u) - 1)
+    work = np.empty(len(u)), np.empty(len(u), bool)
 
     energy = discrete_energy(params, u, h)
     trace = [energy]
@@ -552,19 +658,22 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
         diag **= p - 2.0
         diag *= two_w
         diag += stiff
-        point = np.abs(u[0]) ** (q - 2.0) * u[0]
+        point = abs(u.item(0)) ** (q - 2.0) * u.item(0)
         two_w_u = two_w * u
         accepted = False
         for _ in range(60):
-            off = np.full(len(u) - 1, -2.0 * tau / h)
-            rhs = two_w_u.copy()
-            rhs[0] += tau * point
-            *_, trial, info = dptsv(two_w + tau * diag, off, rhs,
+            np.multiply(diag, tau, out=d)
+            d += two_w
+            off.fill(-2.0 * tau / h)
+            trial = two_w_u.copy()
+            trial[0] += tau * point
+            *_, trial, info = dptsv(d, off, trial,
                                     overwrite_d=1, overwrite_e=1, overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"tridiagonal solve failed (dptsv info={info})")
             trial *= math.sqrt(mu / discrete_mass(trial, h))
-            e_trial = discrete_energy(params, trial, h)
+            kinetic, bulk, point_term = _grid_energy(trial, h, params, work)
+            e_trial = kinetic + bulk - point_term
             if e_trial <= energy:
                 accepted = True
                 break

@@ -74,6 +74,20 @@ def test_no_module_reads_another_modules_private_names(path):
     assert reads == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_module_imports_a_private_scipy_module(path):
+    # SciPy's private modules (scipy.integrate._ivp and the like) may change
+    # in any release; the package reads SciPy's public names only
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = [(node.lineno, node.module) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 0]
+    modules += [(node.lineno, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    private = [f"{path.name}:{line}: {name}" for line, name in modules
+               if name.split(".")[0] == "scipy" and any(map(_private, name.split(".")))]
+    assert private == []
+
+
 def test_a_layer_loads_only_the_layers_below_it():
     code = ("import sys, deltanls.massmap; "
             "print(' '.join(sorted(m for m in sys.modules if m.startswith('deltanls'))))")

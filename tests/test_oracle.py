@@ -1,9 +1,14 @@
+import hashlib
 import math
+import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+import scipy.integrate
+from scipy.integrate import DOP853, OdeSolution, quad
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
@@ -367,39 +372,98 @@ def test_oracle_check_reports_its_pinned_figures():
         "residual=9.99e-16 (bound 1e-8)")
 
 
-def test_dense_values_are_the_dense_output_bit_for_bit(monkeypatch):
-    # shoot evaluates the DOP853 dense output of every step at once from the
-    # interpolants' coefficients; SciPy's own OdeSolution is the reference,
-    # on every point shoot evaluates and on each step's end points, for the
-    # 14 oracle states and the zero-frequency, rebounded, crossed_zero and
-    # no_event shots
-    solves = []
+def _recorded_shots(monkeypatch):
+    """Each shot of :func:`_shots` with its solve_ivp result, its stepper and
+    the stops it read."""
     solve_ivp = oracle.solve_ivp
+    solves = []
 
-    def recording_ivp(*args, **kwargs):
-        solves.append(solve_ivp(*args, **kwargs))
-        return solves[-1]
+    def recording_ivp(fun, *args, **kwargs):
+        sol = solve_ivp(fun, *args, **kwargs)
+        solves.append((sol, kwargs["out"][0], kwargs["stops"], fun))
+        return sol
 
     monkeypatch.setattr(oracle, "solve_ivp", recording_ivp)
+    for params, lam, u0, L in _shots():
+        res = oracle.shoot(params, lam, u0, L=L)
+        yield (params, lam, u0, L), res, *solves[-1]
+
+
+def _coefficients_step_by_step(fun, stepper):
+    """The interpolant coefficients (component, row, step) formed one step at
+    a time on floats from each step's recorded stages, as a loop over the
+    nonzeros of DOP853's extra stages and D rows adds them: the reference of
+    the stepper's array arithmetic over the steps."""
+    steps = [struct.unpack(f"{len(packed) // 8}d", packed) for packed in stepper._steps]
+    ends = [step[2:4] for step in steps[1:]] + [stepper._uv]
+    extra = tuple(zip(DOP853.C_EXTRA.tolist(), oracle._nonzero_rows(DOP853.A_EXTRA)))
+    F = []
+    for (t, h, u, v, *k), (u1, v1) in zip(steps, ends):
+        ku, kv = list(k[:len(k) // 2]), list(k[len(k) // 2:])
+        f1u, f1v = ku[-1], kv[-1]
+
+        def sums(row):
+            su = sv = 0.0
+            for j, a in row:
+                su += a * ku[j]
+                sv += a * kv[j]
+            return su, sv
+
+        for c, row in extra:
+            su, sv = sums(row)
+            fu, fv = fun(t + c * h, (u + su * h, v + sv * h))
+            ku.append(fu)
+            kv.append(fv)
+        du, dv = u1 - u, v1 - v
+        rows = [(du, dv), (h * ku[0] - du, h * kv[0] - dv),
+                (2.0 * du - h * (f1u + ku[0]), 2.0 * dv - h * (f1v + kv[0]))]
+        rows += [(h * su, h * sv) for su, sv in map(sums, oracle._nonzero_rows(DOP853.D))]
+        F.append(rows)
+    return np.array(F).transpose(2, 1, 0)
+
+
+def _event_point(stops, stopped, last):
+    """The event point of a stopped shot as solve_ivp finds it: brentq with
+    xtol = rtol = 4 eps on the last step's interpolant for each event that
+    changed sign, the earliest root first."""
+    eps = np.finfo(float).eps
+    return min(brentq(lambda x, g=stops[i][0]: g(*last(x)), last.t_old, last.t,
+                      xtol=4 * eps, rtol=4 * eps) for i in stopped)
+
+
+def test_dense_values_are_the_dense_output_bit_for_bit(monkeypatch):
+    # shoot evaluates the DOP853 dense output of every step at once from the
+    # stepper's stacked coefficients; SciPy's own OdeSolution of
+    # Dop853DenseOutput steps built from the recorded steps is the reference,
+    # on every point shoot evaluates and on each step's end points, for the
+    # 14 oracle states and the zero-frequency, rebounded, crossed_zero and
+    # no_event shots.  The coefficients are those formed one step at a time
+    # on floats, the event point is located on SciPy's interpolant of the
+    # last step, and the float interpolant shoot hands brentq is SciPy's
+    # scalar evaluation bit for bit
     n = 20000
     outcomes = set()
-    for params, lam, u0, L in _shots():
-        res = oracle.shoot(params, lam, u0, L=L, n=n)
-        sol = solves[-1]
-        x_end = sol.t[-1]
+    for (params, lam, u0, L), res, sol, stepper, stops, fun in _recorded_shots(monkeypatch):
+        t, y, F = stepper.steps
+        assert _same_bits(t, sol.t) and _same_bits(y, sol.y[:, :-1])
+        assert _same_bits(F, _coefficients_step_by_step(fun, stepper))
+        steps = [Dop853DenseOutput(t[i], t[i + 1], y[:, i], F[:, :, i].T)
+                 for i in range(len(t) - 1)]
+        ode = OdeSolution(t, steps)
+        x_end = _event_point(stops, stepper.stopped, steps[-1]) if stepper.stopped else t[-1]
         x = np.linspace(0.0, oracle.default_domain(lam) if L is None else L, n + 1)
         grid = x[x <= x_end]
         drift = np.linspace(0.0, x_end, 512)
-        for pts in (grid, drift, sol.t, np.array([x_end]), np.concatenate([grid, drift])):
-            assert _same_bits(oracle._dense_values(sol.sol, pts), sol.sol(pts)), \
-                (params, lam, u0)
-        assert _same_bits(oracle._dense_values(sol.sol, np.array([x_end]))[:, 0],
-                          sol.sol(x_end))
+        for pts in (grid, drift, t, np.array([x_end])):
+            assert _same_bits(oracle._dense_values(t, y, F, pts), ode(pts)), (params, lam, u0)
+        assert _same_bits(oracle._dense_values(t, y, F, np.array([x_end]))[:, 0], ode(x_end))
+        at = oracle._step_interpolant(t[-2], t[-1], y[:, -1].tolist(), F[:, :, -1])
+        for xi in np.linspace(t[-2], t[-1], 9):
+            assert _same_bits(at(xi), steps[-1](xi))
         if res.outcome == "decayed":
-            assert _same_bits(res.profile.values[:len(grid)], sol.sol(grid)[0])
+            assert _same_bits(res.profile.values[:len(grid)], ode(grid)[0])
             assert res.capture_x == x_end
         outcomes.add(res.outcome)
-    assert len(solves) == 19
     assert outcomes == {"decayed", "rebounded", "crossed_zero", "no_event"}
 
 
@@ -420,34 +484,57 @@ def _shots():
                (P425, 1.0, 5.0, 50.0), (P83, 0.04, 0.4, 5.0)])
 
 
+def _scipy_solve(solves):
+    """A solve_ivp for shoot that runs SciPy's own DOP853 under stock
+    solve_ivp, with the shot's stops as terminal events and SciPy's dense
+    output, and hands shoot its steps as the stepper would."""
+    def scipy_ivp(fun, t_span, y0, method, stops, out, **options):
+        events = []
+        for g, direction in stops:
+            def event(x, y, g=g):
+                return g(*y.tolist())
+            event.terminal, event.direction = True, direction
+            events.append(event)
+        sol = scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", events=events,
+                                        dense_output=True, **options)
+        steps = sol.sol.interpolants
+        out.append(types.SimpleNamespace(
+            steps=(np.array([s.t_old for s in steps] + [steps[-1].t]),
+                   np.array([s.y_old for s in steps]).T,
+                   np.array([s.F for s in steps]).transpose(2, 1, 0)),
+            stopped=[i for i, te in enumerate(sol.t_events) if len(te)]))
+        solves.append(sol)
+        return sol
+    return scipy_ivp
+
+
 def test_two_float_stepper_takes_scipys_steps(monkeypatch):
-    # every shot again with SciPy's own DOP853 stepper: the same steps, the
-    # same right-hand-side count and the same outcome; only the order of the
-    # stage sums differs, which moves the nodal values by at most 3.3e-10 u0
-    # (the zero-frequency shot) and the capture point by at most 1.2e-6
+    # every shot again with stock scipy.integrate.solve_ivp(method="DOP853",
+    # events=...): the same steps, the same right-hand-side count and the
+    # same outcome; only the order of the stage sums differs, which moves the
+    # nodal values by at most 3.3e-10 u0 (the zero-frequency shot) and the
+    # capture point by at most 1.2e-6
     solve_ivp = oracle.solve_ivp
-    method, solves = [None], []
+    ours_solves, ref_solves = [], []
 
-    def forced_ivp(*args, **kwargs):
-        if method[0] is not None:
-            kwargs["method"] = method[0]
-        solves.append(solve_ivp(*args, **kwargs))
-        return solves[-1]
+    def our_ivp(*args, **kwargs):
+        ours_solves.append(solve_ivp(*args, **kwargs))
+        return ours_solves[-1]
 
-    monkeypatch.setattr(oracle, "solve_ivp", forced_ivp)
     outcomes = set()
     for params, lam, u0, L in _shots():
-        method[0] = None
+        monkeypatch.setattr(oracle, "solve_ivp", our_ivp)
         ours = oracle.shoot(params, lam, u0, L=L)
-        method[0] = "DOP853"
+        monkeypatch.setattr(oracle, "solve_ivp", _scipy_solve(ref_solves))
         ref = oracle.shoot(params, lam, u0, L=L)
-        sol, ref_sol = solves[-2:]
+        sol, ref_sol = ours_solves[-1], ref_solves[-1]
         assert (sol.nfev, len(sol.t), ours.outcome) \
             == (ref_sol.nfev, len(ref_sol.t), ref.outcome), (params, lam, u0)
         if ref.capture_x is None:
             assert ours.capture_x is None
         else:
             assert ours.capture_x == pytest.approx(ref.capture_x, rel=1e-5, abs=0.0)
+            assert ref.capture_x == ref_sol.t_events[0][0] == ref_sol.t[-1]
         assert np.max(np.abs(ours.profile.values - ref.profile.values)) <= 1e-9 * u0
         assert ours.decay_ok == ref.decay_ok
         outcomes.add(ours.outcome)
@@ -456,9 +543,10 @@ def test_two_float_stepper_takes_scipys_steps(monkeypatch):
 
 def test_stepper_nfev_counts_every_rhs_call(monkeypatch):
     # sol.nfev is the figure the benchmark's tracer reads as the shooter's
-    # right-hand-side evaluations: it must be the number of calls made
+    # right-hand-side evaluations: it must be the number of calls made,
+    # counted until shoot returns, the dense output's stages included
     solve_ivp = oracle.solve_ivp
-    totals = []
+    counted_solves = []
 
     def counting_ivp(fun, *args, **kwargs):
         calls = [0]
@@ -468,14 +556,125 @@ def test_stepper_nfev_counts_every_rhs_call(monkeypatch):
             return fun(x, y)
 
         sol = solve_ivp(counted, *args, **kwargs)
-        assert sol.nfev == calls[0]
-        totals.append(calls[0])
+        counted_solves.append((sol, calls))
         return sol
 
     monkeypatch.setattr(oracle, "solve_ivp", counting_ivp)
+    totals = []
     for params, lam, u0, L in _shots():
         oracle.shoot(params, lam, u0, L=L)
+        sol, calls = counted_solves[-1]
+        assert sol.nfev == calls[0]
+        totals.append(calls[0])
     assert sum(totals[:14]) == 15970
+
+
+def test_a_failed_integration_is_named_and_never_decays(monkeypatch):
+    # a right-hand side that turns NaN past x = 1 makes every step across it
+    # fail its error test, until the step falls below DOP853's least step:
+    # solve_ivp returns status -1, and the shot says so
+    solve_ivp = oracle.solve_ivp
+    solves = []
+
+    def failing_ivp(fun, *args, **kwargs):
+        def nan_past_one(x, y):
+            return (math.nan, math.nan) if x > 1.0 else fun(x, y)
+
+        solves.append(solve_ivp(nan_past_one, *args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(oracle, "solve_ivp", failing_ivp)
+    pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
+    res = oracle.shoot(P425, pt.lam, pt.u0)
+    assert solves[-1].status == -1 and solves[-1].t[-1] <= 1.0
+    assert res.outcome == "step_failed"
+    assert not res.decay_ok and res.capture_x is None
+    x = res.profile.x
+    assert np.all(res.profile.values[x > solves[-1].t[-1]] == 0.0)
+
+
+def test_compiled_trial_step_is_the_loop_over_the_tableau_bit_for_bit():
+    # the trial step written out from the tableau adds the products of each
+    # row in the order of a loop over its nonzeros, from 0.0
+    stepper = oracle._TwoFloatDOP853
+    trial = oracle._trial_step(stepper._STAGES, stepper._B, stepper._E5, stepper._E3)
+
+    def rhs(x, y):
+        u, v = y
+        return v - 0.1 * x, 0.3 * u + abs(u) ** 2.5 * u
+
+    def sums(row, ku, kv):
+        su = sv = 0.0
+        for j, a in row:
+            su += a * ku[j]
+            sv += a * kv[j]
+        return su, sv
+
+    for t, u, v, step in np.random.default_rng(27).uniform(-1.0, 1.0, (200, 4)).tolist():
+        t_new = t + 0.01 * step
+        h = t_new - t
+        ku, kv = [rhs(t, (u, v))[0]], [rhs(t, (u, v))[1]]
+        for c, row in stepper._STAGES:
+            su, sv = sums(row, ku, kv)
+            for k, f in zip((ku, kv), rhs(t + c * h, (u + su * h, v + sv * h))):
+                k.append(f)
+        bu, bv = sums(stepper._B, ku, kv)
+        u_new, v_new = u + h * bu, v + h * bv
+        for k, f in zip((ku, kv), rhs(t_new, (u_new, v_new))):
+            k.append(f)
+        want = (u_new, v_new, ku[-1], kv[-1], *sums(stepper._E5, ku, kv),
+                *sums(stepper._E3, ku, kv), *ku, *kv)
+        *got, k = trial(rhs, t, u, v, ku[0], kv[0], h, t_new)
+        assert _same_bits(got + list(k), want)
+
+
+def test_stepper_constants_and_tableau_are_scipys():
+    # the step-size constants shoot owns and the tableau rows its stepper
+    # reads are SciPy's own (the private modules that define them)
+    from scipy.integrate._ivp import dop853_coefficients as dc, rk
+    assert (oracle.SAFETY, oracle.MIN_FACTOR, oracle.MAX_FACTOR) \
+        == (rk.SAFETY, rk.MIN_FACTOR, rk.MAX_FACTOR) == (0.9, 0.2, 10)
+    stepper = oracle._TwoFloatDOP853
+    n = dc.N_STAGES
+    assert stepper._STAGES == tuple(
+        (float(dc.C[i]), tuple((j, float(a)) for j, a in enumerate(dc.A[i, :n]) if a != 0.0))
+        for i in range(1, n))
+    assert (stepper._B, stepper._E5, stepper._E3) == tuple(
+        tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0) for row in (dc.B, dc.E5, dc.E3))
+    # the dense output reads DOP853's own extra stages and D rows: the rows
+    # of D share their nonzeros, and each extra stage reads earlier stages only
+    np.testing.assert_array_equal(DOP853.C_EXTRA, dc.C[n + 1:])
+    np.testing.assert_array_equal(DOP853.A_EXTRA, dc.A[n + 1:])
+    np.testing.assert_array_equal(DOP853.D, dc.D)
+    assert ((dc.D != 0.0) == (dc.D[0] != 0.0)).all()
+    for s, row in enumerate(dc.A[n + 1:]):
+        assert not row[n + 1 + s:].any()
+
+
+#: sha256 of the float64 bytes of the flow's energy trace, for each kernel
+#: family numpy's OpenBLAS picks for np.dot by CPU (OPENBLAS_CORETYPE): the
+#: flow's mass is a BLAS dot product, whose order of additions is the kernel's
+FLOW_TRACE_SHA256 = {
+    "Prescott, Core2, Nehalem": "ef3e9b9f1174532f8b1c30acc4bc440f352a3d7cd86b7a2b2fdee20722701def",
+    "Sandybridge": "0d5118b059729214b80d858cce1b053d06c7f87b1ea6d0421f40896c79a4e0d1",
+    "Haswell, Zen": "6bb619ae58be8fba40f2e262f6bbdf3c27246c2583ac1e48127d1190d18cf4fd",
+    "SkylakeX, Cooperlake, SapphireRapids":
+        "adfa48a1fe2c8d1bffa673e6f7d2745d9a3f95d8288921f0d044746126cef88e",
+}
+
+
+def test_flow_trace_is_pinned_bit_for_bit():
+    # the energy trace of flow-vs-branch's flow, all 992 steps, is pinned by
+    # the sha256 of its float64 bytes: the trials form their sums in reused
+    # work arrays and the energy without the mass, and not a bit may move.
+    # The bits are those of the pinned numpy and SciPy wheels (BLAS ddot,
+    # LAPACK dptsv, numpy's pow) on x86-64, one trace per ddot kernel
+    mu = 0.3
+    gs = energy.groundstate_energy(P425, mu)
+    prof0 = oracle.make_initial_profile(mu, oracle.default_domain(gs.lam), 1500, width=3.0)
+    _, trace = oracle.constrained_minimize(P425, mu, prof0, max_iters=120000)
+    assert len(trace) - 1 == 992
+    assert hashlib.sha256(np.array(trace).tobytes()).hexdigest() in FLOW_TRACE_SHA256.values()
 
 
 def test_only_a_decayed_shot_can_pass_the_decay_gate(monkeypatch):
