@@ -9,8 +9,10 @@ error estimate (:func:`profile_functional`); one discrete functional (the
 piecewise-linear interpolant, its kinetic term exact and its mass and bulk
 terms by the trapezoidal rule) evaluates sampled profiles; the constrained
 minimizer runs a backward-Euler normalized gradient flow on that functional
-at fixed mass, and solves its symmetric positive definite tridiagonal system
-by LDL^T (LAPACK dptsv).
+at fixed mass, with the bulk and point terms both lagged: its matrix is a
+symmetric positive definite tridiagonal, solved by LDL^T (LAPACK dptsv),
+less a rank-one point term at the origin, added by Sherman-Morrison; the
+trial is signed so that its value at the origin is not negative.
 
 Shooting detail: the decaying orbit is a saddle connection, so forward
 integration in double precision is eventually taken over by the growing
@@ -611,27 +613,55 @@ def make_initial_profile(mu: float, L: float, n: int,
     return GridProfile(L, n, u)
 
 
+def _flow_solve(d, off, rhs, tau_c):
+    """The flow's trial u* from (A - tau_c e0 e0^T) u* = b, signed so that
+    u*_0 >= 0, or None where that matrix is singular.
+
+    A is the symmetric positive definite tridiagonal (diagonal d,
+    off-diagonal off) and rhs the Fortran-ordered pair [b, e0].  One LDL^T
+    factorization (LAPACK dptsv) solves A [y, z] = [b, e0], and
+    Sherman-Morrison gives u* = y + (tau_c y_0 / (1 - tau_c z_0)) z.  d, off
+    and rhs are overwritten.
+    """
+    *_, yz, info = dptsv(d, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed (dptsv info={info})")
+    y, z = yz[:, 0], yz[:, 1]
+    denom = 1.0 - tau_c * z.item(0)
+    if denom == 0.0:
+        return None
+    z *= tau_c * y.item(0) / denom
+    y += z
+    if y.item(0) < 0.0:
+        np.negative(y, out=y)
+    return y
+
+
 def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
                          max_iters: int = 200000):
     """Backward-Euler normalized gradient flow at fixed discrete mass.
 
-    Each step solves the semi-implicit system (Bao & Du, SIAM J. Sci. Comput.
-    25, 2004)
+    Each step solves the linearly implicit system (Bao & Du, SIAM J. Sci.
+    Comput. 25, 2004)
 
-        (2W + tau (K + 2W |u^n|^(p-2))) u* = 2W u^n + tau e0 |u0^n|^(q-2) u0^n
+        (2W + tau (K + 2W |u^n|^(p-2)) - tau |u0^n|^(q-2) e0 e0^T) u* = 2W u^n
 
     with W the trapezoid weights and K the kinetic stiffness of
-    :func:`discrete_energy`: one symmetric tridiagonal solve, with the bulk
-    coefficient lagged at u^n and the point term explicit in the origin row.
-    The matrix is then symmetric positive definite for every tau, and it is
-    solved as such, by LDL^T without pivoting (LAPACK dptsv); 2W, the lagged
-    diagonal K + 2W |u^n|^(p-2) and 2W u^n are formed once per step.  With the
-    point term moved into it, its ground-state direction has eigenvalue about
-    2W(1 - tau lambda), so past tau = 1/lambda the solve flips the sign of
-    the profile (the flow lands on -u at the same energy).
+    :func:`discrete_energy`: the bulk and point coefficients are both lagged
+    at u^n.  The matrix need not be positive definite; its part A = 2W +
+    tau (K + 2W |u^n|^(p-2)) is, for every tau, and the point term is a
+    rank-one change of it.  :func:`_flow_solve` solves A by LDL^T without
+    pivoting (LAPACK dptsv) for two right-hand sides, 2W u^n and e0, and
+    applies Sherman-Morrison.  2W, A's lagged diagonal and 2W u^n are formed
+    once per step.  Near a state of multiplier lambda the whole matrix maps
+    u to about (1 - tau lambda) 2W u, so past tau = 1/lambda the solve
+    returns -u; the trial is then negated, which leaves the energy (even in
+    u) as it is and keeps u*_0 >= 0.
 
     u* is renormalized back to the mass sphere and accepted only if the energy
     does not increase, with halving on increase and mild growth on success.
+    A singular matrix (Sherman-Morrison's denominator 0) or a non-finite
+    trial counts as an increase.
     Returns (final profile, energy trace).  The flow stops once the energy
     falls below FLOW_DIVERGENCE_FLOOR: the level is then unbounded below, or
     the flow has diverged, which a check against a finite level reports.
@@ -644,9 +674,10 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
     two_w[0] = two_w[-1] = h
     stiff = np.full(len(u), 4.0 / h)
     stiff[0] = stiff[-1] = 2.0 / h
-    # the trial's matrix diagonal and off-diagonal, which dptsv overwrites,
-    # and the energy's work arrays
+    # the trial's matrix diagonal, off-diagonal and right-hand sides, which
+    # dptsv overwrites, and the energy's work arrays
     d, off = np.empty(len(u)), np.empty(len(u) - 1)
+    rhs = np.empty((len(u), 2), order="F")
     work = np.empty(len(u)), np.empty(len(u), bool)
 
     energy = discrete_energy(params, u, h)
@@ -658,29 +689,29 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
         diag **= p - 2.0
         diag *= two_w
         diag += stiff
-        point = abs(u.item(0)) ** (q - 2.0) * u.item(0)
+        c = abs(u.item(0)) ** (q - 2.0)
         two_w_u = two_w * u
         accepted = False
         for _ in range(60):
             np.multiply(diag, tau, out=d)
             d += two_w
             off.fill(-2.0 * tau / h)
-            trial = two_w_u.copy()
-            trial[0] += tau * point
-            *_, trial, info = dptsv(d, off, trial,
-                                    overwrite_d=1, overwrite_e=1, overwrite_b=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"tridiagonal solve failed (dptsv info={info})")
-            trial *= math.sqrt(mu / discrete_mass(trial, h))
-            kinetic, bulk, point_term = _grid_energy(trial, h, params, work)
-            e_trial = kinetic + bulk - point_term
-            if e_trial <= energy:
-                accepted = True
-                break
+            rhs[:, 0] = two_w_u
+            rhs[:, 1] = 0.0
+            rhs[0, 1] = 1.0
+            trial = _flow_solve(d, off, rhs, tau * c)
+            mass = discrete_mass(trial, h) if trial is not None else math.nan
+            if 0.0 < mass < math.inf:
+                trial *= math.sqrt(mu / mass)
+                kinetic, bulk, point = _grid_energy(trial, h, params, work)
+                e_trial = kinetic + bulk - point
+                if e_trial <= energy:
+                    accepted = True
+                    break
             tau *= 0.5
         if not accepted:
             break
-        u = trial
+        u = trial.copy()
         drop = energy - e_trial
         energy = e_trial
         trace.append(energy)

@@ -235,16 +235,21 @@ def test_one_block_functional_is_the_whole_array_formula():
 
 def test_flow_checks_report_their_pinned_figures():
     flow = verification.check_flow_vs_branch()
-    assert flow.passed and "diff=1.2e-06" in flow.detail and "steps=992" in flow.detail
+    assert flow.passed and "diff=1.2e-06" in flow.detail and "steps=69" in flow.detail
     probe = verification.check_probe_flow()
-    assert probe.passed and probe.detail == "final=-1.62e+06"
+    assert probe.passed and probe.detail == "final=-2.25e+06"
 
 
-def _dgtsv_step(d, e, b, **overwrite):
-    """The flow's tridiagonal solve by general LU with partial pivoting, in
-    the (d, e, x, info) form of LAPACK dptsv."""
-    *_, x, info = dgtsv(e, d, e, b)
-    return d, e, x, info
+def _dgtsv_flow_solve(d, off, rhs, tau_c):
+    """The flow's trial by general LU with partial pivoting (LAPACK dgtsv) of
+    the whole rank-one-modified matrix, diagonal d - tau_c e0, signed as
+    oracle._flow_solve signs it."""
+    d = d.copy()
+    d[0] -= tau_c
+    *_, x, info = dgtsv(off, d, off, rhs[:, 0])
+    if info != 0:
+        return None
+    return -x if x[0] < 0.0 else x
 
 
 @pytest.mark.parametrize("params, mu, L, n, width", [
@@ -252,15 +257,15 @@ def _dgtsv_step(d, e, b, **overwrite):
     (Params(3.0, 5.0), 1.0, 5.0, 4000, 5.0 / 4000 * 10.0),   # probe-flow
 ], ids=["flow-vs-branch", "probe-flow"])
 def test_flow_ldlt_solve_tracks_the_general_lu_solve(monkeypatch, params, mu, L, n, width):
-    # the flow's matrix is symmetric positive definite, so LDL^T (dptsv)
-    # solves it; the general LU solve (dgtsv) is the reference.  The traces
-    # differ by rounding only: at most 2.1e-17 on the flow (whose energy
-    # passes 0) and 4.1e-15 |E| on the probe flow
+    # only the matrix's part without the point term is symmetric positive
+    # definite: the flow solves that part by LDL^T (dptsv) and adds the
+    # point term by Sherman-Morrison.  The reference solves the whole matrix
+    # by LU (dgtsv), and the traces differ by rounding only
     if L is None:
         L = max(50.0, 20.0 / math.sqrt(energy.groundstate_energy(params, mu).lam))
     prof0 = oracle.make_initial_profile(mu, L, n, width=width)
     _, trace = oracle.constrained_minimize(params, mu, prof0, max_iters=120000)
-    monkeypatch.setattr(oracle, "dptsv", _dgtsv_step)
+    monkeypatch.setattr(oracle, "_flow_solve", _dgtsv_flow_solve)
     _, ref = oracle.constrained_minimize(params, mu, prof0, max_iters=120000)
     assert len(trace) == len(ref)
     trace, ref = np.array(trace), np.array(ref)
@@ -305,30 +310,71 @@ def test_renormalization_preserves_mass():
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
+def _flow_from_width_3_seed(params, mu):
+    """The ground state at mass mu, and the flow's end profile and energy
+    trace from flow-vs-branch's seed and grid (width 3, n = 1500)."""
+    gs = energy.groundstate_energy(params, mu)
+    prof0 = oracle.make_initial_profile(mu, oracle.default_domain(gs.lam), 1500, width=3.0)
+    return (gs, *oracle.constrained_minimize(params, mu, prof0, max_iters=120000))
+
+
+def _discrete_euler_lagrange(params, prof):
+    """(lambda_h, relative residual) of the discrete Euler-Lagrange equation
+    g + lambda_h 2W u = 0, with g the gradient of discrete_energy, 2W the
+    trapezoid weights and lambda_h = -<u, g> / <u, 2W u>.  The residual is
+    max |g + lambda_h 2W u| / 2W relative to lambda_h max u."""
+    u, h = prof.values, prof.h
+    two_w = np.full(len(u), 2.0 * h)
+    two_w[0] = two_w[-1] = h
+    d = np.diff(u)
+    g = np.zeros(len(u))
+    g[:-1] -= 2.0 * d / h
+    g[1:] += 2.0 * d / h
+    g += two_w * np.abs(u) ** (params.p - 2.0) * u
+    g[0] -= abs(u[0]) ** (params.q - 2.0) * u[0]
+    lam_h = -float(np.dot(u, g)) / float(np.dot(u, two_w * u))
+    residual = float(np.max(np.abs(g + lam_h * two_w * u) / two_w))
+    return lam_h, residual / (lam_h * float(np.max(u)))
+
+
 def test_flow_reaches_branch_level():
-    mu = 0.3
-    gs = energy.groundstate_energy(P425, mu)
-    L = max(50.0, 20.0 / math.sqrt(gs.lam))
-    prof0 = oracle.make_initial_profile(mu, L, 1500, width=3.0)
-    prof, trace = oracle.constrained_minimize(P425, mu, prof0, max_iters=120000)
+    gs, prof, trace = _flow_from_width_3_seed(P425, 0.3)
     assert abs(trace[-1] - gs.value) <= 1e-4
     # the flow profile approximates the unique positive state
-    pt = massmap.normalized_solutions(P425, mu)[0].point
+    pt = massmap.normalized_solutions(P425, 0.3)[0].point
     exact = stationary.profile(pt, prof.x)
     assert float(np.max(np.abs(prof.values - exact))) <= 5e-3 * pt.u0
 
 
-@pytest.mark.parametrize("params, mu", [(P425, 0.3), (P83, 1.0)])
+@pytest.mark.parametrize("params, mu", [(P425, 0.3), (P83, 1.0), (Params(8.0, 4.0), 3.0)])
 def test_flow_lands_on_branch_level_in_few_steps(params, mu):
-    gs = energy.groundstate_energy(params, mu)
-    L = max(50.0, 20.0 / math.sqrt(gs.lam))
-    prof0 = oracle.make_initial_profile(mu, L, 1500, width=3.0)
-    _, trace = oracle.constrained_minimize(params, mu, prof0, max_iters=120000)
+    gs, _, trace = _flow_from_width_3_seed(params, mu)
     assert abs(trace[-1] - gs.value) <= 1e-4
     assert all(b <= a for a, b in zip(trace, trace[1:]))
-    # backward-Euler steps are not limited by tau ~ h^2: about 1,000 and
-    # 2,100 accepted steps here, where explicit steps took 25,000 and 36,000
-    assert len(trace) - 1 <= 3000
+    # with the point term implicit, tau is not held near h at the origin:
+    # 69, 73 and 77 accepted steps here
+    assert len(trace) - 1 <= 200
+
+
+@pytest.mark.parametrize("params, mu", [(P425, 0.3), (P83, 1.0)])
+def test_flow_ends_at_a_discrete_critical_point(params, mu):
+    # the flow ends where the discrete Euler-Lagrange equation holds (4e-7
+    # and 6.2e-6), and its multiplier is the state's to the grid's accuracy
+    # (5.6e-4 and 3.1e-4 relative)
+    gs, prof, _ = _flow_from_width_3_seed(params, mu)
+    lam_h, residual = _discrete_euler_lagrange(params, prof)
+    assert residual <= 1e-4
+    assert abs(lam_h - gs.lam) <= 1e-3 * gs.lam
+
+
+def test_flow_in_region_f_stops_at_the_grids_level():
+    # at (4, 3.5), mu = 5.5 the flow ends 29% above the library's level
+    # -9.2558, at -6.568027 in 111 steps; the explicit point term stalled
+    # 9.3e-6 above it after 39,647 steps, and at n = 6000 the gap is 2.5%.
+    # The gap is the n = 1500 grid's, not the flow's
+    _, _, trace = _flow_from_width_3_seed(Params(4.0, 3.5), 5.5)
+    assert abs(trace[-1] - (-6.568027)) <= 1e-6 * 6.568027
+    assert len(trace) - 1 <= 200
 
 
 def test_flow_probe_mode_descends():
@@ -655,25 +701,22 @@ def test_stepper_constants_and_tableau_are_scipys():
 #: family numpy's OpenBLAS picks for np.dot by CPU (OPENBLAS_CORETYPE): the
 #: flow's mass is a BLAS dot product, whose order of additions is the kernel's
 FLOW_TRACE_SHA256 = {
-    "Prescott, Core2, Nehalem": "ef3e9b9f1174532f8b1c30acc4bc440f352a3d7cd86b7a2b2fdee20722701def",
-    "Sandybridge": "0d5118b059729214b80d858cce1b053d06c7f87b1ea6d0421f40896c79a4e0d1",
-    "Haswell, Zen": "6bb619ae58be8fba40f2e262f6bbdf3c27246c2583ac1e48127d1190d18cf4fd",
+    "Prescott, Core2, Nehalem": "207c21330f043db9c647666c374c1530b4399724c6abf8616626b3e5f7305d22",
+    "Sandybridge": "e2fe013c4eaee7f701e7400db2d2c31c3f0eb0d41295e6d72984f946ab6257bb",
+    "Haswell, Zen": "5e1f5cf765c20fb69a850eb1ec5f0927b4c58a78c985896a40a73c797299ad64",
     "SkylakeX, Cooperlake, SapphireRapids":
-        "adfa48a1fe2c8d1bffa673e6f7d2745d9a3f95d8288921f0d044746126cef88e",
+        "a9e17317caf92302019b851556fefbe070546d8529e099eec4d2268d0c21e035",
 }
 
 
 def test_flow_trace_is_pinned_bit_for_bit():
-    # the energy trace of flow-vs-branch's flow, all 992 steps, is pinned by
+    # the energy trace of flow-vs-branch's flow, all 69 steps, is pinned by
     # the sha256 of its float64 bytes: the trials form their sums in reused
     # work arrays and the energy without the mass, and not a bit may move.
     # The bits are those of the pinned numpy and SciPy wheels (BLAS ddot,
     # LAPACK dptsv, numpy's pow) on x86-64, one trace per ddot kernel
-    mu = 0.3
-    gs = energy.groundstate_energy(P425, mu)
-    prof0 = oracle.make_initial_profile(mu, oracle.default_domain(gs.lam), 1500, width=3.0)
-    _, trace = oracle.constrained_minimize(P425, mu, prof0, max_iters=120000)
-    assert len(trace) - 1 == 992
+    _, _, trace = _flow_from_width_3_seed(P425, 0.3)
+    assert len(trace) - 1 == 69
     assert hashlib.sha256(np.array(trace).tobytes()).hexdigest() in FLOW_TRACE_SHA256.values()
 
 
