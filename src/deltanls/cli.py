@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import algebra, energy, massmap, stationary, verification
-from .params import Params, Region, classify, expected_solution_regime
+from .params import Params, ThresholdKind, classify, expected_solution_regime
 from .stationary import BranchPoint
 
 
@@ -87,7 +87,8 @@ def _thresholds_payload(params: Params) -> dict:
         out["provenance"]["mu_tilde"] = f"refused: {exc}"
     if out["mu_tilde"] is not None:
         out["provenance"]["mu_tilde"] = (
-            "limit-constant" if classify(params) in (Region.G, Region.H) else "root")
+            "limit-constant" if expected_solution_regime(params).zero_level_mass
+            is ThresholdKind.MASS_TWO else "root")
     if params.q < min(4.0, params.p / 2.0 + 1.0):
         out["mu_bar"] = massmap.mass_of_t(params, d=algebra.d_star(params))
         out["provenance"]["mu_bar"] = "closed-form (multiplier peak)"

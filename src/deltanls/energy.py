@@ -7,7 +7,9 @@ E(mu) = inf {E(u) : ||u||_2^2 = mu} is assembled from branch enumeration
 plus the vanishing competitor 0: the level is always non-positive and
 non-increasing, and the minimizer (when one exists) is a stationary state.
 Attainment bookkeeping is explicit: per sample the flag says attained /
-infimum-not-attained / minus-infinity / unknown.
+infimum-not-attained / minus-infinity / unknown.  Which of these a region
+allows, and how its zero-level mass is obtained, is read from the rule of
+``params.expected_solution_regime`` (its ``level`` and ``zero_level_mass``).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import algebra, massmap, stationary
-from .params import Params, Region, classify
+from .params import Level, Params, ThresholdKind, expected_solution_regime
 from .stationary import branch_energy
 
 
@@ -50,66 +52,55 @@ def _plateau_energy(params: Params) -> float:
 
 
 def groundstate_energy(params: Params, mu: float) -> EnergySample:
-    """E(mu) at one mass, with attainment resolved region by region.
+    """E(mu) at one mass, with attainment read from the rule of params.
 
-    Regions D and E (and G past mass 2) are unbounded below: the sample is
-    flagged minus-infinity and carries no number.  On the diagonal with
-    p >= 6 finiteness is genuinely open and reported as unknown.
+    Where the rule's level is minus infinity (regions D and E, and G past
+    mass 2) the sample is flagged minus-infinity and carries no number;
+    where it is open (the diagonal with p >= 6) it is reported as unknown,
+    with the branch states as candidates.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError(f"need a finite mu > 0, got {mu}")
-    region = classify(params)
-
-    if region in (Region.D, Region.E):
+    level = expected_solution_regime(params).level
+    if level is Level.MINUS_INFINITY or (level is Level.ZERO_UP_TO_TWO and mu > 2.0):
         return EnergySample(mu, None, None, "none", Attainment.MINUS_INFINITY)
-    if region is Region.G:
-        if mu <= 2.0:
-            return EnergySample(mu, 0.0, None, "vanishing", Attainment.NOT_ATTAINED)
-        return EnergySample(mu, None, None, "none", Attainment.MINUS_INFINITY)
-    if region is Region.I:
-        if params.p < 6.0:
-            return EnergySample(mu, 0.0, None, "vanishing", Attainment.NOT_ATTAINED)
-        cands = tuple((s.point.t, s.point.lam, s.energy)
-                      for s in massmap.normalized_solutions(params, mu))
-        return EnergySample(mu, None, None, "none", Attainment.UNKNOWN, cands)
-
-    if region is Region.A:
-        mu0 = algebra.mu0(params)
-        if mu > mu0 * (1.0 + massmap.MU0_MATCH_RTOL):
-            # constant level past mu0; only partial mass can concentrate
-            return EnergySample(mu, _plateau_energy(params), 0.0, "plateau",
-                                Attainment.NOT_ATTAINED)
+    if level in (Level.ZERO, Level.ZERO_UP_TO_TWO):
+        return EnergySample(mu, 0.0, None, "vanishing", Attainment.NOT_ATTAINED)
+    if level is Level.PLATEAU and mu > algebra.mu0(params) * (1.0 + massmap.MU0_MATCH_RTOL):
+        # constant level past mu0; only partial mass can concentrate
+        return EnergySample(mu, _plateau_energy(params), 0.0, "plateau",
+                            Attainment.NOT_ATTAINED)
 
     sols = massmap.normalized_solutions(params, mu)
     cands = tuple(sorted((s.point.t, s.point.lam, s.energy) for s in sols))
-    if not sols:
+    if level is Level.OPEN:
+        return EnergySample(mu, None, None, "none", Attainment.UNKNOWN, cands)
+    best = min(sols, key=lambda s: s.energy, default=None)
+    if best is None or best.energy > 0.0:
+        # no state, or every state costs positive energy: the level sits at 0
         return EnergySample(mu, 0.0, None, "vanishing", Attainment.NOT_ATTAINED, cands)
-    best = min(sols, key=lambda s: s.energy)
     if best.point.zero_frequency:
         branch_id = "zero-frequency"
     elif len(sols) == 1:
         branch_id = "only"
     else:
         branch_id = "lower" if best.point.t <= sols[0].point.t else "upper"
-    if best.energy <= 0.0:
-        return EnergySample(mu, best.energy, best.point.lam, branch_id,
-                            Attainment.ATTAINED, cands)
-    # branch states exist but all cost positive energy: the level sits at 0
-    return EnergySample(mu, 0.0, None, "vanishing", Attainment.NOT_ATTAINED, cands)
+    return EnergySample(mu, best.energy, best.point.lam, branch_id,
+                        Attainment.ATTAINED, cands)
 
 
 def zero_level_mass(params: Params) -> float | None:
     """Largest mass with E(mu) = 0, where the level starts strictly negative.
 
-    Exactly 2 for q = 4; in regions C and F the mass of the root of the
-    branch energy on one monotone piece of the mass map; None where the
-    level is negative for all masses (A, B) or identically unbounded/zero
-    elsewhere.
+    The rule of params names how it is obtained: exactly 2 for q = 4 (G and
+    H); the mass of the root of the branch energy on one monotone piece of
+    the mass map (C and F); None where the level is negative for all masses
+    (A, B) or identically unbounded/zero elsewhere.
     """
-    region = classify(params)
-    if region in (Region.G, Region.H):
+    kind = expected_solution_regime(params).zero_level_mass
+    if kind is ThresholdKind.MASS_TWO:
         return 2.0
-    if region not in (Region.C, Region.F):
+    if kind is not ThresholdKind.BRANCH_ENERGY_ROOT:
         return None
 
     # Along each monotone piece of mu(y), E falls as mu grows (dE/dmu =
@@ -127,7 +118,7 @@ def zero_level_mass(params: Params) -> float | None:
     y = y if math.isfinite(y) else 0.0
     energy_at = lambda y: branch_energy(stationary.state_at_logd(params, y)).total
     e = energy_at(y)
-    slope = 1.0 if region is Region.F else -1.0   # sign of dE/dy on the piece
+    slope = 1.0 if params.p < 6.0 else -1.0   # sign of dE/dy on the piece: F, C
     y = stationary.root_from(energy_at, y, e, -slope if e > 0.0 else slope)
     root = stationary.state_at_logd(params, y)
     mu = massmap.state_mass(root)

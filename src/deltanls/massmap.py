@@ -23,7 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import algebra, stationary
-from .params import Params, Region, ThresholdKind, classify, expected_solution_regime
+from .params import Params, ThresholdKind, expected_solution_regime
 from .stationary import BranchPoint, branch_energy
 
 #: Relative mismatch below which a requested mass is identified with mu0
@@ -170,12 +170,13 @@ def mass_curve(params: Params, n: int = 2048, y_lo: float = -30.0,
                y_hi: float = 30.0) -> MassCurve:
     """Sample mu on the log grid t = 1 + e^y and annotate its extrema.
 
-    The sign of mu' is -1 left of the branch minimum of regions C and F and
-    +1 everywhere else (mu is increasing outside C and F).
+    The sign of mu' is -1 left of the branch minimum, where the existence
+    rule's threshold is one (regions C and F), and +1 everywhere else (mu
+    is increasing elsewhere).
     """
     y_min = -math.inf
     extrema: tuple[tuple[float, float], ...] = ()
-    if classify(params) in (Region.C, Region.F):
+    if expected_solution_regime(params).threshold is ThresholdKind.BRANCH_MINIMUM:
         y_min, mu_min, _ = branch_minimum(params)
         if math.isfinite(y_min):
             extrema = ((1.0 + math.exp(y_min), mu_min),)
@@ -287,9 +288,10 @@ def _matches(mu: float, ref: float, rtol: float) -> bool:
 def _branch_offsets_at_mass(params: Params, mu: float) -> tuple[list[float], bool]:
     """(log-offsets y = ln(t - 1) with mu(t) = mu, include zero-frequency point?)
 
-    Outside regions C and F the mass increases from its t -> 1+ limit to its
-    t -> inf limit (one piece); in C and F it falls from +inf to the branch
-    minimum and rises from there to mu0 (F) or +inf (C) (two pieces).  In F
+    Where the existence rule's threshold is not the branch minimum, the mass
+    increases from its t -> 1+ limit to its t -> inf limit (one piece);
+    where it is (regions C and F) it falls from +inf to the branch minimum
+    and rises from there to mu0 (F) or +inf (C) (two pieces).  In F
     without a dip the falling piece is the whole branch and ends at mu0.
     """
     asym = asymptotics(params)
@@ -297,7 +299,7 @@ def _branch_offsets_at_mass(params: Params, mu: float) -> tuple[list[float], boo
     with_zero = params.p < 6.0 and _matches(mu, mu_inf, MU0_MATCH_RTOL)
     rising_reaches = not with_zero and mu < mu_inf
 
-    if classify(params) not in (Region.C, Region.F):
+    if expected_solution_regime(params).threshold is not ThresholdKind.BRANCH_MINIMUM:
         if not (asym.t1_limit < mu and rising_reaches):
             return [], with_zero
         return [_crossing(params, mu, 0.0, 1.0)], with_zero

@@ -1,10 +1,16 @@
-"""Exponent pair (p, q) and its classification in the pq-plane.
+"""Exponent pair (p, q), its region in the pq-plane and the paper's rule there.
 
 The bulk nonlinearity exponent p and the point nonlinearity exponent q
 (both > 2) determine everything else in this package.  The quadrant
 (2, inf) x (2, inf) splits into nine regions, separated by the lines
 p = 6, q = 4 and the "diagonal" q = p/2 + 1, on which existence,
-uniqueness and multiplicity of mass-constrained solutions change.
+uniqueness and multiplicity of mass-constrained solutions change, and
+with them the ground-state level.  The paper's characterisation is one
+table of rules (``expected_solution_regime``): for each region the masses
+with solutions and their threshold, uniqueness, the level where the branch
+states do not decide it and how the zero-level mass is obtained.  This is
+the only module that names a region; the layers above dispatch on the
+rule's fields.
 """
 
 from __future__ import annotations
@@ -94,64 +100,81 @@ class MassInterval(enum.Enum):
 
 
 class ThresholdKind(enum.Enum):
-    """How the mass threshold of an existence rule is obtained."""
+    """How a mass threshold of a rule is obtained; the value is its symbol."""
 
-    NONE = "none"              # rule involves no computed threshold
-    ZERO_FREQUENCY_MASS = "mu0"  # closed-form mass of the lambda = 0 state
-    BRANCH_MINIMUM = "branch_min"  # minimum of the branch mass map
-    MASS_TWO = "two"           # the constant 2
+    NONE = ""                      # rule involves no computed threshold
+    ZERO_FREQUENCY_MASS = "mu0"    # closed-form mass of the lambda = 0 state
+    BRANCH_MINIMUM = "mu_min"      # minimum of the branch mass map
+    MASS_TWO = "2"                 # the constant 2
+    BRANCH_ENERGY_ROOT = "mu_tilde"  # mass of the root of the branch energy
+
+
+class Level(enum.Enum):
+    """The ground-state level E(mu) where the branch states do not decide it."""
+
+    MINUS_INFINITY = "-inf"        # unbounded below at every mass
+    ZERO = "zero"                  # 0 at every mass, approached and not attained
+    ZERO_UP_TO_TWO = "zero-to-two"  # 0, not attained, for mu <= 2; -inf past 2
+    PLATEAU = "plateau"            # the branch up to mu0, the energy of its end past it
+    OPEN = "open"                  # finiteness is open
 
 
 @dataclass(frozen=True)
 class ExistenceRule:
-    """Symbolic existence statement for mass-constrained solutions.
+    """The paper's statement for one region: existence and uniqueness of
+    mass-constrained solutions, and the ground-state level.
 
     `unique` is True where solutions at fixed admissible mass are unique up
     to sign, and None where uniqueness is genuinely open (regions C and F,
-    where two distinct solutions can share the same mass).
+    where two distinct solutions can share the same mass).  `level` is None
+    where the branch states decide the level: the lowest energy among them
+    where it is <= 0, else 0, not attained.  `zero_level_mass` is how the
+    largest mass with level 0 is obtained, where the level is negative past it.
     """
 
     interval: MassInterval
     threshold: ThresholdKind
     unique: bool | None
+    level: Level | None = None
+    zero_level_mass: ThresholdKind = ThresholdKind.NONE
 
     def describe(self) -> str:
-        label = {
-            ThresholdKind.ZERO_FREQUENCY_MASS: "mu0",
-            ThresholdKind.BRANCH_MINIMUM: "mu_min",
-            ThresholdKind.MASS_TWO: "2",
-            ThresholdKind.NONE: "",
-        }[self.threshold]
-        if self.interval is MassInterval.NONE:
-            return "no mass admits a solution"
-        if self.interval is MassInterval.ALL:
-            return "every mass mu > 0 admits a solution"
-        if self.interval is MassInterval.UPTO_THRESHOLD:
-            return f"solutions exist iff 0 < mu <= {label}"
-        if self.interval is MassInterval.FROM_THRESHOLD:
-            return f"solutions exist iff mu >= {label}"
-        if self.interval is MassInterval.TWO_TO_THRESHOLD:
-            return f"solutions exist iff 2 < mu <= {label}"
-        return "solutions exist iff mu > 2"
+        return _EXISTENCE[self.interval].format(self.threshold.value)
+
+
+_EXISTENCE = {
+    MassInterval.NONE: "no mass admits a solution",
+    MassInterval.ALL: "every mass mu > 0 admits a solution",
+    MassInterval.UPTO_THRESHOLD: "solutions exist iff 0 < mu <= {}",
+    MassInterval.FROM_THRESHOLD: "solutions exist iff mu >= {}",
+    MassInterval.TWO_TO_THRESHOLD: "solutions exist iff 2 < mu <= {}",
+    MassInterval.ABOVE_TWO: "solutions exist iff mu > 2",
+}
+
+_RULES = {
+    Region.A: ExistenceRule(MassInterval.UPTO_THRESHOLD, ThresholdKind.ZERO_FREQUENCY_MASS,
+                            True, Level.PLATEAU),
+    Region.B: ExistenceRule(MassInterval.ALL, ThresholdKind.NONE, True),
+    Region.C: ExistenceRule(MassInterval.FROM_THRESHOLD, ThresholdKind.BRANCH_MINIMUM,
+                            None, None, ThresholdKind.BRANCH_ENERGY_ROOT),
+    Region.D: ExistenceRule(MassInterval.ALL, ThresholdKind.NONE, True, Level.MINUS_INFINITY),
+    Region.E: ExistenceRule(MassInterval.UPTO_THRESHOLD, ThresholdKind.ZERO_FREQUENCY_MASS,
+                            True, Level.MINUS_INFINITY),
+    Region.F: ExistenceRule(MassInterval.FROM_THRESHOLD, ThresholdKind.BRANCH_MINIMUM,
+                            None, None, ThresholdKind.BRANCH_ENERGY_ROOT),
+    Region.G: ExistenceRule(MassInterval.TWO_TO_THRESHOLD, ThresholdKind.ZERO_FREQUENCY_MASS,
+                            True, Level.ZERO_UP_TO_TWO, ThresholdKind.MASS_TWO),
+    Region.H: ExistenceRule(MassInterval.ABOVE_TWO, ThresholdKind.MASS_TWO, True, None,
+                            ThresholdKind.MASS_TWO),
+}
 
 
 def expected_solution_regime(params: Params) -> ExistenceRule:
-    """Existence/uniqueness rule for normalized solutions by region."""
+    """The rule of the region of params: existence, uniqueness and level."""
     region = classify(params)
-    if region in (Region.A, Region.E):
-        return ExistenceRule(MassInterval.UPTO_THRESHOLD,
-                             ThresholdKind.ZERO_FREQUENCY_MASS, True)
-    if region in (Region.B, Region.D):
-        return ExistenceRule(MassInterval.ALL, ThresholdKind.NONE, True)
-    if region in (Region.C, Region.F):
-        return ExistenceRule(MassInterval.FROM_THRESHOLD,
-                             ThresholdKind.BRANCH_MINIMUM, None)
-    if region is Region.G:
-        return ExistenceRule(MassInterval.TWO_TO_THRESHOLD,
-                             ThresholdKind.ZERO_FREQUENCY_MASS, True)
-    if region is Region.H:
-        return ExistenceRule(MassInterval.ABOVE_TWO, ThresholdKind.MASS_TWO, True)
-    # diagonal: nothing up to p = 8, everything past it
-    if params.p <= 8.0:
-        return ExistenceRule(MassInterval.NONE, ThresholdKind.NONE, True)
-    return ExistenceRule(MassInterval.ALL, ThresholdKind.NONE, True)
+    if region is not Region.I:
+        return _RULES[region]
+    # the diagonal: states past p = 8; the level is 0 below p = 6, open from it
+    return ExistenceRule(MassInterval.ALL if params.p > 8.0 else MassInterval.NONE,
+                         ThresholdKind.NONE, True,
+                         Level.ZERO if params.p < 6.0 else Level.OPEN)

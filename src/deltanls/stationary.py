@@ -339,7 +339,9 @@ def branch_energy(point: BranchPoint) -> EnergyBreakdown:
         kinetic = c (t + J),   bulk = c (t - 4 J/(p-2)),   point = u0^q / q,
 
     so that, by the matching condition u0^(q-2) = 2 sqrt(lambda) t,
-    E = c (t (2q-p-2)/q - (6-p)/(p-2) J).  J and the bulk factor
+    E = c (t (2q-p-2)/q - (6-p)/(p-2) J).  The point piece is formed in logs
+    from that condition (u0^(q-2) = 4/((p-2) a) at lambda = 0), as
+    (u0^(q-2))^(q/(q-2)) / q.  J and the bulk factor
     t - 4 J/(p-2) come from ``algebra.energy_j`` (in logs, and without the
     cancellation of the bulk factor near t = 1), and u0 is stored finite, so
     no intermediate leaves double range where the pieces do not.  The
@@ -352,14 +354,18 @@ def branch_energy(point: BranchPoint) -> EnergyBreakdown:
     p, q = point.params.p, point.params.q
     u0 = point.u0
     try:
-        pt = u0 ** q / q
         if point.zero_frequency:
+            log_vertex = math.log(4.0 / (p - 2.0)) - math.log(point.a)
             kinetic = 4.0 * u0 * u0 / (point.a * (p - 2.0) * (p + 2.0))
             bulk = 2.0 * u0 ** p * point.a * (p - 2.0) / (p * (p + 2.0))
         else:
+            log_vertex = _LN2 + 0.5 * math.log(point.lam) + math.log1p(point.d)
             c = 2.0 * math.sqrt(point.lam) * u0 * u0 / (p + 2.0)
             j, bulk_factor = algebra.energy_j(point.params, point.d)
             kinetic, bulk = c * (point.t + j), c * bulk_factor
+        # u0^q = (u0^(q-2))^(q/(q-2)), not a power of the stored u0, which
+        # rounds to 1 once q is near 1e15
+        pt = math.exp(q / (q - 2.0) * log_vertex) / q
     except OverflowError:
         kinetic = bulk = pt = math.inf
     total = kinetic + bulk - pt

@@ -480,9 +480,11 @@ def check_region_partition(fails: list[str]) -> str:
     rng = np.random.default_rng(20240817)
     pts = 2.01 + rng.random((10000, 2)) * (12.0 - 2.01)
     bad = 0
-    for p, q in pts:
-        tags = _region_membership(float(p), float(q))
-        got = classify(Params(float(p), float(q))).value
+    # Python floats from two flat lists: faster than numpy scalars, and half
+    # the memory of pts.tolist()'s 10,000 row lists
+    for p, q in zip(pts[:, 0].tolist(), pts[:, 1].tolist()):
+        tags = _region_membership(p, q)
+        got = classify(Params(p, q)).value
         if len(tags) != 1 or tags[0] != got:
             bad += 1
             if bad <= 3:

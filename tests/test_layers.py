@@ -4,7 +4,8 @@ params < algebra < stationary < massmap < energy < oracle < verification < cli
 
 Every import of a package module sits at module level, names a lower layer,
 and reads only public names: a layer meets another through its public
-interface, and importing one layer loads only the layers beneath it.
+interface, and importing one layer loads only the layers beneath it.  Only
+params names a region: the layers above read its rule.
 """
 
 import ast
@@ -72,6 +73,20 @@ def test_no_module_reads_another_modules_private_names(path):
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
              and node.value.id in layers and _private(node.attr)]
     assert reads == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "params"],
+                         ids=lambda p: p.stem)
+def test_only_params_names_a_region(path):
+    # the paper's statement for every region is one rule in params
+    # (expected_solution_regime); the other layers dispatch on the rule's
+    # fields and never on a Region member
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named = [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "Region"
+             or isinstance(node, ast.Attribute) and node.attr == "Region"
+             or isinstance(node, ast.ImportFrom) and "Region" in [a.name for a in node.names]]
+    assert named == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)

@@ -414,7 +414,7 @@ def test_oracle_check_reports_its_pinned_figures():
     assert result.passed and result.detail == (
         "14 states; worst: sup=1.06e-07 (bound 1e-6) mass=1.99e-15 (bound 1e-10) "
         "kinetic=2.56e-15 (bound 1e-10) bulk=8.39e-15 (bound 1e-10) "
-        "point=1.84e-15 (bound 1e-10) estimate=1.38e-14 (bound 1e-12) "
+        "point=1.85e-15 (bound 1e-10) estimate=1.38e-14 (bound 1e-12) "
         "residual=9.99e-16 (bound 1e-8)")
 
 

@@ -443,3 +443,46 @@ def test_non_finite_inputs_are_invalid(call, message):
     # nan frequency "state outside double range", an infinite mass "no states"
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _mp_point_at_frequency(p: float, q: float, lam: float) -> mpmath.mpf:
+    """u0^q / q of the state at frequency lam (q > p/2 + 1: one state), from
+    40-digit mpmath: t is the root of the vertex condition
+    ((p lam/2)(t^2 - 1))^((q-2)/(p-2)) = 2 sqrt(lam) t, and u0 the peak."""
+    with mpmath.workdps(40):
+        p, q, lam = (mpmath.mpf(v) for v in (p, q, lam))
+        gap = lambda t: ((q - 2) / (p - 2) * mpmath.log(p * lam / 2 * (t * t - 1))
+                         - mpmath.log(2 * mpmath.sqrt(lam) * t))
+        t = mpmath.findroot(gap, (mpmath.sqrt(1 + 2 / (p * lam)) * (1 + mpmath.mpf("1e-3")),
+                                  mpmath.sqrt(1 + 2 / (p * lam))), solver="anderson")
+        u0 = (p * lam / 2 * (t * t - 1)) ** (1 / (p - 2))
+        return u0 ** q / q
+
+
+def _mp_zero_frequency_point(p: float, q: float) -> mpmath.mpf:
+    """u0^q / q of the lambda = 0 state from 40-digit mpmath: its offset a
+    from a^((2q-p-2)/(p-2)) = (p-2) c_p^(q-2) / 4, its peak u0 = c_p a^(-2/(p-2))."""
+    with mpmath.workdps(40):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        c_p = (mpmath.sqrt(2 * p) / (p - 2)) ** (2 / (p - 2))
+        a = ((p - 2) * c_p ** (q - 2) / 4) ** ((p - 2) / (2 * q - p - 2))
+        return (c_p * a ** (-2 / (p - 2))) ** q / q
+
+
+@pytest.mark.parametrize("q", [1e12, 1e15, 1e20])
+def test_point_term_at_large_q_agrees_with_mpmath(q):
+    # the point term was u0^q/q of the stored u0, which rounds to 1 past
+    # q = 1e15: at q = 1e12 it was off by 1.4e-4 (frequency 0.1), 2e-4 (mass
+    # 1) and 8e-5 (zero frequency), and at q = 1e20 it read 1/q (mass 1) or 0
+    point = stationary.solve_for_lambda(Params(4.0, q), 0.1).points[0]
+    want = _mp_point_at_frequency(4.0, q, 0.1)
+    assert abs(stationary.branch_energy(point).point / want - 1) <= 1e-12
+    zero = stationary.zero_frequency_point(Params(5.0, q))
+    want = _mp_zero_frequency_point(5.0, q)
+    assert abs(stationary.branch_energy(zero).point / want - 1) <= 1e-12
+    # the state at mass 1, against its own vertex condition u0^(q-2) = 2 sqrt(lambda) t
+    (state,) = massmap.normalized_solutions(Params(4.0, q), 1.0)
+    with mpmath.workdps(40):
+        lam, d = mpmath.mpf(state.point.lam), mpmath.mpf(state.point.d)
+        want = (2 * mpmath.sqrt(lam) * (1 + d)) ** (q / (mpmath.mpf(q) - 2)) / q
+    assert abs(stationary.branch_energy(state.point).point / want - 1) <= 1e-12
