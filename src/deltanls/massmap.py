@@ -199,51 +199,67 @@ class NormalizedSolution:
     energy: float
 
 
-def _panel_quad(f, ell: float, end: float) -> float:
-    """Integral of f over [0, end]: the panel [0, ell], then panels growing x4.
+def efolding_length(point: BranchPoint) -> tuple[float, float]:
+    """(ell, kappa): the length ell over which u^2 falls by e at the origin,
+    in the scaled variable z = kappa x, kappa = (p-2) sqrt(lambda) / 2, of a
+    positive frequency, and in x itself (kappa = 1) at zero frequency.
 
-    ell is the length over which the integrand falls by e at the origin, so
-    the first panel holds the peak however narrow it is (p -> 2).  f
-    decreases, so past the first panel that integrates to exactly 0 every
-    panel does, and the sum stops there.
+    u^2 ~ sinh(z + eps)^(-4/(p-2)), eps = kappa a = ln(1 + 2/d) / 2 > 0 for
+    every finite d, falls by e within (p-2) tanh(eps) / 4, and
+    u^2 = u0^2 (1 + x/a)^(-4/(p-2)) within about (p-2) a / 4.
+    """
+    p = point.params.p
+    if point.zero_frequency:
+        return 0.25 * (p - 2.0) * point.a, 1.0
+    kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
+    return 0.25 * (p - 2.0) * math.tanh(kappa * point.a), kappa
+
+
+def panel_cuts(ell: float, end: float) -> list[float]:
+    """Cuts of [0, end] into the panel [0, ell], then panels growing x4.
+
+    ell is the e-folding length of the integrand at the origin
+    (:func:`efolding_length`), so the first panel holds the peak however
+    narrow it is (p -> 2).  An ell that underflows to 0 gives the one empty
+    panel [0, 0].
     """
     cuts = [0.0, min(ell, end)]
-    while 0.0 < cuts[-1] < end:   # an ell that underflows to 0 fails the gate
+    while 0.0 < cuts[-1] < end:
         cuts.append(min(4.0 * cuts[-1], end))
-    total = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        part = quad(f, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
-        if part == 0.0:
-            break
-        total += part
-    return total
+    return cuts
 
 
 def profile_mass_quadrature(point: BranchPoint) -> float:
     """Mass of the materialized profile by adaptive quadrature (gate oracle).
 
-    Independent of the closed-form mass map: integrates u(x)^2 directly.
-    Positive frequencies are integrated in the scaled variable
-    z = (p-2) sqrt(lambda) x / 2, so branch points with tiny lambda
-    (structure on scale 1/sqrt(lambda)) stay resolvable; the algebraic
-    zero-frequency tail is added in closed form past a cutoff.  Both start
-    their panels at the e-folding length of u^2 at the origin.
+    Independent of the closed-form mass map: integrates u(x)^2 directly, by
+    adaptive quadrature on each of the :func:`panel_cuts` from the
+    e-folding length of u^2 at the origin.  Positive frequencies are
+    integrated in the scaled variable z = (p-2) sqrt(lambda) x / 2, so
+    branch points with tiny lambda (structure on scale 1/sqrt(lambda)) stay
+    resolvable, up to z = max(40, 7 (p-2)), past which u^2 ~ exp(-4 z/(p-2))
+    is negligible; the algebraic zero-frequency tail is added in closed form
+    past a cutoff.  u^2 decreases, so past the first panel that integrates
+    to exactly 0 every panel does, and the sum stops there (an e-folding
+    length that underflows to 0 fails the gate).
     """
-    u2 = lambda x: stationary.profile(point, x) ** 2
     p = point.params.p
+    ell, kappa = efolding_length(point)
     if point.zero_frequency:
-        # u^2 = u0^2 (1 + x/a)^(-4/(p-2)) falls by e within about a (p-2)/4
-        cutoff = max(1e3, 100.0 * point.a)
+        end = max(1e3, 100.0 * point.a)
         tail = point.u0 ** 2 * (p - 2.0) / (6.0 - p) * point.a \
-            * (point.a / (cutoff + point.a)) ** ((6.0 - p) / (p - 2.0))
-        return 2.0 * (_panel_quad(u2, 0.25 * (p - 2.0) * point.a, cutoff) + tail)
-    kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
-    eps = kappa * point.a   # = ln(1 + 2/d) / 2 > 0 for every finite d
-    # u^2 ~ sinh(z + eps)^(-4/(p-2)) falls by e within (p-2) tanh(eps) / 4,
-    # and like exp(-4 z/(p-2)) in the far tail
-    z_max = max(40.0, 7.0 * (p - 2.0))
-    return 2.0 * _panel_quad(lambda z: u2(z / kappa), 0.25 * (p - 2.0) * math.tanh(eps),
-                             z_max) / kappa
+            * (point.a / (end + point.a)) ** ((6.0 - p) / (p - 2.0))
+    else:
+        end, tail = max(40.0, 7.0 * (p - 2.0)), 0.0
+    u2 = lambda z: stationary.profile(point, z / kappa) ** 2
+    cuts = panel_cuts(ell, end)
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        part = quad(u2, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
+        if part == 0.0:
+            break
+        total += part
+    return 2.0 * (total + tail) / kappa
 
 
 def mass_gate(point: BranchPoint, mu: float) -> None:
@@ -322,9 +338,10 @@ def normalized_solutions(params: Params, mu: float) -> list[NormalizedSolution]:
     """Every stationary state with prescribed mass mu, or [] where none exists.
 
     Each returned solution passes the profile-mass quadrature gate at
-    relative tolerance 1e-6.  Each (params, mu) is inverted and gated once
-    per process: a repeated call returns a new list of the states found
-    the first time, and a refusal is raised again on every call.
+    relative tolerance 1e-6.  The states of the 64 most recently used
+    distinct (params, mu) are cached: a repeated call among them returns a
+    new list of the states found before; any other call, and every call
+    that ends in a refusal, inverts and gates again.
     """
     if not 0.0 < mu < math.inf:
         raise ValueError(f"need a finite mu > 0, got {mu}")

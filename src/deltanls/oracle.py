@@ -45,6 +45,7 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg.lapack import dptsv
 from scipy.optimize import brentq
 
+from .massmap import efolding_length, panel_cuts
 from .params import Params
 from .stationary import BranchPoint, EnergyBreakdown, profile as analytic_profile, \
     profile_derivative
@@ -125,15 +126,13 @@ def _gauss_legendre() -> tuple:
 def _gauss_legendre_panels(integrand, ell: float, end: float):
     """(integrals, estimates) over [0, end] of the rows of integrand(x).
 
-    The panels are [0, ell], then panels growing x4 up to end.  Each
-    integral is the 40-point Gauss-Legendre rule summed over the panels, and
-    its estimate is |I40 - I20| against the 20-point rule on the same
-    panels.  integrand is called once, on the nodes of both rules, and
-    returns one row per integral.
+    The panels are ``massmap.panel_cuts(ell, end)``.  Each integral is the
+    40-point Gauss-Legendre rule summed over the panels, and its estimate
+    is |I40 - I20| against the 20-point rule on the same panels.  integrand
+    is called once, on the nodes of both rules, and returns one row per
+    integral.
     """
-    cuts = [0.0, min(ell, end)]
-    while 0.0 < cuts[-1] < end:   # an ell that underflows to 0 integrates to 0
-        cuts.append(min(4.0 * cuts[-1], end))
+    cuts = panel_cuts(ell, end)   # an ell that underflows to 0 integrates to 0
     lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
     mid, half = 0.5 * (hi + lo)[:, None], 0.5 * (hi - lo)[:, None]
     (x40, w40), (x20, w20) = _gauss_legendre()
@@ -150,23 +149,19 @@ def profile_functional(point: BranchPoint, L: float):
     The mass 2 int u^2, the kinetic term int u'^2 and the bulk term
     (2/p) int u^p over [0, L] come from :func:`_gauss_legendre_panels`, with
     u and u' evaluated once, at all its nodes.  The first panel is the
-    length over which u^2 falls by e at the origin: (p-2) tanh(kappa a) /
-    (4 kappa), kappa = (p-2) sqrt(lambda) / 2, and (p-2) a / 4 at zero
-    frequency.  The point term is u(0)^q / q.  estimate is the largest
-    relative error estimate of the three integrals.
+    length over which u^2 falls by e at the origin
+    (``massmap.efolding_length``, taken back to x).  The point term is
+    u(0)^q / q.  estimate is the largest relative error estimate of the
+    three integrals.
     """
     p, q = point.params.p, point.params.q
-    if point.zero_frequency:
-        ell = 0.25 * (p - 2.0) * point.a
-    else:
-        kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
-        ell = 0.25 * (p - 2.0) * math.tanh(kappa * point.a) / kappa
+    ell, kappa = efolding_length(point)
 
     def integrand(x):
         u = analytic_profile(point, x)
         return np.array([u * u, profile_derivative(point, x) ** 2, u ** p])
 
-    integrals, estimates = _gauss_legendre_panels(integrand, ell, L)
+    integrals, estimates = _gauss_legendre_panels(integrand, ell / kappa, L)
     usq, dusq, upow = integrals.tolist()
     mass, eb = _breakdown(2.0 * usq, dusq, (2.0 / p) * upow,
                           analytic_profile(point, 0.0) ** q / q)

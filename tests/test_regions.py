@@ -210,10 +210,8 @@ def test_diagonal_level_and_states_on_a_ladder(p, states, flag):
 
 def test_level_slope_is_minus_half_the_multiplier_on_the_minimizing_branch():
     # dE/dmu = -lambda/2 as a property over B, C, F and H, at masses on the
-    # minimizing branch at least 1% from every threshold.  The bound is the
-    # multiplier-identity check's 1e-5, absolute while lambda/2 <= 1 (all of
-    # the check's own cases) and relative to lambda/2 beyond: near q = 4 in F
-    # the level falls like mu^(q/(4-q)) and lambda reaches 1e8 and more
+    # minimizing branch at least 1% from every threshold, to the
+    # multiplier-identity check's bound: 1e-5 of max(1, lambda/2)
     rng = np.random.default_rng(2030)   # seed fixed before the first run
     worst = 0.0
     for tag, params in PAIRS:
@@ -231,5 +229,5 @@ def test_level_slope_is_minus_half_the_multiplier_on_the_minimizing_branch():
             sample = energy.groundstate_energy(params, mu)
             assert sample.flag is Attainment.ATTAINED, (params, mu)
             resid = verification._multiplier_consistency(params, mu, 1e-3 * mu)
-            worst = max(worst, resid / max(1.0, 0.5 * sample.lam))
+            worst = max(worst, resid)
     assert worst <= 1e-5
