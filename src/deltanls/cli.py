@@ -35,6 +35,11 @@ def _fmt(x, precision: int = 17) -> str:
     return str(x)
 
 
+def _json_number(x: float) -> float | str:
+    """x where JSON can hold it; "nan", "inf" or "-inf" where it cannot."""
+    return x if math.isfinite(x) else _fmt(x)
+
+
 def _emit(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -89,8 +94,8 @@ def _thresholds_payload(params: Params) -> dict:
         out["provenance"]["mu_tilde"] = (
             "limit-constant" if expected_solution_regime(params).zero_level_mass
             is ThresholdKind.MASS_TWO else "root")
-    if params.q < min(4.0, params.p / 2.0 + 1.0):
-        out["mu_bar"] = massmap.mass_of_t(params, d=algebra.d_star(params))
+    out["mu_bar"] = energy.multiplier_peak_mass(params)
+    if out["mu_bar"] is not None:
         out["provenance"]["mu_bar"] = "closed-form (multiplier peak)"
     return out
 
@@ -274,7 +279,10 @@ def cmd_verify(args) -> int:
         "passed": n_fail == 0,
         "checks": [
             {"name": r.name, "passed": r.passed, "claim": r.claim,
-             "detail": r.detail}
+             "detail": r.detail,
+             "margins": [{"metric": g.metric, "value": _json_number(g.value),
+                          "bound": _json_number(g.bound), "sense": g.sense}
+                         for g in r.margins]}
             for r in results
         ],
     }

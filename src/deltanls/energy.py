@@ -139,6 +139,15 @@ class ConvexityReport:
     crossing_gap: float          # grid spacing at the crossing
 
 
+def multiplier_peak_mass(params: Params) -> float | None:
+    """Mass of the fold point t*, where the multiplier lambda(mu) peaks, for
+    q < min(4, p/2 + 1), where the level curve turns from concave to convex
+    (regions A and B); None elsewhere."""
+    if not params.q < min(4.0, params.p / 2.0 + 1.0):
+        return None
+    return massmap.mass_of_t(params, d=algebra.d_star(params))
+
+
 def second_divided_differences(mus: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """2 (right slope - left slope) / (mu[i+1] - mu[i-1]) at each interior mass."""
     slopes = np.diff(levels) / np.diff(mus)
@@ -154,10 +163,10 @@ def convexity_scan(params: Params) -> ConvexityReport:
     as insufficient resolution.  The crossing is cross-checked against the
     mass of the fold point t*, where the multiplier lambda(mu) peaks.
     """
-    p, q = params.p, params.q
-    if not q < min(4.0, p / 2.0 + 1.0):
+    lam_peak_mass = multiplier_peak_mass(params)
+    if lam_peak_mass is None:
         raise ValueError("level-curve convexity split needs q < min(4, p/2 + 1)")
-    if p < 6.0:
+    if params.p < 6.0:
         mu0 = algebra.mu0(params)
         mus = np.linspace(mu0 / 400.0, mu0 * (1.0 - 1e-4), 400)
     else:
@@ -184,6 +193,4 @@ def convexity_scan(params: Params) -> ConvexityReport:
     first_pos = int(np.min(np.nonzero(signs > 0.0)[0]))
     lo = mus[1 + last_neg]
     hi = mus[1 + first_pos]
-    mu_bar = 0.5 * (lo + hi)
-    lam_peak_mass = massmap.mass_of_t(params, d=algebra.d_star(params))
-    return ConvexityReport(mu_bar, lam_peak_mass, hi - lo)
+    return ConvexityReport(float(0.5 * (lo + hi)), lam_peak_mass, float(hi - lo))

@@ -182,9 +182,12 @@ def _matching_roots(params: Params, lam: float) -> list[float]:
 
     f is decreasing on (1, t*) and increasing past t* when q < p/2 + 1
     (two roots below the fold, one at it, none past it); for q > p/2 + 1
-    it decreases from inf to 0 (one root at every frequency).
+    it decreases from inf to 0 (one root at every frequency).  Raises
+    StateOutOfRange where ln g(lambda) leaves the double range.
     """
     log_g = algebra.log_g(params, lam)
+    if not math.isfinite(log_g):
+        raise StateOutOfRange(f"state outside double range: matching level ln g(lambda) = {log_g}")
     F = lambda y: algebra.log_f(params, y) - log_g
     if params.q > params.p / 2.0 + 1.0:
         f0 = F(0.0)

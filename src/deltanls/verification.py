@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -24,6 +25,25 @@ from . import algebra, energy, massmap, oracle, stationary
 from .params import Params, classify
 
 
+#: the comparison each sense of a margin makes of its value with its bound
+_HOLDS = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
+
+
+@dataclass(frozen=True)
+class Margin:
+    """The worst value of one metric of a check and the bound it is held to:
+    the metric holds iff `value sense bound` (sense "<=", "<", ">=" or ">"),
+    and a NaN value holds no bound."""
+
+    metric: str
+    value: float
+    bound: float
+    sense: str
+
+    def __str__(self) -> str:
+        return f"{self.metric}={self.value:.3g} (bound {self.bound:.3g})"
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -31,15 +51,57 @@ class CheckResult:
     claim: str
     detail: str
     seconds: float
+    margins: tuple[Margin, ...] = ()
+
+
+class _Recorder:
+    """What a check body is handed: each comparison of a figure with its bound
+    is one call, at_most or at_least, and a fact that is not a number against
+    a bound (a state count, a region label, a shot's outcome) is one fail.
+
+    Each value past its bound adds one failure line; the worst value of each
+    (metric, bound, sense) becomes one Margin, NaN if any value was NaN.
+    """
+
+    def __init__(self) -> None:
+        self.fails: list[str] = []
+        self._values: dict[tuple[str, float, str], list[float]] = {}
+
+    def fail(self, text: str) -> None:
+        self.fails.append(text)
+
+    def at_most(self, metric: str, value: float, bound: float, where: str = "",
+                strict: bool = False) -> None:
+        self._record(metric, value, bound, "<" if strict else "<=", where)
+
+    def at_least(self, metric: str, value: float, bound: float, where: str = "",
+                 strict: bool = False) -> None:
+        self._record(metric, value, bound, ">" if strict else ">=", where)
+
+    def _record(self, metric: str, value: float, bound: float, sense: str,
+                where: str) -> None:
+        value, bound = float(value), float(bound)
+        self._values.setdefault((metric, bound, sense), []).append(value)
+        if not _HOLDS[sense](value, bound):
+            margin = Margin(metric, value, bound, sense)
+            self.fails.append(f"{where}: {margin}" if where else str(margin))
+
+    def margins(self) -> tuple[Margin, ...]:
+        # numpy's max and min propagate a NaN, where Python's depend on order
+        return tuple(Margin(metric, float(np.max(v) if sense[0] == "<" else np.min(v)),
+                            bound, sense)
+                     for (metric, bound, sense), v in self._values.items())
 
 
 def _check(claim: str):
-    """Make body(fails) -> detail a check of the battery that states claim.
+    """Make body(m) -> figures a check of the battery that states claim.
 
     The check is named from its function (check_flow_vs_branch is
-    flow-vs-branch) and timed from its call to its result; the body appends
-    each failure to the list it is handed, and the check passes iff it
-    appends none.
+    flow-vs-branch) and timed from its call to its result.  The body records
+    each comparison with its bound on the _Recorder m and returns its own
+    figures; the detail is those figures, then every margin as
+    `metric=worst (bound b)`, then the failures, and the check passes iff
+    there are none.
     """
     def decorate(body):
         name = body.__name__[len("check_"):].replace("_", "-")
@@ -47,11 +109,14 @@ def _check(claim: str):
         @functools.wraps(body)
         def check() -> CheckResult:
             t0 = time.perf_counter()
-            fails: list[str] = []
-            detail = body(fails)
-            if fails:
-                detail += " | FAILURES: " + "; ".join(fails)
-            return CheckResult(name, not fails, claim, detail, time.perf_counter() - t0)
+            m = _Recorder()
+            figures = body(m)
+            margins = m.margins()
+            detail = "; ".join(filter(None, [figures, " ".join(map(str, margins))]))
+            if m.fails:
+                detail += " | FAILURES: " + "; ".join(m.fails)
+            return CheckResult(name, not m.fails, claim, detail,
+                               time.perf_counter() - t0, margins)
 
         return check
 
@@ -82,86 +147,69 @@ _QUADRATURE_POINTS = ((2.5, 1.3), (3.0, 40.0), (10.0 / 3.0, 7.0), (2.8, 3e3),
 @_check("p=4, q=2.5: fold at 1/32, the two states at lambda=3/128 sit at "
         "t=2/sqrt(3) and t=2, mu(2)=sqrt(6)/4, zero-frequency mass sqrt(2); "
         "the closed-form I(t) matches adaptive quadrature")
-def check_exact_branch_regression(fails: list[str]) -> str:
+def check_exact_branch_regression(m: _Recorder) -> str:
     P = Params(4.0, 2.5)
     lb = stationary.lambda_bar(P)
-    if abs(lb - 1.0 / 32.0) > 1e-12:
-        fails.append(f"fold frequency {lb} != 1/32")
+    m.at_most("|lambda_bar-1/32|", abs(lb - 1.0 / 32.0), 1e-12)
     pts = stationary.solve_for_lambda(P, 3.0 / 128.0).points
-    expected_ts = (2.0 / math.sqrt(3.0), 2.0)
     if len(pts) != 2:
-        fails.append(f"expected 2 states at lambda=3/128, got {len(pts)}")
-    else:
-        for pt, te in zip(pts, expected_ts):
-            if abs(pt.t - te) > 1e-10:
-                fails.append(f"branch coordinate {pt.t} != {te}")
+        m.fail(f"expected 2 states at lambda=3/128, got {len(pts)}")
+    for pt, te in zip(pts, (2.0 / math.sqrt(3.0), 2.0)):
+        m.at_most("|t-t_exact|", abs(pt.t - te), 1e-10, f"t_exact={te:.6g}")
     mu2 = massmap.mass_of_t(P, d=1.0)
-    if abs(mu2 - math.sqrt(6.0) / 4.0) > 1e-10:
-        fails.append(f"mu(2) = {mu2} != sqrt(6)/4")
+    m.at_most("|mu(2)-sqrt(6)/4|", abs(mu2 - math.sqrt(6.0) / 4.0), 1e-10)
     mu0 = algebra.mu0(P)
-    if abs(mu0 - math.sqrt(2.0)) > 1e-12:
-        fails.append(f"mu0 = {mu0} != sqrt(2)")
+    m.at_most("|mu0-sqrt(2)|", abs(mu0 - math.sqrt(2.0)), 1e-12)
     # the closed-form I(t) against adaptive quadrature, on both of its series
     # and next to the poles of its connection formula (p = 6, 10/3, 14/5)
-    gap = 0.0
     for p, t in _QUADRATURE_POINTS:
         P3, d = Params(p, 3.0), t - 1.0
         closed = algebra.I_of_t(P3, d=d)
-        gap = max(gap, abs(closed / algebra.I_of_t_quadrature(P3, d=d)[0] - 1.0))
-    if gap > 1e-9:
-        fails.append(f"closed-form I(t) and quadrature differ by {gap:.3g} relative")
-    return (f"lambda_bar={lb:.17g} mu(2)={mu2:.17g} mu0={mu0:.17g} "
-            f"I-quadrature gap={gap:.3g} (bound 1e-9)")
+        m.at_most("I-quadrature gap", abs(closed / algebra.I_of_t_quadrature(P3, d=d)[0] - 1.0),
+                  1e-9, f"(p={p}, t={t})")
+    return f"lambda_bar={lb:.17g} mu(2)={mu2:.17g} mu0={mu0:.17g}"
 
 
 @_check("p=4, q=3.5: the mass map dips to 16*sqrt(6)/9 at t=2; masses "
         "above the dip and below the plateau carry two states, below it none")
-def check_multiplicity_window(fails: list[str]) -> str:
+def check_multiplicity_window(m: _Recorder) -> str:
     P = Params(4.0, 3.5)
     y_min, mu_min, _ = massmap.branch_minimum(P)
     t_min = 1.0 + math.exp(y_min)
-    mu_min_exact = 16.0 * math.sqrt(6.0) / 9.0
-    if abs(mu_min - mu_min_exact) > 1e-8:
-        fails.append(f"branch minimum {mu_min} != 16*sqrt(6)/9")
-    if abs(t_min - 2.0) > 1e-6:
-        fails.append(f"minimizer t {t_min} != 2")
+    m.at_most("|mu_min-16*sqrt(6)/9|", abs(mu_min - 16.0 * math.sqrt(6.0) / 9.0), 1e-8)
+    m.at_most("|t_min-2|", abs(t_min - 2.0), 1e-6)
     # second route to the branch minimum: bounded minimization of mu in y = ln(t - 1)
     direct = minimize_scalar(lambda y: massmap.mass_of_t(P, d=math.exp(y)),
                              bounds=(y_min - 0.5, y_min + 0.5), method="bounded",
                              options={"xatol": 1e-8})
-    gap = abs(float(direct.fun) - mu_min)
-    if gap > 1e-8:
-        fails.append(f"root of h and bounded minimization differ by {gap:.3g}")
+    m.at_most("two-route gap", abs(float(direct.fun) - mu_min), 1e-8)
     n5 = len(massmap.normalized_solutions(P, 5.0))
     if n5 != 2:
-        fails.append(f"mass 5 carries {n5} states, expected 2")
+        m.fail(f"mass 5 carries {n5} states, expected 2")
     n43 = len(massmap.normalized_solutions(P, 4.3))
     if n43 != 0:
-        fails.append(f"mass 4.3 carries {n43} states, expected 0")
+        m.fail(f"mass 4.3 carries {n43} states, expected 0")
     return (f"mu_min={mu_min:.12g} at t={t_min:.12g}, "
-            f"counts: mu=5 -> {n5}, mu=4.3 -> {n43}, "
-            f"two-route gap={gap:.3g} (bound 1e-8)")
+            f"counts: mu=5 -> {n5}, mu=4.3 -> {n43}")
 
 
 @_check("q=4: the branch mass tends to 2 at the small-t end; for p=8 "
         "masses below 2 carry no state and masses just above carry one")
-def check_mass_two_threshold(fails: list[str]) -> str:
+def check_mass_two_threshold(m: _Recorder) -> str:
     limits = {}
     for p in (5.0, 8.0):
         P = Params(p, 4.0)
         ds = [1e-6 * 4.0 ** (-k) for k in range(7)]
         seq = [massmap.mass_of_t(P, d=dd) for dd in ds]
-        lim = _aitken_limit(seq)
-        limits[p] = lim
-        if abs(lim - 2.0) > 1e-4:
-            fails.append(f"p={p}: extrapolated small-t mass {lim} != 2")
+        limits[p] = lim = _aitken_limit(seq)
+        m.at_most("|limit-2|", abs(lim - 2.0), 1e-4, f"p={p}")
     PH = Params(8.0, 4.0)
     n_below = len(massmap.normalized_solutions(PH, 1.9))
     n_above = len(massmap.normalized_solutions(PH, 2.1))
     if n_below != 0:
-        fails.append(f"p=8, q=4: mass 1.9 carries {n_below} states, expected 0")
+        m.fail(f"p=8, q=4: mass 1.9 carries {n_below} states, expected 0")
     if n_above != 1:
-        fails.append(f"p=8, q=4: mass 2.1 carries {n_above} states, expected 1")
+        m.fail(f"p=8, q=4: mass 2.1 carries {n_above} states, expected 1")
     return (f"extrapolated limits: p=5 -> {limits[5.0]:.8f}, "
             f"p=8 -> {limits[8.0]:.8f}; counts 1.9 -> {n_below}, 2.1 -> {n_above}")
 
@@ -169,27 +217,26 @@ def check_mass_two_threshold(fails: list[str]) -> str:
 @_check("diagonal q=p/2+1: states exist only for p>8 (t=sqrt(2) at p=16), "
         "mass scales like lambda^(-5/14) at p=16, branch energies stay "
         "positive, and p=8 carries nothing")
-def check_diagonal_regime(fails: list[str]) -> str:
+def check_diagonal_regime(m: _Recorder) -> str:
     P = Params(16.0, 9.0)
     exists, tdiag = stationary.diagonal_exists(P)
-    if not exists or abs(tdiag - math.sqrt(2.0)) > 1e-12:
-        fails.append(f"diagonal coordinate {tdiag} != sqrt(2)")
+    if not exists:
+        m.fail("p=16 carries no diagonal state")
+        tdiag = math.nan
+    m.at_most("|t-sqrt(2)|", abs(tdiag - math.sqrt(2.0)), 1e-12)
     lams = np.logspace(-2.0, 2.0, 9)
     mus = [massmap.mass_of_lambda_diagonal(P, lam) for lam in lams]
     slope = float(np.polyfit(np.log(lams), np.log(mus), 1)[0])
-    if abs(slope + 5.0 / 14.0) > 1e-6:
-        fails.append(f"mass-vs-frequency log slope {slope} != -5/14")
+    m.at_most("|slope+5/14|", abs(slope + 5.0 / 14.0), 1e-6)
     energies = []
     for lam in (0.1, 1.0, 10.0):
         pt = stationary.solve_for_lambda(P, lam).points[0]
-        tot = stationary.branch_energy(pt).total
-        energies.append(tot)
-        if not tot > 0.0:
-            fails.append(f"diagonal energy at lambda={lam} is {tot}, expected > 0")
+        energies.append(tot := stationary.branch_energy(pt).total)
+        m.at_least("energy", tot, 0.0, f"lambda={lam}", strict=True)
     for lam in (0.5, 1.0, 2.0):
         cnt = stationary.solve_for_lambda(Params(8.0, 5.0), lam).count
         if cnt != 0:
-            fails.append(f"p=8, q=5: lambda={lam} carries {cnt} states, expected 0")
+            m.fail(f"p=8, q=5: lambda={lam} carries {cnt} states, expected 0")
     return f"t={tdiag:.17g} slope={slope:.12g} energies={[f'{e:.6g}' for e in energies]}"
 
 
@@ -226,82 +273,65 @@ def _first_integral_residual(point: stationary.BranchPoint, x) -> float:
         "profile to 1e-6, Gauss-Legendre quadrature of each profile matches "
         "its closed-form mass and energy pieces to 1e-10 with error "
         "estimates at most 1e-12, vertex and conservation residuals below 1e-8")
-def check_oracle_equivalence(fails: list[str]) -> str:
+def check_oracle_equivalence(m: _Recorder) -> str:
     points = _oracle_points()
     if len(points) < 12:
-        fails.append(f"only {len(points)} branch states collected")
-    bounds = {"sup": "1e-6", "mass": "1e-10", "kinetic": "1e-10", "bulk": "1e-10",
-              "point": "1e-10", "estimate": "1e-12", "residual": "1e-8"}
-    worst = dict.fromkeys(bounds, 0.0)
+        m.fail(f"only {len(points)} branch states collected")
     for tag, pt in points:
+        where = f"{tag} t={pt.t:.6g}"
         res = oracle.shoot(pt.params, pt.lam, pt.u0)
-        sup = oracle.shooting_sup_distance(pt, res)
-        worst["sup"] = max(worst["sup"], sup)
         if not res.decay_ok:
-            fails.append(f"{tag}: shot at t={pt.t:.6g} did not decay ({res.outcome})")
-        if sup > 1e-6:
-            fails.append(f"{tag}: shooting sup-distance {sup:.3g} > 1e-6")
-        if res.first_integral_drift > 1e-7:
-            fails.append(f"{tag}: first-integral drift {res.first_integral_drift:.3g}")
+            m.fail(f"{where}: shot did not decay ({res.outcome})")
+        m.at_most("sup", oracle.shooting_sup_distance(pt, res), 1e-6, where)
+        m.at_most("drift", res.first_integral_drift, 1e-7, where)
 
         mass_q, eb_q, estimate = oracle.profile_functional(
             pt, max(60.0, 30.0 / math.sqrt(pt.lam)))
-        worst["estimate"] = max(worst["estimate"], estimate)
-        if estimate > 1e-12:
-            fails.append(f"{tag}: quadrature error estimate {estimate:.3g} > 1e-12")
+        m.at_most("estimate", estimate, 1e-12, where)
         eb_c = stationary.branch_energy(pt)
         for name, got, want in (("mass", mass_q, massmap.state_mass(pt)),
                                 ("kinetic", eb_q.kinetic, eb_c.kinetic),
                                 ("bulk", eb_q.bulk, eb_c.bulk),
                                 ("point", eb_q.point, eb_c.point)):
-            rel = abs(got - want) / abs(want)
-            worst[name] = max(worst[name], rel)
-            if rel > 1e-10:
-                fails.append(f"{tag}: quadrature {name} off by {rel:.3g}")
+            m.at_most(name, abs(got - want) / abs(want), 1e-10, where)
 
-        vres = stationary.vertex_residual(pt)
         xs = np.linspace(0.3, 8.0, 12) / max(math.sqrt(pt.lam), 0.05)
         fres = _first_integral_residual(pt, xs) \
             / (pt.lam * pt.u0 ** 2 + (2.0 / pt.params.p) * pt.u0 ** pt.params.p)
-        worst["residual"] = max(worst["residual"], vres, fres)
-        if vres > 1e-8 or fres > 1e-8:
-            fails.append(f"{tag}: residuals vertex={vres:.3g} first-integral={fres:.3g}")
-    return f"{len(points)} states; worst: " + " ".join(
-        f"{name}={value:.3g} (bound {bounds[name]})" for name, value in worst.items())
+        m.at_most("residual", stationary.vertex_residual(pt), 1e-8, where + " vertex")
+        m.at_most("residual", fres, 1e-8, where + " first-integral")
+    return f"{len(points)} states"
 
 
 @_check("the level curve is non-positive and non-increasing, constant "
         "past the zero-frequency mass in region A, bounded with shrinking "
         "decrements for large mass in region B, and switches from concave "
         "to convex exactly once")
-def check_energy_level_shape(fails: list[str]) -> str:
+def check_energy_level_shape(m: _Recorder) -> str:
     PA = Params(4.0, 2.5)
     mu_grid = [0.05, 0.1, 0.2, 0.29, 0.4, 0.6, 0.9, 1.2, 1.35, math.sqrt(2.0),
                1.5, 2.0, 3.0]
     vals = [energy.groundstate_energy(PA, mu).value for mu in mu_grid]
-    if any(v > 1e-15 for v in vals):
-        fails.append("level curve has a positive sample")
-    if any(b - a > 1e-12 for a, b in zip(vals, vals[1:])):
-        fails.append("level curve is not non-increasing")
+    for mu, v in zip(mu_grid, vals):
+        m.at_most("E", v, 1e-15, f"mu={mu:.6g}")
+    for mu, a, b in zip(mu_grid[1:], vals, vals[1:]):
+        m.at_most("E rise", b - a, 1e-12, f"mu={mu:.6g}")
     plateau = energy.groundstate_energy(PA, math.sqrt(2.0)).value
     for mu in (1.5, 2.0, 3.0):
         v = energy.groundstate_energy(PA, mu).value
-        if abs(v - plateau) > 1e-8:
-            fails.append(f"plateau broken at mu={mu}: {v} vs {plateau}")
+        m.at_most("|E-plateau|", abs(v - plateau), 1e-8, f"mu={mu}")
     PB = Params(8.0, 3.0)
-    eb = [energy.groundstate_energy(PB, m).value for m in (10.0, 100.0, 1000.0)]
-    if not (eb[0] > eb[1] > eb[2]):
-        fails.append(f"large-mass tail not decreasing: {eb}")
+    eb = [energy.groundstate_energy(PB, mu).value for mu in (10.0, 100.0, 1000.0)]
+    for mu, a, b in zip((100.0, 1000.0), eb, eb[1:]):
+        m.at_least("tail decrement", a - b, 0.0, f"mu={mu:g}", strict=True)
     gap_ratio = (eb[0] - eb[1]) / (eb[1] - eb[2])
-    if not gap_ratio >= 2.0:
-        fails.append(f"large-mass gaps not shrinking: ratio {gap_ratio}")
+    m.at_least("gap_ratio", gap_ratio, 2.0)
     flips = {}
     for P in (PA, PB):
         rep = energy.convexity_scan(P)
         flips[P.p] = rep.mu_bar
-        if abs(rep.mu_bar - rep.lambda_peak_mass) > 2.0 * rep.crossing_gap + 1e-9:
-            fails.append(f"p={P.p}: curvature flip {rep.mu_bar} far from "
-                         f"multiplier peak {rep.lambda_peak_mass}")
+        m.at_most(f"|flip-peak|(p={P.p:g})", abs(rep.mu_bar - rep.lambda_peak_mass),
+                  2.0 * rep.crossing_gap + 1e-9)
     return (f"plateau={plateau:.12g}; tail={['%.10g' % x for x in eb]} "
             f"gap_ratio={gap_ratio:.3g}; flips={flips}")
 
@@ -335,17 +365,14 @@ def _multiplier_consistency(params: Params, mu: float, step: float) -> float:
 
 @_check("the slope of the level curve equals minus half the multiplier "
         "of the minimizing state at interior masses")
-def check_multiplier_identity(fails: list[str]) -> str:
-    worst = 0.0
+def check_multiplier_identity(m: _Recorder) -> str:
     cases = {Params(4.0, 2.5): (0.2, 0.4, 0.6, 0.9, 1.2),
              Params(8.0, 3.0): (0.5, 1.0, 2.0, 5.0, 10.0)}
     for P, mus in cases.items():
         for mu in mus:
-            resid = _multiplier_consistency(P, mu, 1e-3 * mu)
-            worst = max(worst, resid)
-            if resid > 1e-5:
-                fails.append(f"(p={P.p}, q={P.q}, mu={mu}): residual {resid:.3g}")
-    return f"worst residual {worst:.3g}"
+            m.at_most("residual", _multiplier_consistency(P, mu, 1e-3 * mu), 1e-5,
+                      f"(p={P.p}, q={P.q}, mu={mu})")
+    return f"{sum(map(len, cases.values()))} masses"
 
 
 def _probe_min_energy(params: Params, mu: float) -> float:
@@ -384,21 +411,19 @@ def _probe_min_energy(params: Params, mu: float) -> float:
 
 @_check("trial families drive the energy below -1e6 exactly in the "
         "unbounded regimes, and stay above the level curve elsewhere")
-def check_unboundedness_probes(fails: list[str]) -> str:
+def check_unboundedness_probes(m: _Recorder) -> str:
     must_descend = [(3.0, 5.0, 1.0), (5.0, 4.0, 3.0), (4.0, 6.0, 1.0)]
     must_stay = [(4.0, 2.5, 1.0), (8.0, 4.5, 1.0)]
     mins = {}
     for p, q, mu in must_descend:
         mins[(p, q)] = e = _probe_min_energy(Params(p, q), mu)
-        if not e < oracle.FLOW_DIVERGENCE_FLOOR:
-            fails.append(f"(p={p}, q={q}, mu={mu}) stayed above the floor: {e}")
+        m.at_most("unbounded min", e, oracle.FLOW_DIVERGENCE_FLOOR,
+                  f"(p={p}, q={q}, mu={mu})", strict=True)
     for p, q, mu in must_stay:
         mins[(p, q)] = e = _probe_min_energy(Params(p, q), mu)
-        if e < oracle.FLOW_DIVERGENCE_FLOOR:
-            fails.append(f"(p={p}, q={q}, mu={mu}) descended unexpectedly: {e}")
+        m.at_least("bounded min", e, oracle.FLOW_DIVERGENCE_FLOOR, f"(p={p}, q={q}, mu={mu})")
     floorA = energy.groundstate_energy(Params(4.0, 2.5), 1.0).value
-    if mins[(4.0, 2.5)] < floorA - 1e-9:
-        fails.append(f"bounded probe dips below the level curve: {mins[(4.0, 2.5)]} < {floorA}")
+    m.at_least("trial min", mins[(4.0, 2.5)], floorA - 1e-9, "(p=4.0, q=2.5) against E(1)")
     return f"minima: {mins}"
 
 
@@ -421,38 +446,35 @@ def _gn_margin(point: stationary.BranchPoint) -> tuple[float, float]:
 @_check("peak^2 <= L2 norm * gradient norm holds with margin on every "
         "materialized profile, both norms by Gauss-Legendre quadrature of "
         "the profile with error estimates at most 1e-12")
-def check_gn_inequality(fails: list[str]) -> str:
+def check_gn_inequality(m: _Recorder) -> str:
     points = [pt for _, pt in _oracle_points()]
     points.append(stationary.zero_frequency_point(Params(4.0, 2.5)))
     points.extend(stationary.solve_for_lambda(Params(4.0, 3.5), 1.0).points)
-    margins = [(pt, *_gn_margin(pt)) for pt in points]
-    for pt, margin, estimate in margins:
-        if margin < 0.0 or estimate > 1e-12:
-            fails.append(f"(p={pt.params.p}, q={pt.params.q}, t={pt.t:.6g}): margin "
-                         f"{margin:.3g} (bound 0), estimate {estimate:.3g} (bound 1e-12)")
-    return (f"{len(margins)} profiles, smallest margin {min(m for _, m, _ in margins):.6g}, "
-            f"worst estimate {max(e for _, _, e in margins):.3g} (bound 1e-12)")
+    for pt in points:
+        margin, estimate = _gn_margin(pt)
+        where = f"(p={pt.params.p}, q={pt.params.q}, t={pt.t:.6g})"
+        m.at_least("margin", margin, 0.0, where)
+        m.at_most("estimate", estimate, 1e-12, where)
+    return f"{len(points)} profiles"
 
 
 @_check("the mass map is strictly increasing in the covered strips "
         "(h > 0), and for p=4, q=3.5 its derivative changes sign exactly "
         "once, at t=2")
-def check_mass_monotonicity(fails: list[str]) -> str:
+def check_mass_monotonicity(m: _Recorder) -> str:
     ys = np.linspace(-14.0, math.log(99.0), 1000)
     for p, q in ((4.0, 2.5), (8.0, 3.0), (8.0, 4.0), (3.0, 4.5)):
         P = Params(p, q)
         hs = [algebra.h_of_t(P, d=math.exp(y)) for y in ys]
-        if min(hs) <= 0.0:
-            fails.append(f"(p={p}, q={q}): h dips to {min(hs)}")
+        m.at_least("min h", np.min(hs), 0.0, f"(p={p}, q={q})", strict=True)
     P = Params(4.0, 3.5)
     hs = [algebra.h_of_t(P, d=math.exp(y)) for y in ys]
     signs = np.sign(hs)
     changes = int(np.sum(np.abs(np.diff(signs)) > 0))
     if changes != 1:
-        fails.append(f"(4, 3.5): {changes} sign changes, expected 1")
+        m.fail(f"(4, 3.5): {changes} sign changes, expected 1")
     t_min = 1.0 + math.exp(massmap.branch_minimum(P).y)
-    if abs(t_min - 2.0) > 1e-10:
-        fails.append(f"(4, 3.5): root {t_min} != 2")
+    m.at_most("|root-2|", abs(t_min - 2.0), 1e-10, "(4, 3.5)")
     return f"root at {t_min:.15g}"
 
 
@@ -487,7 +509,7 @@ def _region_membership(p: float, q: float) -> list[str]:
 @_check("the nine regions tile the admissible quadrant: every sampled "
         "exponent pair lies in exactly one region, boundary lines "
         "included on the printed sides")
-def check_region_partition(fails: list[str]) -> str:
+def check_region_partition(m: _Recorder) -> str:
     rng = np.random.default_rng(20240817)
     pts = 2.01 + rng.random((10000, 2)) * (12.0 - 2.01)
     bad = 0
@@ -499,44 +521,39 @@ def check_region_partition(fails: list[str]) -> str:
         if len(tags) != 1 or tags[0] != got:
             bad += 1
             if bad <= 3:
-                fails.append(f"(p={p}, q={q}): memberships {tags}, classified {got}")
-    if bad:
-        fails.append(f"{bad} of 10000 points misclassified")
+                m.fail(f"(p={p}, q={q}): memberships {tags}, classified {got}")
+    m.at_most("misclassified", bad, 0, "10000 samples")
     for (p, q, want) in ((6.0, 3.0, "B"), (6.0, 5.0, "D"), (6.0, 4.0, "I"),
                          (7.0, 4.0, "H"), (5.0, 4.0, "G"), (10.0, 6.0, "I")):
         got = classify(Params(p, q)).value
         if got != want:
-            fails.append(f"boundary ({p}, {q}): {got} != {want}")
+            m.fail(f"boundary ({p}, {q}): {got} != {want}")
     return "10000 samples + 6 boundary points"
 
 
 @_check("the mass-constrained gradient flow lands on the branch level "
         "to 1e-4 with a non-increasing energy trace")
-def check_flow_vs_branch(fails: list[str]) -> str:
+def check_flow_vs_branch(m: _Recorder) -> str:
     P = Params(4.0, 2.5)
     mu = 0.3
     gs = energy.groundstate_energy(P, mu)
     prof0 = oracle.make_initial_profile(mu, oracle.default_domain(gs.lam), 1500, width=3.0)
     _, trace = oracle.constrained_minimize(P, mu, prof0, max_iters=120000)
-    diff = abs(trace[-1] - gs.value)
-    if diff > 1e-4:
-        fails.append(f"flow level {trace[-1]} vs branch level {gs.value}")
-    if any(b - a > 0.0 for a, b in zip(trace, trace[1:])):
-        fails.append("energy trace increased")
-    return (f"flow={trace[-1]:.8g} branch={gs.value:.8g} "
-            f"diff={diff:.2g} (bound 1e-4) steps={len(trace) - 1}")
+    m.at_most("diff", abs(trace[-1] - gs.value), 1e-4)
+    for step, (a, b) in enumerate(zip(trace, trace[1:]), 1):
+        m.at_most("E rise", b - a, 0.0, f"step {step}")
+    return f"flow={trace[-1]:.8g} branch={gs.value:.8g} steps={len(trace) - 1}"
 
 
 @_check("the discrete flow itself falls below -1e6 in an unbounded regime "
         "when seeded past the collapse barrier")
-def check_probe_flow(fails: list[str]) -> str:
+def check_probe_flow(m: _Recorder) -> str:
     P = Params(3.0, 5.0)
     n = 4000
     prof0 = oracle.make_initial_profile(1.0, 5.0, n, width=5.0 / n * 10.0)
     _, trace = oracle.constrained_minimize(P, 1.0, prof0, max_iters=60000)
-    if not trace[-1] < oracle.FLOW_DIVERGENCE_FLOOR:
-        fails.append(f"flow probe stayed at {trace[-1]}")
-    return f"final={trace[-1]:.3g}"
+    m.at_most("final", trace[-1], oracle.FLOW_DIVERGENCE_FLOOR, strict=True)
+    return ""
 
 
 QUICK_CHECKS = [

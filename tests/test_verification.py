@@ -46,7 +46,9 @@ def test_gn_check_fails_on_a_large_estimate_or_a_negative_margin(monkeypatch):
                         lambda point, L: (*real(point, L)[:2], 2e-12))
     result = verification.check_gn_inequality()
     assert not result.passed
-    assert "estimate 2e-12 (bound 1e-12)" in result.detail
+    failures = result.detail.split(" | FAILURES: ", 1)[1].split("; ")
+    assert len(failures) == 16
+    assert all(failure.endswith(": estimate=2e-12 (bound 1e-12)") for failure in failures)
 
     def quarter_mass(point, L):
         # halves the norm product, which puts it below u(0)^2 everywhere
@@ -58,7 +60,8 @@ def test_gn_check_fails_on_a_large_estimate_or_a_negative_margin(monkeypatch):
     assert not result.passed
     failures = result.detail.split(" | FAILURES: ", 1)[1].split("; ")
     assert len(failures) == 16
-    assert all("margin -" in failure for failure in failures)
+    assert all(": margin=-" in failure and failure.endswith("(bound 0)")
+               for failure in failures)
 
 
 def test_gn_check_reads_no_profile_mass_gate(monkeypatch):
@@ -85,7 +88,32 @@ def test_region_partition_catches_a_mislabelled_region(monkeypatch):
     monkeypatch.setattr(verification, "classify", mislabel)
     result = verification.check_region_partition()
     assert not result.passed
-    assert "memberships ['F'], classified C" in result.detail
+    failures = result.detail.split(" | FAILURES: ", 1)[1].split("; ")
+    assert all("memberships ['F'], classified C" in f for f in failures[:3])
+    assert failures[3].startswith("10000 samples: misclassified=")
+    assert failures[3].endswith(" (bound 0)")
+
+
+def test_oracle_check_fails_on_a_nan_sup_distance(monkeypatch):
+    # Python's max(0, nan) is 0, so a running maximum would pass a NaN figure
+    monkeypatch.setattr(oracle, "shooting_sup_distance", lambda point, res: math.nan)
+    result = verification.check_oracle_equivalence()
+    assert not result.passed
+    sup = result.margins[0]
+    assert (sup.metric, math.isnan(sup.value), sup.bound, sup.sense) == ("sup", True, 1e-6, "<=")
+    failures = result.detail.split(" | FAILURES: ", 1)[1].split("; ")
+    assert len(failures) == 14
+    assert all(failure.endswith(": sup=nan (bound 1e-06)") for failure in failures)
+
+
+def test_multiplier_check_fails_on_a_nan_residual(monkeypatch):
+    monkeypatch.setattr(verification, "_multiplier_consistency",
+                        lambda params, mu, step: math.nan)
+    result = verification.check_multiplier_identity()
+    assert not result.passed
+    assert [(g.metric, math.isnan(g.value), g.bound, g.sense) for g in result.margins] \
+        == [("residual", True, 1e-5, "<=")]
+    assert result.detail.startswith("10 masses; residual=nan (bound 1e-05) | FAILURES: ")
 
 
 def test_multiplier_consistency_examples():
