@@ -222,27 +222,38 @@ def _log_I_near(tl: _Tail, d: float) -> float:
             + math.log(_euler_2f1(tl.a, d)))
 
 
-def _far(tl: _Tail, d: float) -> tuple[float, float, float, float]:
-    """(t, ln t, z, psi(z)/z) at t = 1 + d > 2.
+def _far(d: float) -> tuple[float, float, float]:
+    """(t, ln t, z = 1/t^2) at t = 1 + d > 2.
 
     Powers of t are taken as t ** c, not exp(c ln t): at t = e^300 the
     rounding of ln t alone would cost 1e-14 relative.
     """
     t = 1.0 + d
-    z = (1.0 / t) ** 2
-    return t, math.log1p(d), z, _horner(tl.s_coef, z)
+    return t, math.log1p(d), (1.0 / t) ** 2
+
+
+def _far_rest(tl: _Tail, t: float, lt: float, z: float, weight: float) -> float:
+    """weight * (K_fin + (A/m) Q) at t > 2: the pole-free remainder of I(t),
+    which ln I, h and the mass deficit all read, times the weight each gives it.
+
+    It is formed only where the weight is nonzero: near p = 2 (k ~ 2/(p-2))
+    the series psi overflows where every weight has long underflowed to 0,
+    and 0 * inf would be NaN.
+    """
+    if weight == 0.0:
+        return 0.0
+    q = (-2.0 * lt * _exprel(t, lt, -2.0 * tl.eps)
+         + t ** (-2.0 * tl.eps) * z * _horner(tl.s_coef, z))
+    return weight * (tl.k_fin + tl.a_over_m * q)
 
 
 def _log_I_far(tl: _Tail, d: float) -> float:
-    t, lt, z, s1 = _far(tl, d)
-    q = (-2.0 * lt * _exprel(t, lt, -2.0 * tl.eps)
-         + t ** (-2.0 * tl.eps) * z * s1)
-    rest = tl.k_fin + tl.a_over_m * q
+    t, lt, z = _far(d)
     if tl.k == 0:
-        return math.log(rest)
+        return math.log(_far_rest(tl, t, lt, z, 1.0))
     log_t = (tl.m * lt + tl.a * math.log1p(-z) - math.log(tl.m)
              + math.log(_horner(tl.p_coef, z)))
-    return log_t + math.log1p(rest * math.exp(-log_t))
+    return log_t + math.log1p(_far_rest(tl, t, lt, z, math.exp(-log_t)))
 
 
 def log_I(params: Params, d: float) -> float:
@@ -344,22 +355,18 @@ def _h_near(tl: _Tail, r: float, d: float) -> float:
 
 
 def _h_far(tl: _Tail, r: float, d: float) -> float:
-    t, lt, z, s1 = _far(tl, d)
-    mk = tl.m * tl.k_fin
+    t, lt, z = _far(d)
     if tl.k == 0:
         # t + (r - t^2) t^-1 (1-z)^(-a) has its O(t) parts cancelled in E
         w = math.exp(-tl.a * math.log1p(-z))           # (1-z)^(-a)
         e_z = math.expm1(-tl.a * math.log1p(-z)) / z
-        return ((r * w - e_z - (1.0 - r * z) * tl.eps * s1 * w) / t
-                - (1.0 - r * z) * (mk - 1.0) * t ** (2.0 - 2.0 * tl.a) * w)
+        return ((r * w - e_z - (1.0 - r * z) * tl.eps * _horner(tl.s_coef, z) * w) / t
+                - (1.0 - r * z) * (tl.m * tl.k_fin - 1.0) * t ** (2.0 - 2.0 * tl.a) * w)
     # (1-z)^(-a) t^(2-2a) = t^2 (t^2-1)^(-a) as one power of a base in range
     # (k >= 1, so 1/a < 1): near p = 2, where a is large, either factor
     # alone leaves the double range
     ta = t ** (1.0 / tl.a)
-    w = (ta / d * (ta / (d + 2.0))) ** tl.a
-    amp = tl.m * tl.a_over_m                           # A
-    pole = w * (mk - 2.0 * amp * lt * _exprel(t, lt, -2.0 * tl.eps)
-                + amp * z * s1 * t ** (-2.0 * tl.eps))
+    pole = tl.m * _far_rest(tl, t, lt, z, (ta / d * (ta / (d + 2.0))) ** tl.a)
     pk = _horner(tl.p_coef, z)
     dpk = _horner(tl.p_coef[1:], z)                    # (P - 1)/z
     return (r * pk - dpk) / t - (1.0 - r * z) * pole
@@ -450,18 +457,14 @@ def _log_shape_near(tl: _Tail, ex: MassExponents, d: float) -> float:
 def _deficit_far(tl: _Tail, ex: MassExponents, d: float) -> float:
     """(mu0 - mu)/mu0 at t = 1 + d > 2, p < 6; -inf where mu/mu0 is beyond
     the double range."""
-    t, lt, z, s1 = _far(tl, d)
+    t, lt, z = _far(d)
     l1z = math.log1p(-z)
-    mk = tl.m * tl.k_fin
     if tl.k == 0:
-        v = tl.eps * z * s1 + t ** (2.0 * tl.eps) * (mk - 1.0)
+        v = tl.eps * z * _horner(tl.s_coef, z) + t ** (2.0 * tl.eps) * (tl.m * tl.k_fin - 1.0)
         return _one_minus_exp(-ex.ke * l1z + math.log1p(v))
-    amp = tl.m * tl.a_over_m
     # (1-z)^(-a) t^(-m) = t (t^2-1)^(-a) as one power of a base in range
     w = (t ** (1.0 / tl.a) / d / (d + 2.0)) ** tl.a
-    v = z * _horner(tl.p_coef[1:], z) + w * (
-        t ** (-2.0 * tl.eps) * amp * (z * s1 - 2.0 * lt * _exprel(t, lt, 2.0 * tl.eps))
-        + mk)
+    v = z * _horner(tl.p_coef[1:], z) + tl.m * _far_rest(tl, t, lt, z, w)
     return _one_minus_exp(ex.t1_rate * l1z + math.log1p(v))
 
 

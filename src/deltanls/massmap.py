@@ -15,6 +15,7 @@ mass thresholds are.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -211,8 +212,7 @@ def efolding_length(point: BranchPoint) -> tuple[float, float]:
     p = point.params.p
     if point.zero_frequency:
         return 0.25 * (p - 2.0) * point.a, 1.0
-    kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
-    return 0.25 * (p - 2.0) * math.tanh(kappa * point.a), kappa
+    return 0.25 * (p - 2.0) * math.tanh(point.kappa * point.a), point.kappa
 
 
 def panel_cuts(ell: float, end: float) -> list[float]:
@@ -242,24 +242,38 @@ def profile_mass_quadrature(point: BranchPoint) -> float:
     past a cutoff.  u^2 decreases, so past the first panel that integrates
     to exactly 0 every panel does, and the sum stops there (an e-folding
     length that underflows to 0 fails the gate).
+
+    The integrand is (u/u0)^2, and u0^2 joins the result in logs, so a state
+    whose peak squared is below the double range (masses near 1e-240 at
+    p = 4, q = 2.5) is integrated as any other.  The absolute tolerance
+    1e-14 of u^2 is scaled by the same 1/u0^2, so a state whose u0^2 is a
+    normal double takes the quadrature steps of u^2 itself.
     """
     p = point.params.p
     ell, kappa = efolding_length(point)
     if point.zero_frequency:
         end = max(1e3, 100.0 * point.a)
-        tail = point.u0 ** 2 * (p - 2.0) / (6.0 - p) * point.a \
+        tail = (p - 2.0) / (6.0 - p) * point.a \
             * (point.a / (end + point.a)) ** ((6.0 - p) / (p - 2.0))
     else:
         end, tail = max(40.0, 7.0 * (p - 2.0)), 0.0
-    u2 = lambda z: stationary.profile(point, z / kappa) ** 2
+    u0 = point.u0
+
+    def u2(z: float) -> float:   # (u/u0)^2
+        r = stationary.profile(point, z / kappa) / u0
+        return r * r
+
+    epsabs = 1e-14 / max(u0 * u0, sys.float_info.min)
     cuts = panel_cuts(ell, end)
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        part = quad(u2, lo, hi, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
+        part = quad(u2, lo, hi, epsabs=epsabs, epsrel=1e-10, limit=200)[0]
         if part == 0.0:
             break
         total += part
-    return 2.0 * (total + tail) / kappa
+    scaled = 2.0 * (total + tail) / kappa
+    # a NaN or 0 is returned as it is, and fails the gate
+    return math.exp(2.0 * math.log(u0) + math.log(scaled)) if scaled > 0.0 else scaled
 
 
 def mass_gate(point: BranchPoint, mu: float) -> None:

@@ -529,8 +529,7 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
         capture_x = None
 
     # first-integral drift along the numeric part of the trajectory
-    H = dd ** 2 - lam * uu ** 2 - (2.0 / p) * np.abs(uu) ** p
-    scale = lam * u0 ** 2 + (2.0 / p) * u0 ** p
+    H, scale = first_integral(p, lam, uu, dd, u0)
     drift = float(np.max(np.abs(H - H[0]))) / scale
 
     stayed_positive = outcome not in ("crossed_zero", "rebounded") \
@@ -546,6 +545,15 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
     profile = GridProfile(L, n, vals if stayed_positive else np.maximum(vals, 0.0))
     return ShootingResult(decay_ok=decay_ok, profile=profile, outcome=outcome,
                           first_integral_drift=drift, capture_x=capture_x)
+
+
+def first_integral(p: float, lam: float, u, du, u0: float):
+    """(u'^2 - lam u^2 - (2/p) |u|^p, lam u0^2 + (2/p) u0^p): the first
+    integral of the radial equation at (u, u'), 0 on every decaying orbit,
+    and the size of its terms at the vertex height u0, against which its
+    drift and residuals are read."""
+    c = 2.0 / p
+    return du ** 2 - lam * u ** 2 - c * np.abs(u) ** p, lam * u0 ** 2 + c * u0 ** p
 
 
 def shooting_sup_distance(point: BranchPoint, result: ShootingResult) -> float:

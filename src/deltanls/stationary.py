@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -66,6 +67,11 @@ class BranchPoint:
     @property
     def zero_frequency(self) -> bool:
         return math.isinf(self.d)
+
+    @cached_property
+    def kappa(self) -> float:
+        """kappa = (p-2) sqrt(lambda) / 2, the rate of the profile's sinh (0 at lambda = 0)."""
+        return 0.5 * (self.params.p - 2.0) * math.sqrt(self.lam)
 
 
 @dataclass(frozen=True)
@@ -284,8 +290,7 @@ def profile(point: BranchPoint, x):
     else:
         # one power of a ratio: near p = 2 the amplitude and the sinh power
         # leave double range on their own while u stays finite
-        kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
-        out = _sinh_neg_pow(kappa * ax, expo, math.sqrt(0.5 * p * point.lam))
+        out = _sinh_neg_pow(point.kappa * ax, expo, math.sqrt(0.5 * p * point.lam))
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)
     return out
@@ -300,8 +305,7 @@ def profile_derivative(point: BranchPoint, x):
     if point.zero_frequency:
         mag = -(2.0 / (p - 2.0)) * u / ax
     else:
-        kappa = 0.5 * (p - 2.0) * math.sqrt(point.lam)
-        mag = -math.sqrt(point.lam) * u / np.tanh(kappa * ax)
+        mag = -math.sqrt(point.lam) * u / np.tanh(point.kappa * ax)
     out = np.where(xs < 0.0, -mag, mag)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out)

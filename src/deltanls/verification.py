@@ -261,12 +261,20 @@ def _oracle_points() -> list[tuple[str, stationary.BranchPoint]]:
 
 
 def _first_integral_residual(point: stationary.BranchPoint, x) -> float:
-    """max |u'^2 - lam u^2 - (2/p) u^p| over the sample points x (all nonzero)."""
-    p = point.params.p
+    """max |H| / scale of the first integral (``oracle.first_integral``) of
+    the closed-form profile over the sample points x (all nonzero)."""
     u = np.asarray(stationary.profile(point, x), dtype=float)
     du = np.asarray(stationary.profile_derivative(point, x), dtype=float)
-    resid = du ** 2 - point.lam * u ** 2 - (2.0 / p) * u ** p
-    return float(np.max(np.abs(resid)))
+    H, scale = oracle.first_integral(point.params.p, point.lam, u, du, point.u0)
+    return float(np.max(np.abs(H))) / scale
+
+
+def _quadrature_domain(point: stationary.BranchPoint) -> float:
+    """L of the Gauss-Legendre route on [-L, L]: 30 decay lengths 1/sqrt(lambda),
+    and at least 60; 1e16 at zero frequency, where the algebraic tail past L
+    holds the fraction (a/(L + a))^((6-p)/(p-2)) of the mass (3e-16 for the
+    state of p = 4, q = 2.5)."""
+    return max(60.0, 30.0 / math.sqrt(point.lam)) if point.lam > 0.0 else 1e16
 
 
 @_check("shooting from the vertex data reproduces every closed-form "
@@ -285,8 +293,7 @@ def check_oracle_equivalence(m: _Recorder) -> str:
         m.at_most("sup", oracle.shooting_sup_distance(pt, res), 1e-6, where)
         m.at_most("drift", res.first_integral_drift, 1e-7, where)
 
-        mass_q, eb_q, estimate = oracle.profile_functional(
-            pt, max(60.0, 30.0 / math.sqrt(pt.lam)))
+        mass_q, eb_q, estimate = oracle.profile_functional(pt, _quadrature_domain(pt))
         m.at_most("estimate", estimate, 1e-12, where)
         eb_c = stationary.branch_energy(pt)
         for name, got, want in (("mass", mass_q, massmap.state_mass(pt)),
@@ -296,8 +303,7 @@ def check_oracle_equivalence(m: _Recorder) -> str:
             m.at_most(name, abs(got - want) / abs(want), 1e-10, where)
 
         xs = np.linspace(0.3, 8.0, 12) / max(math.sqrt(pt.lam), 0.05)
-        fres = _first_integral_residual(pt, xs) \
-            / (pt.lam * pt.u0 ** 2 + (2.0 / pt.params.p) * pt.u0 ** pt.params.p)
+        fres = _first_integral_residual(pt, xs)
         m.at_most("residual", stationary.vertex_residual(pt), 1e-8, where + " vertex")
         m.at_most("residual", fres, 1e-8, where + " first-integral")
     return f"{len(points)} states"
@@ -431,15 +437,12 @@ def _gn_margin(point: stationary.BranchPoint) -> tuple[float, float]:
     """(||u||_2 ||u'||_2 - u(0)^2, error estimate) of a branch state on [-L, L].
 
     Both norms come from Gauss-Legendre quadrature of the closed-form profile
-    (``oracle.profile_functional``), to oracle-equivalence's L = max(60,
-    30/sqrt(lambda)), and to L = 1e16 at zero frequency, where the algebraic
-    tail past L holds the fraction (a/(L + a))^((6-p)/(p-2)) of the mass
-    (3e-16 for the state of p = 4, q = 2.5).  Truncated norms are lower
-    bounds of the full ones, so a margin >= 0 on them proves the inequality
-    whatever L is; L only decides how close the margin is.
+    (``oracle.profile_functional``) on oracle-equivalence's domain
+    (:func:`_quadrature_domain`).  Truncated norms are lower bounds of the
+    full ones, so a margin >= 0 on them proves the inequality whatever L is;
+    L only decides how close the margin is.
     """
-    L = max(60.0, 30.0 / math.sqrt(point.lam)) if point.lam > 0.0 else 1e16
-    mass, eb, estimate = oracle.profile_functional(point, L)
+    mass, eb, estimate = oracle.profile_functional(point, _quadrature_domain(point))
     return math.sqrt(mass * 2.0 * eb.kinetic) - point.u0 ** 2, estimate
 
 

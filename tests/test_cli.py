@@ -26,10 +26,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_alone(*argv):
-    """(exit code, stdout, stderr) of one command in a fresh interpreter."""
+def run_alone(*argv, flags=()):
+    """(exit code, stdout, stderr) of one command in a fresh interpreter
+    started with the interpreter flags given."""
     src = str(pathlib.Path(deltanls.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-m", "deltanls.cli", *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, *flags, "-m", "deltanls.cli", *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src))
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -203,6 +204,17 @@ def test_curves_malformed_range_is_invalid_input(tmp_path, capsys):
     assert code == 2
     assert out == "" and err == "error: expected --range a:b:n, got '1.5:3'\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_next_to_p_2_raises_no_warning():
+    # h was NaN on the whole far side here (0 * inf in the far series): the
+    # branch-minimum walk read NaN as "not positive", under a RuntimeWarning
+    # that -W error turned into a traceback.  h < 0 on the far side (50-digit
+    # mpmath), so the map has no dip and this mass lies below mu0
+    code, out, err = run_alone("solve", "--p", "2.0000000315979345", "--q", "3.6313493472423306",
+                               "--mass", "0.0005215079742944199", flags=("-W", "error"))
+    assert (code, err) == (0, "")
+    assert "no states at this mass" in out
 
 
 def test_curves_mass_beyond_the_double_range_next_to_p_2(tmp_path, capsys):

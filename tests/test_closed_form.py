@@ -103,6 +103,44 @@ def test_mass_ratio_beyond_the_double_range_next_to_p_2(y):
         -math.inf if beyond else pytest.approx(-math.expm1(want), rel=1e-12))
 
 
+def euler_reference(p: float, q: float, d: float):
+    """(ln I, h, ln mu) at t = 1 + d in 50-digit mpmath, from the Euler form
+    I = x^a (1-x)^b 2F1(1, 1/2; a+1; x) / (2a), x = 1 - 1/t^2, which
+    converges fast where a = 2/(p-2) is large and mpmath's incomplete beta
+    function is slow."""
+    with mp.workdps(50):
+        p, q, d = mp.mpf(p), mp.mpf(q), mp.mpf(d)
+        t = 1 + d
+        a = 2 / (p - 2)
+        x = d * (d + 2) / t ** 2
+        f21 = mp.hyp2f1(1, mp.mpf(1) / 2, a + 1, x)
+        log_i = a * mp.log(x) + (mp.mpf(1) / 2 - a) * mp.log(1 - x) - mp.log(2 * a) + mp.log(f21)
+        # (t^2 - 1)^(-a) I = 2F1 / (2 a t)
+        h = t + (6 - p) / (p - 2) * ((p - 2) / (p + 2 - 2 * q) - t * t) * f21 / (2 * a * t)
+        denom = 2 * q - p - 2
+        log_c = (3 * (q - p + 2) * mp.log(2) + (q - 4) * mp.log(p)) / denom - mp.log(p - 2)
+        log_f = mp.log(t) - (q - 2) / (p - 2) * mp.log(d * (d + 2))
+        return float(log_i), float(h), float(log_c + (6 - p) / denom * log_f + log_i)
+
+
+# for p - 2 <= 3.2e-8 the far series psi(z) of I(t), k ~ 2/(p-2) terms
+# deep, overflows where each weight it carries in ln I, h and the deficit
+# has underflowed to 0: 0 * inf made all three NaN on the whole far side,
+# t - 1 > 1.  h is of order p - 2 there, and its sign decides the dip
+@pytest.mark.parametrize("p_minus_2", [3.2e-8, 1e-8, 1e-9])
+@pytest.mark.parametrize("q", [2.5, 3.63, 5.0, 9.0])
+def test_far_side_next_to_p_2_is_finite(p_minus_2, q):
+    p = 2.0 + p_minus_2
+    params = Params(p, q)
+    for d in (1.5, 10.0, 1e3, 1e6):
+        log_i, h, log_mu = euler_reference(p, q, d)
+        assert algebra.log_I(params, d) == pytest.approx(log_i, rel=1e-14)
+        assert algebra.log_mass(params, d) == pytest.approx(log_mu, rel=1e-14, abs=1e-14)
+        got = algebra.h_of_t(params, d=d)
+        assert got == pytest.approx(h, rel=1e-14)
+        assert (got > 0.0) == (h > 0.0) == (q > 4.0)
+
+
 def test_fold_next_to_q_2():
     # d* = t* - 1 of the fold, the fold frequency lambda_bar and the
     # multiplier-peak mass mu(t*) at seeded pairs with q - 2 down to 1e-12

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -249,6 +250,17 @@ def test_gate_stops_at_the_first_empty_panel(monkeypatch):
     got = massmap.profile_mass_quadrature(point)
     assert len(calls) <= 10
     assert got == pytest.approx(massmap.state_mass(point), rel=1e-9)
+
+
+# at p = 4, q = 2.5 the state of mass 1e-240 has u0^2 = 4e-321, subnormal,
+# and those of 1e-250 and 1e-280 have u0^2 below the least subnormal: the
+# gate integrated u^2 itself, and failed them (9.5e-4 off, then "quadrature
+# gives 0.0"), while their closed-form mass matched the request to 1e-15
+@pytest.mark.parametrize("mass", [1e-240, 1e-250, 1e-280])
+def test_gate_passes_states_whose_peak_squared_underflows(mass):
+    (sol,) = massmap.normalized_solutions(Params(4.0, 2.5), mass)   # gated
+    assert sol.point.u0 ** 2 < sys.float_info.min
+    assert massmap.profile_mass_quadrature(sol.point) == pytest.approx(mass, rel=1e-12)
 
 
 def _stored_state_mass(point: stationary.BranchPoint) -> float:

@@ -75,8 +75,8 @@ def test_gn_check_reads_no_profile_mass_gate(monkeypatch):
 def test_first_integral_residual():
     pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
     xs = np.linspace(0.2, 40.0, 25)
-    scale = pt.lam * pt.u0 ** 2 + (2.0 / 4.0) * pt.u0 ** 4
-    assert verification._first_integral_residual(pt, xs) <= 1e-8 * scale
+    # relative to the scale lam u0^2 + (2/p) u0^p of its terms
+    assert verification._first_integral_residual(pt, xs) <= 1e-8
 
 
 def test_region_partition_catches_a_mislabelled_region(monkeypatch):
