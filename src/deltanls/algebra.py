@@ -179,7 +179,7 @@ def _tail(p: float) -> _Tail:
     for n in range(1, _N_TERMS + 1):
         rising *= (eps + 0.5 - k + n - 1.0) / n
         s_coef.append(rising / (n + eps))
-    return _Tail(a, b, -2.0 * b, k, eps, a_over_m, k_fin,
+    return _Tail(a, b, -2.0 * b, k, eps, a_over_m, float(k_fin),
                  tuple(p_coef[:k]), tuple(s_coef))
 
 

@@ -229,7 +229,7 @@ def panel_cuts(ell: float, end: float) -> list[float]:
     return cuts
 
 
-def profile_mass_quadrature(point: BranchPoint) -> float:
+def profile_mass_quadrature(point: BranchPoint, messages=None) -> float:
     """Mass of the materialized profile by adaptive quadrature (gate oracle).
 
     Independent of the closed-form mass map: integrates u(x)^2 directly, by
@@ -248,6 +248,10 @@ def profile_mass_quadrature(point: BranchPoint) -> float:
     p = 4, q = 2.5) is integrated as any other.  The absolute tolerance
     1e-14 of u^2 is scaled by the same 1/u0^2, so a state whose u0^2 is a
     normal double takes the quadrature steps of u^2 itself.
+
+    QUADPACK's message on a panel (say, roundoff next to p = 2) is not
+    raised as a warning; each one is appended, on one line, to messages
+    when that is a list, and the gate names them when it fails.
     """
     p = point.params.p
     ell, kappa = efolding_length(point)
@@ -267,7 +271,10 @@ def profile_mass_quadrature(point: BranchPoint) -> float:
     cuts = panel_cuts(ell, end)
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        part = quad(u2, lo, hi, epsabs=epsabs, epsrel=1e-10, limit=200)[0]
+        part, _, _, *message = quad(u2, lo, hi, epsabs=epsabs, epsrel=1e-10, limit=200,
+                                    full_output=1)
+        if message and messages is not None:
+            messages.append(" ".join(message[0].split()))
         if part == 0.0:
             break
         total += part
@@ -281,11 +288,13 @@ def mass_gate(point: BranchPoint, mu: float) -> None:
 
     Every mass the library reports for a state passes through this gate.
     """
-    got = profile_mass_quadrature(point)
+    messages = []
+    got = profile_mass_quadrature(point, messages)
     if not abs(got - mu) <= MASS_GATE_RTOL * mu:   # a NaN fails too
         raise GateFailure(
             f"profile-mass gate failed: requested {mu}, quadrature gives {got} "
-            f"(t={point.t}, lambda={point.lam})")
+            f"(t={point.t}, lambda={point.lam})"
+            + "".join(f"; QUADPACK: {m}" for m in dict.fromkeys(messages)))
 
 
 def _mass_gap(params: Params, mu: float):

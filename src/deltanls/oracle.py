@@ -10,9 +10,10 @@ piecewise-linear interpolant, its kinetic term exact and its mass and bulk
 terms by the trapezoidal rule) evaluates sampled profiles; the constrained
 minimizer runs a backward-Euler normalized gradient flow on that functional
 at fixed mass, with the bulk and point terms both lagged: its matrix is a
-symmetric positive definite tridiagonal, solved by LDL^T (LAPACK dptsv),
-less a rank-one point term at the origin, added by Sherman-Morrison; the
-trial is signed so that its value at the origin is not negative.
+symmetric positive definite tridiagonal less a point term at the origin's
+diagonal entry, factored by LDL^T in reversed node order (LAPACK dpttrf and
+dpttrs), so that the point term enters the last pivot only; the trial is
+signed so that its value at the origin is not negative.
 
 Shooting detail: the decaying orbit is a saddle connection, so forward
 integration in double precision is eventually taken over by the growing
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 
 from .massmap import efolding_length, panel_cuts
@@ -148,8 +149,8 @@ def profile_functional(point: BranchPoint, L: float):
 
     The mass 2 int u^2, the kinetic term int u'^2 and the bulk term
     (2/p) int u^p over [0, L] come from :func:`_gauss_legendre_panels`, with
-    u and u' evaluated once, at all its nodes.  The first panel is the
-    length over which u^2 falls by e at the origin
+    u evaluated once, at all its nodes, and u' formed from it.  The first
+    panel is the length over which u^2 falls by e at the origin
     (``massmap.efolding_length``, taken back to x).  The point term is
     u(0)^q / q.  estimate is the largest relative error estimate of the
     three integrals.
@@ -159,7 +160,7 @@ def profile_functional(point: BranchPoint, L: float):
 
     def integrand(x):
         u = analytic_profile(point, x)
-        return np.array([u * u, profile_derivative(point, x) ** 2, u ** p])
+        return np.array([u * u, profile_derivative(point, x, u) ** 2, u ** p])
 
     integrals, estimates = _gauss_legendre_panels(integrand, ell / kappa, L)
     usq, dusq, upow = integrals.tolist()
@@ -578,9 +579,10 @@ def _grid_energy(u: np.ndarray, h: float, params: Params, work=None):
     own, so that a trial allocates nothing here.
 
     The nodes with |u| < tiny^(1/p) (tiny the smallest normal double) are set
-    to 0 and raised to the power p in one unmasked call: such a node adds
-    0^p = 0 in place of a power of at most about tiny, which pow reaches
-    only on its slow underflow path.  Every other node adds its plain power.
+    to 0 and are not raised to the power p: such a node adds 0 in place of a
+    power of at most about tiny, which pow reaches only on its slow
+    underflow path.  Every other node adds its plain power, and the sum runs
+    over the whole array.
     """
     p, q = params.p, params.q
     mag, small = work if work is not None else (np.empty(len(u)), np.empty(len(u), bool))
@@ -588,9 +590,9 @@ def _grid_energy(u: np.ndarray, h: float, params: Params, work=None):
     diff2 = float(np.add.reduce(np.multiply(d, d, out=d)))
     np.abs(u, out=mag)
     np.putmask(mag, np.less(mag, sys.float_info.min ** (1.0 / p), out=small), 0.0)
+    np.power(mag, p, out=mag, where=np.logical_not(small, out=small))
     u0, un = u.item(0), u.item(-1)
-    vsum = float(np.add.reduce(np.power(mag, p, out=mag))) \
-        - 0.5 * (abs(u0) ** p + abs(un) ** p)
+    vsum = float(np.add.reduce(mag)) - 0.5 * (abs(u0) ** p + abs(un) ** p)
     return diff2 / h, (2.0 / p) * h * vsum, abs(u0) ** q / q
 
 
@@ -616,28 +618,27 @@ def make_initial_profile(mu: float, L: float, n: int,
     return GridProfile(L, n, u)
 
 
-def _flow_solve(d, off, rhs, tau_c):
+def _flow_solve(d, off, b, tau_c):
     """The flow's trial u* from (A - tau_c e0 e0^T) u* = b, signed so that
     u*_0 >= 0, or None where that matrix is singular.
 
-    A is the symmetric positive definite tridiagonal (diagonal d,
-    off-diagonal off) and rhs the Fortran-ordered pair [b, e0].  One LDL^T
-    factorization (LAPACK dptsv) solves A [y, z] = [b, e0], and
-    Sherman-Morrison gives u* = y + (tau_c y_0 / (1 - tau_c z_0)) z.  d, off
-    and rhs are overwritten.
+    A is the symmetric positive definite tridiagonal with diagonal d and
+    off-diagonal off; d[0] is overwritten with d[0] - tau_c.  The whole
+    matrix is factored once by LDL^T in reversed node order (LAPACK dpttrf)
+    and solved for b (dpttrs).  In that order the point term enters the last
+    pivot only: the first n-1 pivots are those of A's diagonally dominant
+    part without the origin, and stay positive.  The last one is not
+    positive past tau = 1/lambda (dpttrf's info n), and the solve goes on;
+    a zero last pivot is a singular matrix.
     """
-    *_, yz, info = dptsv(d, off, rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"tridiagonal solve failed (dptsv info={info})")
-    y, z = yz[:, 0], yz[:, 1]
-    denom = 1.0 - tau_c * z.item(0)
-    if denom == 0.0:
+    d[0] -= tau_c
+    pivots, mults, info = dpttrf(d[::-1], off[::-1])
+    if info not in (0, len(d)):
+        raise np.linalg.LinAlgError(f"tridiagonal factorization failed (dpttrf info={info})")
+    if pivots.item(-1) == 0.0:
         return None
-    z *= tau_c * y.item(0) / denom
-    y += z
-    if y.item(0) < 0.0:
-        np.negative(y, out=y)
-    return y
+    x = dpttrs(pivots, mults, b[::-1])[0][::-1]
+    return -x if x.item(0) < 0.0 else x.copy()
 
 
 def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
@@ -652,19 +653,20 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
     with W the trapezoid weights and K the kinetic stiffness of
     :func:`discrete_energy`: the bulk and point coefficients are both lagged
     at u^n.  The matrix need not be positive definite; its part A = 2W +
-    tau (K + 2W |u^n|^(p-2)) is, for every tau, and the point term is a
-    rank-one change of it.  :func:`_flow_solve` solves A by LDL^T without
-    pivoting (LAPACK dptsv) for two right-hand sides, 2W u^n and e0, and
-    applies Sherman-Morrison.  2W, A's lagged diagonal and 2W u^n are formed
-    once per step.  Near a state of multiplier lambda the whole matrix maps
-    u to about (1 - tau lambda) 2W u, so past tau = 1/lambda the solve
-    returns -u; the trial is then negated, which leaves the energy (even in
-    u) as it is and keeps u*_0 >= 0.
+    tau (K + 2W |u^n|^(p-2)) is, for every tau, and the point term changes
+    only its diagonal entry at the origin.  :func:`_flow_solve` factors the
+    whole matrix by LDL^T in reversed node order, where that entry is the
+    last pivot, and solves it for the one right-hand side 2W u^n.  2W, A's
+    lagged diagonal and 2W u^n are formed once per step.  Near a state of
+    multiplier lambda the whole matrix maps u to about (1 - tau lambda) 2W u,
+    so past tau = 1/lambda (a negative last pivot) the solve returns -u; the
+    trial is then negated, which leaves the energy (even in u) as it is and
+    keeps u*_0 >= 0.
 
     u* is renormalized back to the mass sphere and accepted only if the energy
     does not increase, with halving on increase and mild growth on success.
-    A singular matrix (Sherman-Morrison's denominator 0) or a non-finite
-    trial counts as an increase.
+    A singular matrix (a zero last pivot) or a non-finite trial counts as an
+    increase.
     Returns (final profile, energy trace).  The flow stops once the energy
     falls below FLOW_DIVERGENCE_FLOOR: the level is then unbounded below, or
     the flow has diverged, which a check against a finite level reports.
@@ -677,10 +679,8 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
     two_w[0] = two_w[-1] = h
     stiff = np.full(len(u), 4.0 / h)
     stiff[0] = stiff[-1] = 2.0 / h
-    # the trial's matrix diagonal, off-diagonal and right-hand sides, which
-    # dptsv overwrites, and the energy's work arrays
+    # the trial's matrix diagonal and off-diagonal, and the energy's work arrays
     d, off = np.empty(len(u)), np.empty(len(u) - 1)
-    rhs = np.empty((len(u), 2), order="F")
     work = np.empty(len(u)), np.empty(len(u), bool)
 
     energy = discrete_energy(params, u, h)
@@ -699,10 +699,7 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
             np.multiply(diag, tau, out=d)
             d += two_w
             off.fill(-2.0 * tau / h)
-            rhs[:, 0] = two_w_u
-            rhs[:, 1] = 0.0
-            rhs[0, 1] = 1.0
-            trial = _flow_solve(d, off, rhs, tau * c)
+            trial = _flow_solve(d, off, two_w_u, tau * c)
             mass = discrete_mass(trial, h) if trial is not None else math.nan
             if 0.0 < mass < math.inf:
                 trial *= math.sqrt(mu / mass)

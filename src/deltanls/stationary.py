@@ -296,12 +296,16 @@ def profile(point: BranchPoint, x):
     return out
 
 
-def profile_derivative(point: BranchPoint, x):
-    """du/dx away from 0; at x = 0 returns the one-sided derivative u'(0+)."""
+def profile_derivative(point: BranchPoint, x, u=None):
+    """du/dx away from 0; at x = 0 returns the one-sided derivative u'(0+).
+
+    u is the profile at x, when the caller has it already.
+    """
     p = point.params.p
     xs = np.asarray(x, dtype=float)
     ax = np.abs(xs) + point.a
-    u = profile(point, xs)
+    if u is None:
+        u = profile(point, xs)
     if point.zero_frequency:
         mag = -(2.0 / (p - 2.0)) * u / ax
     else:

@@ -264,7 +264,7 @@ def _first_integral_residual(point: stationary.BranchPoint, x) -> float:
     """max |H| / scale of the first integral (``oracle.first_integral``) of
     the closed-form profile over the sample points x (all nonzero)."""
     u = np.asarray(stationary.profile(point, x), dtype=float)
-    du = np.asarray(stationary.profile_derivative(point, x), dtype=float)
+    du = np.asarray(stationary.profile_derivative(point, x, u), dtype=float)
     H, scale = oracle.first_integral(point.params.p, point.lam, u, du, point.u0)
     return float(np.max(np.abs(H))) / scale
 

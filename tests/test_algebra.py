@@ -1,5 +1,6 @@
 import math
 import sys
+import typing
 
 import numpy as np
 import pytest
@@ -176,6 +177,20 @@ def test_h_sign_change_counts():
 
 def test_h_p6_is_identity():
     assert algebra.h_of_t(Params(6.0, 3.0), d=1.5) == 2.5
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 10.0 / 3.0, 4.0, 5.999, 6.0, 8.0, 12.0])
+def test_tail_constants_are_python_floats(p):
+    # the far side of ln I, h and the deficit runs in float arithmetic: no
+    # constant of the expansion is a numpy scalar (K_fin comes from digamma,
+    # gammasgn and a numpy sum)
+    tl = algebra._tail(p)
+    for name, kind in typing.get_type_hints(algebra._Tail).items():
+        value = getattr(tl, name)
+        if kind is float:
+            assert type(value) is float, name
+        elif kind == tuple[float, ...]:
+            assert all(type(v) is float for v in value), name
 
 
 def test_constants_exact_values():

@@ -217,6 +217,28 @@ def test_solve_next_to_p_2_raises_no_warning():
     assert "no states at this mass" in out
 
 
+def test_curves_energy_next_to_p_2_raises_no_warning(tmp_path):
+    # the profile-mass gate meets QUADPACK's roundoff message on some panels
+    # here, and passes: the message once escaped as an IntegrationWarning,
+    # which -W error turned into a traceback in place of this CSV
+    out_file = tmp_path / "energy.csv"
+    code, out, err = run_alone("curves", "--p", "2.0000000315979345", "--q", "3.6313493472423306",
+                               "--which", "energy", "--range", "0.01:10:8",
+                               "--out", str(out_file), flags=("-W", "error"))
+    assert (code, out, err) == (0, "", "")
+    assert out_file.read_text().splitlines() == [
+        "mu,E,lambda,branch_id,flag",
+        "0.01,0,,vanishing,infimum-not-attained",
+        "1.4371428571428573,0,,vanishing,infimum-not-attained",
+        "2.8642857142857143,0,,vanishing,infimum-not-attained",
+        "4.2914285714285718,-44.692106773017599,214.01935405147958,only,attained",
+        "5.7185714285714289,-789.27270647867681,2727.9347525298449,only,attained",
+        "7.1457142857142859,-7106.9490690624953,19602.750558469368,only,attained",
+        "8.5728571428571438,-42739.176576637954,98225.06641125599,only,attained",
+        "10,-194803.53564612893,383786.46142702305,only,attained",
+    ]
+
+
 def test_curves_mass_beyond_the_double_range_next_to_p_2(tmp_path, capsys):
     # mu/mu0 beyond the double range once raised an OverflowError out of
     # the mass map; every mass on this curve is beyond it, and is inf
@@ -459,7 +481,7 @@ def test_gate_failure_is_one_line_with_exit_3(capsys, monkeypatch):
     massmap._gated_solutions.cache_clear()
     real = massmap.profile_mass_quadrature
     monkeypatch.setattr(massmap, "profile_mass_quadrature",
-                        lambda point: real(point) * (1.0 + 1e-3))
+                        lambda point, messages=None: real(point, messages) * (1.0 + 1e-3))
     code, out, err = run(capsys, "solve", "--p", "4", "--q", "2.5", "--mass", "0.3")
     assert code == 3
     assert out == ""

@@ -177,7 +177,7 @@ def test_repeated_mass_is_answered_without_the_gate(monkeypatch):
     massmap._gated_solutions.cache_clear()
     real, calls = massmap.profile_mass_quadrature, []
     monkeypatch.setattr(massmap, "profile_mass_quadrature",
-                        lambda point: calls.append(point) or real(point))
+                        lambda point, messages=None: calls.append(point) or real(point, messages))
     first = massmap.normalized_solutions(P435, 5.0)
     assert len(calls) == len(first) == 2
     second = massmap.normalized_solutions(P435, 5.0)
@@ -185,6 +185,22 @@ def test_repeated_mass_is_answered_without_the_gate(monkeypatch):
     assert second == first and second is not first
     second.clear()   # a caller's list is its own
     assert massmap.normalized_solutions(P435, 5.0) == first
+
+
+def test_failing_gate_names_quadpacks_message(monkeypatch):
+    # an integrand that oscillates on a scale QUADPACK cannot resolve in 200
+    # subdivisions, and whose mass is 5e-4 off: the gate fails, on one line
+    # that names QUADPACK's messages, and no IntegrationWarning escapes
+    massmap._gated_solutions.cache_clear()
+    quad = massmap.quad
+    monkeypatch.setattr(massmap, "quad", lambda f, *args, **kwargs: quad(
+        lambda z: f(z) * (1.0 + 1e-3 * math.sin(1e4 * z) ** 2), *args, **kwargs))
+    with pytest.raises(massmap.GateFailure) as failure:
+        massmap.normalized_solutions(P425, 0.3)
+    message = str(failure.value)
+    assert message.startswith("profile-mass gate failed: requested 0.3")
+    assert "; QUADPACK: The maximum number of subdivisions (200) has been achieved." in message
+    assert "\n" not in message
 
 
 def test_refusal_is_raised_on_every_call():

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import sys
 import tracemalloc
 import types
 
@@ -10,7 +11,7 @@ import scipy.integrate
 from numpy._core._multiarray_umath import __cpu_features__
 from scipy.integrate import DOP853, OdeSolution, quad
 from scipy.integrate._ivp.rk import Dop853DenseOutput
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgtsv, dpttrf
 from scipy.optimize import brentq
 
 from deltanls import energy, massmap, oracle, stationary, verification
@@ -246,13 +247,13 @@ def test_flow_checks_report_their_pinned_figures():
     assert probe.passed and probe.detail == "final=-2.25e+06 (bound -1e+06)"
 
 
-def _dgtsv_flow_solve(d, off, rhs, tau_c):
+def _dgtsv_flow_solve(d, off, b, tau_c):
     """The flow's trial by general LU with partial pivoting (LAPACK dgtsv) of
-    the whole rank-one-modified matrix, diagonal d - tau_c e0, signed as
-    oracle._flow_solve signs it."""
+    the whole matrix, diagonal d - tau_c e0, signed as oracle._flow_solve
+    signs it."""
     d = d.copy()
     d[0] -= tau_c
-    *_, x, info = dgtsv(off, d, off, rhs[:, 0])
+    *_, x, info = dgtsv(off, d, off, b)
     if info != 0:
         return None
     return -x if x[0] < 0.0 else x
@@ -264,9 +265,10 @@ def _dgtsv_flow_solve(d, off, rhs, tau_c):
 ], ids=["flow-vs-branch", "probe-flow"])
 def test_flow_ldlt_solve_tracks_the_general_lu_solve(monkeypatch, params, mu, L, n, width):
     # only the matrix's part without the point term is symmetric positive
-    # definite: the flow solves that part by LDL^T (dptsv) and adds the
-    # point term by Sherman-Morrison.  The reference solves the whole matrix
-    # by LU (dgtsv), and the traces differ by rounding only
+    # definite: the flow factors the whole matrix by LDL^T without pivoting
+    # (dpttrf) in reversed node order, where the point term is the last
+    # pivot.  The reference solves it by LU with partial pivoting (dgtsv),
+    # and the traces differ by rounding only
     if L is None:
         L = max(50.0, 20.0 / math.sqrt(energy.groundstate_energy(params, mu).lam))
     prof0 = oracle.make_initial_profile(mu, L, n, width=width)
@@ -277,6 +279,61 @@ def test_flow_ldlt_solve_tracks_the_general_lu_solve(monkeypatch, params, mu, L,
     trace, ref = np.array(trace), np.array(ref)
     scale = np.maximum(np.abs(ref), abs(ref[0]))
     assert np.all(np.abs(trace - ref) <= 1e-14 * scale)
+
+
+def test_flow_solve_past_a_negative_last_pivot():
+    # flow-vs-branch's first trial matrix (p = 4, tau = h), with a point term
+    # twice the last pivot of its positive definite part: that pivot is
+    # negative (dpttrf's info n), the solve goes on, matches LU with partial
+    # pivoting, and is signed so that u*_0 > 0
+    n, L = 1500, 50.0
+    h = L / n
+    u = oracle.make_initial_profile(0.3, L, n, width=3.0).values
+    two_w, stiff = np.full(n + 1, 2.0 * h), np.full(n + 1, 4.0)
+    two_w[0] = two_w[-1] = h
+    stiff[0] = stiff[-1] = 2.0
+    d, off, b = two_w * (1.0 + h * u * u) + stiff, np.full(n, -2.0), two_w * u
+    pivots, _, info = dpttrf(d[::-1], off[::-1])
+    assert info == 0
+    tau_c = 2.0 * pivots[-1]
+    whole = d.copy()
+    whole[0] -= tau_c
+    assert dpttrf(whole[::-1], off)[2] == len(d)
+    assert dgtsv(off, whole, off, b)[3][0] < 0.0   # the unsigned solution
+    ref = _dgtsv_flow_solve(d, off, b, tau_c)
+    trial = oracle._flow_solve(d.copy(), off, b, tau_c)
+    assert trial[0] > 0.0
+    assert np.max(np.abs(trial - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_flow_solve_of_a_zero_last_pivot_is_none():
+    # diagonal (2, 2, ..., 2, 1) and off-diagonal -1 have unit pivots in
+    # reversed node order, all exact: a point term of 1 makes the last 0
+    n = 8
+    d, off, b = np.full(n, 2.0), np.full(n - 1, -1.0), np.ones(n)
+    d[-1] = 1.0
+    assert oracle._flow_solve(d.copy(), off, b, 1.0) is None
+    ref = _dgtsv_flow_solve(d, off, b, 0.5)
+    assert np.max(np.abs(oracle._flow_solve(d.copy(), off, b, 0.5) - ref)) \
+        <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("params, mu, L, n, width", [
+    (P425, 0.3, 200.0, 1500, 3.0),
+    (Params(3.0, 5.0), 1.0, 5.0, 4000, 5.0 / 4000 * 10.0),   # probe-flow's seed
+])
+def test_masked_bulk_power_is_the_unmasked_one(params, mu, L, n, width):
+    # seeds whose tails hold exact zeros and powers below tiny: the nodes
+    # under tiny^(1/p) are not raised to the power p, and the bulk term is
+    # bit for bit that of one unmasked power over the whole array
+    u = oracle.make_initial_profile(mu, L, n, width=width).values
+    h, p = L / n, params.p
+    mag = np.abs(u)
+    small = mag < sys.float_info.min ** (1.0 / p)
+    assert small.any() and (u == 0.0).any()
+    mag[small] = 0.0
+    vsum = float(np.add.reduce(mag ** p)) - 0.5 * (abs(u[0]) ** p + abs(u[-1]) ** p)
+    assert oracle._grid_energy(u, h, params)[1] == (2.0 / p) * h * vsum
 
 
 def test_functional_eval_tent_family():
@@ -712,19 +769,19 @@ def test_stepper_constants_and_tableau_are_scipys():
 FLOW_TRACE_SHA256 = {
     True: {   # numpy's AVX-512 kernels
         "Prescott, Core2, Nehalem":
-            "207c21330f043db9c647666c374c1530b4399724c6abf8616626b3e5f7305d22",
-        "Sandybridge": "e2fe013c4eaee7f701e7400db2d2c31c3f0eb0d41295e6d72984f946ab6257bb",
-        "Haswell, Zen": "5e1f5cf765c20fb69a850eb1ec5f0927b4c58a78c985896a40a73c797299ad64",
+            "a7275d6b35e057ad789d2837fef024d141b72ea3a6cd87dab9d9d7291d4e74dc",
+        "Sandybridge": "8e6af6335a4ccc93fc497cd234f588e9aaa5a173bd39487f0a5fab7990561733",
+        "Haswell, Zen": "8a4046637218f0eabc82bbad257a238f3abf7a7b1e9e2e586fbc049b14e2b1dc",
         "SkylakeX, Cooperlake, SapphireRapids":
-            "a9e17317caf92302019b851556fefbe070546d8529e099eec4d2268d0c21e035",
+            "7708c57ab46963889ffc6bf0586df43c93e74cba2d36c173d7f9a8384804f686",
     },
     False: {   # its AVX2 kernels
         "Prescott, Core2, Nehalem":
-            "c30d111003cc65833615f4902a7b5b5d648b69dd7e538156d715a82a05de7ad6",
-        "Sandybridge": "3448a2c70c5e0358bec316217b19372d398c311d6d9f6639e2cbcdecb2ba9119",
-        "Haswell, Zen": "ddc96d634a0ea570c9a53906aed6883decc46667bde5d2e874f8ce8a32c50e90",
+            "06f04ec9a870a46289fb7773c1d2f643858cbce26c47d98b63fd6acf15be3460",
+        "Sandybridge": "f98e4251b9d65cb3006695db6f88e689f94afe09449510b499995fc530fd97c2",
+        "Haswell, Zen": "17f866161cbc08f02ce34068215439f3c9eebbc25401f048d6b1719f9eff3459",
         "SkylakeX, Cooperlake, SapphireRapids":
-            "530ce996bbe77e722817bb9e3025669ce25bf66e579fadd5309a48cdf45d0f73",
+            "8138894a562a37b721d024276f7098d7c598b12ca0c23f4c4ea704816693a09a",
     },
 }
 
@@ -734,7 +791,8 @@ def test_flow_trace_is_pinned_bit_for_bit():
     # the sha256 of its float64 bytes: the trials form their sums in reused
     # work arrays and the energy without the mass, and not a bit may move.
     # The bits are those of the pinned numpy and SciPy wheels (BLAS ddot,
-    # LAPACK dptsv, numpy's pow) on x86-64, one trace per pow and ddot kernel
+    # LAPACK dpttrf and dpttrs, numpy's pow) on x86-64, one trace per pow
+    # and ddot kernel
     _, _, trace = _flow_from_width_3_seed(P425, 0.3)
     assert len(trace) - 1 == 69
     assert hashlib.sha256(np.array(trace).tobytes()).hexdigest() \
