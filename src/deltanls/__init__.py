@@ -2,7 +2,8 @@
 bulk nonlinearity and a focusing delta-point nonlinearity at the origin.
 
 Names are imported from their modules, one layer above the next:
-params, algebra, stationary, massmap, energy, oracle, verification, cli.
+params, algebra, stationary, massmap, energy, discrete, oracle, verification,
+cli.
 """
 
 __version__ = "0.1.0"

@@ -1,13 +1,12 @@
-"""Independent brute-force checks: shooting, profile quadrature, grid
-functionals, gradient flow.
+"""Independent brute-force checks: shooting, profile quadrature, gradient
+flow.
 
 Nothing here trusts the closed-form matching, mass or energy.  The shooter
 integrates the radial ODE u'' = lambda u + |u|^(p-2) u from the vertex data
 (u0, -u0^(q-1)/2) outward; the mass and energy pieces of a closed-form
 profile are integrated directly, by panel Gauss-Legendre quadrature with an
-error estimate (:func:`profile_functional`); one discrete functional (the
-piecewise-linear interpolant, its kinetic term exact and its mass and bulk
-terms by the trapezoidal rule) evaluates sampled profiles; the constrained
+error estimate (:func:`profile_functional`); sampled profiles are evaluated
+by the discrete functional of :mod:`deltanls.discrete`; the constrained
 minimizer runs a backward-Euler normalized gradient flow on that functional
 at fixed mass, with the bulk and point terms both lagged: its matrix is a
 symmetric positive definite tridiagonal less a point term at the origin's
@@ -46,6 +45,7 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 
+from .discrete import Grid, GridProfile, discrete_mass, grid_energy
 from .massmap import efolding_length, panel_cuts
 from .params import Params
 from .stationary import BranchPoint, EnergyBreakdown, profile as analytic_profile, \
@@ -72,31 +72,9 @@ MAX_FACTOR = 10.0
 #: Relative energy drop below which a flow step counts as stalled (eight
 #: stalled steps in a row end the flow).
 STALL_REL = 1e-10
-
-
-@dataclass(frozen=True)
-class GridProfile:
-    """Even function sampled at n+1 uniform nodes on [0, L]."""
-
-    L: float
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.n + 1,):
-            raise ValueError(f"expected {self.n + 1} nodal values, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("profile contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.linspace(0.0, self.L, self.n + 1)
-
-    @property
-    def h(self) -> float:
-        return self.L / self.n
+#: Most steps a flow takes; the stall, the floor or a rejected step ends
+#: every flow of the checks and tests within 200.
+FLOW_MAX_STEPS = 200_000
 
 
 @dataclass(frozen=True)
@@ -171,17 +149,17 @@ def profile_functional(point: BranchPoint, L: float):
 
 def sample_profile(point: BranchPoint, L: float, n: int) -> GridProfile:
     """Materialize a branch state on a uniform grid (closed-form sampling)."""
-    return GridProfile(L, n, analytic_profile(point, np.linspace(0.0, L, n + 1)))
+    return GridProfile(L, n, analytic_profile(point, Grid(L, n).x))
 
 
 def functional_eval(params: Params, profile: GridProfile):
     """(mass, EnergyBreakdown) of a sampled even profile.
 
-    The discrete functional of :func:`discrete_energy` and
-    :func:`discrete_mass`, split into its kinetic, bulk and point terms.
+    The discrete functional's M_h and the three pieces of its E_h
+    (``discrete.discrete_mass`` and ``discrete.grid_energy``).
     """
     u, h = profile.values, profile.h
-    return _breakdown(discrete_mass(u, h), *_grid_energy(u, h, params))
+    return _breakdown(discrete_mass(u, h), *grid_energy(params, u, h))
 
 
 def _breakdown(mass: float, kinetic: float, bulk: float, point: float):
@@ -517,7 +495,7 @@ def shoot(params: Params, lam: float, u0: float, L: float | None = None,
                 and abs(du_end) <= 10.0 * cap_tol * u0 * slope_scale:
             outcome = "decayed"
 
-    x = np.linspace(0.0, L, n + 1)
+    x = Grid(L, n).x
     k = int(np.searchsorted(x, x_end, side="right"))   # nodes with x <= x_end
     vals = np.empty(n + 1)
     vals[:k] = _dense_values(t, y[:1], F[:1], x[:k])[0]
@@ -564,58 +542,7 @@ def shooting_sup_distance(point: BranchPoint, result: ShootingResult) -> float:
 
 
 # ---------------------------------------------------------------------------
-# discrete functional and normalized gradient flow
-
-
-def _grid_energy(u: np.ndarray, h: float, params: Params, work=None):
-    """(kinetic, bulk, point) of the piecewise-linear even extension of the
-    nodal values u.
-
-    The kinetic term is exact for the piecewise-linear interpolant (the factor
-    2 for evenness cancels the 1/2 of the functional), sum(diff(u)^2) / h;
-    the bulk term is the trapezoidal rule, (2/p) h (sum of |u|^p - (|u_0|^p +
-    |u_n|^p) / 2); the point term is |u_0|^q / q.  work is a float and a
-    bool array of len(u) that the terms are formed in; the flow passes its
-    own, so that a trial allocates nothing here.
-
-    The nodes with |u| < tiny^(1/p) (tiny the smallest normal double) are set
-    to 0 and are not raised to the power p: such a node adds 0 in place of a
-    power of at most about tiny, which pow reaches only on its slow
-    underflow path.  Every other node adds its plain power, and the sum runs
-    over the whole array.
-    """
-    p, q = params.p, params.q
-    mag, small = work if work is not None else (np.empty(len(u)), np.empty(len(u), bool))
-    d = np.subtract(u[1:], u[:-1], out=mag[:-1])
-    diff2 = float(np.add.reduce(np.multiply(d, d, out=d)))
-    np.abs(u, out=mag)
-    np.putmask(mag, np.less(mag, sys.float_info.min ** (1.0 / p), out=small), 0.0)
-    np.power(mag, p, out=mag, where=np.logical_not(small, out=small))
-    u0, un = u.item(0), u.item(-1)
-    vsum = float(np.add.reduce(mag)) - 0.5 * (abs(u0) ** p + abs(un) ** p)
-    return diff2 / h, (2.0 / p) * h * vsum, abs(u0) ** q / q
-
-
-def discrete_energy(params: Params, u: np.ndarray, h: float) -> float:
-    """Energy of the piecewise-linear even extension of nodal values u."""
-    kinetic, bulk, point = _grid_energy(u, h, params)
-    return kinetic + bulk - point
-
-
-def discrete_mass(u: np.ndarray, h: float) -> float:
-    """Mass of the even extension of nodal values u by the trapezoidal rule,
-    2h (sum of u^2 - (u_0^2 + u_n^2) / 2)."""
-    u0, un = u.item(0), u.item(-1)      # floats: pow is libm's, as for numpy's scalars
-    return 2.0 * h * (float(np.dot(u, u)) - 0.5 * (u0 ** 2 + un ** 2))
-
-
-def make_initial_profile(mu: float, L: float, n: int,
-                         width: float = 2.0) -> GridProfile:
-    """Mass-mu bump exp(-(x/width)^2) on the grid (generic flow seed)."""
-    x = np.linspace(0.0, L, n + 1)
-    u = np.exp(-((x / width) ** 2))
-    u *= math.sqrt(mu / discrete_mass(u, L / n))
-    return GridProfile(L, n, u)
+# normalized gradient flow
 
 
 def _flow_solve(d, off, b, tau_c):
@@ -641,8 +568,7 @@ def _flow_solve(d, off, b, tau_c):
     return -x if x.item(0) < 0.0 else x.copy()
 
 
-def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
-                         max_iters: int = 200000):
+def constrained_minimize(params: Params, mu: float, profile0: GridProfile):
     """Backward-Euler normalized gradient flow at fixed discrete mass.
 
     Each step solves the linearly implicit system (Bao & Du, SIAM J. Sci.
@@ -650,8 +576,8 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
 
         (2W + tau (K + 2W |u^n|^(p-2)) - tau |u0^n|^(q-2) e0 e0^T) u* = 2W u^n
 
-    with W the trapezoid weights and K the kinetic stiffness of
-    :func:`discrete_energy`: the bulk and point coefficients are both lagged
+    with W the trapezoid weights and K the kinetic stiffness of the grid
+    (:mod:`deltanls.discrete`): the bulk and point coefficients are both lagged
     at u^n.  The matrix need not be positive definite; its part A = 2W +
     tau (K + 2W |u^n|^(p-2)) is, for every tau, and the point term changes
     only its diagonal entry at the origin.  :func:`_flow_solve` factors the
@@ -670,24 +596,23 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
     Returns (final profile, energy trace).  The flow stops once the energy
     falls below FLOW_DIVERGENCE_FLOOR: the level is then unbounded below, or
     the flow has diverged, which a check against a finite level reports.
+    It takes at most FLOW_MAX_STEPS steps.
     """
     p, q = params.p, params.q
     h = profile0.h
     u = profile0.values.copy()
     u *= math.sqrt(mu / discrete_mass(u, h))
-    two_w = np.full(len(u), 2.0 * h)
-    two_w[0] = two_w[-1] = h
-    stiff = np.full(len(u), 4.0 / h)
-    stiff[0] = stiff[-1] = 2.0 / h
+    two_w, stiff = profile0.mass_and_stiffness()
     # the trial's matrix diagonal and off-diagonal, and the energy's work arrays
     d, off = np.empty(len(u)), np.empty(len(u) - 1)
     work = np.empty(len(u)), np.empty(len(u), bool)
 
-    energy = discrete_energy(params, u, h)
+    kinetic, bulk, point = grid_energy(params, u, h, work)
+    energy = kinetic + bulk - point
     trace = [energy]
     tau = 1e-3 * h * h
     stall_count = 0
-    for _ in range(max_iters):
+    for _ in range(FLOW_MAX_STEPS):
         diag = np.abs(u)
         diag **= p - 2.0
         diag *= two_w
@@ -703,7 +628,7 @@ def constrained_minimize(params: Params, mu: float, profile0: GridProfile,
             mass = discrete_mass(trial, h) if trial is not None else math.nan
             if 0.0 < mass < math.inf:
                 trial *= math.sqrt(mu / mass)
-                kinetic, bulk, point = _grid_energy(trial, h, params, work)
+                kinetic, bulk, point = grid_energy(params, trial, h, work)
                 e_trial = kinetic + bulk - point
                 if e_trial <= energy:
                     accepted = True

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import algebra, energy, massmap, oracle, stationary
+from . import algebra, discrete, energy, massmap, oracle, stationary
 from .params import Params, classify
 
 
@@ -540,8 +540,8 @@ def check_flow_vs_branch(m: _Recorder) -> str:
     P = Params(4.0, 2.5)
     mu = 0.3
     gs = energy.groundstate_energy(P, mu)
-    prof0 = oracle.make_initial_profile(mu, oracle.default_domain(gs.lam), 1500, width=3.0)
-    _, trace = oracle.constrained_minimize(P, mu, prof0, max_iters=120000)
+    prof0 = discrete.make_initial_profile(mu, oracle.default_domain(gs.lam), 1500, width=3.0)
+    _, trace = oracle.constrained_minimize(P, mu, prof0)
     m.at_most("diff", abs(trace[-1] - gs.value), 1e-4)
     for step, (a, b) in enumerate(zip(trace, trace[1:]), 1):
         m.at_most("E rise", b - a, 0.0, f"step {step}")
@@ -553,8 +553,8 @@ def check_flow_vs_branch(m: _Recorder) -> str:
 def check_probe_flow(m: _Recorder) -> str:
     P = Params(3.0, 5.0)
     n = 4000
-    prof0 = oracle.make_initial_profile(1.0, 5.0, n, width=5.0 / n * 10.0)
-    _, trace = oracle.constrained_minimize(P, 1.0, prof0, max_iters=60000)
+    prof0 = discrete.make_initial_profile(1.0, 5.0, n, width=5.0 / n * 10.0)
+    _, trace = oracle.constrained_minimize(P, 1.0, prof0)
     m.at_most("final", trace[-1], oracle.FLOW_DIVERGENCE_FLOOR, strict=True)
     return ""
 

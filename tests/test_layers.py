@@ -1,6 +1,7 @@
 """The package is a stack of layers, each importing only the ones below it.
 
-params < algebra < stationary < massmap < energy < oracle < verification < cli
+params < algebra < stationary < massmap < energy < discrete < oracle < verification
+< cli
 
 Every import of a package module sits at module level, names a lower layer,
 and reads only public names: a layer meets another through its public
@@ -18,8 +19,8 @@ import pytest
 
 import deltanls
 
-LAYERS = ("params", "algebra", "stationary", "massmap", "energy", "oracle",
-          "verification", "cli")
+LAYERS = ("params", "algebra", "stationary", "massmap", "energy", "discrete",
+          "oracle", "verification", "cli")
 PACKAGE = pathlib.Path(deltanls.__file__).resolve().parent
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
@@ -103,10 +104,19 @@ def test_no_module_imports_a_private_scipy_module(path):
     assert private == []
 
 
-def test_a_layer_loads_only_the_layers_below_it():
-    code = ("import sys, deltanls.massmap; "
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('deltanls'))))")
+def _loaded_modules(layer: str) -> list[str]:
+    """The deltanls and scipy modules that a fresh interpreter has loaded once
+    it imports deltanls.<layer>."""
+    code = (f"import sys, deltanls.{layer}; print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('deltanls', 'scipy'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
-    assert out.stdout.split() == ["deltanls", "deltanls.algebra", "deltanls.massmap",
-                                  "deltanls.params", "deltanls.stationary"]
+    return out.stdout.split()
+
+
+def test_a_layer_loads_only_the_layers_below_it():
+    massmap = [m for m in _loaded_modules("massmap") if m.startswith("deltanls")]
+    assert massmap == ["deltanls", "deltanls.algebra", "deltanls.massmap",
+                       "deltanls.params", "deltanls.stationary"]
+    # the grid functional is numpy alone: not even SciPy is loaded
+    assert _loaded_modules("discrete") == ["deltanls", "deltanls.discrete", "deltanls.params"]

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import struct
-import sys
 import tracemalloc
 import types
 
@@ -14,7 +13,7 @@ from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.linalg.lapack import dgtsv, dpttrf
 from scipy.optimize import brentq
 
-from deltanls import energy, massmap, oracle, stationary, verification
+from deltanls import discrete, energy, massmap, oracle, stationary, verification
 from deltanls.params import Params
 
 P425 = Params(4.0, 2.5)
@@ -100,7 +99,7 @@ def test_vertex_height_matches_independent_root():
 
 
 def test_functional_eval_zero_profile():
-    prof = oracle.GridProfile(10.0, 100, np.zeros(101))
+    prof = discrete.GridProfile(10.0, 100, np.zeros(101))
     mass, eb = oracle.functional_eval(P425, prof)
     assert mass == 0.0
     assert eb.kinetic == eb.bulk == eb.point == eb.total == 0.0
@@ -131,43 +130,6 @@ def test_sample_profile_is_the_linspace_sampling_bit_for_bit(n):
     np.testing.assert_array_equal(oracle.sample_profile(pt, L, n).values, want)
 
 
-def test_blocked_functional_matches_whole_grid_formulas():
-    # the whole-grid trapezoid-weight formulas are the reference
-    pt, L = _fine_grid_state()
-    grid = oracle.sample_profile(pt, L, 800000)
-    u, h, p = grid.values, grid.h, P425.p
-    w = np.full(len(u), h)
-    w[0] = w[-1] = 0.5 * h
-    mass_ref = 2.0 * float(np.sum(w * u * u))
-    kinetic_ref = float(np.sum(np.diff(u) ** 2)) / h
-    bulk_ref = (2.0 / p) * float(np.sum(w * np.abs(u) ** p))
-    mass, eb = oracle.functional_eval(P425, grid)
-    assert oracle.discrete_mass(u, h) == mass
-    assert mass == pytest.approx(mass_ref, rel=1e-13)
-    assert eb.kinetic == pytest.approx(kinetic_ref, rel=1e-13)
-    assert eb.bulk == pytest.approx(bulk_ref, rel=1e-13)
-
-
-@pytest.mark.parametrize("nodes", [32768, 32769, 32770])
-def test_array_functional_sums_the_last_node_of_an_undecayed_profile(nodes):
-    # a profile that has not decayed at L shows a last node dropped from the sums
-    h, p, q = 0.01, P425.p, P425.q
-    ones = np.ones(nodes)
-    assert oracle.discrete_mass(ones, h) == 2.0 * h * (nodes - 1)
-    mass, eb = oracle.functional_eval(P425, oracle.GridProfile(h * (nodes - 1), nodes - 1, ones))
-    assert (mass, eb.kinetic) == (2.0 * h * (nodes - 1), 0.0)
-    assert eb.bulk == (2.0 / p) * h * (nodes - 1)
-    assert oracle.discrete_energy(P425, ones, h) == eb.bulk - 1.0 / q
-    ramp = np.linspace(2.0, 1.0, nodes)
-    w = np.full(nodes, h)
-    w[0] = w[-1] = 0.5 * h
-    assert oracle.discrete_mass(ramp, h) == pytest.approx(2.0 * np.sum(w * ramp ** 2), rel=1e-13)
-    kinetic = np.sum(np.diff(ramp) ** 2) / h
-    bulk = (2.0 / p) * np.sum(w * ramp ** p)
-    assert oracle.discrete_energy(P425, ramp, h) == \
-        pytest.approx(kinetic + bulk - 2.0 ** q / q, rel=1e-13)
-
-
 def _grid_check_states():
     """The 14 states of oracle-equivalence on their domains, and a zero-frequency
     state of algebraic decay on [0, 1e3]."""
@@ -176,7 +138,7 @@ def _grid_check_states():
     return states + [(stationary.zero_frequency_point(Params(2.5, 2.5)), 1e3)]
 
 
-def test_streamed_grid_check_holds_no_whole_grid_array():
+def test_quadrature_oracle_check_holds_no_6_mb_array():
     # one 800,001-node profile alone is 6.4 MB; the check's largest arrays
     # are the shooter's 20,001-node grids
     tracemalloc.start()
@@ -223,22 +185,6 @@ def test_oracle_check_names_the_estimate_of_a_kinked_profile(monkeypatch):
     assert sum("estimate=" in f and f.endswith("(bound 1e-12)") for f in failures) == 14
 
 
-def test_one_block_functional_is_the_whole_array_formula():
-    # on the flow's 1,501-node grids each sum is one numpy reduction
-    pt = stationary.solve_for_lambda(P425, 3.0 / 128.0).points[1]
-    n = 1500
-    L = 50.0
-    u, h = oracle.sample_profile(pt, L, n).values, L / n
-    p, q = P425.p, P425.q
-    kinetic = float(np.sum(np.diff(u) ** 2)) / h
-    vsum = float(np.sum(np.abs(u) ** p)) - 0.5 * float(abs(u[0]) ** p + abs(u[-1]) ** p)
-    bulk = (2.0 / p) * h * vsum
-    point = abs(u[0]) ** q / q
-    assert oracle.discrete_energy(P425, u, h) == kinetic + bulk - point
-    assert oracle.discrete_mass(u, h) \
-        == 2.0 * h * (float(np.dot(u, u)) - 0.5 * float(u[0] ** 2 + u[-1] ** 2))
-
-
 def test_flow_checks_report_their_pinned_figures():
     flow = verification.check_flow_vs_branch()
     assert flow.passed and "steps=69" in flow.detail
@@ -271,14 +217,50 @@ def test_flow_ldlt_solve_tracks_the_general_lu_solve(monkeypatch, params, mu, L,
     # and the traces differ by rounding only
     if L is None:
         L = max(50.0, 20.0 / math.sqrt(energy.groundstate_energy(params, mu).lam))
-    prof0 = oracle.make_initial_profile(mu, L, n, width=width)
-    _, trace = oracle.constrained_minimize(params, mu, prof0, max_iters=120000)
+    prof0 = discrete.make_initial_profile(mu, L, n, width=width)
+    _, trace = oracle.constrained_minimize(params, mu, prof0)
     monkeypatch.setattr(oracle, "_flow_solve", _dgtsv_flow_solve)
-    _, ref = oracle.constrained_minimize(params, mu, prof0, max_iters=120000)
+    _, ref = oracle.constrained_minimize(params, mu, prof0)
     assert len(trace) == len(ref)
     trace, ref = np.array(trace), np.array(ref)
     scale = np.maximum(np.abs(ref), abs(ref[0]))
     assert np.all(np.abs(trace - ref) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("params, mu, L, n, width, trials", [
+    (P425, 0.3, None, 1500, 3.0, 72),           # flow-vs-branch
+    (Params(3.0, 5.0), 1.0, 5.0, 4000, 5.0 / 4000 * 10.0, 24),   # probe-flow
+], ids=["flow-vs-branch", "probe-flow"])
+def test_flow_ldlt_and_lu_solves_agree_trial_by_trial(monkeypatch, params, mu, L, n,
+                                                      width, trials):
+    # every trial of the flow, the rejected ones too, is solved again by LU
+    # with partial pivoting (dgtsv): both solves find the matrix singular or
+    # neither does, and the renormalized trial energies agree to rounding
+    if L is None:
+        L = max(50.0, 20.0 / math.sqrt(energy.groundstate_energy(params, mu).lam))
+    prof0 = discrete.make_initial_profile(mu, L, n, width=width)
+    flow_solve, solves = oracle._flow_solve, []
+
+    def both_solves(d, off, b, tau_c):
+        ref = _dgtsv_flow_solve(d, off, b, tau_c)
+        trial = flow_solve(d, off, b, tau_c)
+        solves.append((None if trial is None else trial.copy(), ref))
+        return trial
+
+    monkeypatch.setattr(oracle, "_flow_solve", both_solves)
+    _, trace = oracle.constrained_minimize(params, mu, prof0)
+    assert len(solves) == trials
+
+    def renormalized_energy(u):
+        u = u * math.sqrt(mu / discrete.discrete_mass(u, prof0.h))
+        kinetic, bulk, point = discrete.grid_energy(params, u, prof0.h)
+        return kinetic + bulk - point
+
+    for trial, ref in solves:
+        assert (trial is None) == (ref is None)
+        if ref is not None:
+            e, e_ref = renormalized_energy(trial), renormalized_energy(ref)
+            assert abs(e - e_ref) <= 1e-14 * max(abs(e_ref), abs(trace[0]))
 
 
 def test_flow_solve_past_a_negative_last_pivot():
@@ -288,7 +270,7 @@ def test_flow_solve_past_a_negative_last_pivot():
     # pivoting, and is signed so that u*_0 > 0
     n, L = 1500, 50.0
     h = L / n
-    u = oracle.make_initial_profile(0.3, L, n, width=3.0).values
+    u = discrete.make_initial_profile(0.3, L, n, width=3.0).values
     two_w, stiff = np.full(n + 1, 2.0 * h), np.full(n + 1, 4.0)
     two_w[0] = two_w[-1] = h
     stiff[0] = stiff[-1] = 2.0
@@ -318,24 +300,6 @@ def test_flow_solve_of_a_zero_last_pivot_is_none():
         <= 1e-14 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("params, mu, L, n, width", [
-    (P425, 0.3, 200.0, 1500, 3.0),
-    (Params(3.0, 5.0), 1.0, 5.0, 4000, 5.0 / 4000 * 10.0),   # probe-flow's seed
-])
-def test_masked_bulk_power_is_the_unmasked_one(params, mu, L, n, width):
-    # seeds whose tails hold exact zeros and powers below tiny: the nodes
-    # under tiny^(1/p) are not raised to the power p, and the bulk term is
-    # bit for bit that of one unmasked power over the whole array
-    u = oracle.make_initial_profile(mu, L, n, width=width).values
-    h, p = L / n, params.p
-    mag = np.abs(u)
-    small = mag < sys.float_info.min ** (1.0 / p)
-    assert small.any() and (u == 0.0).any()
-    mag[small] = 0.0
-    vsum = float(np.add.reduce(mag ** p)) - 0.5 * (abs(u[0]) ** p + abs(u[-1]) ** p)
-    assert oracle._grid_energy(u, h, params)[1] == (2.0 / p) * h * vsum
-
-
 def test_functional_eval_tent_family():
     # plateau c on [0, m^2], linear ramp to zero over one unit: as m grows the
     # energy tends to 0 at fixed mass
@@ -347,7 +311,7 @@ def test_functional_eval_tent_family():
         x = np.linspace(0.0, L, n + 1)
         u = np.clip(L - x, 0.0, 1.0)
         c = math.sqrt(mu / (2.0 * np.trapezoid(u * u, x)))
-        mass, eb = oracle.functional_eval(P425, oracle.GridProfile(L, n, c * u))
+        mass, eb = oracle.functional_eval(P425, discrete.GridProfile(L, n, c * u))
         assert mass == pytest.approx(mu, rel=1e-6)
         assert eb.total > 0.0
         if last is not None:
@@ -367,9 +331,9 @@ def test_refinement_convergence():
 
 
 def test_renormalization_preserves_mass():
-    prof0 = oracle.make_initial_profile(0.7, 40.0, 500, width=3.0)
-    prof, trace = oracle.constrained_minimize(P425, 0.7, prof0, max_iters=200)
-    assert oracle.discrete_mass(prof.values, prof.h) == pytest.approx(0.7, rel=1e-12)
+    prof0 = discrete.make_initial_profile(0.7, 40.0, 500, width=3.0)
+    prof, trace = oracle.constrained_minimize(P425, 0.7, prof0)
+    assert discrete.discrete_mass(prof.values, prof.h) == pytest.approx(0.7, rel=1e-12)
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
@@ -377,13 +341,13 @@ def _flow_from_width_3_seed(params, mu):
     """The ground state at mass mu, and the flow's end profile and energy
     trace from flow-vs-branch's seed and grid (width 3, n = 1500)."""
     gs = energy.groundstate_energy(params, mu)
-    prof0 = oracle.make_initial_profile(mu, oracle.default_domain(gs.lam), 1500, width=3.0)
-    return (gs, *oracle.constrained_minimize(params, mu, prof0, max_iters=120000))
+    prof0 = discrete.make_initial_profile(mu, oracle.default_domain(gs.lam), 1500, width=3.0)
+    return (gs, *oracle.constrained_minimize(params, mu, prof0))
 
 
 def _discrete_euler_lagrange(params, prof):
     """(lambda_h, relative residual) of the discrete Euler-Lagrange equation
-    g + lambda_h 2W u = 0, with g the gradient of discrete_energy, 2W the
+    g + lambda_h 2W u = 0, with g the gradient of E_h, 2W the
     trapezoid weights and lambda_h = -<u, g> / <u, 2W u>.  The residual is
     max |g + lambda_h 2W u| / 2W relative to lambda_h max u."""
     u, h = prof.values, prof.h
@@ -443,17 +407,15 @@ def test_flow_in_region_f_stops_at_the_grids_level():
 def test_flow_probe_mode_descends():
     n = 4000
     L = 5.0
-    prof0 = oracle.make_initial_profile(1.0, L, n, width=10.0 * L / n)
-    _, trace = oracle.constrained_minimize(Params(3.0, 5.0), 1.0, prof0,
-                                           max_iters=60000)
+    prof0 = discrete.make_initial_profile(1.0, L, n, width=10.0 * L / n)
+    _, trace = oracle.constrained_minimize(Params(3.0, 5.0), 1.0, prof0)
     assert trace[-1] < -1e6
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
 def test_flow_stalls_near_zero_for_q4_small_mass():
-    prof0 = oracle.make_initial_profile(1.0, 40.0, 800, width=2.0)
-    _, trace = oracle.constrained_minimize(Params(5.0, 4.0), 1.0, prof0,
-                                           max_iters=20000)
+    prof0 = discrete.make_initial_profile(1.0, 40.0, 800, width=2.0)
+    _, trace = oracle.constrained_minimize(Params(5.0, 4.0), 1.0, prof0)
     assert trace[-1] >= -1e-3
     assert trace[-1] <= trace[0]
     assert abs(trace[-1]) < 0.2 * abs(trace[0])
@@ -461,9 +423,9 @@ def test_flow_stalls_near_zero_for_q4_small_mass():
 
 def test_grid_profile_validation():
     with pytest.raises(ValueError):
-        oracle.GridProfile(10.0, 100, np.zeros(50))
+        discrete.GridProfile(10.0, 100, np.zeros(50))
     with pytest.raises(ValueError):
-        oracle.GridProfile(10.0, 10, np.full(11, np.nan))
+        discrete.GridProfile(10.0, 10, np.full(11, np.nan))
 
 
 def test_default_domain():
