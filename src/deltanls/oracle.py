@@ -72,6 +72,8 @@ MAX_FACTOR = 10.0
 #: Relative energy drop below which a flow step counts as stalled (eight
 #: stalled steps in a row end the flow).
 STALL_REL = 1e-10
+#: Nodes per block of the shooter's grid that shooting_sup_distance compares.
+SUP_BLOCK = 4096
 #: Most steps a flow takes; the stall, the floor or a rejected step ends
 #: every flow of the checks and tests within 200.
 FLOW_MAX_STEPS = 200_000
@@ -93,13 +95,49 @@ def default_domain(lam: float) -> float:
     return 1e3
 
 
+#: The 40- and 20-point Gauss-Legendre rules on [-1, 1] as (nodes, weights)
+#: on their positive halves, ascending: the doubles of numpy's
+#: ``polynomial.legendre.leggauss`` (repr round-trips each).  leggauss
+#: symmetrises its rules, so the other half is these nodes negated, bit for bit.
+_GL40_HALF = (
+    (0.038772417506050816, 0.11608407067525521, 0.1926975807013711,
+     0.2681521850072537, 0.3419940908257585, 0.413779204371605,
+     0.4830758016861787, 0.5494671250951282, 0.6125538896679802,
+     0.6719566846141796, 0.7273182551899271, 0.7783056514265194,
+     0.8246122308333117, 0.8659595032122595, 0.9020988069688742,
+     0.9328128082786765, 0.9579168192137917, 0.9772599499837743,
+     0.990726238699457, 0.9982377097105591),
+    (0.07750594797842451, 0.07703981816424763, 0.07611036190062598,
+     0.07472316905796794, 0.07288658239580377, 0.07061164739128656,
+     0.06791204581523368, 0.06480401345660076, 0.061306242492928834,
+     0.05743976909939129, 0.0532278469839367, 0.04869580763507193,
+     0.04387090818567321, 0.03878216797447219, 0.03346019528254789,
+     0.027937006980023434, 0.022245849194166653, 0.016421058381906828,
+     0.010498284531153814, 0.004521277098536349),
+)
+_GL20_HALF = (
+    (0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+     0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+     0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+     0.993128599185095),
+    (0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+     0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+     0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+     0.017614007139150893),
+)
+
+
 @functools.cache
 def _gauss_legendre() -> tuple:
     """Nodes and weights on [-1, 1] of the 40-point Gauss-Legendre rule and
-    of the 20-point rule of its error estimate, formed on first use (leggauss
-    solves an eigenproblem, whose first LAPACK call adds about 1 MB to the
-    resident set of every process that imports the module)."""
-    return np.polynomial.legendre.leggauss(40), np.polynomial.legendre.leggauss(20)
+    of the 20-point rule of its error estimate, ascending, as leggauss orders
+    them, from the literal halves: no eigensolve runs (leggauss's first
+    LAPACK call adds about 0.4 MB to the resident set of its process)."""
+    rules = []
+    for nodes, weights in (_GL40_HALF, _GL20_HALF):
+        x, w = np.array(nodes), np.array(weights)
+        rules.append((np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])))
+    return tuple(rules)
 
 
 def _gauss_legendre_panels(integrand, ell: float, end: float):
@@ -192,9 +230,9 @@ def _dense_values(t: np.ndarray, y: np.ndarray, F: np.ndarray,
     first and last steps beyond the ends): the points up to the first inner
     step end go to the first step, and so on.  Each point then runs the
     arithmetic of SciPy's Dop853DenseOutput: r = (x - t_old) / h, the nested
-    product of the F rows in r and 1 - r, plus y.  The coefficients are
-    repeated out to the points by step; the arithmetic of each element is
-    the interpolant's, so the bits are too.
+    product of the F rows in r and 1 - r, plus y.  Each coefficient row is
+    repeated out to the points by step as it is added, one row at a time;
+    the arithmetic of each element is the interpolant's, so the bits are too.
     """
     bounds = np.searchsorted(x, t, side="right")    # points up to each step end
     bounds[0], bounds[-1] = 0, len(x)
@@ -204,8 +242,8 @@ def _dense_values(t: np.ndarray, y: np.ndarray, F: np.ndarray,
     factors = (r, 1 - r)
     out = np.zeros((len(F), len(x)))
     for rows, start, yc in zip(F, y, out):
-        for i, row in enumerate(rows.repeat(counts, axis=1)[::-1]):
-            yc += row
+        for i, row in enumerate(rows[::-1]):
+            yc += row.repeat(counts)
             yc *= factors[i % 2]
         yc += start.repeat(counts)
     return out
@@ -536,9 +574,13 @@ def first_integral(p: float, lam: float, u, du, u0: float):
 
 
 def shooting_sup_distance(point: BranchPoint, result: ShootingResult) -> float:
-    """sup_x |numeric profile - closed-form profile| on the shooter's grid."""
-    exact = np.asarray(analytic_profile(point, result.profile.x), dtype=float)
-    return float(np.max(np.abs(result.profile.values - exact)))
+    """sup_x |numeric profile - closed-form profile| on the shooter's grid,
+    compared in blocks of SUP_BLOCK nodes (the closed form is evaluated node
+    by node, so the blocks change no bit); NaN if any node is NaN."""
+    x, vals = result.profile.x, result.profile.values
+    worst = [np.max(np.abs(vals[i:i + SUP_BLOCK] - analytic_profile(point, x[i:i + SUP_BLOCK])))
+             for i in range(0, len(x), SUP_BLOCK)]
+    return float(np.max(worst))
 
 
 # ---------------------------------------------------------------------------

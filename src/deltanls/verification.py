@@ -214,6 +214,16 @@ def check_mass_two_threshold(m: _Recorder) -> str:
             f"p=8 -> {limits[8.0]:.8f}; counts 1.9 -> {n_below}, 2.1 -> {n_above}")
 
 
+def _loglog_slope(xs: list[float], ys: list[float]) -> float:
+    """The least-squares slope of ln y against ln x, centred:
+    sum (X - mean X)(Y - mean Y) / sum (X - mean X)^2, each sum and mean
+    correctly rounded (math.fsum), so the slope depends on no summation order."""
+    X, Y = [math.log(x) for x in xs], [math.log(y) for y in ys]
+    mx, my = math.fsum(X) / len(X), math.fsum(Y) / len(Y)
+    dx = [x - mx for x in X]
+    return math.fsum(a * (y - my) for a, y in zip(dx, Y)) / math.fsum(a * a for a in dx)
+
+
 @_check("diagonal q=p/2+1: states exist only for p>8 (t=sqrt(2) at p=16), "
         "mass scales like lambda^(-5/14) at p=16, branch energies stay "
         "positive, and p=8 carries nothing")
@@ -224,9 +234,8 @@ def check_diagonal_regime(m: _Recorder) -> str:
         m.fail("p=16 carries no diagonal state")
         tdiag = math.nan
     m.at_most("|t-sqrt(2)|", abs(tdiag - math.sqrt(2.0)), 1e-12)
-    lams = np.logspace(-2.0, 2.0, 9)
-    mus = [massmap.mass_of_lambda_diagonal(P, lam) for lam in lams]
-    slope = float(np.polyfit(np.log(lams), np.log(mus), 1)[0])
+    lams = np.logspace(-2.0, 2.0, 9).tolist()
+    slope = _loglog_slope(lams, [massmap.mass_of_lambda_diagonal(P, lam) for lam in lams])
     m.at_most("|slope+5/14|", abs(slope + 5.0 / 14.0), 1e-6)
     energies = []
     for lam in (0.1, 1.0, 10.0):
@@ -514,17 +523,19 @@ def _region_membership(p: float, q: float) -> list[str]:
         "included on the printed sides")
 def check_region_partition(m: _Recorder) -> str:
     rng = np.random.default_rng(20240817)
-    pts = 2.01 + rng.random((10000, 2)) * (12.0 - 2.01)
     bad = 0
-    # Python floats from two flat lists: faster than numpy scalars, and half
-    # the memory of pts.tolist()'s 10,000 row lists
-    for p, q in zip(pts[:, 0].tolist(), pts[:, 1].tolist()):
-        tags = _region_membership(p, q)
-        got = classify(Params(p, q)).value
-        if len(tags) != 1 or tags[0] != got:
-            bad += 1
-            if bad <= 3:
-                m.fail(f"(p={p}, q={q}): memberships {tags}, classified {got}")
+    # 10,000 pairs in 20 chunks of 500 (the generator gives the same doubles
+    # in the same order whatever the chunk), read as Python floats, which are
+    # faster than numpy scalars
+    for _ in range(20):
+        pts = 2.01 + rng.random((500, 2)) * (12.0 - 2.01)
+        for p, q in zip(pts[:, 0].tolist(), pts[:, 1].tolist()):
+            tags = _region_membership(p, q)
+            got = classify(Params(p, q)).value
+            if len(tags) != 1 or tags[0] != got:
+                bad += 1
+                if bad <= 3:
+                    m.fail(f"(p={p}, q={q}): memberships {tags}, classified {got}")
     m.at_most("misclassified", bad, 0, "10000 samples")
     for (p, q, want) in ((6.0, 3.0, "B"), (6.0, 5.0, "D"), (6.0, 4.0, "I"),
                          (7.0, 4.0, "H"), (5.0, 4.0, "G"), (10.0, 6.0, "I")):

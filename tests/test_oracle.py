@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import struct
@@ -148,6 +149,64 @@ def test_quadrature_oracle_check_holds_no_6_mb_array():
     finally:
         tracemalloc.stop()
     assert check_peak < 6e6
+
+
+@pytest.mark.parametrize("check, bound", [
+    # the shooter's 20,001-node grid compared with the closed form in blocks,
+    # and its dense output added one repeated coefficient row at a time
+    # (1.96 MB when both were whole-grid arrays)
+    (verification.check_oracle_equivalence, 1.7e6),
+    # the 10,000 exponent pairs drawn in chunks (0.80 MB as two whole lists)
+    (verification.check_region_partition, 0.3e6),
+], ids=["oracle-equivalence", "region-partition"])
+def test_full_checks_hold_no_whole_sample_transient(check, bound):
+    # a full collection first, so that the peak does not depend on where the
+    # collector's counts stand after the earlier tests
+    gc.collect()
+    tracemalloc.start()
+    try:
+        check()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_battery_calls_no_lapack_routine_it_does_not_need(monkeypatch):
+    # the diagonal slope is a closed form and the quadrature rules are
+    # literals: no least-squares solve and no eigensolve runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LAPACK route the battery does not need was called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    oracle._gauss_legendre.cache_clear()
+    for check in (verification.check_diagonal_regime, verification.check_gn_inequality,
+                  verification.check_oracle_equivalence):
+        result = check()
+        assert result.passed, result.detail
+
+
+@pytest.mark.parametrize("n, index", [(40, 0), (20, 1)])
+def test_literal_gauss_legendre_rules(n, index):
+    x, w = oracle._gauss_legendre()[index]
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    # the literals are leggauss's doubles on an AVX-512 host with OpenBLAS's
+    # SkylakeX kernels; another LAPACK may round its eigenvalues differently
+    for got, ref in ((x, ref_x), (w, ref_w)):
+        assert got.shape == (n,)
+        assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(np.abs(ref)))
+    assert np.all(np.diff(x) > 0.0)
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    # an n-point rule is exact for polynomials of degree up to 2n - 1; in
+    # doubles leggauss's rules reach 6.3e-15 (n = 40) and 3.4e-15 (n = 20),
+    # whatever the order of the sum
+    for k in range(2 * n):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(np.dot(w, x ** k)) - exact) <= 1e-14, k
 
 
 def test_profile_quadrature_matches_adaptive_quadrature():

@@ -48,6 +48,17 @@ def test_states_near_the_ends_of_double_range(p, q, query, value, offsets):
         assert stationary.vertex_residual(pt) <= 1e-8
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP 7(b)/(c): next to p = 2 an ulp of the "
+                   "stored coordinates moves the vertex condition by about 1e-7; no "
+                   "condition estimate refuses the state yet")
+def test_vertex_residual_contract_next_to_p_2():
+    # the state the p -> 2 NaN used to hide: it is returned with a relative
+    # vertex residual of 1.8e-7, above the 1e-8 contract
+    (pt,) = stationary.solve_for_lambda(Params(2.0000000315979345, 3.6313493472423306),
+                                        1e-3).points
+    assert stationary.vertex_residual(pt) <= 1e-8
+
+
 # (p, q) in regions F and C; the mass map of (2.3648, 3.0216) has no dip
 # (it falls to mu0 all along), and (6.0608, 4.0021) lies next to the
 # corner (6, 4)
